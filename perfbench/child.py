@@ -19,12 +19,12 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 def machine_info() -> dict:
     import numpy as np
     import scipy
+
+    from run import PINNED
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -34,7 +34,7 @@ def machine_info() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "threads": {var: os.environ.get(var) for var in PINNED},
     }
 
 
@@ -85,10 +85,13 @@ def measure(workload, seconds: float, trace: bool) -> dict:
         if passes >= (2 if trace else 1) and time.perf_counter() - start >= seconds:
             break
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    # an operation that raised in the first pass has no output to check
+    failures = [f"{label}: no output to check" for label, _ in workload.ops
+                if label not in first]
     try:
-        failures = workload.check(first)
+        failures += workload.check(first)
     except Exception as exc:
-        failures = [f"check raised {type(exc).__name__}: {exc}"]
+        failures.append(f"check raised {type(exc).__name__}: {exc}")
     result = {
         "passes": passes,
         "attempted": passes * len(workload.ops),

@@ -1,11 +1,11 @@
 """One-off reference timings of kreinmap's layers, as in ROADMAP's baseline.
 
-    python3 perfbench/reference.py [--repeat 3]
+    python3 perfbench/reference.py
 
 Times single calls of each layer on the Gaussian accelerant 0.3 exp(-u^2)
 (r = 1, N = 100, 200, 400) and on a 2 x 2 version of it (r = 2, N = 200),
 in a fresh process with BLAS pinned to one thread, and prints a Markdown
-table of medians over --repeat calls (one call at N = 400). This is not
+table of medians over REPEAT = 3 calls (one call at N = 400). This is not
 part of the gated benchmark; it regenerates the reference table in the
 README. It takes a few minutes.
 """
@@ -13,12 +13,12 @@ README. It takes a few minutes.
 import os
 import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from run import PINNED
+
+os.environ.update(PINNED)
 os.environ.pop("KREINMAP_THREADS", None)
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-import argparse  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 
@@ -38,6 +38,7 @@ ROWS = (
 )
 COLUMNS = ((1, 100), (1, 200), (1, 400), (2, 200))
 SKIP = {("identity_suite", 1, 400), ("identity_suite", 2, 200)}  # a minute or more
+REPEAT = 3
 
 
 def gaussian(r: int, n: int) -> "km.Accelerant":
@@ -48,10 +49,6 @@ def gaussian(r: int, n: int) -> "km.Accelerant":
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--repeat", type=int, default=3)
-    args = ap.parse_args()
     table = {}
     for r, n in COLUMNS:
         h = gaussian(r, n)
@@ -61,7 +58,7 @@ def main() -> int:
             if (name, r, n) in SKIP:
                 continue
             times = []
-            for _ in range(1 if n >= 400 else args.repeat):
+            for _ in range(1 if n >= 400 else REPEAT):
                 start = time.perf_counter()
                 fn(h, q, k)
                 times.append(time.perf_counter() - start)

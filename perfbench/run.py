@@ -1,11 +1,12 @@
 """kreinmap benchmark: forward, inverse and verify workloads.
 
-    python3 perfbench/run.py --workload forward --seed 1 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload forward --seed 1 --seconds 25 --trace 0
 
 Run from the root of a checkout. Every workload runs in fresh child
 processes with BLAS pinned to one thread before numpy loads: one process
 measures passes over the workload's operation list for --seconds, and
-SETUP_RUNS more only set up, so that setup_s is a median. With --trace 0
+SETUP_RUNS more only set up, half of them before it and half after, so
+that setup_s is a median over the whole run. With --trace 0
 the last line of output is the end-to-end result; with --trace 1 it is the
 per-layer result of a traced run. Details of each run, with the machine it
 ran on, go to perfbench/out/BENCH_<workload>_seed<seed>_trace<t>.json.
@@ -27,8 +28,10 @@ SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(HERE, "out")
 
 WORKLOADS = ("forward", "inverse", "verify")
-SETUP_RUNS = 7
+SETUP_RUNS = 15
 DEADLINE_S = 170.0
+# The BLAS thread variables, set before numpy loads; child.py records them
+# and reference.py applies them.
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -70,14 +73,16 @@ def main() -> int:
         return 2
     os.makedirs(OUT, exist_ok=True)
     deadline = time.monotonic() + DEADLINE_S
+    setup_only = 0 if args.trace else SETUP_RUNS
     try:
+        setups = [run_child(args, ["--setup-only"], deadline)["setup_s"]
+                  for _ in range(setup_only // 2)]
         main_run = run_child(
             args, ["--seconds", str(args.seconds), "--trace", str(args.trace)], deadline
         )
-        setups = [main_run["setup_s"]]
-        if not args.trace:
-            for _ in range(SETUP_RUNS):
-                setups.append(run_child(args, ["--setup-only"], deadline)["setup_s"])
+        setups.append(main_run["setup_s"])
+        setups += [run_child(args, ["--setup-only"], deadline)["setup_s"]
+                   for _ in range(setup_only - setup_only // 2)]
     except (RuntimeError, subprocess.TimeoutExpired, ValueError, KeyError) as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)
         return 1

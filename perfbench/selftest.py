@@ -6,7 +6,7 @@ Every correctness check is fed an output it must accept and deliberately
 wrong outputs it must reject: a potential off by 1e-3, an accelerant or a
 potential shifted by a constant, a wrong exit code, a misplaced worst alpha,
 a perturbed singular value, a failing report entry, a flat ladder, a
-rejected perturbation. Good outputs come from the program at small grids.
+rejected perturbation, an operation that raises and so leaves no output. Good outputs come from the program at small grids.
 Exits 1 if any expectation fails.
 """
 
@@ -21,6 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 import numpy as np  # noqa: E402
 
 import checks  # noqa: E402
+import child  # noqa: E402
 import tracer as tracing  # noqa: E402
 import workloads as wl  # noqa: E402
 from workloads import km  # noqa: E402
@@ -151,6 +152,20 @@ def test_digest():
     expect("digest of outputs one ulp apart", ["differs"] if changed else [], True)
 
 
+def test_missing_output():
+    def boom():
+        raise ValueError("always")
+
+    class Raising(wl.Workload):
+        ops = [("fine", lambda: 1.0), ("boom", boom)]
+
+        def check(self, outputs):
+            return []
+
+    result = child.measure(Raising(), 0.0, False)
+    expect("an operation that raises in every pass", result["check_failures"], True)
+
+
 def test_tracer():
     original = km.theta
     h = wl.const_accelerant(0.5, 16)
@@ -196,6 +211,7 @@ def main() -> int:
         test_closed_form_accelerant()
         test_reports()
         test_digest()
+        test_missing_output()
         test_tracer()
         test_benchmark_json()
     failed = RESULTS.count(False)
