@@ -3,12 +3,40 @@
 The clock starts before numpy is imported, so set-up time covers the imports
 of numpy, scipy and kreinmap plus input generation. Then the workload's
 operation list runs in whole passes, closed loop, until the run length is
-reached. The first pass's outputs are checked; every later pass must
-reproduce them bit for bit. Prints one JSON object.
+reached. A calibration block runs before every operation, and before and
+after set-up, and each time is scaled by the blocks beside it to the
+reference speed CAL_REF_S. The first pass's outputs are checked; every later
+pass must reproduce them bit for bit. Prints one JSON object.
 """
 
 import time
 
+# One calibration block: fixed interpreter work of about 40 ms.
+CAL_LOOPS = 400_000
+# The block's time at the reference speed. Every reported time is scaled to
+# this speed: seconds times CAL_REF_S over the block's time measured beside it.
+CAL_REF_S = 0.040
+
+
+def calibrate(blocks: int = 1) -> float:
+    """Mean seconds of a fixed block of pure-Python work.
+
+    The shared host's speed drifts by up to 1.6x over seconds to minutes,
+    and it slows the program and this block alike. Dividing a time by the
+    block's time taken beside it cancels the drift. The block is plain
+    interpreter work, so nothing the program can change (BLAS threads,
+    numpy settings, memory use) moves it.
+    """
+    start = time.perf_counter()
+    for _ in range(blocks):
+        total = 0
+        for i in range(CAL_LOOPS):
+            total += i * i
+    return (time.perf_counter() - start) / blocks
+
+
+SETUP_CAL_BLOCKS = 2
+_CAL0 = calibrate(SETUP_CAL_BLOCKS)
 _T0 = time.perf_counter()
 
 import argparse  # noqa: E402
@@ -39,16 +67,21 @@ def machine_info() -> dict:
 
 
 def run_pass(workload):
-    """Run the operation list once. Returns (outputs, seconds, op errors)."""
-    outputs, errors, elapsed = {}, [], 0.0
+    """Run the operation list once, a calibration block before each operation.
+
+    Returns (outputs, seconds, speed, op errors); speed is the mean block
+    time over CAL_REF_S, so seconds / speed is the pass at reference speed.
+    """
+    outputs, errors, elapsed, cal = {}, [], 0.0, 0.0
     for label, op in workload.ops:
+        cal += calibrate()
         start = time.perf_counter()
         try:
             outputs[label] = op()
         except Exception as exc:  # a failed operation is counted, not fatal
             errors.append(f"{label}: {type(exc).__name__}: {exc}")
         elapsed += time.perf_counter() - start
-    return outputs, elapsed, errors
+    return outputs, elapsed, cal / len(workload.ops) / CAL_REF_S, errors
 
 
 def measure(workload, seconds: float, trace: bool) -> dict:
@@ -56,7 +89,7 @@ def measure(workload, seconds: float, trace: bool) -> dict:
     from workloads import digest
 
     tracer = tracing.Tracer() if trace else None
-    untraced, traced, span_passes = [], [], []
+    untraced, traced, span_passes, raw, speeds = [], [], [], [], []
     first = reference = None
     op_errors, mismatches = [], []
     passes = 0
@@ -65,12 +98,14 @@ def measure(workload, seconds: float, trace: bool) -> dict:
         traced_pass = trace and passes % 2 == 1
         if traced_pass:
             with tracer:
-                outputs, elapsed, errors = run_pass(workload)
+                outputs, elapsed, speed, errors = run_pass(workload)
             span_passes.append(tracer.take())
-            traced.append(elapsed)
+            traced.append(elapsed / speed)
         else:
-            outputs, elapsed, errors = run_pass(workload)
-            untraced.append(elapsed)
+            outputs, elapsed, speed, errors = run_pass(workload)
+            untraced.append(elapsed / speed)
+        raw.append(elapsed)
+        speeds.append(speed)
         passes += 1
         op_errors += errors
         outputs = workload.after_pass(outputs)
@@ -100,6 +135,8 @@ def measure(workload, seconds: float, trace: bool) -> dict:
         "check_failures": failures + mismatches[:20],
         "pass_s_all": untraced,
         "pass_s": statistics.median(untraced),
+        "pass_wall_s_all": raw,
+        "speed_all": speeds,
         "peak_rss_mb": peak_rss_mb,
     }
     if trace:
@@ -121,9 +158,10 @@ def main() -> int:
     import workloads
 
     workload = workloads.WORKLOADS[args.workload](args.seed, args.workdir)
-    setup_s = time.perf_counter() - _T0
+    setup_wall_s = time.perf_counter() - _T0
+    speed = (_CAL0 + calibrate(SETUP_CAL_BLOCKS)) / 2 / CAL_REF_S
     try:
-        out = {"setup_s": setup_s}
+        out = {"setup_s": setup_wall_s / speed, "setup_wall_s": setup_wall_s}
         if not args.setup_only:
             out.update(measure(workload, args.seconds, bool(args.trace)))
             out["machine"] = machine_info()

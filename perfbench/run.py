@@ -1,12 +1,14 @@
 """kreinmap benchmark: forward, inverse and verify workloads.
 
-    python3 perfbench/run.py --workload forward --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload forward --seed 1 --seconds 20 --trace 0
 
 Run from the root of a checkout. Every workload runs in fresh child
 processes with BLAS pinned to one thread before numpy loads: one process
 measures passes over the workload's operation list for --seconds, and
 SETUP_RUNS more only set up, half of them before it and half after, so
-that setup_s is a median over the whole run. With --trace 0
+that setup_s is a median over the whole run. Times are scaled to a
+reference machine speed by a calibration block timed beside them (see
+child.calibrate); the wall times are kept in the record. With --trace 0
 the last line of output is the end-to-end result; with --trace 1 it is the
 per-layer result of a traced run. Details of each run, with the machine it
 ran on, go to perfbench/out/BENCH_<workload>_seed<seed>_trace<t>.json.
@@ -28,7 +30,7 @@ SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(HERE, "out")
 
 WORKLOADS = ("forward", "inverse", "verify")
-SETUP_RUNS = 15
+SETUP_RUNS = 9
 DEADLINE_S = 170.0
 # The BLAS thread variables, set before numpy loads; child.py records them
 # and reference.py applies them.
@@ -75,13 +77,13 @@ def main() -> int:
     deadline = time.monotonic() + DEADLINE_S
     setup_only = 0 if args.trace else SETUP_RUNS
     try:
-        setups = [run_child(args, ["--setup-only"], deadline)["setup_s"]
+        setups = [run_child(args, ["--setup-only"], deadline)
                   for _ in range(setup_only // 2)]
         main_run = run_child(
             args, ["--seconds", str(args.seconds), "--trace", str(args.trace)], deadline
         )
-        setups.append(main_run["setup_s"])
-        setups += [run_child(args, ["--setup-only"], deadline)["setup_s"]
+        setups.append(main_run)
+        setups += [run_child(args, ["--setup-only"], deadline)
                    for _ in range(setup_only - setup_only // 2)]
     except (RuntimeError, subprocess.TimeoutExpired, ValueError, KeyError) as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)
@@ -93,7 +95,8 @@ def main() -> int:
     else:
         metrics = {
             "pass_s": {"value": main_run["pass_s"], "unit": "s"},
-            "setup_s": {"value": statistics.median(setups), "unit": "s"},
+            "setup_s": {"value": statistics.median(s["setup_s"] for s in setups),
+                        "unit": "s"},
             "peak_rss_mb": {"value": main_run["peak_rss_mb"], "unit": "MB"},
         }
     result = {
@@ -103,7 +106,9 @@ def main() -> int:
         "metrics": metrics,
     }
     record = dict(main_run, workload=args.workload, seed=args.seed,
-                  seconds=args.seconds, trace=args.trace, setup_s_all=setups,
+                  seconds=args.seconds, trace=args.trace,
+                  setup_s_all=[s["setup_s"] for s in setups],
+                  setup_wall_s_all=[s["setup_wall_s"] for s in setups],
                   result=result)
     path = os.path.join(OUT, f"BENCH_{args.workload}_seed{args.seed}_trace{args.trace}.json")
     with open(path, "w") as fh:

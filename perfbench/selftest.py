@@ -69,7 +69,7 @@ def test_rejection_and_csv(tmp):
     expect("csv claiming acceptance", checks.check_sweep_csv(
         code, out, **dict(args, accept=True, alpha_star=None)), True)
 
-    (good,) = wl.smooth_accelerant(np.random.default_rng(5), 1, (n,), 0.3)
+    (good,) = wl.smooth_accelerant(np.random.default_rng(5), 1, (n,), wl.ACCELERANT_SIZE)
     path = os.path.join(tmp, "good.json")
     km.cli.write_field(path, good)
     code, out, _ = wl.run_cli(["check-accelerant", "--in", path, "--csv"])
@@ -89,13 +89,13 @@ def test_rejection_and_csv(tmp):
 
 
 def test_roundtrip():
-    (h,) = wl.smooth_accelerant(np.random.default_rng(6), 1, (32,), 0.3)
+    (h,) = wl.smooth_accelerant(np.random.default_rng(6), 1, (32,), wl.ACCELERANT_SIZE)
     back, _ = km.upsilon(km.theta(h))
     step = 1.0 / 64
     expect("upsilon(theta(h))", checks.check_roundtrip(back.values, h.values, step, "h"), False)
     expect("upsilon(theta(h)) shifted by 0.01", checks.check_roundtrip(
         back.values + 0.01, h.values, step, "h"), True)
-    q = wl.smooth_potential(np.random.default_rng(7), 2, 32, 1.0)
+    q = wl.smooth_potential(np.random.default_rng(7), 2, 32, wl.POTENTIAL_SIZE)
     h2, _ = km.upsilon(q)
     back = km.theta(h2)
     want = checks.potential_blocks(q.q_plus, q.q_minus)
