@@ -3,7 +3,8 @@
 Field files are JSON objects {kind, r, N, domain, data, meta} with complex
 entries stored as [re, im] pairs; the decimal encoding round-trips binary
 floats exactly. Exit codes are a stable contract: 0 success, 2 mathematical
-rejection, 3 input error, 4 convergence failure, 1 internal.
+rejection, 3 input or usage error, 4 convergence failure (ConvergenceError,
+which no code path raises now), 1 internal.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def read_field(path: str):
         if key not in doc:
             raise FieldFormatError(f"{path}: missing field {key!r}")
     kind, r, n_cells = doc["kind"], doc["r"], doc["N"]
-    if not (isinstance(r, int) and isinstance(n_cells, int)):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (r, n_cells)):
         raise FieldFormatError(f"{path}: r and N must be integers")
     if kind not in _DOMAINS:
         raise FieldFormatError(f"{path}: unknown kind {kind!r}")
@@ -297,7 +298,6 @@ def _parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", dest="out_path", required=True, help="output field file")
         p.add_argument("--n", type=int, default=None, help="decimate to this grid (nested only)")
-        p.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
 
     p = sub.add_parser("theta", help="accelerant to potential")
     common(p, out=True)
@@ -316,7 +316,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--ladder", default="50,100,200", help="comma-separated grid sizes")
     p.add_argument("--tol", type=float, default=5e-3, help="tolerance at the finest grid")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_roundtrip)
 
     p = sub.add_parser("verify", help="identity suite and representation checks")
@@ -328,7 +327,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path", default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--lambda", dest="lambdas", action="append", help="spectral value, e.g. 1+0.5i")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_solve_dirac)
     return top
 
@@ -337,6 +335,8 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 3 if exc.code else 0
     except FieldFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

@@ -1,10 +1,11 @@
 """The inverse map: potential to accelerant through the resolvent product.
 
-The chain is: transformation kernels (a Picard iteration on the coupled
-shifted-argument system), the transmutation kernel assembled from exact
-half-argument reads on the refined grid, its Volterra resolvent, the product
-kernel, and finally the extraction of the accelerant along characteristic
-lines.
+The chain is: transformation kernels (the coupled shifted-argument system,
+solved exactly by one forward march over the rows of the grid), the
+transmutation kernel assembled from exact half-argument reads on the refined
+grid, its Volterra resolvent, the product kernel, and finally the extraction
+of the accelerant along characteristic lines.  Every solve is direct, so the
+inverse map has no tolerance or iteration budget and no convergence failure.
 
 Two discretization conventions deserve a note because they are easy to get
 wrong.  First, the Volterra resolvent is solved by forward substitution with
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, FieldFormatError, SingularSystemError
+from .errors import FieldFormatError, SingularSystemError
 from .fields import (
     Accelerant,
     DiagnosticReport,
@@ -47,72 +48,67 @@ __all__ = [
 ]
 
 
-def _sweep_integral(jq, p, step, low, cols, diag):
-    """T[i,j] = trapezoid over s in [x_j, x_i] of JQ(s) P(s, s - x_j).
-
-    The shifted read P(s, s - x_j) is the gather p[s, s - j]; all offsets are
-    exact node indices, which is the whole point of the grid design.
-    """
-    g = p[diag[:, None], cols]
-    g[~low] = 0.0
-    a = np.einsum("sab,sjbc->sjac", jq, g)
-    c = np.cumsum(a, axis=0)
-    t = step * (c - c[diag, diag][None] + 0.5 * a[diag, diag][None] - 0.5 * a)
-    t[~low] = 0.0
-    return t
+def _require_finite(what: str, a: np.ndarray) -> None:
+    # callers compute under np.errstate: an overflow ends here, not in warnings
+    if not np.isfinite(a).all():
+        raise FieldFormatError(f"{what} overflow floating point; the potential is too large")
 
 
-def transformation_kernels(
-    q: Potential, tol: float = 1e-12, max_iter: int = 60
-) -> tuple[Kernel2D, Kernel2D]:
+@np.errstate(over="ignore", invalid="ignore")
+def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     """Solve the coupled system for the kernels of the solution representation.
 
     P_plus(x,t) = int_t^x JQ(s) P_minus(s, s-t) ds
     P_minus(x,t) = int_t^x JQ(s) P_plus(s, s-t) ds + JQ(t)
 
-    Picard iteration from (0, JQ(t)), alternating the two equations. The
-    factorial decay of the iterated kernels makes convergence fast for any
-    potential of moderate size; it is monitored, never assumed.  P_plus
-    commutes with J and P_minus anticommutes, exactly, because every update
-    preserves the block structure; the check at the end is a tripwire.
+    The trapezoid-discretized system is Volterra in x: one forward march over
+    the rows x_i solves it exactly, in O(N^2 r^3) for any potential, with
+    running sums over s < x_i for the history.  The half-weight endpoint
+    s = x_i couples P_plus(x_i, x_j) only with P_minus(x_i, x_i - x_j), so
+    each row needs one solve with I - h^2, h = (step/2) JQ(x_i), shared by
+    its columns; column 0 is explicit since P_minus(x_i, x_i) = JQ(x_i).
+    I - h^2 is nonsingular while rho(h) < 1, which transmutation_kernel
+    checks.  Kernels that overflow floating point raise FieldFormatError.
+
+    P_plus commutes with J and P_minus anticommutes, exactly, because every
+    step preserves the block structure; the check at the end is a tripwire.
     """
     sc = structural_constants(q.r)
     m = q.grid.N + 1
+    n = 2 * q.r
     jq = sc.J @ q.full()
     step = q.grid.step
-    i_idx, j_idx = np.indices((m, m))
-    low = j_idx <= i_idx
-    cols = np.where(low, i_idx - j_idx, 0)
-    diag = np.arange(m)
+    # pm[i, a, k, j, c] = P(x_i, x_j)[a, c] with k = 0 plus, 1 minus, so that a
+    # 2r x 2r matrix applies to a whole row as one product with reshape(n, -1)
+    pm = np.zeros((m, n, 2, m, n), dtype=np.complex128)
+    # hist[:, k, j]: trapezoid sum over s in [x_j, x_{i-1}], without the step,
+    # of JQ(s) P(s, s - x_j) with the other kind of P
+    hist = np.zeros((n, 2, m, n), dtype=np.complex128)
+    for i in range(m):
+        h = 0.5 * step * jq[i]
+        row = pm[i]
+        row[:, :, :i] = step * hist[:, :, :i]
+        row[:, 1, : i + 1] += jq[: i + 1].transpose(1, 0, 2)  # the source JQ(x_j)
+        if i:
+            row[:, 0, 0] += h @ jq[i]
+        # pair (x_i, x_j) with (x_i, x_i - x_j) through the endpoint term
+        if i > 1:
+            a = np.eye(n) - h @ h
+            rhs = row[:, 0, 1:i] + (h @ row[:, 1, i - 1 : 0 : -1].reshape(n, -1)).reshape(n, -1, n)
+            row[:, 0, 1:i] = np.linalg.solve(a, rhs.reshape(n, -1)).reshape(rhs.shape)
+            row[:, 1, 1:i] += (h @ row[:, 0, i - 1 : 0 : -1].reshape(n, -1)).reshape(n, -1, n)
+        # the row's own term: full weight for x_j < x_i, half at x_j = x_i
+        own = (jq[i] @ row[:, ::-1, i::-1].reshape(n, -1)).reshape(n, 2, -1, n)
+        hist[:, :, :i] += own[:, :, :i]
+        hist[:, :, i] = 0.5 * own[:, :, i]
+    _require_finite("transformation kernels", pm)
+    plus, minus = np.ascontiguousarray(pm.transpose(2, 0, 3, 1, 4))
 
-    source = np.where(low[..., None, None], np.broadcast_to(jq[None], (m, m) + jq.shape[1:]), 0.0)
-    plus = np.zeros_like(source)
-    minus = source.copy()
-    change = np.inf
-    for _ in range(max_iter):
-        new_plus = _sweep_integral(jq, minus, step, low, cols, diag)
-        new_minus = source + _sweep_integral(jq, new_plus, step, low, cols, diag)
-        change = max(
-            float(np.max(np.abs(new_plus - plus))),
-            float(np.max(np.abs(new_minus - minus))),
-        )
-        plus, minus = new_plus, new_minus
-        if change <= tol:
-            break
-    else:
-        raise ConvergenceError(change, max_iter)
-
-    sym = max(
-        float(np.max(np.abs(plus @ sc.J - sc.J @ plus))),
-        float(np.max(np.abs(minus @ sc.J + sc.J @ minus))),
-    )
+    d = np.diagonal(sc.J)  # J is diagonal: (PJ -+ JP)[a, c] = P[a, c] (d[c] -+ d[a])
+    sym = max(np.abs(plus * (d - d[:, None])).max(), np.abs(minus * (d + d[:, None])).max())
     if sym > 1e-8:
         raise AssertionError(f"block symmetry violated by {sym:.3e}")
-    n = 2 * q.r
-    return (
-        Kernel2D(n, q.grid, "lower", plus),
-        Kernel2D(n, q.grid, "lower", minus),
-    )
+    return Kernel2D(n, q.grid, "lower", plus), Kernel2D(n, q.grid, "lower", minus)
 
 
 def _midpoint_fill(samples: np.ndarray) -> np.ndarray:
@@ -128,19 +124,24 @@ def _midpoint_fill(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def transmutation_kernel(q: Potential, tol: float = 1e-12, max_iter: int = 60) -> Kernel2D:
+def transmutation_kernel(q: Potential) -> Kernel2D:
     """Lower kernel K with phi(x) = phi0(x) + int_0^x K(x,s) phi0(s) ds.
 
     K(x,t) = (1/2){P+(x,(x-t)/2) + P+(x,(x+t)/2)B + P-(x,(x-t)/2)B + P-(x,(x+t)/2)}
 
     The transformation kernels are solved on the refined grid so that every
-    half-argument is an exact node read.
+    half-argument is an exact node read.  Their trapezoid system approximates
+    the kernels only while h = (step/2) JQ(x_i) has spectral radius below one
+    there; a potential too large for its grid raises FieldFormatError.
     """
     fine = Potential(
         q.r, q.grid.refined(), _midpoint_fill(q.q_plus), _midpoint_fill(q.q_minus)
     )
-    p_plus, p_minus = transformation_kernels(fine, tol, max_iter)
     sc = structural_constants(q.r)
+    rho = 0.5 * fine.grid.step * np.abs(np.linalg.eigvals(sc.J @ fine.full())).max()
+    if rho >= 1.0:
+        raise FieldFormatError(f"grid too coarse for the potential: (step/2) rho(JQ) = {rho:.3g}")
+    p_plus, p_minus = transformation_kernels(fine)
     m = q.grid.N + 1
     i, j = np.indices((m, m))
     low = j <= i
@@ -155,6 +156,7 @@ def transmutation_kernel(q: Potential, tol: float = 1e-12, max_iter: int = 60) -
     return Kernel2D(2 * q.r, q.grid, "lower", vals)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     """Kernel of (I + K)^-1 - I for a triangular K.
 
@@ -197,6 +199,7 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
             L[i, :i] = np.linalg.solve(eye + 0.5 * step * K[i, i], rhs)
         except np.linalg.LinAlgError:
             raise SingularSystemError(i / N, "volterra forward substitution")
+    _require_finite("Volterra resolvent values", L)
     return Kernel2D(kernel.n, kernel.grid, "lower", L)
 
 
@@ -213,11 +216,10 @@ class ProductParts(NamedTuple):
     cross: np.ndarray
 
 
-def resolvent_product_parts(
-    q: Potential, tol: float = 1e-12, max_iter: int = 60
-) -> ProductParts:
-    l_low = resolvent_volterra(transmutation_kernel(q, tol, max_iter))
-    l_star = resolvent_volterra(transmutation_kernel(potential_adjoint(q), tol, max_iter))
+@np.errstate(over="ignore", invalid="ignore")
+def resolvent_product_parts(q: Potential) -> ProductParts:
+    l_low = resolvent_volterra(transmutation_kernel(q))
+    l_star = resolvent_volterra(transmutation_kernel(potential_adjoint(q)))
     upper_vals = np.conj(l_star.values.transpose(1, 0, 3, 2))
     upper = Kernel2D(l_low.n, q.grid, "upper", upper_vals)
 
@@ -228,6 +230,7 @@ def resolvent_product_parts(
     cross = prod.blocks() / q.grid.weights[None, :, None, None]
     d = np.arange(1, q.grid.N)
     cross[d, d] += 0.25 * q.grid.step * (l_low.values[d, d] @ upper_vals[d, d])
+    _require_finite("resolvent product values", cross)
     return ProductParts(l_low, upper, cross)
 
 
@@ -251,11 +254,9 @@ def assemble_product(parts: ProductParts) -> Kernel2D:
     return Kernel2D(parts.lower.n, grid, "full", vals)
 
 
-def resolvent_product_kernel(
-    q: Potential, tol: float = 1e-12, max_iter: int = 60
-) -> Kernel2D:
+def resolvent_product_kernel(q: Potential) -> Kernel2D:
     """Full-grid product kernel F with I + F = (I + L)(I + L~)."""
-    return assemble_product(resolvent_product_parts(q, tol, max_iter))
+    return assemble_product(resolvent_product_parts(q))
 
 
 def _half_r(f: Kernel2D) -> int:
@@ -312,9 +313,7 @@ def characteristic_extract(f: Kernel2D) -> Accelerant:
     return Accelerant(r, f.grid, 2.0 * acc / cnt[:, None, None])
 
 
-def upsilon(
-    q: Potential, tol: float = 1e-12, max_iter: int = 60
-) -> tuple[Accelerant, DiagnosticReport]:
+def upsilon(q: Potential) -> tuple[Accelerant, DiagnosticReport]:
     """Inverse map.  Returns the accelerant and a consistency report.
 
     The characteristic-line extraction is the result; the literal boundary
@@ -322,7 +321,7 @@ def upsilon(
     since on a grid they differ by the discretization error of the product
     kernel.
     """
-    f = resolvent_product_kernel(q, tol, max_iter)
+    f = resolvent_product_kernel(q)
     robust = characteristic_extract(f)
     literal = trace_extract(f)
     report = DiagnosticReport()

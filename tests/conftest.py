@@ -39,6 +39,12 @@ def linear_potential(n_cells: int) -> Potential:
     return Potential(1, grid, qp, qm)
 
 
+def const_potential(value: complex, n_cells: int) -> Potential:
+    """q+ = q- = value, r = 1."""
+    c = np.full((n_cells + 1, 1, 1), value, dtype=np.complex128)
+    return Potential(1, GridSpec(n_cells), c, c.copy())
+
+
 def random_accelerant(seed: int, r: int = 2, n_cells: int = 32, scale: float = 0.3) -> Accelerant:
     """Complex Gaussian samples, non-hermitian on purpose."""
     rng = np.random.default_rng(seed)

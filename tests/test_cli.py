@@ -8,11 +8,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import const_accelerant, gauss_accelerant, linear_potential
+from conftest import const_accelerant, const_potential, gauss_accelerant, linear_potential
 
 from kreinmap import GridSpec, Potential, theta
 from kreinmap.cli import main, read_field, write_field
@@ -72,6 +73,15 @@ def test_read_field_rejects_malformed_documents(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FieldFormatError, match="ragged"):
         read_field(str(path))
+
+    # bool is an int subclass in Python; true is not a block dimension
+    for key in ("r", "N"):
+        doc = {"kind": "accelerant", "r": 1, "N": 16, "domain": "[-1,1]", "data": []}
+        doc[key] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldFormatError, match="integers"):
+            read_field(str(path))
+    assert main(["theta", "--in", str(path), "--out", str(tmp_path / "q.json")]) == 3
 
 
 def test_read_field_accepts_full_block_potential(tmp_path):
@@ -142,6 +152,55 @@ def test_upsilon_command_on_zero_potential(tmp_path, capsys):
     assert "extraction spread" in capsys.readouterr().out
     h = read_field(str(dst))
     assert np.max(np.abs(h.values)) < 1e-12
+
+
+def test_upsilon_command_on_strong_potential(tmp_path):
+    src = tmp_path / "q.json"
+    dst = tmp_path / "h.json"
+    write_field(str(src), const_potential(10.0, 50))
+    assert main(["upsilon", "--in", str(src), "--out", str(dst)]) == 0
+    assert np.isfinite(read_field(str(dst)).values).all()
+
+
+def _upsilon_quietly(tmp_path, q: Potential) -> int:
+    src = tmp_path / "q.json"
+    write_field(str(src), q)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["upsilon", "--in", str(src), "--out", str(tmp_path / "h.json")])
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+def test_upsilon_command_refuses_unresolved_potential(tmp_path, capsys):
+    # (step/2) q >= 1 on the refined grid: the trapezoid system stops
+    # approximating the kernels, down to h^2 = I exactly at q = 200, N = 50
+    for value, n_cells in ((200.0, 50), (1e3, 16), (1e10, 16), (1e200, 16)):
+        assert _upsilon_quietly(tmp_path, const_potential(value, n_cells)) == 3, value
+        assert "grid too coarse" in capsys.readouterr().err
+    assert not (tmp_path / "h.json").exists()
+
+
+def test_upsilon_command_refuses_overflowing_potential(tmp_path, capsys):
+    # resolved by the grid ((step/2) q = 0.94), but the kernels grow like e^(q x)
+    assert _upsilon_quietly(tmp_path, const_potential(750.0, 200)) == 3
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_three(tmp_path, capsys):
+    src = tmp_path / "h.json"
+    write_field(str(src), const_accelerant(0.5, 16))
+    for argv in (
+        ["transmogrify", "--in", str(src)],
+        ["check-accelerant"],
+        ["check-accelerant", "--in", str(src), "--n", "eight"],
+        ["check-accelerant", "--in", str(src), "--seed", "1"],
+        [],
+    ):
+        assert main(argv) == 3, argv
+        assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert main(["upsilon", "--help"]) == 0
 
 
 def test_check_accelerant_csv_output(tmp_path, capsys):

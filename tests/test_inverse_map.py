@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import const_accelerant, gauss_accelerant, random_accelerant, ratio_ok
+from conftest import const_accelerant, const_potential, gauss_accelerant, random_accelerant, ratio_ok
 from kreinmap import (
     GridSpec,
     Kernel2D,
@@ -50,9 +50,8 @@ def test_transformation_kernels_block_symmetry():
     assert np.max(np.abs(p_minus.values @ sc.J + sc.J @ p_minus.values)) < 1e-12
 
 
-def test_transformation_kernels_against_dense_solve():
+def _dense_transformation_kernels(q: Potential) -> tuple[np.ndarray, np.ndarray]:
     """Stack the coupled equations into one linear system, loops and all."""
-    q = _random_potential(2)
     n_cells = q.grid.N
     m = n_cells + 1
     n = 2 * q.r
@@ -81,7 +80,8 @@ def test_transformation_kernels_against_dense_solve():
                     for rp in range(n):
                         a[e, slot(1 - kind, (s, s - j), rp)] -= w * jq[s, row, rp]
 
-    plus_ref, minus_ref = transformation_kernels(q)
+    plus = np.zeros((m, m, n, n), dtype=np.complex128)
+    minus = np.zeros_like(plus)
     for col in range(n):
         b = np.zeros(dim, dtype=np.complex128)
         for (i, j) in pairs:
@@ -90,8 +90,27 @@ def test_transformation_kernels_against_dense_solve():
         x = np.linalg.solve(a, b)
         for (i, j) in pairs:
             for row in range(n):
-                assert abs(x[slot(0, (i, j), row)] - plus_ref.values[i, j, row, col]) < 1e-10
-                assert abs(x[slot(1, (i, j), row)] - minus_ref.values[i, j, row, col]) < 1e-10
+                plus[i, j, row, col] = x[slot(0, (i, j), row)]
+                minus[i, j, row, col] = x[slot(1, (i, j), row)]
+    return plus, minus
+
+
+def test_transformation_kernels_against_dense_solve():
+    # the strong constant potentials grow the kernels like e^{|Q| x}, so
+    # they are compared relative to the kernels' size
+    cases = [
+        (_random_potential(2), None),
+        (const_potential(10.0, 8), 1e-12),
+        (const_potential(40.0, 8), 1e-12),
+    ]
+    for q, rel in cases:
+        plus_ref, minus_ref = _dense_transformation_kernels(q)
+        p_plus, p_minus = transformation_kernels(q)
+        tol = 1e-10
+        if rel is not None:
+            tol = rel * max(np.max(np.abs(p_plus.values)), np.max(np.abs(p_minus.values)))
+        assert np.max(np.abs(p_plus.values - plus_ref)) < tol
+        assert np.max(np.abs(p_minus.values - minus_ref)) < tol
 
 
 def test_transmutation_kernel_zero_potential():
