@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-from . import _env  # noqa: F401  (thread caps must land before heavy imports)
-
 import numpy as np
 
 from .errors import (
@@ -32,7 +30,7 @@ from .fields import (
     decimate_accelerant,
     decimate_potential,
 )
-from .forward_map import folded_kernel, folded_lower_factor, theta
+from .forward_map import _krein_potential, folded_kernel, folded_lower_factor, theta
 from .inverse_map import upsilon
 from .quadops import mixed_norm
 from .dirac_verify import (
@@ -109,7 +107,7 @@ def read_field(path: str):
     kind, r, n_cells = doc["kind"], doc["r"], doc["N"]
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (r, n_cells)):
         raise FieldFormatError(f"{path}: r and N must be integers")
-    if kind not in _DOMAINS:
+    if not isinstance(kind, str) or kind not in _DOMAINS:
         raise FieldFormatError(f"{path}: unknown kind {kind!r}")
     if doc["domain"] != _DOMAINS[kind]:
         raise FieldFormatError(
@@ -180,7 +178,7 @@ def cmd_theta(args) -> int:
     test = is_accelerant(h)
     if not test.accepted:
         raise NotAccelerantError(test.worst_alpha, float(test.margins.min()))
-    q = theta(h)
+    q = _krein_potential(h)  # theta without repeating the sweep just run
     write_field(args.out_path, q, meta=f"theta of {args.in_path}")
     print(f"accelerant test: min margin {float(test.margins.min()):.6f}")
     print(f"wrote potential (r={q.r}, N={q.grid.N}) to {args.out_path}")
@@ -230,13 +228,13 @@ def cmd_roundtrip(args) -> int:
 def cmd_verify(args) -> int:
     field = read_field(args.in_path)
     if isinstance(field, Potential):
-        if args.n:
+        if args.n is not None:
             field = decimate_potential(field, args.n)
         report = identity_suite(field)
         rep2 = check_fundamental_representation(field)
         report.entries.extend(rep2.entries)
     elif isinstance(field, Accelerant):
-        if args.n:
+        if args.n is not None:
             field = decimate_accelerant(field, args.n)
         q = theta(field)
         report = identity_suite(q)

@@ -68,25 +68,24 @@ class AccelerantTest:
         return self.sigma_min / self.sigma_max
 
 
-def is_accelerant(h: Accelerant, tol: float = 1e-8) -> AccelerantTest:
+def is_accelerant(h: Accelerant) -> AccelerantTest:
     """Sweep the breakpoints alpha = x_1 .. x_N of the truncated equation
 
         f(x) + int_0^alpha h(x - t) f(t) dt = 0
 
     and test each restricted matrix I + H_alpha for numerical invertibility.
-    A breakpoint is flagged when the smallest singular value drops below
-    tol times the largest. The restriction to [0, alpha] in both variables
-    is unitarily equivalent, via the index flip, to the same matrix built
-    from the reflected accelerant, so the verdict is reflection-invariant
-    on the grid.
+    A breakpoint is flagged when the smallest singular value is at most
+    1e-8 times the largest. The restriction to [0, alpha] in both
+    variables is unitarily equivalent, via the index flip, to the same
+    matrix built from the reflected accelerant, so the verdict is
+    reflection-invariant on the grid.
     """
     N, r = h.grid.N, h.r
     conv = convolution_kernel(h).values
     sig_min = np.empty(N)
     sig_max = np.empty(N)
     for k in range(1, N + 1):
-        w = np.full(k + 1, 1.0 / N)
-        w[0] = w[-1] = 0.5 / N
+        w = h.grid.trapezoid(k)
         blocks = conv[: k + 1, : k + 1] * w[None, :, None, None]
         dim = (k + 1) * r
         A = blocks.transpose(0, 2, 1, 3).reshape(dim, dim)
@@ -98,7 +97,7 @@ def is_accelerant(h: Accelerant, tol: float = 1e-8) -> AccelerantTest:
     worst = int(np.argmin(margins))
     alphas = np.arange(1, N + 1) / N
     return AccelerantTest(
-        accepted=bool(np.all(margins > tol)),
+        accepted=bool(np.all(margins > 1e-8)),
         min_singular_value=float(sig_min.min()),
         worst_alpha=float(alphas[worst]),
         alphas=alphas,
@@ -140,14 +139,13 @@ def solve_glm(
     eye = np.eye((N + 1) * n, dtype=np.complex128)
     for i in range(1, N + 1):
         d = (i + 1) * n
-        tau = np.full(i + 1, 1.0 / N)
-        tau[0] = tau[i] = 0.5 / N
+        tau = f_kernel.grid.trapezoid(i)
         A = np.repeat(tau, n)[:, None] * Fflat[:d, :d] + eye[:d, :d]
         rhs = Fflat[i * n : (i + 1) * n, :d]
         if edge_minus is not None:
-            A[d - n :, d - n :] = eye[:n, :n] + (0.5 / N) * edge_minus
+            A[d - n :, d - n :] = eye[:n, :n] + tau[-1] * edge_minus
         if edge_plus is not None:
-            A[:n, :n] = eye[:n, :n] + (0.5 / N) * edge_plus
+            A[:n, :n] = eye[:n, :n] + tau[0] * edge_plus
             rhs = rhs.copy()
             rhs[:, d - n :] = edge_plus
         try:

@@ -27,7 +27,6 @@ __all__ = [
     "DiagnosticReport",
     "ReportEntry",
     "reflect",
-    "block_embed",
     "potential_adjoint",
     "assemble_potential",
     "decimate_accelerant",
@@ -63,10 +62,16 @@ class GridSpec:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        # composite trapezoid on [0,1]: half weight at both endpoints
-        w = np.full(self.N + 1, 1.0 / self.N)
-        w[0] = w[-1] = 0.5 / self.N
+        w = self.trapezoid(self.N)
         w.setflags(write=False)
+        return w
+
+    def trapezoid(self, cells: int) -> np.ndarray:
+        """Composite trapezoid weights over `cells` steps of this grid:
+        cells + 1 nodes, half weight at both endpoints. The one definition
+        every quadrature in the package uses."""
+        w = np.full(cells + 1, self.step)
+        w[0] = w[-1] = 0.5 * self.step
         return w
 
     @property
@@ -261,15 +266,6 @@ def reflect(h: Accelerant) -> Accelerant:
     return Accelerant(h.r, h.grid, h.values[::-1].copy())
 
 
-def block_embed(h: Accelerant) -> Accelerant:
-    """diag(h, h(-.)) as a 2r x 2r accelerant on the same sample grid."""
-    m = h.values.shape[0]
-    out = np.zeros((m, 2 * h.r, 2 * h.r), dtype=np.complex128)
-    out[:, : h.r, : h.r] = h.values
-    out[:, h.r:, h.r:] = h.values[::-1]
-    return Accelerant(2 * h.r, h.grid, out)
-
-
 def potential_adjoint(q: Potential) -> Potential:
     """Pointwise conjugate transpose: swaps and conjugates the two blocks."""
     conj_t = lambda a: np.conj(np.transpose(a, (0, 2, 1)))
@@ -296,20 +292,17 @@ def assemble_potential(top_right, bottom_left) -> Potential:
 
 def decimate_accelerant(h: Accelerant, n_target: int) -> Accelerant:
     """Exact restriction to a coarser nested grid (stride read, no smoothing)."""
-    if h.grid.N % n_target:
-        raise FieldFormatError(
-            f"grid {h.grid.N} is not nested over target {n_target}"
-        )
-    stride = h.grid.N // n_target
-    return Accelerant(h.r, GridSpec(n_target), h.values[::stride].copy())
+    grid, stride = _nested_stride(h.grid, n_target)
+    return Accelerant(h.r, grid, h.values[::stride].copy())
 
 
 def decimate_potential(q: Potential, n_target: int) -> Potential:
-    if q.grid.N % n_target:
-        raise FieldFormatError(
-            f"grid {q.grid.N} is not nested over target {n_target}"
-        )
-    stride = q.grid.N // n_target
-    return Potential(
-        q.r, GridSpec(n_target), q.q_plus[::stride].copy(), q.q_minus[::stride].copy()
-    )
+    grid, stride = _nested_stride(q.grid, n_target)
+    return Potential(q.r, grid, q.q_plus[::stride].copy(), q.q_minus[::stride].copy())
+
+
+def _nested_stride(grid: GridSpec, n_target: int):
+    target = GridSpec(n_target)  # refuses sizes that are no grid, 0 among them
+    if grid.N % n_target:
+        raise FieldFormatError(f"grid {grid.N} is not nested over target {n_target}")
+    return target, grid.N // n_target

@@ -217,19 +217,19 @@ class ProductParts(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def resolvent_product_parts(q: Potential) -> ProductParts:
-    l_low = resolvent_volterra(transmutation_kernel(q))
-    l_star = resolvent_volterra(transmutation_kernel(potential_adjoint(q)))
+def resolvent_product_parts(l_low: Kernel2D, l_star: Kernel2D) -> ProductParts:
+    """Product parts from the resolvents L of K_Q and L* of K_{Q*}."""
+    grid = l_low.grid
     upper_vals = np.conj(l_star.values.transpose(1, 0, 3, 2))
-    upper = Kernel2D(l_low.n, q.grid, "upper", upper_vals)
+    upper = Kernel2D(l_low.n, grid, "upper", upper_vals)
 
     # The composed operator read reproduces the trapezoid rule on [0, min(x,t)]
     # exactly, except on the grid diagonal where the two triangular reads hit
     # their endpoint together and leave a quarter-weight deficit; patch it.
     prod = compose(op_from_kernel(l_low), adjoint_op(op_from_kernel(l_star)))
-    cross = prod.blocks() / q.grid.weights[None, :, None, None]
-    d = np.arange(1, q.grid.N)
-    cross[d, d] += 0.25 * q.grid.step * (l_low.values[d, d] @ upper_vals[d, d])
+    cross = prod.blocks() / grid.weights[None, :, None, None]
+    d = np.arange(1, grid.N)
+    cross[d, d] += 0.25 * grid.step * (l_low.values[d, d] @ upper_vals[d, d])
     _require_finite("resolvent product values", cross)
     return ProductParts(l_low, upper, cross)
 
@@ -254,9 +254,12 @@ def assemble_product(parts: ProductParts) -> Kernel2D:
     return Kernel2D(parts.lower.n, grid, "full", vals)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def resolvent_product_kernel(q: Potential) -> Kernel2D:
     """Full-grid product kernel F with I + F = (I + L)(I + L~)."""
-    return assemble_product(resolvent_product_parts(q))
+    l_low = resolvent_volterra(transmutation_kernel(q))
+    l_star = resolvent_volterra(transmutation_kernel(potential_adjoint(q)))
+    return assemble_product(resolvent_product_parts(l_low, l_star))
 
 
 def _half_r(f: Kernel2D) -> int:

@@ -11,28 +11,24 @@ iterated integrals to second order.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 
 from .errors import FieldFormatError, SingularSystemError
-from .fields import GridSpec, Kernel2D
+from .fields import Accelerant, GridSpec, Kernel2D, Potential
 
 __all__ = [
     "DiscOp",
     "nystrom_weights",
     "op_from_kernel",
-    "kernel_from_op",
     "compose",
     "invert_identity_plus",
     "adjoint_op",
-    "triangular_truncate",
     "mixed_norm",
     "field_norm",
 ]
-
-from dataclasses import dataclass
-
-from .fields import Accelerant, Potential
 
 
 @dataclass(frozen=True)
@@ -59,16 +55,15 @@ class DiscOp:
 def nystrom_weights(grid: GridSpec, support: str) -> np.ndarray:
     """(N+1, N+1) quadrature weight matrix for the given support."""
     N = grid.N
-    i, j = np.indices((N + 1, N + 1))
     if support == "full":
         return np.broadcast_to(grid.weights, (N + 1, N + 1)).copy()
-    w = np.full((N + 1, N + 1), 1.0 / N)
+    w = np.zeros((N + 1, N + 1))
     if support == "lower":
-        w[(j == 0) | (j == i)] = 0.5 / N
-        w[(j > i) | (i == 0)] = 0.0
+        for i in range(1, N + 1):
+            w[i, : i + 1] = grid.trapezoid(i)
     elif support == "upper":
-        w[(j == N) | (j == i)] = 0.5 / N
-        w[(j < i) | (i == N)] = 0.0
+        for i in range(N):
+            w[i, i:] = grid.trapezoid(N - i)
     else:
         raise FieldFormatError(f"unknown support {support!r}")
     return w
@@ -83,26 +78,6 @@ def op_from_kernel(kernel: Kernel2D) -> DiscOp:
     w = nystrom_weights(kernel.grid, kernel.support)
     blocks = w[:, :, None, None] * kernel.values
     return DiscOp(kernel.n, kernel.grid, _flatten(blocks))
-
-
-def kernel_from_op(op: DiscOp, support: str = "full") -> Kernel2D:
-    """Divide by the global weights and mask to the declared support.
-
-    Exact inverse of op_from_kernel for full support. For triangular ops
-    produced by composition this is the standard kernel read; resolvent
-    construction uses its own triangular read (see inverse_map).
-    """
-    vals = op.blocks() / op.grid.weights[None, :, None, None]
-    m = op.grid.N + 1
-    i, j = np.indices((m, m))
-    vals = vals.copy()
-    if support == "lower":
-        vals[j > i] = 0.0
-    elif support == "upper":
-        vals[j < i] = 0.0
-    elif support != "full":
-        raise FieldFormatError(f"unknown support {support!r}")
-    return Kernel2D(op.n, op.grid, support, vals)
 
 
 def _check_compatible(a: DiscOp, b: DiscOp):
@@ -156,20 +131,6 @@ def adjoint_op(op: DiscOp) -> DiscOp:
     return DiscOp(op.n, op.grid, M_adj)
 
 
-def triangular_truncate(kernel: Kernel2D, part: str) -> Kernel2D:
-    """Zero the complementary strict triangle; the diagonal goes with `part`."""
-    if part not in ("lower", "upper"):
-        raise FieldFormatError(f"part must be lower or upper, got {part!r}")
-    m = kernel.grid.N + 1
-    i, j = np.indices((m, m))
-    vals = kernel.values.copy()
-    if part == "lower":
-        vals[j > i] = 0.0
-    else:
-        vals[j < i] = 0.0
-    return Kernel2D(kernel.n, kernel.grid, part, vals)
-
-
 def _block_spectral_norms(blocks: np.ndarray) -> np.ndarray:
     if blocks.shape[-1] == 1:
         return np.abs(blocks[..., 0, 0])
@@ -196,9 +157,7 @@ def field_norm(f, p: float = 1.0) -> float:
     if p < 1:
         raise FieldFormatError(f"order p must be >= 1, got {p}")
     if isinstance(f, Accelerant):
-        m = f.values.shape[0]
-        w = np.full(m, 1.0 / (2 * f.grid.N))
-        w[0] = w[-1] = 0.5 / (2 * f.grid.N)
+        w = f.grid.refined().trapezoid(4 * f.grid.N)  # 4N half steps on [-1,1]
         sizes = _block_spectral_norms(f.values)
     elif isinstance(f, Potential):
         w = f.grid.weights

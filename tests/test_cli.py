@@ -187,6 +187,48 @@ def test_upsilon_command_refuses_overflowing_potential(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+def test_fuzz_findings_exit_cleanly(tmp_path, capsys):
+    src = tmp_path / "in.json"
+    dst = str(tmp_path / "out.json")
+
+    def run(argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [str(w.message) for w in caught] == [], argv
+        return code, capsys.readouterr().err
+
+    write_field(str(src), const_accelerant(0.5, 16))
+    doc = json.loads(src.read_text())
+    doc["kind"] = []  # unhashable, so no kind at all
+    src.write_text(json.dumps(doc))
+    for argv in (
+        ["theta", "--in", str(src), "--out", dst],
+        ["theta", "--in", str(tmp_path / "h.json"), "--out", dst, "--n", "0"],
+        ["roundtrip", "--in", str(tmp_path / "h.json"), "--ladder", "0"],
+        ["verify", "--in", str(tmp_path / "h.json"), "--n", "0"],
+    ):
+        write_field(str(tmp_path / "h.json"), const_accelerant(0.5, 16))
+        code, err = run(argv)
+        assert code == 3 and "input error" in err, argv
+
+    strong = const_potential(1.0, 8)
+    qp = strong.q_plus.copy()
+    qp[1] = 1.8e24j
+    write_field(str(src), Potential(1, strong.grid, qp, strong.q_minus))
+    code, err = run(["solve-dirac", "--in", str(src), "--out", dst])
+    assert code == 3 and "overflows" in err
+    write_field(str(src), strong)
+    assert run(["solve-dirac", "--in", str(src), "--lambda", "inf"])[0] == 3
+
+    # J Q is nilpotent, so the grid resolves it, but the kernels overflow
+    qp = np.zeros_like(qp)
+    qp[0] = 2.2e307j
+    write_field(str(src), Potential(1, strong.grid, qp, np.zeros_like(qp)))
+    code, err = run(["verify", "--in", str(src)])
+    assert code == 3 and "overflow" in err
+
+
 def test_usage_errors_exit_three(tmp_path, capsys):
     src = tmp_path / "h.json"
     write_field(str(src), const_accelerant(0.5, 16))
@@ -315,9 +357,9 @@ def test_thread_cap_does_not_change_results(tmp_path):
     outs = []
     for cap in (None, "1"):
         env = dict(os.environ)
-        env.pop("KREINMAP_THREADS", None)
+        env.pop("OPENBLAS_NUM_THREADS", None)
         if cap:
-            env["KREINMAP_THREADS"] = cap
+            env["OPENBLAS_NUM_THREADS"] = cap
         dst = tmp_path / f"q_{cap}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "kreinmap.cli", "theta",

@@ -14,7 +14,6 @@ from kreinmap import (
     Kernel2D,
     Potential,
     assemble_potential,
-    block_embed,
     decimate_accelerant,
     decimate_potential,
     potential_adjoint,
@@ -93,15 +92,6 @@ def test_reflect_reverses_samples():
     hr = reflect(h)
     assert np.array_equal(hr.values, h.values[::-1])
     assert np.array_equal(reflect(hr).values, h.values)
-
-
-def test_block_embed_layout():
-    h = random_accelerant(4, r=1, n_cells=8)
-    emb = block_embed(h)
-    assert emb.r == 2
-    assert np.array_equal(emb.values[:, 0, 0], h.values[:, 0, 0])
-    assert np.array_equal(emb.values[:, 1, 1], h.values[::-1, 0, 0])
-    assert np.all(emb.values[:, 0, 1] == 0)
 
 
 def test_potential_adjoint_is_involution(rng):

@@ -14,11 +14,9 @@ from kreinmap import (
     compose,
     field_norm,
     invert_identity_plus,
-    kernel_from_op,
     mixed_norm,
     nystrom_weights,
     op_from_kernel,
-    triangular_truncate,
 )
 from conftest import const_accelerant, linear_potential
 
@@ -47,9 +45,13 @@ def test_weights_integrate_constants():
 def test_kernel_op_roundtrip(rng):
     g = GridSpec(8)
     vals = rng.standard_normal((9, 9, 2, 2)) + 1j * rng.standard_normal((9, 9, 2, 2))
-    k = Kernel2D(2, g, "full", vals)
-    back = kernel_from_op(op_from_kernel(k), "full")
-    assert np.allclose(back.values, vals, atol=1e-14)
+    i, j = np.indices((9, 9))
+    masks = {"full": i >= 0, "lower": j <= i, "upper": j >= i}
+    for support, keep in masks.items():
+        masked = np.where(keep[:, :, None, None], vals, 0)
+        blocks = op_from_kernel(Kernel2D(2, g, support, masked)).blocks()
+        weighted = nystrom_weights(g, support)[:, :, None, None] * masked
+        assert np.array_equal(blocks, weighted), support
 
 
 def test_compose_is_matrix_product(rng):
@@ -110,18 +112,6 @@ def test_resolvent_identity_seeded_pairs():
         lhs = g1 - g2
         rhs = (eye + g1) @ (a2.M - a1.M) @ (eye + g2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10, f"seed {seed}"
-
-
-def test_triangular_truncate_keeps_diagonal(rng):
-    g = GridSpec(8)
-    vals = rng.standard_normal((9, 9, 1, 1)) + 0j
-    k = Kernel2D(1, g, "full", vals)
-    low = triangular_truncate(k, "lower")
-    up = triangular_truncate(k, "upper")
-    assert low.support == "lower" and up.support == "upper"
-    i, j = np.indices((9, 9))
-    assert np.array_equal(low.values[j <= i], vals[j <= i])
-    assert np.array_equal(up.values[j >= i], vals[j >= i])
 
 
 def test_mixed_norm_constant_kernel():
