@@ -260,10 +260,11 @@ def cmd_solve_dirac(args) -> int:
     lams = []
     for chunk in args.lambdas or ["0"]:
         lams.extend(_parse_lambda(part) for part in chunk.split(","))
+    # solve everything first, so that a refused value leaves no output file
+    solutions = [(lam, solve_cauchy(q, lam)) for lam in lams]
     out = open(args.out_path, "w") if args.out_path else sys.stdout
     try:
-        for lam in lams:
-            y = solve_cauchy(q, lam)
+        for lam, y in solutions:
             out.write(f"# lambda = {lam.real:g}{lam.imag:+g}i\n")
             dim = 2 * q.r
             header = ["x"] + [

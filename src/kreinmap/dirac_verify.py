@@ -38,7 +38,7 @@ from .inverse_map import (
     transmutation_kernel,
     upsilon,
 )
-from .quadops import field_norm, mixed_norm, nystrom_weights, op_from_kernel
+from .quadops import _flatten, _unflatten, field_norm, mixed_norm, nystrom_weights, op_from_kernel
 
 __all__ = [
     "DEFAULT_LAMBDAS",
@@ -81,8 +81,17 @@ def solve_cauchy(q: Potential, lam: complex, substeps: int = 4) -> np.ndarray:
     Classical fourth-order one-step integration of Y' = -J (lam - Q(x)) Y
     with step 1/(N*substeps) and Q interpolated linearly between its node
     samples. This is the oracle side of every representation check, so it
-    deliberately touches none of the kernel code. A solution that overflows
-    floating point raises FieldFormatError.
+    deliberately touches none of the kernel code.
+
+    The step hh must resolve the generator, whose norm is at most
+    rho = |lam| + max_x ||Q(x)||_2.  RK4 leaves a relative error of about
+    (hh rho)^5 / 120 per step, so the leading global error estimate is
+    steps (hh rho)^5 / 120 over the steps = N*substeps of [0, 1].  Above
+    5e-3 the integrator is no longer an oracle: on the zero potential at
+    N = 8 it returns |Y(1)_00| = 4e-10 at lam = 80 and 2e9 at lam = 100,
+    where the exact value is 1.  Such inputs raise FieldFormatError up
+    front.  A solution that still overflows floating point raises
+    FieldFormatError as well.
     """
     if substeps < 1:
         raise FieldFormatError(f"substeps must be >= 1, got {substeps}")
@@ -91,6 +100,13 @@ def solve_cauchy(q: Potential, lam: complex, substeps: int = 4) -> np.ndarray:
     qfull = q.full()
     N = q.grid.N
     hh = q.grid.step / substeps
+    q_max = np.linalg.norm(qfull, 2, axis=(1, 2)).max()  # a numpy float: overflows to inf
+    estimate = N * substeps * (hh * (abs(lam) + q_max)) ** 5 / 120.0
+    if not estimate <= 5e-3:  # a nan estimate is refused too
+        raise FieldFormatError(
+            f"Cauchy step {hh:.3g} does not resolve lambda = {_lam_label(lam)} with "
+            f"max|Q| = {q_max:.3g}: RK4 error estimate {estimate:.3g} > 5e-3"
+        )
 
     def generator(x: float) -> np.ndarray:
         pos = min(max(x, 0.0), 1.0) * N
@@ -384,13 +400,15 @@ def _triangle_compose(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
     """int_t^x A(x,s) B(s,t) ds on j <= i, trapezoid weights on [x_j, x_i].
 
     Both factors are lower supported, so the plain index sum already runs
-    over s in [j, i]; the two half-weight corrections at the endpoints also
-    cancel the empty interval i == j exactly.
+    over s in [j, i]: one GEMM of the flattened factors [(x, a), (s, b)].
+    The two half-weight corrections then fix the endpoints.  They cancel the
+    empty interval i == j only up to rounding, so its zero is set outright.
     """
-    full = np.einsum("isab,sjbc->ijac", a, b)
+    full = _unflatten(_flatten(a) @ _flatten(b), a.shape[2])
     d = np.arange(a.shape[0])
     full -= 0.5 * a[d, d][:, None] @ b
     full -= 0.5 * a @ b[d, d][None, :]
+    full[d, d] = 0.0
     return step * full
 
 

@@ -10,7 +10,10 @@ inverse map has no tolerance or iteration budget and no convergence failure.
 Two discretization conventions deserve a note because they are easy to get
 wrong.  First, the Volterra resolvent is solved by forward substitution with
 per-interval trapezoid weights rather than read off the inverted operator
-matrix, whose weight pattern is O(1/N) wrong along the column edge.  Second,
+matrix, whose weight pattern is O(1/N) wrong along the column edge.  The
+substitution holds the resolvent flattened, block (x, s) at rows (x, a) and
+columns (s, b) of one matrix, so that each row's history sum is one matrix
+product.  Second,
 the product kernel has a jump across the grid diagonal whenever the
 potential is not in the image of the forward map; the stored grid holds the
 two-sided average there, and the one-sided parts are available separately for
@@ -166,6 +169,16 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     O(1/N) kernel error along the column edge (its weight pattern cannot
     express the half weight at s = t), which is invisible to integral norms
     but fatal to finite-difference identity checks.
+
+    L is held flattened, as an (N+1)n x (N+1)n matrix whose row (x, a) and
+    column (s, b) hold L(x, s)[a, b].  The full-weight history sum over
+    s < x_i for every column of row i is then one matrix product: row i of
+    K, gathered as an n x (i n) block, times the leading (i n) x (i n) block
+    of L.  The half weight at s = t comes back out as a batched n x n
+    product with the diagonal blocks L(t, t) = -K(t, t), and one solve with
+    I + (step/2) K(x_i, x_i) finishes the row.  The finished matrix is
+    reordered in place into the Kernel2D layout.  An upper K is solved as
+    the transposed lower problem.
     """
     if kernel.support not in ("lower", "upper"):
         raise FieldFormatError("resolvent extraction requires triangular support")
@@ -184,23 +197,31 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
             np.ascontiguousarray(out.values.transpose(1, 0, 3, 2)),
         )
     N, n = kernel.grid.N, kernel.n
+    m = N + 1
     step = kernel.grid.step
     K = kernel.values
-    L = np.zeros_like(K)
+    lf = np.zeros((m * n, m * n), dtype=np.complex128)  # lf[(x, a), (s, b)] = L(x, s)[a, b]
+    diag = -K[np.arange(m), np.arange(m)]  # L(t, t) = -K(t, t)
     eye = np.eye(n, dtype=np.complex128)
-    L[0, 0] = -K[0, 0]
-    for i in range(1, N + 1):
-        L[i, i] = -K[i, i]
-        # full-weight sum over s < i, then take back the half weight at s = t
-        body = step * np.einsum("sab,sjbc->jac", K[i, :i], L[:i, :i])
-        body -= 0.5 * step * np.einsum("jab,jbc->jac", K[i, :i], L[np.arange(i), np.arange(i)])
-        rhs = -K[i, :i] - body
+    lf[:n, :n] = diag[0]
+    for i in range(1, m):
+        rows = slice(i * n, (i + 1) * n)
+        k_row = K[i, :i].transpose(1, 0, 2).reshape(n, i * n)  # [a, (s, b)]
+        # full-weight sum over s < x_i, then take back the half weight at s = t
+        body = step * (k_row @ lf[: i * n, : i * n])
+        body -= 0.5 * step * (K[i, :i] @ diag[:i]).transpose(1, 0, 2).reshape(n, i * n)
         try:
-            L[i, :i] = np.linalg.solve(eye + 0.5 * step * K[i, i], rhs)
+            lf[rows, : i * n] = np.linalg.solve(eye + 0.5 * step * K[i, i], -k_row - body)
         except np.linalg.LinAlgError:
             raise SingularSystemError(i / N, "volterra forward substitution")
-    _require_finite("Volterra resolvent values", L)
-    return Kernel2D(kernel.n, kernel.grid, "lower", L)
+        lf[rows, rows] = diag[i]
+    _require_finite("Volterra resolvent values", lf)
+    # reorder each block row (x, a), (s, b) -> (x, s, a, b) in place: a second
+    # kernel-sized array would raise the inverse map's peak memory
+    by_x = lf.reshape(m, n * m * n)
+    for x in range(m):
+        by_x[x] = by_x[x].reshape(n, m, n).transpose(1, 0, 2).ravel()
+    return Kernel2D(n, kernel.grid, "lower", lf.reshape(m, m, n, n))
 
 
 class ProductParts(NamedTuple):

@@ -48,8 +48,7 @@ class DiscOp:
 
     def blocks(self) -> np.ndarray:
         """View the matrix as (N+1, N+1, n, n)."""
-        m = self.grid.N + 1
-        return self.M.reshape(m, self.n, m, self.n).transpose(0, 2, 1, 3)
+        return _unflatten(self.M, self.n)
 
 
 def nystrom_weights(grid: GridSpec, support: str) -> np.ndarray:
@@ -70,8 +69,16 @@ def nystrom_weights(grid: GridSpec, support: str) -> np.ndarray:
 
 
 def _flatten(blocks: np.ndarray) -> np.ndarray:
+    """Kernel blocks [x, s, a, b] as the matrix [(x, a), (s, b)], so that a
+    sum over s and b is one matrix product."""
     m, _, n, _ = blocks.shape
     return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(m * n, m * n))
+
+
+def _unflatten(flat: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of _flatten, as a view."""
+    m = flat.shape[0] // n
+    return flat.reshape(m, n, m, n).transpose(0, 2, 1, 3)
 
 
 def op_from_kernel(kernel: Kernel2D) -> DiscOp:

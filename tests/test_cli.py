@@ -217,7 +217,7 @@ def test_fuzz_findings_exit_cleanly(tmp_path, capsys):
     qp[1] = 1.8e24j
     write_field(str(src), Potential(1, strong.grid, qp, strong.q_minus))
     code, err = run(["solve-dirac", "--in", str(src), "--out", dst])
-    assert code == 3 and "overflows" in err
+    assert code == 3 and "does not resolve" in err  # refused before it can overflow
     write_field(str(src), strong)
     assert run(["solve-dirac", "--in", str(src), "--lambda", "inf"])[0] == 3
 
@@ -349,6 +349,27 @@ def test_solve_dirac_bad_lambda_exits_three(tmp_path, capsys):
     code = main(["solve-dirac", "--in", str(src), "--lambda", "banana"])
     assert code == 3
     assert "spectral parameter" in capsys.readouterr().err
+
+
+def test_solve_dirac_refuses_unresolved_lambda(tmp_path, capsys):
+    # the RK4 step 1/32 at N = 8 resolves lambda = 10 but not 80, 100 or 1e3,
+    # where it returned |Y(1)| = 4e-10, 2e9 and 1e147 instead of 1
+    src = tmp_path / "q.json"
+    dst = tmp_path / "y.csv"
+    write_field(str(src), _zero_potential(8))
+    for lam in ("80", "100", "1e3"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve-dirac", "--in", str(src), "--out", str(dst),
+                         "--lambda", "0", "--lambda", lam])
+        assert code == 3, lam
+        assert caught == [], lam
+        err = capsys.readouterr().err
+        assert f"lambda = {float(lam):g}" in err and "step 0.0312" in err
+        assert not dst.exists(), lam
+    assert main(["solve-dirac", "--in", str(src), "--out", str(dst), "--lambda", "10"]) == 0
+    last = dst.read_text().strip().splitlines()[-1].split(",")
+    assert abs(abs(float(last[1]) + 1j * float(last[2])) - 1.0) < 1e-3
 
 
 def test_thread_cap_does_not_change_results(tmp_path):

@@ -24,6 +24,8 @@ from kreinmap import (
     transmuted_solution,
     upsilon,
 )
+from kreinmap.dirac_verify import _triangle_compose
+from kreinmap.errors import FieldFormatError
 
 
 def _zero_potential(n_cells: int) -> Potential:
@@ -45,6 +47,42 @@ def test_cauchy_determinant_conserved():
     y = solve_cauchy(linear_potential(32), 1.0 + 0.5j)
     dets = np.linalg.det(y)
     assert np.max(np.abs(dets - 1.0)) < 1e-8
+
+
+def test_cauchy_refuses_unresolved_step():
+    # exact |Y(1)_00| = 1; the step 1/32 returned 4e-10, 2e9 and 1e147
+    q = _zero_potential(8)
+    for lam in (80.0, 100.0, 1e3):
+        with pytest.raises(FieldFormatError, match="does not resolve"):
+            solve_cauchy(q, lam)
+    for lam, substeps in ((10.0, 4), (80.0, 40)):  # a finer step resolves 80
+        y = solve_cauchy(q, lam, substeps)
+        assert abs(abs(y[-1, 0, 0]) - 1.0) < 1e-3
+
+
+def test_triangle_compose_against_loops():
+    rng = np.random.default_rng(7)
+    n_cells, n = 12, 4  # r = 2
+    m = n_cells + 1
+    step = 1.0 / n_cells
+    low = np.tril(np.ones((m, m), dtype=bool))
+    a, b = (
+        np.where(low[:, :, None, None], rng.standard_normal((m, m, n, n))
+                 + 1j * rng.standard_normal((m, m, n, n)), 0.0)
+        for _ in range(2)
+    )
+    got = _triangle_compose(a, b, step)
+    worst = 0.0
+    for x in range(m):
+        for t in range(x):
+            acc = np.zeros((n, n), dtype=np.complex128)
+            for s in range(t, x + 1):
+                w = step * (0.5 if s in (t, x) else 1.0)
+                acc += w * (a[x, s] @ b[s, t])
+            worst = max(worst, np.abs(got[x, t] - acc).max())
+    assert worst < 1e-13
+    d = np.arange(m)
+    assert np.all(got[d, d] == 0)  # the interval [x_i, x_i] is empty
 
 
 def test_krein_solution_lambda_zero_closed_form():
