@@ -15,17 +15,17 @@ from kreinmap import (
     identity_suite,
     theta,
 )
-from kreinmap.cli import read_field
+from kreinmap.cli import _parse_ladder, read_field, run_guarded
 
 
-def main(argv=None) -> int:
+def _table(argv) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--in", dest="in_path", required=True)
     ap.add_argument("--ladder", default="50,100,200")
     args = ap.parse_args(argv)
 
     field = read_field(args.in_path)
-    ladder = tuple(int(s) for s in args.ladder.split(","))
+    ladder = _parse_ladder(args.ladder)
 
     per_n = {}
     for n in ladder:
@@ -42,10 +42,14 @@ def main(argv=None) -> int:
         row = [per_n[n][name] for n in ladder]
         cells = "".join(f"  {v:>12.4e}" for v in row)
         order = ""
-        if row[-1] > 1e-13 and row[-2] > 0:
+        if len(row) > 1 and row[-1] > 1e-13 and row[-2] > 0:
             order = f"{math.log2(row[-2] / row[-1]):6.2f}"
         print(f"{name:<16}{cells}  {order:>6}")
     return 0
+
+
+def main(argv=None) -> int:
+    return run_guarded(lambda: _table(argv))
 
 
 if __name__ == "__main__":

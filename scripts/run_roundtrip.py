@@ -8,11 +8,11 @@ one actually stares at while changing a discretization.
 import argparse
 import math
 
-from kreinmap.cli import read_field
+from kreinmap.cli import _parse_ladder, read_field, run_guarded
 from kreinmap.dirac_verify import roundtrip_report
 
 
-def main(argv=None) -> int:
+def _table(argv) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--in", dest="in_path", required=True)
     ap.add_argument("--ladder", default="50,100,200")
@@ -20,7 +20,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     field = read_field(args.in_path)
-    ladder = tuple(int(s) for s in args.ladder.split(","))
+    ladder = _parse_ladder(args.ladder)
     report = roundtrip_report(field, ladder=ladder, final_tol=args.tol)
 
     print(f"{'N':>6}  {'rel L1 error':>14}  {'order':>6}")
@@ -34,6 +34,10 @@ def main(argv=None) -> int:
         prev = entry.residual
     print(f"finest tolerance {args.tol:g}: {'pass' if report.passed else 'FAIL'}")
     return 0 if report.passed else 2
+
+
+def main(argv=None) -> int:
+    return run_guarded(lambda: _table(argv))
 
 
 if __name__ == "__main__":

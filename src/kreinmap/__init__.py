@@ -7,7 +7,6 @@ that ties both to the underlying first-order system.
 """
 
 from .errors import (
-    ConvergenceError,
     FieldFormatError,
     NotAccelerantError,
     SingularSystemError,
@@ -75,7 +74,6 @@ from .dirac_verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "FieldFormatError",
     "NotAccelerantError",
     "SingularSystemError",

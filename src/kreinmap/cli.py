@@ -3,8 +3,8 @@
 Field files are JSON objects {kind, r, N, domain, data, meta} with complex
 entries stored as [re, im] pairs; the decimal encoding round-trips binary
 floats exactly. Exit codes are a stable contract: 0 success, 2 mathematical
-rejection, 3 input or usage error, 4 convergence failure (ConvergenceError,
-which no code path raises now), 1 internal.
+rejection, 3 input or usage error, 1 internal; 4 is reserved (it meant a
+convergence failure while an iterative solver remained).
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    FieldFormatError,
-    NotAccelerantError,
-    SingularSystemError,
-)
+from .errors import FieldFormatError, NotAccelerantError, SingularSystemError
 from .factorization import is_accelerant, solve_glm
 from .fields import (
     Accelerant,
@@ -330,10 +325,12 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def main(argv=None) -> int:
+def run_guarded(run) -> int:
+    """Call run() and map the package's errors onto the exit-code contract,
+    each with a one-line message on stderr. Shared by main and the scripts
+    under scripts/."""
     try:
-        args = _parser().parse_args(argv)
-        return args.handler(args)
+        return run()
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 3 if exc.code else 0
     except FieldFormatError as exc:
@@ -342,15 +339,20 @@ def main(argv=None) -> int:
     except NotAccelerantError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (SingularSystemError,) as exc:
+    except SingularSystemError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    def run():
+        args = _parser().parse_args(argv)
+        return args.handler(args)
+
+    return run_guarded(run)
 
 
 if __name__ == "__main__":

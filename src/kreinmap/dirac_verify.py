@@ -134,13 +134,15 @@ def solve_cauchy(q: Potential, lam: complex, substeps: int = 4) -> np.ndarray:
     return out
 
 
-def krein_solution(h: Accelerant, lam: complex) -> np.ndarray:
+def krein_solution(h: Accelerant, lams) -> np.ndarray:
     """Solution columns built directly from the two Krein kernels.
 
     phi_1(x) = e^{i lam x} (I + int_0^x e^{-2 i lam s} r_h(x, x-s) ds) and
     phi_2 is the mirror with the reflected accelerant and conjugated phases.
     The stack (phi_1; phi_2) starts at (I; I) and solves the Dirac system
-    with the potential theta(h).
+    with the potential theta(h). Neither the sweep nor the kernels depend
+    on lam, so one of each serves every value in lams; the result has
+    shape (len(lams), N + 1, 2r, r).
     """
     test = is_accelerant(h)
     if not test.accepted:
@@ -151,17 +153,18 @@ def krein_solution(h: Accelerant, lam: complex) -> np.ndarray:
     x = grid.nodes
     tw = nystrom_weights(grid, "lower")
     eye = np.eye(h.r)
-    down = np.exp(-2j * lam * x)
-    up = np.exp(2j * lam * x)
-    phi = np.zeros((grid.N + 1, 2 * h.r, h.r), dtype=np.complex128)
-    for i in range(grid.N + 1):
-        w1 = tw[i, : i + 1] * down[: i + 1]
-        w2 = tw[i, : i + 1] * up[: i + 1]
-        s1 = np.einsum("k,kab->ab", w1, r1.values[i, i::-1])
-        s2 = np.einsum("k,kab->ab", w2, r2.values[i, i::-1])
-        phi[i, : h.r] = np.exp(1j * lam * x[i]) * (eye + s1)
-        phi[i, h.r :] = np.exp(-1j * lam * x[i]) * (eye + s2)
-    return phi
+    phis = np.zeros((len(lams), grid.N + 1, 2 * h.r, h.r), dtype=np.complex128)
+    for phi, lam in zip(phis, lams):
+        down = np.exp(-2j * lam * x)
+        up = np.exp(2j * lam * x)
+        for i in range(grid.N + 1):
+            w1 = tw[i, : i + 1] * down[: i + 1]
+            w2 = tw[i, : i + 1] * up[: i + 1]
+            s1 = np.einsum("k,kab->ab", w1, r1.values[i, i::-1])
+            s2 = np.einsum("k,kab->ab", w2, r2.values[i, i::-1])
+            phi[i, : h.r] = np.exp(1j * lam * x[i]) * (eye + s1)
+            phi[i, h.r :] = np.exp(-1j * lam * x[i]) * (eye + s2)
+    return phis
 
 
 def transmuted_solution(kernel: Kernel2D, lam: complex) -> np.ndarray:

@@ -28,15 +28,3 @@ class SingularSystemError(ValueError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solve failed to reach tolerance within its budget."""
-
-    def __init__(self, last_change: float, iterations: int):
-        self.last_change = last_change
-        self.iterations = iterations
-        super().__init__(
-            f"iteration did not converge: change {last_change:.3e} "
-            f"after {iterations} sweeps"
-        )

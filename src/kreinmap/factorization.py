@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError, SingularSystemError
 from .fields import Accelerant, GridSpec, Kernel2D
-from .quadops import mixed_norm, nystrom_weights, op_from_kernel
+from .quadops import _flatten, _unflatten, mixed_norm, nystrom_weights, op_from_kernel
 
 __all__ = [
     "convolution_kernel",
@@ -114,10 +114,10 @@ def solve_glm(
 ) -> Kernel2D:
     """Row-by-row solve of the lower-triangular layer equation.
 
-    Row i solves X_row (I + D_tau F) = -F_row on the nodes of [0, x_i],
-    where D_tau carries the trapezoid weights of that interval (half weight
-    at both endpoints). Rows are independent; each must be uniquely
-    solvable, otherwise the offending x_i is reported.
+    Row i solves x_i A_i = -b_i on the nodes of [0, x_i], where
+    A_i = I + D_tau F carries the trapezoid weights of that interval (half
+    weight at both endpoints) and b_i is the block row F[i, :i+1]. Each row
+    must be uniquely solvable, otherwise the offending x_i is reported.
 
     The collocation at t = x_i sits on the edge of the triangle, where a
     difference kernel F(x, t) = h(x - t) may jump. There the stored diagonal
@@ -128,36 +128,196 @@ def solve_glm(
     Callers with a jump pass those limits as edge_plus / edge_minus (n x n
     blocks); every interior crossing of the jump keeps the average, which is
     exactly the composite one-sided trapezoid rule.
+
+    The rows are nested. Let S = I + D F with the full weight at every node
+    but x_0, which keeps the half weight, and edge_plus in its first
+    diagonal block. Then A_i is the leading (i+1)-block of S changed in its
+    last block row only: A_i = S_i + E_i W_i, with E_i selecting that row
+    and W_i = -(step/2) b_i + delta_i e_i, where
+    delta_i = (step/2)(edge_minus + edge_plus) - step F[i, i] puts the half
+    weight and edge_minus at the moving endpoint. So one LU of S without
+    pivoting, S = L U, serves every row:
+
+    - Y = tril(B U^-1) L^-1, with B the stacked b_i and a block-lower mask
+      after the first product, holds every y_i = b_i S_i^-1 (two GEMMs);
+    - Z_i = W_i S_i^-1 = -(step/2) y_i + delta_i (U^-1)_ii L^-1[i, :];
+    - an n x n Woodbury step finishes the row:
+      x_i = -y_i + (y_i E_i)(I + Z_i E_i)^-1 Z_i.
+
+    L^-1 and U^-1 come from one recursive pass that, like the rest, does
+    its work in matrix products, so the whole solve costs O(N^3 n^3)
+    against O(N^4 n^3) for N separate solves.
+
+    The sweep certifies the A_i, not the S_i, and an LU without pivoting
+    is only as good as the leading blocks of S. So every row's residual
+    x_i A_i + b_i is computed in full (one GEMM with S plus the last-row
+    term), and any row above 1e-10 times max(1, max|x_i|), or not finite,
+    is solved again by one dense solve of A_i. Only a row that fails that
+    dense solve too raises SingularSystemError. The LU runs with numpy's
+    floating-point warnings off: a zero or tiny pivot shows up as flagged
+    rows, not as a warning.
     """
-    N, n = f_kernel.grid.N, f_kernel.n
+    grid, n = f_kernel.grid, f_kernel.n
+    m, step = grid.N + 1, grid.step
+    dim = m * n
     F = f_kernel.values
-    Fflat = np.ascontiguousarray(F.transpose(0, 2, 1, 3)).reshape(
-        (N + 1) * n, (N + 1) * n
-    )
-    X = np.zeros_like(F)
-    X[0, 0] = -F[0, 0] if edge_plus is None else -edge_plus
-    eye = np.eye((N + 1) * n, dtype=np.complex128)
-    for i in range(1, N + 1):
-        d = (i + 1) * n
-        tau = f_kernel.grid.trapezoid(i)
-        A = np.repeat(tau, n)[:, None] * Fflat[:d, :d] + eye[:d, :d]
-        rhs = Fflat[i * n : (i + 1) * n, :d]
-        if edge_minus is not None:
-            A[d - n :, d - n :] = eye[:n, :n] + tau[-1] * edge_minus
-        if edge_plus is not None:
-            A[:n, :n] = eye[:n, :n] + tau[0] * edge_plus
-            rhs = rhs.copy()
-            rhs[:, d - n :] = edge_plus
+    nodes = np.arange(m)
+    f_diag = F[nodes, nodes]
+    plus = f_diag if edge_plus is None else np.broadcast_to(edge_plus, f_diag.shape)
+    minus = f_diag if edge_minus is None else np.broadcast_to(edge_minus, f_diag.shape)
+    delta = 0.5 * step * (minus + plus) - step * f_diag
+
+    rows = np.repeat(nodes, n)
+    right_of_diagonal = rows[None, :] > rows[:, None]
+
+    eye = np.eye(n)
+    with np.errstate(all="ignore"):
+        inv = _shared_matrix(F, plus, step)
+        _lu_inverses(inv)
+        inv_diag = _unflatten(inv, n)[nodes, nodes]
+        u_inv_diag = np.triu(inv_diag)
+        l_inv_diag = np.tril(inv_diag, -1) + eye
+        y = _stacked_rhs(F, plus, right_of_diagonal) @ np.triu(inv)  # B U^-1
+        y[right_of_diagonal] = 0.0
+        inv[~np.tri(dim, k=-1, dtype=bool)] = 0.0  # inv is L^-1 from here on
+        inv.flat[:: dim + 1] = 1.0
+        y = y @ inv  # Y = tril(B U^-1) L^-1
+
+        # Woodbury: x_i = -(I + (step/2) C_i) y_i + C_i G_i L^-1[i, :]
+        # with G_i = delta_i (U^-1)_ii and C_i = Y_ii (I + Z_ii)^-1
+        y_diag = _unflatten(y, n)[nodes, nodes]
+        g = delta @ u_inv_diag
+        z_diag = -0.5 * step * y_diag + g @ l_inv_diag
         try:
-            row = np.linalg.solve(A.T, -rhs.T).T
-        except np.linalg.LinAlgError:
-            raise SingularSystemError(i / N)
-        residual = np.max(np.abs(row @ A + rhs))
-        scale = max(1.0, float(np.max(np.abs(row))))
-        if not np.isfinite(residual) or residual > 1e-10 * scale:
-            raise SingularSystemError(i / N, f"row residual {residual:.3e}")
-        X[i, : i + 1] = row.reshape(n, i + 1, n).transpose(1, 0, 2)
-    return Kernel2D(n, f_kernel.grid, "lower", X)
+            c = np.linalg.solve(np.swapaxes(eye + z_diag, 1, 2), np.swapaxes(y_diag, 1, 2))
+            c = np.swapaxes(c, 1, 2)
+        except np.linalg.LinAlgError:  # some I + Z_ii exactly singular
+            c = np.full_like(y_diag, np.nan)
+        x_rows = -(eye + 0.5 * step * c) @ y.reshape(m, n, dim)
+        del y
+        x_rows += (c @ g) @ inv.reshape(m, n, dim)
+        del inv
+        x = x_rows.reshape(dim, dim)
+
+        # residual x_i A_i + b_i = x_i S_i + (I - (step/2) X_ii) b_i + X_ii delta_i e_i
+        x_diag = _unflatten(x, n)[nodes, nodes]
+        residual = x @ _shared_matrix(F, plus, step)
+        rhs = _stacked_rhs(F, plus, right_of_diagonal)
+        residual += rhs
+        rhs_rows = rhs.reshape(m, n, dim)
+        residual.reshape(m, n, dim)[...] -= 0.5 * step * (x_diag @ rhs_rows)
+        del rhs, rhs_rows
+        _unflatten(residual, n)[nodes, nodes] += x_diag @ delta
+        residual[right_of_diagonal] = 0.0
+        worst = np.abs(residual.reshape(m, n * dim)).max(axis=1)
+        scale = np.maximum(1.0, np.abs(x_rows.reshape(m, n * dim)).max(axis=1))
+        flagged = ~(worst <= 1e-10 * scale)  # a NaN compares False and is flagged
+
+    X = np.ascontiguousarray(_unflatten(x, n))
+    X[~np.tri(m, dtype=bool)] = 0.0
+    X[0, 0] = -plus[0]
+    for i in np.flatnonzero(flagged[1:]) + 1:
+        X[i, : i + 1] = _dense_row(f_kernel, i, edge_plus, edge_minus)
+    return Kernel2D(n, grid, "lower", X)
+
+
+def _shared_matrix(F: np.ndarray, plus: np.ndarray, step: float) -> np.ndarray:
+    """S = I + D F flattened, with the full weight at every node but x_0,
+    which keeps the half weight, and plus[0] in block (0, 0)."""
+    m, n = F.shape[0], F.shape[2]
+    s = np.empty((m * n, m * n), dtype=np.complex128)
+    _unflatten(s, n)[...] = F
+    s[:n, :n] = plus[0]
+    s *= step
+    s[:n] *= 0.5
+    s.flat[:: m * n + 1] += 1.0
+    return s
+
+
+def _stacked_rhs(F: np.ndarray, plus: np.ndarray, right_of_diagonal: np.ndarray) -> np.ndarray:
+    """B: flattened row i is b_i = F[i, :i+1] with plus[i] as its diagonal
+    block, zero to the right of it."""
+    m, n = F.shape[0], F.shape[2]
+    b = np.empty((m * n, m * n), dtype=np.complex128)
+    _unflatten(b, n)[...] = F
+    b[right_of_diagonal] = 0.0
+    nodes = np.arange(m)
+    _unflatten(b, n)[nodes, nodes] = plus
+    return b
+
+
+def _dense_row(
+    f_kernel: Kernel2D,
+    i: int,
+    edge_plus: np.ndarray | None,
+    edge_minus: np.ndarray | None,
+) -> np.ndarray:
+    """Blocks X[i, :i+1] of solve_glm's row i >= 1 by one dense solve of
+    A_i: its fallback for rows the nested LU leaves inaccurate, and the
+    reference it is tested against. Raises SingularSystemError when the
+    row residual exceeds 1e-10 times max(1, max|row|)."""
+    n = f_kernel.n
+    d = (i + 1) * n
+    tau = f_kernel.grid.trapezoid(i)
+    block = _flatten(f_kernel.values[: i + 1, : i + 1])
+    eye = np.eye(d, dtype=np.complex128)
+    A = np.repeat(tau, n)[:, None] * block + eye
+    rhs = block[d - n :]
+    if edge_minus is not None:
+        A[d - n :, d - n :] = eye[:n, :n] + tau[-1] * edge_minus
+    if edge_plus is not None:
+        A[:n, :n] = eye[:n, :n] + tau[0] * edge_plus
+        rhs = rhs.copy()
+        rhs[:, d - n :] = edge_plus
+    try:
+        row = np.linalg.solve(A.T, -rhs.T).T
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(i / f_kernel.grid.N)
+    residual = np.max(np.abs(row @ A + rhs))
+    scale = max(1.0, float(np.max(np.abs(row))))
+    if not np.isfinite(residual) or residual > 1e-10 * scale:
+        raise SingularSystemError(i / f_kernel.grid.N, f"row residual {residual:.3e}")
+    return row.reshape(n, i + 1, n).transpose(1, 0, 2)
+
+
+def _lu_inverses(a: np.ndarray) -> None:
+    """The inverse factors of a = L U, the LU factorization without
+    pivoting (L unit lower, U upper), in place: L^-1 strictly below the
+    diagonal (its unit diagonal implied), U^-1 on and above it.
+
+    Recursive halving puts the work into matrix products. With
+    a = [[A11, A12], [A21, A22]] and the inverse factors of A11 in hand,
+    U12 = L11^-1 A12 and L21 = A21 U11^-1; the Schur complement
+    A22 - L21 U12 gives those of the trailing block; then
+    (L^-1)_21 = -L22^-1 L21 L11^-1 and (U^-1)_12 = -U11^-1 U12 U22^-1.
+    A zero pivot spoils only its own leaf of at most 32 rows and what
+    follows: the inverse factors of the leading blocks before that leaf
+    are unaffected.
+    """
+    m = a.shape[0]
+    if m <= 32:
+        for k in range(m - 1):
+            a[k + 1 :, k] /= a[k, k]
+            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+        try:
+            l_inv = np.linalg.inv(np.tril(a, -1) + np.eye(m))
+            u_inv = np.linalg.inv(np.triu(a))
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            l_inv = u_inv = np.full_like(a, np.nan)
+        a[...] = np.triu(u_inv) + np.tril(l_inv, -1)
+        return
+    h = m // 2
+    _lu_inverses(a[:h, :h])
+    l11 = np.tril(a[:h, :h], -1) + np.eye(h)
+    u11 = np.triu(a[:h, :h])
+    u12 = l11 @ a[:h, h:]
+    l21 = a[h:, :h] @ u11
+    a[h:, h:] -= l21 @ u12
+    _lu_inverses(a[h:, h:])
+    l22 = np.tril(a[h:, h:], -1) + np.eye(m - h)
+    u22 = np.triu(a[h:, h:])
+    a[h:, :h] = -(l22 @ l21) @ l11
+    a[:h, h:] = -(u11 @ u12) @ u22
 
 
 def solve_krein(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:

@@ -107,15 +107,15 @@ def test_05_accelerant_detector():
 def test_06_solution_representations_agree():
     h = const_accelerant(0.5, 200)
     x = h.grid.nodes
-    phi = krein_solution(h, 0.0)
+    lams = (0.0, 1.0, 1.0 + 0.5j)
+    phis = krein_solution(h, lams)
     target = 1.0 / (1.0 + 0.5 * x)
-    assert np.max(np.abs(phi[:, 0, 0] - target)) <= 1e-3
+    assert np.max(np.abs(phis[0][:, 0, 0] - target)) <= 1e-3
 
     q = theta(h)
     kq = transmutation_kernel(q)
     a_col = structural_constants(1).a_col
-    for lam in (0.0, 1.0, 1.0 + 0.5j):
-        a = krein_solution(h, lam)
+    for lam, a in zip(lams, phis):
         b = solve_cauchy(q, lam) @ a_col
         c = transmuted_solution(kq, lam)
         assert np.max(np.abs(a - b)) <= 5e-3, f"lambda {lam}"

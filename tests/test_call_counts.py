@@ -61,3 +61,11 @@ def test_cli_theta_runs_the_sweep_once(count_calls, tmp_path):
     counts = count_calls("is_accelerant")
     assert main(["theta", "--in", str(src), "--out", str(tmp_path / "q.json")]) == 0
     assert counts == {"is_accelerant": 1}
+
+
+def test_krein_solution_runs_one_sweep_for_every_lambda(count_calls):
+    counts = count_calls("is_accelerant", "solve_krein")
+    phis = kreinmap.krein_solution(const_accelerant(0.5, 16), (0.0, 1.0, 1.0 + 0.5j))
+    assert phis.shape == (3, 17, 2, 1)
+    # the direct and the reflected Krein kernel
+    assert counts == {"is_accelerant": 1, "solve_krein": 2}

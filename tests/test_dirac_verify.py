@@ -87,7 +87,7 @@ def test_triangle_compose_against_loops():
 
 def test_krein_solution_lambda_zero_closed_form():
     h = const_accelerant(0.5, 100)
-    phi = krein_solution(h, 0.0)
+    (phi,) = krein_solution(h, (0.0,))
     x = h.grid.nodes
     target = 1.0 / (1.0 + 0.5 * x)
     assert np.max(np.abs(phi[:, 0, 0] - target)) < 1e-12
@@ -99,7 +99,7 @@ def test_krein_solution_oscillatory_closed_form():
     # phi_1 = e^{i lam x} (1 - c/(1+cx) * (1 - e^{-2 i lam x}) / (2 i lam))
     c, lam = 0.5, 1.0
     h = const_accelerant(c, 100)
-    phi = krein_solution(h, lam)
+    (phi,) = krein_solution(h, (lam,))
     x = h.grid.nodes
     target = np.exp(1j * lam * x) * (
         1.0 - c / (1.0 + c * x) * (1.0 - np.exp(-2j * lam * x)) / (2j * lam)
@@ -109,14 +109,14 @@ def test_krein_solution_oscillatory_closed_form():
 
 def test_krein_solution_gates_on_accelerant():
     with pytest.raises(NotAccelerantError):
-        krein_solution(const_accelerant(-1.25, 40), 0.0)
+        krein_solution(const_accelerant(-1.25, 40), (0.0,))
 
 
 def test_solution_routes_agree():
     h = gauss_accelerant(0.3, 100)
     q = theta(h)
     lam = 1.0 + 0.5j
-    a = krein_solution(h, lam)
+    (a,) = krein_solution(h, (lam,))
     b = solve_cauchy(q, lam) @ structural_constants(1).a_col
     c = transmuted_solution(transmutation_kernel(q), lam)
     assert np.max(np.abs(a - b)) < 5e-3

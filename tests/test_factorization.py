@@ -1,5 +1,7 @@
 """Convolution kernel, accelerant sweep, GLM row solves, triangular split."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,10 @@ from kreinmap import (
     reflect,
     solve_glm,
     solve_krein,
+    theta,
 )
+from kreinmap import factorization
+from kreinmap.factorization import _dense_row
 
 
 def test_convolution_reads_exact_samples():
@@ -210,3 +215,93 @@ def test_factorize_matches_dense_brute_force():
         l_fact = d_scale @ lo
         assert np.max(np.abs(u_fact - u_brute)) < 1e-10, f"seed {seed}"
         assert np.max(np.abs(l_fact - l_brute)) < 1e-10, f"seed {seed}"
+
+
+def _dense_glm(f: Kernel2D, plus, minus) -> np.ndarray:
+    """solve_glm row by row, each row one dense solve: the reference."""
+    x = np.zeros_like(f.values)
+    x[0, 0] = -(f.values[0, 0] if plus is None else plus)
+    for i in range(1, f.grid.N + 1):
+        x[i, : i + 1] = _dense_row(f, i, plus, minus)
+    return x
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """The rows solve_glm hands to its dense fallback, in call order."""
+    rows = []
+
+    def counted(f, i, *edges):
+        rows.append(i)
+        return _dense_row(f, i, *edges)
+
+    monkeypatch.setattr(factorization, "_dense_row", counted)
+    return rows
+
+
+_GLM_KERNELS = {
+    "direct": convolution_kernel,
+    "reflected": lambda h: convolution_kernel(reflect(h)),
+    "refined": lambda h: convolution_kernel(h, h.grid.refined()),
+    "folded": folded_kernel,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GLM_KERNELS))
+def test_nested_solve_matches_dense_rows(fallback_rows, kind):
+    # 25 seeded accelerants per kernel kind, 100 in all: r = 1..3, N from 8
+    # to 200 (r = 1 only from 100 up), each edge term on or off. The refined
+    # and folded kernels have twice the rows or the block size, so their N
+    # stops at 100 to keep the dense reference quick.
+    sizes = (8, 16, 32, 64, 8, 16, 32, 100, 8, 200)
+    for seed in range(25):
+        r = 1 if seed % 10 >= 7 else 1 + seed % 3
+        n_cells = sizes[seed % 10]
+        if kind in ("refined", "folded"):
+            n_cells = min(n_cells, 100)
+        h = random_accelerant(seed, r=r, n_cells=n_cells, scale=0.3)
+        f = _GLM_KERNELS[kind](h)
+        rng = np.random.default_rng(seed)
+        edges = 0.3 * (rng.standard_normal((2, f.n, f.n)) + 1j * rng.standard_normal((2, f.n, f.n)))
+        plus = edges[0] if seed % 2 else None
+        minus = edges[1] if seed % 4 >= 2 else None
+        ref = _dense_glm(f, plus, minus)
+        got = solve_glm(f, edge_plus=plus, edge_minus=minus).values
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), f"seed {seed}"
+        assert fallback_rows == [], f"seed {seed}: the nested LU alone should do"
+
+
+@pytest.mark.parametrize("k", [100, 50, 20])
+def test_nested_solve_falls_back_on_singular_leading_blocks(fallback_rows, k):
+    # for c = -1/(x_k + step/2) the leading block S_k of the shared matrix
+    # is singular (det S_k = 1 + c (x_k + step/2)), though no A_i is and the
+    # sweep accepts c. Without the fallback the rows after k are wrong by
+    # 2e-2 relative for k = 50 and 20. For k = N the tiny pivot feeds only
+    # the last row, whose Woodbury step absorbs it, and no row is flagged.
+    n_cells = 100
+    c = -1.0 / (k / n_cells + 0.5 / n_cells)
+    h = const_accelerant(c, n_cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta(h)
+        got = solve_krein(h).values
+    edge = np.array([[c]], dtype=complex)  # the one-sided limits of a constant
+    ref = _dense_glm(convolution_kernel(h), edge, edge)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    if k < n_cells:
+        assert fallback_rows, "no row went to the dense fallback"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_nested_solve_survives_a_zero_pivot(fallback_rows, n):
+    # edge_plus = -(2/step) I zeroes the first diagonal block of the shared
+    # matrix, so its LU divides by zero at once, while every A_i stays
+    # regular. Each row must then come from the dense solve, with no warning.
+    f = _random_full_kernel(n, 16, n)
+    plus = -2.0 * f.grid.N * np.eye(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve_glm(f, edge_plus=plus).values
+    assert fallback_rows == list(range(1, 17))
+    ref = _dense_glm(f, plus, None)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
