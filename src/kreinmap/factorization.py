@@ -79,6 +79,12 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
     variables is unitarily equivalent, via the index flip, to the same
     matrix built from the reflected accelerant, so the verdict is
     reflection-invariant on the grid.
+
+    Only the nodes alpha = x_k are tested, so an I + H_alpha that is
+    singular strictly between two nodes goes unseen.  For the constant
+    h = c = -1/(x_20 + step/2) at N = 100, 1 + c alpha vanishes at
+    alpha = 0.205, yet the sweep accepts with a minimum margin of 2.4e-2
+    (at alpha = 0.21).
     """
     N, r = h.grid.N, h.r
     conv = convolution_kernel(h).values

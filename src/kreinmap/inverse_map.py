@@ -7,6 +7,13 @@ grid, its Volterra resolvent, the product kernel, and finally the extraction
 of the accelerant along characteristic lines.  Every solve is direct, so the
 inverse map has no tolerance or iteration budget and no convergence failure.
 
+For an off-diagonal potential the transformation kernels have only four
+nonzero r x r blocks, which form two independent chains (_kernel_chains).
+The march stores and multiplies only those blocks, and the transmutation
+kernel reads each of its blocks as a sum of two chain blocks, so the inverse
+map never forms the full 2r x 2r kernels; transformation_kernels scatters
+the chains into them for the consumers that need them.
+
 Two discretization conventions deserve a note because they are easy to get
 wrong.  First, the Volterra resolvent is solved by forward substitution with
 per-interval trapezoid weights rather than read off the inverted operator
@@ -58,56 +65,97 @@ def _require_finite(what: str, a: np.ndarray) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _kernel_chains(q: Potential) -> np.ndarray:
+    """Nonzero r x r blocks of the transformation kernels, by row marching.
+
+    With JQ = [[0, a], [b, 0]], a = -i q_plus and b = i q_minus, P_plus is
+    block-diagonal and P_minus block-off-diagonal, and the coupled system
+    splits into two independent chains of r x r kernels (U, V):
+
+        U(x,t) = int_t^x alpha(s) V(s, s-t) ds
+        V(x,t) = int_t^x beta(s) U(s, s-t) ds + beta(t)
+
+    chain A is (U, V) = (P_plus[0,0], P_minus[1,0]) with (alpha, beta) = (a, b),
+    chain B is (U, V) = (P_plus[1,1], P_minus[0,1]) with (alpha, beta) = (b, a).
+    Returns out[c, k, i, j] = (U if k == 0 else V)(x_i, x_j) of chain c.
+
+    Both chains march together, stacked on a leading axis.  The trapezoid
+    system is Volterra in x: one forward march over the rows x_i solves it
+    exactly, in O(N^2 r^3), with running sums over s < x_i for the history.
+    The half-weight endpoint s = x_i couples U(x_i, x_j) only with
+    V(x_i, x_i - x_j), so each row solves, per chain, with the one matrix
+    I - (step/2)^2 alpha(x_i) beta(x_i) for all its columns; column 0 is
+    explicit since V(x_i, x_i) = beta(x_i).  These matrices are the diagonal
+    blocks of I - h^2, h = (step/2) JQ(x_i), nonsingular while rho(h) < 1,
+    which transmutation_kernel checks.  They depend on the row alone, so all
+    their inverses come from one batched call before the march.  Kernels
+    that overflow floating point raise FieldFormatError.
+    """
+    r = q.r
+    m = q.grid.N + 1
+    step = q.grid.step
+    a, b = -1j * q.q_plus, 1j * q.q_minus
+    beta = np.stack([b, a], axis=1)  # beta[i, c]
+    co = np.stack([np.stack([a, b], axis=1), beta], axis=2)  # co[i, c, k]: alpha, beta
+    # out[i, c, k, :, j] is the block at (x_i, x_j), laid out so that an r x r
+    # coefficient applies to a whole row as one product with reshape(r, -1)
+    out = np.zeros((m, 2, 2, r, m, r), dtype=np.complex128)
+    # hist[c, k, :, j]: trapezoid sum over s in [x_j, x_{i-1}], without the
+    # step, of coefficient(s) times the other kind at (s, s - x_j)
+    hist = np.zeros((2, 2, r, m, r), dtype=np.complex128)
+    # the pairing matrices of rows 2.. (rows 0 and 1 have no paired column),
+    # inverted in one batched call
+    pair = np.zeros((m, 2, r, r), dtype=np.complex128)
+    pair[2:] = np.linalg.inv(np.eye(r) - (0.5 * step) ** 2 * (co[2:, :, 0] @ co[2:, :, 1]))
+    for i in range(m):
+        h = 0.5 * step * co[i]
+        row = out[i]
+        row[..., :i, :] = step * hist[..., :i, :]
+        row[:, 1, :, : i + 1] += beta[: i + 1].transpose(1, 2, 0, 3)  # the source beta(x_j)
+        if i:
+            row[:, 0, :, 0] += h[:, 0] @ beta[i]
+        # pair (x_i, x_j) with (x_i, x_i - x_j) through the endpoint term
+        if i > 1:
+            shape = (2, r, i - 1, r)
+            rhs = row[:, 0, :, 1:i] + (h[:, 0] @ row[:, 1, :, i - 1 : 0 : -1].reshape(2, r, -1)).reshape(shape)
+            row[:, 0, :, 1:i] = (pair[i] @ rhs.reshape(2, r, -1)).reshape(shape)
+            row[:, 1, :, 1:i] += (h[:, 1] @ row[:, 0, :, i - 1 : 0 : -1].reshape(2, r, -1)).reshape(shape)
+        # the row's own term: full weight for x_j < x_i, half at x_j = x_i
+        own = (co[i] @ row[:, ::-1, :, i::-1].reshape(2, 2, r, -1)).reshape(2, 2, r, -1, r)
+        hist[..., :i, :] += own[..., :i, :]
+        hist[..., i, :] = 0.5 * own[..., i, :]
+    _require_finite("transformation kernels", out)
+    return out.transpose(1, 2, 0, 4, 3, 5)
+
+
 def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     """Solve the coupled system for the kernels of the solution representation.
 
     P_plus(x,t) = int_t^x JQ(s) P_minus(s, s-t) ds
     P_minus(x,t) = int_t^x JQ(s) P_plus(s, s-t) ds + JQ(t)
 
-    The trapezoid-discretized system is Volterra in x: one forward march over
-    the rows x_i solves it exactly, in O(N^2 r^3) for any potential, with
-    running sums over s < x_i for the history.  The half-weight endpoint
-    s = x_i couples P_plus(x_i, x_j) only with P_minus(x_i, x_i - x_j), so
-    each row needs one solve with I - h^2, h = (step/2) JQ(x_i), shared by
-    its columns; column 0 is explicit since P_minus(x_i, x_i) = JQ(x_i).
-    I - h^2 is nonsingular while rho(h) < 1, which transmutation_kernel
-    checks.  Kernels that overflow floating point raise FieldFormatError.
+    The trapezoid-discretized system is solved exactly as two decoupled
+    chains of r x r kernels (see _kernel_chains), whose blocks are scattered
+    into the full 2r x 2r kernels: P_plus = diag(U_A, U_B) and P_minus has
+    V_B above and V_A below the diagonal.  A potential too large for its grid
+    is refused by transmutation_kernel, not here.  Kernels that overflow
+    floating point raise FieldFormatError.
 
-    P_plus commutes with J and P_minus anticommutes, exactly, because every
-    step preserves the block structure; the check at the end is a tripwire.
+    P_plus commutes with J and P_minus anticommutes, exactly, since the
+    chains hold no other blocks.  The check at the end is a tripwire on the
+    scatter: it fails if a block lands on the wrong side of the diagonal.
     """
-    sc = structural_constants(q.r)
+    r, n = q.r, 2 * q.r
     m = q.grid.N + 1
-    n = 2 * q.r
-    jq = sc.J @ q.full()
-    step = q.grid.step
-    # pm[i, a, k, j, c] = P(x_i, x_j)[a, c] with k = 0 plus, 1 minus, so that a
-    # 2r x 2r matrix applies to a whole row as one product with reshape(n, -1)
-    pm = np.zeros((m, n, 2, m, n), dtype=np.complex128)
-    # hist[:, k, j]: trapezoid sum over s in [x_j, x_{i-1}], without the step,
-    # of JQ(s) P(s, s - x_j) with the other kind of P
-    hist = np.zeros((n, 2, m, n), dtype=np.complex128)
-    for i in range(m):
-        h = 0.5 * step * jq[i]
-        row = pm[i]
-        row[:, :, :i] = step * hist[:, :, :i]
-        row[:, 1, : i + 1] += jq[: i + 1].transpose(1, 0, 2)  # the source JQ(x_j)
-        if i:
-            row[:, 0, 0] += h @ jq[i]
-        # pair (x_i, x_j) with (x_i, x_i - x_j) through the endpoint term
-        if i > 1:
-            a = np.eye(n) - h @ h
-            rhs = row[:, 0, 1:i] + (h @ row[:, 1, i - 1 : 0 : -1].reshape(n, -1)).reshape(n, -1, n)
-            row[:, 0, 1:i] = np.linalg.solve(a, rhs.reshape(n, -1)).reshape(rhs.shape)
-            row[:, 1, 1:i] += (h @ row[:, 0, i - 1 : 0 : -1].reshape(n, -1)).reshape(n, -1, n)
-        # the row's own term: full weight for x_j < x_i, half at x_j = x_i
-        own = (jq[i] @ row[:, ::-1, i::-1].reshape(n, -1)).reshape(n, 2, -1, n)
-        hist[:, :, :i] += own[:, :, :i]
-        hist[:, :, i] = 0.5 * own[:, :, i]
-    _require_finite("transformation kernels", pm)
-    plus, minus = np.ascontiguousarray(pm.transpose(2, 0, 3, 1, 4))
+    (ua, va), (ub, vb) = _kernel_chains(q)
+    plus = np.zeros((m, m, n, n), dtype=np.complex128)
+    minus = np.zeros_like(plus)
+    plus[..., :r, :r] = ua
+    plus[..., r:, r:] = ub
+    minus[..., r:, :r] = va
+    minus[..., :r, r:] = vb
 
-    d = np.diagonal(sc.J)  # J is diagonal: (PJ -+ JP)[a, c] = P[a, c] (d[c] -+ d[a])
+    d = np.diagonal(structural_constants(r).J)  # (PJ -+ JP)[a, c] = P[a, c] (d[c] -+ d[a])
     sym = max(np.abs(plus * (d - d[:, None])).max(), np.abs(minus * (d + d[:, None])).max())
     if sym > 1e-8:
         raise AssertionError(f"block symmetry violated by {sym:.3e}")
@@ -136,27 +184,35 @@ def transmutation_kernel(q: Potential) -> Kernel2D:
     half-argument is an exact node read.  Their trapezoid system approximates
     the kernels only while h = (step/2) JQ(x_i) has spectral radius below one
     there; a potential too large for its grid raises FieldFormatError.
+
+    With B = [[0, I], [I, 0]] each of the four blocks of K is a sum of two
+    chain blocks (see _kernel_chains), read at near = (x-t)/2 on the diagonal
+    and at far = (x+t)/2 off it: K00 = (U_A + V_B)/2, K11 = (U_B + V_A)/2,
+    and likewise K01, K10 at far.  The full kernels are never formed.
     """
     fine = Potential(
         q.r, q.grid.refined(), _midpoint_fill(q.q_plus), _midpoint_fill(q.q_minus)
     )
-    sc = structural_constants(q.r)
+    r = q.r
+    sc = structural_constants(r)
     rho = 0.5 * fine.grid.step * np.abs(np.linalg.eigvals(sc.J @ fine.full())).max()
     if rho >= 1.0:
         raise FieldFormatError(f"grid too coarse for the potential: (step/2) rho(JQ) = {rho:.3g}")
-    p_plus, p_minus = transformation_kernels(fine)
+    (ua, va), (ub, vb) = _kernel_chains(fine)
     m = q.grid.N + 1
     i, j = np.indices((m, m))
     low = j <= i
     rows = 2 * i
     near = np.where(low, i - j, 0)
     far = np.where(low, i + j, 0)
-    pp, pm = p_plus.values, p_minus.values
-    vals = 0.5 * (
-        pp[rows, near] + pp[rows, far] @ sc.B + pm[rows, near] @ sc.B + pm[rows, far]
-    )
+    vals = np.empty((m, m, 2 * r, 2 * r), dtype=np.complex128)
+    vals[..., :r, :r] = ua[rows, near] + vb[rows, near]
+    vals[..., r:, r:] = ub[rows, near] + va[rows, near]
+    vals[..., :r, r:] = ua[rows, far] + vb[rows, far]
+    vals[..., r:, :r] = ub[rows, far] + va[rows, far]
+    vals *= 0.5
     vals[~low] = 0.0
-    return Kernel2D(2 * q.r, q.grid, "lower", vals)
+    return Kernel2D(2 * r, q.grid, "lower", vals)
 
 
 @np.errstate(over="ignore", invalid="ignore")

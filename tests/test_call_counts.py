@@ -12,7 +12,7 @@ from conftest import const_accelerant, linear_potential
 
 import kreinmap
 import kreinmap.cli
-from kreinmap import identity_suite, roundtrip_report
+from kreinmap import identity_suite, roundtrip_report, upsilon
 from kreinmap.cli import main, write_field
 
 
@@ -45,6 +45,13 @@ def test_identity_suite_builds_each_resolvent_once(count_calls):
     assert identity_suite(linear_potential(16)).passed
     # one each for Q and for its adjoint Q*
     assert counts == {"transmutation_kernel": 2, "resolvent_volterra": 2}
+
+
+def test_upsilon_builds_no_full_transformation_kernels(count_calls):
+    counts = count_calls("transmutation_kernel", "transformation_kernels")
+    upsilon(linear_potential(16))
+    # K_Q and K_{Q*} are read from the kernel chains directly
+    assert counts == {"transmutation_kernel": 2, "transformation_kernels": 0}
 
 
 @pytest.mark.parametrize("field", [const_accelerant(0.5, 32), linear_potential(32)])

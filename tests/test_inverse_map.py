@@ -22,6 +22,7 @@ from kreinmap import (
     transmutation_kernel,
     upsilon,
 )
+from kreinmap.inverse_map import _midpoint_fill
 
 
 def _zero_potential(n_cells: int, r: int = 1) -> Potential:
@@ -42,9 +43,10 @@ def test_transformation_kernels_vanish_for_zero_potential():
     assert np.all(p_minus.values == 0)
 
 
-def test_transformation_kernels_block_symmetry():
-    q = _random_potential(1)
-    sc = structural_constants(1)
+@pytest.mark.parametrize("r", [1, 2])
+def test_transformation_kernels_block_symmetry(r):
+    q = _random_potential(1, r=r)
+    sc = structural_constants(r)
     p_plus, p_minus = transformation_kernels(q)
     assert np.max(np.abs(p_plus.values @ sc.J - sc.J @ p_plus.values)) < 1e-12
     assert np.max(np.abs(p_minus.values @ sc.J + sc.J @ p_minus.values)) < 1e-12
@@ -98,8 +100,11 @@ def _dense_transformation_kernels(q: Potential) -> tuple[np.ndarray, np.ndarray]
 def test_transformation_kernels_against_dense_solve():
     # the strong constant potentials grow the kernels like e^{|Q| x}, so
     # they are compared relative to the kernels' size
+    # r >= 2 makes a b != b a, so swapped chains or coefficients show
     cases = [
         (_random_potential(2), None),
+        (_random_potential(2, r=2), None),
+        (_random_potential(2, r=3), None),
         (const_potential(10.0, 8), 1e-12),
         (const_potential(40.0, 8), 1e-12),
     ]
@@ -116,6 +121,38 @@ def test_transformation_kernels_against_dense_solve():
 def test_transmutation_kernel_zero_potential():
     k = transmutation_kernel(_zero_potential(8))
     assert np.all(k.values == 0)
+
+
+def _four_term_transmutation(q: Potential) -> np.ndarray:
+    """K(x,t) = (1/2){P+(near) + P+(far)B + P-(near)B + P-(far)}, literally.
+
+    near = (x-t)/2 and far = (x+t)/2 are node reads of the full kernels
+    solved on the refined grid.
+    """
+    fine = Potential(q.r, q.grid.refined(), _midpoint_fill(q.q_plus), _midpoint_fill(q.q_minus))
+    p_plus, p_minus = transformation_kernels(fine)
+    pp, pm = p_plus.values, p_minus.values
+    b = structural_constants(q.r).B
+    m = q.grid.N + 1
+    vals = np.zeros((m, m, 2 * q.r, 2 * q.r), dtype=np.complex128)
+    for i in range(m):
+        for j in range(i + 1):
+            near, far = i - j, i + j
+            vals[i, j] = 0.5 * (
+                pp[2 * i, near] + pp[2 * i, far] @ b + pm[2 * i, near] @ b + pm[2 * i, far]
+            )
+    return vals
+
+
+@pytest.mark.parametrize(
+    "q",
+    [_random_potential(4), _random_potential(4, r=2), const_potential(10.0, 50)],
+    ids=["random-r1", "random-r2", "const10-N50"],
+)
+def test_transmutation_kernel_against_four_term_formula(q):
+    ref = _four_term_transmutation(q)
+    k = transmutation_kernel(q)
+    assert np.max(np.abs(k.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_transmutation_matches_folded_factor():
