@@ -29,6 +29,7 @@ from .fields import (
 )
 from .forward_map import block_krein_kernel, folded_kernel, theta
 from .inverse_map import (
+    _require_resolved,
     assemble_product,
     characteristic_extract,
     resolvent_product_kernel,
@@ -193,7 +194,10 @@ def check_fundamental_representation(
     E(x) + int_0^x P+(x,t) E(x-2t) dt + int_0^x P-(x,t) E(2t-x) dt is
     compared with the integrated solution per spectral value. Non-real
     values get the looser tolerance; conditioning grows like e^{|Im lam|}.
+    A potential the march does not resolve on its own grid raises
+    FieldFormatError.
     """
+    _require_resolved(q)
     plus, minus = transformation_kernels(q)
     grid = q.grid
     x = grid.nodes
@@ -302,8 +306,11 @@ def identity_suite(
     algebraic contractions carry algebraic_tol, and the two structural
     checks that hold at the matrix level (J-block symmetry of the
     transformation pair, the triangular resolvent identity) carry fixed
-    tight tolerances.
+    tight tolerances.  The transformation pair is built on the potential's
+    own grid, so a potential the march does not resolve there raises
+    FieldFormatError before any work.
     """
+    _require_resolved(q)
     sc = structural_constants(q.r)
     J, B = sc.J, sc.B
     astar = sc.a_row.conj().T

@@ -64,6 +64,25 @@ def _require_finite(what: str, a: np.ndarray) -> None:
         raise FieldFormatError(f"{what} overflow floating point; the potential is too large")
 
 
+def _require_resolved(q: Potential) -> None:
+    """Refuse a potential whose trapezoid march does not resolve it on its grid.
+
+    The march approximates the transformation kernels only while
+    h = (step/2) JQ(x_i) has spectral radius below one; at one the pairing
+    matrix I - h^2 of _kernel_chains can be singular.  The test reads
+    rho(h)^2 = rho(h^2), and h^2 = (step/2)^2 diag(ab, ba) with ab = q+ q-,
+    the pairing product itself: rho(h) = 1 exactly (q+- = 16 at N = 8) is
+    then refused, where the eigenvalues of h would round to just below one.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        hh = (0.5 * q.grid.step) ** 2 * (q.q_plus @ q.q_minus)
+    rho2 = np.abs(np.linalg.eigvals(hh)).max() if np.isfinite(hh).all() else np.inf
+    if rho2 >= 1.0:
+        raise FieldFormatError(
+            f"grid too coarse for the potential: (step/2) rho(JQ) = {np.sqrt(rho2):.3g}"
+        )
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _kernel_chains(q: Potential) -> np.ndarray:
     """Nonzero r x r blocks of the transformation kernels, by row marching.
@@ -87,7 +106,7 @@ def _kernel_chains(q: Potential) -> np.ndarray:
     I - (step/2)^2 alpha(x_i) beta(x_i) for all its columns; column 0 is
     explicit since V(x_i, x_i) = beta(x_i).  These matrices are the diagonal
     blocks of I - h^2, h = (step/2) JQ(x_i), nonsingular while rho(h) < 1,
-    which transmutation_kernel checks.  They depend on the row alone, so all
+    which _require_resolved checks.  They depend on the row alone, so all
     their inverses come from one batched call before the march.  Kernels
     that overflow floating point raise FieldFormatError.
     """
@@ -138,8 +157,8 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     chains of r x r kernels (see _kernel_chains), whose blocks are scattered
     into the full 2r x 2r kernels: P_plus = diag(U_A, U_B) and P_minus has
     V_B above and V_A below the diagonal.  A potential too large for its grid
-    is refused by transmutation_kernel, not here.  Kernels that overflow
-    floating point raise FieldFormatError.
+    is refused by the callers (_require_resolved), not here.  Kernels that
+    overflow floating point raise FieldFormatError.
 
     P_plus commutes with J and P_minus anticommutes, exactly, since the
     chains hold no other blocks.  The check at the end is a tripwire on the
@@ -193,11 +212,8 @@ def transmutation_kernel(q: Potential) -> Kernel2D:
     fine = Potential(
         q.r, q.grid.refined(), _midpoint_fill(q.q_plus), _midpoint_fill(q.q_minus)
     )
+    _require_resolved(fine)
     r = q.r
-    sc = structural_constants(r)
-    rho = 0.5 * fine.grid.step * np.abs(np.linalg.eigvals(sc.J @ fine.full())).max()
-    if rho >= 1.0:
-        raise FieldFormatError(f"grid too coarse for the potential: (step/2) rho(JQ) = {rho:.3g}")
     (ua, va), (ub, vb) = _kernel_chains(fine)
     m = q.grid.N + 1
     i, j = np.indices((m, m))

@@ -1,18 +1,20 @@
 """Each call chain builds every kernel and runs every sweep once.
 
 A counter replaces a function at every kreinmap module binding that holds
-it, so a call is seen whichever module makes it.
+it, so a call is seen whichever module makes it.  The sweep's SVDs are also
+recorded by dtype, to show which arithmetic each accelerant is swept in.
 """
 
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import const_accelerant, linear_potential
 
 import kreinmap
 import kreinmap.cli
-from kreinmap import identity_suite, roundtrip_report, upsilon
+from kreinmap import Accelerant, identity_suite, is_accelerant, roundtrip_report, upsilon
 from kreinmap.cli import main, write_field
 
 
@@ -76,3 +78,37 @@ def test_krein_solution_runs_one_sweep_for_every_lambda(count_calls):
     assert phis.shape == (3, 17, 2, 1)
     # the direct and the reflected Krein kernel
     assert counts == {"is_accelerant": 1, "solve_krein": 2}
+
+
+@pytest.fixture
+def svd_dtypes(monkeypatch):
+    """The dtype of every matrix passed to np.linalg.svd, in call order."""
+    seen = []
+    original = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return seen
+
+
+def test_real_accelerant_is_swept_in_real_arithmetic(svd_dtypes, tmp_path):
+    is_accelerant(const_accelerant(0.5, 16))
+    assert svd_dtypes == [np.dtype(np.float64)] * 16
+
+    # the field file's [re, im] pairs keep the imaginary parts exactly zero
+    svd_dtypes.clear()
+    src = tmp_path / "h.json"
+    write_field(str(src), const_accelerant(0.5, 16))
+    assert main(["check-accelerant", "--in", str(src), "--csv"]) == 0
+    assert svd_dtypes == [np.dtype(np.float64)] * 16
+
+    # one complex sample the sweep reads keeps every truncation complex
+    svd_dtypes.clear()
+    h = const_accelerant(0.5, 16)
+    vals = h.values.copy()
+    vals[2 * 16 + 2] += 0.2j
+    is_accelerant(Accelerant(1, h.grid, vals))
+    assert svd_dtypes == [np.dtype(np.complex128)] * 16

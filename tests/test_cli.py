@@ -312,6 +312,20 @@ def test_verify_command_on_potential(tmp_path, capsys):
     assert "glm_consistency" not in names  # no accelerant to fold
 
 
+def test_verify_command_refuses_unresolved_potential(tmp_path, capsys):
+    # upsilon resolves q+- = 16 at N = 8 on its refined grid ((step/2) q = 0.5),
+    # but verify builds the transformation kernels on the coarse grid, where
+    # (step/2) q = 1 makes the pairing matrix singular
+    src = tmp_path / "q.json"
+    write_field(str(src), const_potential(16.0, 8))
+    assert main(["verify", "--in", str(src)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "grid too coarse" in err[0], err
+    assert "Traceback" not in captured.err
+
+
 def test_solve_dirac_free_evolution(tmp_path):
     src = tmp_path / "q.json"
     dst = tmp_path / "y.csv"

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import const_accelerant, random_accelerant, ratio_ok
+from conftest import const_accelerant, gauss_accelerant, random_accelerant, ratio_ok
 from kreinmap import (
     Accelerant,
     GridSpec,
@@ -65,6 +65,49 @@ def test_accelerant_sweep_reflection_invariant():
         assert a.accepted == b.accepted, f"seed {seed}"
         # index-flip unitary equivalence: identical singular values
         assert np.allclose(a.sigma_min, b.sigma_min, rtol=1e-9, atol=1e-12)
+
+
+def _real_r2_accelerant() -> Accelerant:
+    h = random_accelerant(3, r=2, n_cells=24)
+    return Accelerant(2, h.grid, h.values.real.astype(complex))
+
+
+def _one_complex_sample() -> Accelerant:
+    # the sweep reads only the even samples; u = x_1 is one of them
+    vals = const_accelerant(0.5, 40).values.copy()
+    vals[2 * 40 + 2] += 0.2j
+    return Accelerant(1, GridSpec(40), vals)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        const_accelerant(0.5, 40),
+        const_accelerant(-1.25, 40),
+        gauss_accelerant(0.3, 40),
+        _real_r2_accelerant(),
+        _one_complex_sample(),
+    ],
+    ids=["c=0.5", "c=-1.25", "gauss", "real-r2", "one-complex-sample"],
+)
+def test_accelerant_sweep_matches_complex_svd(h):
+    # reference: every I + H_alpha built and decomposed in complex128
+    N, r = h.grid.N, h.r
+    conv = convolution_kernel(h).values.astype(np.complex128)
+    ref_min, ref_max = np.empty(N), np.empty(N)
+    for k in range(1, N + 1):
+        w = h.grid.trapezoid(k)
+        dim = (k + 1) * r
+        a = (conv[: k + 1, : k + 1] * w[None, :, None, None]).transpose(0, 2, 1, 3)
+        sigma = np.linalg.svd(a.reshape(dim, dim) + np.eye(dim), compute_uv=False)
+        ref_max[k - 1], ref_min[k - 1] = sigma[0], sigma[-1]
+    margins = ref_min / ref_max
+    rep = is_accelerant(h)
+    scale = ref_max.max()
+    assert np.max(np.abs(rep.sigma_min - ref_min)) <= 1e-12 * scale
+    assert np.max(np.abs(rep.sigma_max - ref_max)) <= 1e-12 * scale
+    assert rep.accepted == bool(np.all(margins > 1e-8))
+    assert rep.worst_alpha == (int(np.argmin(margins)) + 1) / N
 
 
 def test_glm_zero_kernel():
