@@ -212,6 +212,8 @@ def cmd_check_accelerant(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise FieldFormatError(f"--tol must be a finite number > 0, got {args.tol!r}")
     field = read_field(args.in_path)
     if not isinstance(field, (Accelerant, Potential)):
         raise FieldFormatError(f"{args.in_path}: roundtrip needs an accelerant or potential")

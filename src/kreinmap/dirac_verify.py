@@ -30,13 +30,13 @@ from .fields import (
 from .forward_map import block_krein_kernel, folded_kernel, theta
 from .inverse_map import (
     _require_resolved,
+    _transmutation_kernels,
     assemble_product,
     characteristic_extract,
     resolvent_product_kernel,
     resolvent_product_parts,
     resolvent_volterra,
     transformation_kernels,
-    transmutation_kernel,
     upsilon,
 )
 from .quadops import _flatten, _unflatten, field_norm, mixed_norm, nystrom_weights, op_from_kernel
@@ -321,7 +321,7 @@ def identity_suite(
     d = np.arange(m)
     report = DiagnosticReport()
 
-    kq = transmutation_kernel(q)
+    kq, k_star = _transmutation_kernels(q, potential_adjoint(q))
     ak, mask_k = apply_wave_operator(kq, "lower")
     report.add(
         "wave_K",
@@ -351,7 +351,8 @@ def identity_suite(
         "boundary_L", float(np.max(np.abs(lq.values[:, 0] @ astar))), algebraic_tol
     )
 
-    l_star = resolvent_volterra(transmutation_kernel(potential_adjoint(q)))
+    l_star = resolvent_volterra(k_star)
+    del k_star
     parts = resolvent_product_parts(lq, l_star)
     i, j = np.indices((m, m))
     f_low = np.where((j <= i)[:, :, None, None], parts.cross, 0) + parts.lower.values

@@ -12,7 +12,10 @@ nonzero r x r blocks, which form two independent chains (_kernel_chains).
 The march stores and multiplies only those blocks, and the transmutation
 kernel reads each of its blocks as a sum of two chain blocks, so the inverse
 map never forms the full 2r x 2r kernels; transformation_kernels scatters
-the chains into them for the consumers that need them.
+the chains into them for the consumers that need them.  The resolvent
+product needs K for Q and for Q*, and their four chains share one march
+over the rows of the refined grid, which stores only the even rows that K
+reads.
 
 Two discretization conventions deserve a note because they are easy to get
 wrong.  First, the Volterra resolvent is solved by forward substitution with
@@ -83,8 +86,14 @@ def _require_resolved(q: Potential) -> None:
         )
 
 
+def _chain_coefficients(q: Potential) -> np.ndarray:
+    """co[i, c, k]: alpha (k = 0) and beta (k = 1) of chains A, B at x_i."""
+    a, b = -1j * q.q_plus, 1j * q.q_minus
+    return np.stack([np.stack([a, b], axis=1), np.stack([b, a], axis=1)], axis=2)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _kernel_chains(q: Potential) -> np.ndarray:
+def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     """Nonzero r x r blocks of the transformation kernels, by row marching.
 
     With JQ = [[0, a], [b, 0]], a = -i q_plus and b = i q_minus, P_plus is
@@ -96,51 +105,57 @@ def _kernel_chains(q: Potential) -> np.ndarray:
 
     chain A is (U, V) = (P_plus[0,0], P_minus[1,0]) with (alpha, beta) = (a, b),
     chain B is (U, V) = (P_plus[1,1], P_minus[0,1]) with (alpha, beta) = (b, a).
-    Returns out[c, k, i, j] = (U if k == 0 else V)(x_i, x_j) of chain c.
+    co[i, c, k] holds alpha (k = 0) and beta (k = 1) of chain c at x_i, for
+    any number of chains on one grid (_chain_coefficients gives A and B of
+    one potential), and they all march together, stacked on a leading axis.
+    Returns out[c, k, l, j] = (U if k == 0 else V)(x_i, x_j) of chain c at
+    the kept rows i = l * stride.
 
-    Both chains march together, stacked on a leading axis.  The trapezoid
-    system is Volterra in x: one forward march over the rows x_i solves it
-    exactly, in O(N^2 r^3), with running sums over s < x_i for the history.
-    The half-weight endpoint s = x_i couples U(x_i, x_j) only with
-    V(x_i, x_i - x_j), so each row solves, per chain, with the one matrix
-    I - (step/2)^2 alpha(x_i) beta(x_i) for all its columns; column 0 is
-    explicit since V(x_i, x_i) = beta(x_i).  These matrices are the diagonal
-    blocks of I - h^2, h = (step/2) JQ(x_i), nonsingular while rho(h) < 1,
-    which _require_resolved checks.  They depend on the row alone, so all
-    their inverses come from one batched call before the march.  Kernels
-    that overflow floating point raise FieldFormatError.
+    The trapezoid system is Volterra in x: one forward march over the rows
+    x_i solves it exactly, in O(N^2 r^3), with running sums over s < x_i for
+    the history.  The half-weight endpoint s = x_i couples U(x_i, x_j) only
+    with V(x_i, x_i - x_j), so each row solves, per chain, with the one
+    matrix I - (step/2)^2 alpha(x_i) beta(x_i) for all its columns; column 0
+    is explicit since V(x_i, x_i) = beta(x_i).  These matrices are the
+    diagonal blocks of I - h^2, h = (step/2) JQ(x_i), nonsingular while
+    rho(h) < 1, which _require_resolved checks.  They depend on the row
+    alone, so all their inverses come from one batched call before the
+    march.  A row is never read back once the march has passed it, since
+    the history holds all it contributes: the march works in a one-row
+    buffer and stores only the kept rows.  Kept rows that overflow floating
+    point raise FieldFormatError; an overflow in a dropped row reaches the
+    last row through the history, and both callers keep the last row.
     """
-    r = q.r
-    m = q.grid.N + 1
-    step = q.grid.step
-    a, b = -1j * q.q_plus, 1j * q.q_minus
-    beta = np.stack([b, a], axis=1)  # beta[i, c]
-    co = np.stack([np.stack([a, b], axis=1), beta], axis=2)  # co[i, c, k]: alpha, beta
-    # out[i, c, k, :, j] is the block at (x_i, x_j), laid out so that an r x r
-    # coefficient applies to a whole row as one product with reshape(r, -1)
-    out = np.zeros((m, 2, 2, r, m, r), dtype=np.complex128)
+    m, chains, _, r, _ = co.shape
+    beta = co[:, :, 1]
+    # row[c, k, :, j] is the block at (x_i, x_j), laid out so that an r x r
+    # coefficient applies to a whole row as one product with reshape(r, -1);
+    # columns j > i stay zero until row j reaches them
+    row = np.zeros((chains, 2, r, m, r), dtype=np.complex128)
+    out = np.empty(((m - 1) // stride + 1,) + row.shape, dtype=np.complex128)
     # hist[c, k, :, j]: trapezoid sum over s in [x_j, x_{i-1}], without the
     # step, of coefficient(s) times the other kind at (s, s - x_j)
-    hist = np.zeros((2, 2, r, m, r), dtype=np.complex128)
+    hist = np.zeros_like(row)
     # the pairing matrices of rows 2.. (rows 0 and 1 have no paired column),
     # inverted in one batched call
-    pair = np.zeros((m, 2, r, r), dtype=np.complex128)
+    pair = np.zeros((m, chains, r, r), dtype=np.complex128)
     pair[2:] = np.linalg.inv(np.eye(r) - (0.5 * step) ** 2 * (co[2:, :, 0] @ co[2:, :, 1]))
     for i in range(m):
         h = 0.5 * step * co[i]
-        row = out[i]
         row[..., :i, :] = step * hist[..., :i, :]
         row[:, 1, :, : i + 1] += beta[: i + 1].transpose(1, 2, 0, 3)  # the source beta(x_j)
         if i:
             row[:, 0, :, 0] += h[:, 0] @ beta[i]
         # pair (x_i, x_j) with (x_i, x_i - x_j) through the endpoint term
         if i > 1:
-            shape = (2, r, i - 1, r)
-            rhs = row[:, 0, :, 1:i] + (h[:, 0] @ row[:, 1, :, i - 1 : 0 : -1].reshape(2, r, -1)).reshape(shape)
-            row[:, 0, :, 1:i] = (pair[i] @ rhs.reshape(2, r, -1)).reshape(shape)
-            row[:, 1, :, 1:i] += (h[:, 1] @ row[:, 0, :, i - 1 : 0 : -1].reshape(2, r, -1)).reshape(shape)
+            shape = (chains, r, i - 1, r)
+            rhs = row[:, 0, :, 1:i] + (h[:, 0] @ row[:, 1, :, i - 1 : 0 : -1].reshape(chains, r, -1)).reshape(shape)
+            row[:, 0, :, 1:i] = (pair[i] @ rhs.reshape(chains, r, -1)).reshape(shape)
+            row[:, 1, :, 1:i] += (h[:, 1] @ row[:, 0, :, i - 1 : 0 : -1].reshape(chains, r, -1)).reshape(shape)
+        if i % stride == 0:
+            out[i // stride] = row
         # the row's own term: full weight for x_j < x_i, half at x_j = x_i
-        own = (co[i] @ row[:, ::-1, :, i::-1].reshape(2, 2, r, -1)).reshape(2, 2, r, -1, r)
+        own = (co[i] @ row[:, ::-1, :, i::-1].reshape(chains, 2, r, -1)).reshape(chains, 2, r, -1, r)
         hist[..., :i, :] += own[..., :i, :]
         hist[..., i, :] = 0.5 * own[..., i, :]
     _require_finite("transformation kernels", out)
@@ -166,7 +181,7 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     """
     r, n = q.r, 2 * q.r
     m = q.grid.N + 1
-    (ua, va), (ub, vb) = _kernel_chains(q)
+    (ua, va), (ub, vb) = _kernel_chains(_chain_coefficients(q), q.grid.step, 1)
     plus = np.zeros((m, m, n, n), dtype=np.complex128)
     minus = np.zeros_like(plus)
     plus[..., :r, :r] = ua
@@ -207,28 +222,48 @@ def transmutation_kernel(q: Potential) -> Kernel2D:
     With B = [[0, I], [I, 0]] each of the four blocks of K is a sum of two
     chain blocks (see _kernel_chains), read at near = (x-t)/2 on the diagonal
     and at far = (x+t)/2 off it: K00 = (U_A + V_B)/2, K11 = (U_B + V_A)/2,
-    and likewise K01, K10 at far.  The full kernels are never formed.
+    and likewise K01, K10 at far.  The full kernels are never formed, and
+    only the even rows of the refined grid, the nodes x of the potential's
+    own grid, are stored.
     """
-    fine = Potential(
-        q.r, q.grid.refined(), _midpoint_fill(q.q_plus), _midpoint_fill(q.q_minus)
-    )
-    _require_resolved(fine)
-    r = q.r
-    (ua, va), (ub, vb) = _kernel_chains(fine)
-    m = q.grid.N + 1
+    return _transmutation_kernels(q)[0]
+
+
+def _transmutation_kernels(*qs: Potential) -> list[Kernel2D]:
+    """transmutation_kernel of each potential, all from one march.
+
+    The potentials share r and grid, and their chains are stacked into one
+    march over the refined grid (see _kernel_chains), so that K_Q and
+    K_{Q*} cost one pass over its rows.  Each potential is guarded as
+    transmutation_kernel guards it, before any march.
+    """
+    fines = [
+        Potential(q.r, q.grid.refined(), _midpoint_fill(q.q_plus), _midpoint_fill(q.q_minus))
+        for q in qs
+    ]
+    for fine in fines:
+        _require_resolved(fine)
+    co = np.concatenate([_chain_coefficients(fine) for fine in fines], axis=1)
+    # keep the rows x = 2 i of the refined grid, the only ones K reads
+    chains = _kernel_chains(co, fines[0].grid.step, 2)
+    r = qs[0].r
+    m = qs[0].grid.N + 1
     i, j = np.indices((m, m))
     low = j <= i
-    rows = 2 * i
     near = np.where(low, i - j, 0)
     far = np.where(low, i + j, 0)
-    vals = np.empty((m, m, 2 * r, 2 * r), dtype=np.complex128)
-    vals[..., :r, :r] = ua[rows, near] + vb[rows, near]
-    vals[..., r:, r:] = ub[rows, near] + va[rows, near]
-    vals[..., :r, r:] = ua[rows, far] + vb[rows, far]
-    vals[..., r:, :r] = ub[rows, far] + va[rows, far]
-    vals *= 0.5
-    vals[~low] = 0.0
-    return Kernel2D(2 * r, q.grid, "lower", vals)
+    kernels = []
+    for p, q in enumerate(qs):
+        (ua, va), (ub, vb) = chains[2 * p : 2 * p + 2]
+        vals = np.empty((m, m, 2 * r, 2 * r), dtype=np.complex128)
+        vals[..., :r, :r] = ua[i, near] + vb[i, near]
+        vals[..., r:, r:] = ub[i, near] + va[i, near]
+        vals[..., :r, r:] = ua[i, far] + vb[i, far]
+        vals[..., r:, :r] = ub[i, far] + va[i, far]
+        vals *= 0.5
+        vals[~low] = 0.0
+        kernels.append(Kernel2D(2 * r, q.grid, "lower", vals))
+    return kernels
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -349,9 +384,15 @@ def assemble_product(parts: ProductParts) -> Kernel2D:
 
 @np.errstate(over="ignore", invalid="ignore")
 def resolvent_product_kernel(q: Potential) -> Kernel2D:
-    """Full-grid product kernel F with I + F = (I + L)(I + L~)."""
-    l_low = resolvent_volterra(transmutation_kernel(q))
-    l_star = resolvent_volterra(transmutation_kernel(potential_adjoint(q)))
+    """Full-grid product kernel F with I + F = (I + L)(I + L~).
+
+    K_Q and K_{Q*} come from one march (_transmutation_kernels), and each is
+    dropped once its resolvent is built, so that no more kernel-sized arrays
+    are held at once than with one march per potential.
+    """
+    kernels = _transmutation_kernels(q, potential_adjoint(q))
+    l_low = resolvent_volterra(kernels.pop(0))
+    l_star = resolvent_volterra(kernels.pop())
     return assemble_product(resolvent_product_parts(l_low, l_star))
 
 

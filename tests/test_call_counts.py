@@ -1,10 +1,13 @@
 """Each call chain builds every kernel and runs every sweep once.
 
 A counter replaces a function at every kreinmap module binding that holds
-it, so a call is seen whichever module makes it.  The sweep's SVDs are also
-recorded by dtype, to show which arithmetic each accelerant is swept in.
+it, so a call is seen whichever module makes it.  A public name is looked
+up on the package; "module.name" names a private function of a module.
+The sweep's SVDs are also recorded by dtype, to show which arithmetic each
+accelerant is swept in.
 """
 
+import importlib
 import sys
 
 import numpy as np
@@ -27,7 +30,9 @@ def count_calls(monkeypatch):
             if key == "kreinmap" or key.startswith("kreinmap.")
         ]
         for name in names:
-            original = getattr(kreinmap, name)
+            module, _, attr = name.rpartition(".")
+            owner = importlib.import_module(f"kreinmap.{module}") if module else kreinmap
+            original = getattr(owner, attr)
 
             def counted(*args, _name=name, _fn=original, **kwargs):
                 counts[_name] += 1
@@ -43,17 +48,24 @@ def count_calls(monkeypatch):
 
 
 def test_identity_suite_builds_each_resolvent_once(count_calls):
-    counts = count_calls("transmutation_kernel", "resolvent_volterra")
+    counts = count_calls("inverse_map._kernel_chains", "resolvent_volterra")
     assert identity_suite(linear_potential(16)).passed
-    # one each for Q and for its adjoint Q*
-    assert counts == {"transmutation_kernel": 2, "resolvent_volterra": 2}
+    # one march for K_Q and K_{Q*} on the refined grid, one for symmetry_P on
+    # the potential's own grid; one resolvent each for Q and for its adjoint Q*
+    assert counts == {"inverse_map._kernel_chains": 2, "resolvent_volterra": 2}
 
 
 def test_upsilon_builds_no_full_transformation_kernels(count_calls):
-    counts = count_calls("transmutation_kernel", "transformation_kernels")
+    counts = count_calls(
+        "inverse_map._kernel_chains", "transformation_kernels", "resolvent_volterra"
+    )
     upsilon(linear_potential(16))
-    # K_Q and K_{Q*} are read from the kernel chains directly
-    assert counts == {"transmutation_kernel": 2, "transformation_kernels": 0}
+    # K_Q and K_{Q*} are read from the chains of one march
+    assert counts == {
+        "inverse_map._kernel_chains": 1,
+        "transformation_kernels": 0,
+        "resolvent_volterra": 2,
+    }
 
 
 @pytest.mark.parametrize("field", [const_accelerant(0.5, 32), linear_potential(32)])

@@ -289,6 +289,18 @@ def test_roundtrip_command_reports_ladder(tmp_path, capsys):
     assert "roundtrip_N32" in names
 
 
+def test_roundtrip_command_refuses_malformed_tolerance(tmp_path, capsys):
+    # nan and -1 exited 2, a mathematical rejection; inf passed vacuously
+    src = tmp_path / "q.json"
+    write_field(str(src), const_potential(0.3, 16))
+    for tol in ("nan", "-1", "inf"):
+        assert main(["roundtrip", "--in", str(src), "--ladder", "8,16", "--tol", tol]) == 3, tol
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "--tol must be a finite number > 0" in err[0], err
+
+
 def test_verify_command_on_accelerant(tmp_path, capsys):
     src = tmp_path / "h.json"
     write_field(str(src), gauss_accelerant(0.3, 32))

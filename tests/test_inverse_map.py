@@ -1,10 +1,13 @@
 """Inverse map: transformation kernels, Volterra resolvent, extraction."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import const_accelerant, const_potential, gauss_accelerant, random_accelerant, ratio_ok
 from kreinmap import (
+    FieldFormatError,
     GridSpec,
     Kernel2D,
     Potential,
@@ -13,6 +16,7 @@ from kreinmap import (
     field_norm,
     folded_kernel,
     folded_lower_factor,
+    potential_adjoint,
     resolvent_product_kernel,
     resolvent_volterra,
     structural_constants,
@@ -22,7 +26,7 @@ from kreinmap import (
     transmutation_kernel,
     upsilon,
 )
-from kreinmap.inverse_map import _midpoint_fill
+from kreinmap.inverse_map import _midpoint_fill, _transmutation_kernels
 
 
 def _zero_potential(n_cells: int, r: int = 1) -> Potential:
@@ -153,6 +157,39 @@ def test_transmutation_kernel_against_four_term_formula(q):
     ref = _four_term_transmutation(q)
     k = transmutation_kernel(q)
     assert np.max(np.abs(k.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        _random_potential(5, n_cells=n, r=r)
+        for n in (8, 30)
+        for r in (1, 2, 3)
+    ]
+    + [const_potential(10.0, 50)],
+    ids=[f"random-r{r}-N{n}" for n in (8, 30) for r in (1, 2, 3)] + ["const10-N50"],
+)
+def test_one_march_gives_both_transmutation_kernels_exactly(q):
+    # the stacked march of Q and Q* repeats each potential's own march bit for bit
+    k_q, k_star = _transmutation_kernels(q, potential_adjoint(q))
+    assert np.array_equal(k_q.values, transmutation_kernel(q).values)
+    assert np.array_equal(k_star.values, transmutation_kernel(potential_adjoint(q)).values)
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (const_potential(200.0, 50), "grid too coarse for the potential: (step/2) rho(JQ) = 1"),
+        (
+            const_potential(750.0, 200),
+            "transformation kernels overflow floating point; the potential is too large",
+        ),
+    ],
+    ids=["too-coarse", "overflow"],
+)
+def test_product_kernel_refusals_keep_their_text(q, message):
+    with pytest.raises(FieldFormatError, match=f"^{re.escape(message)}$"):
+        resolvent_product_kernel(q)
 
 
 def test_transmutation_matches_folded_factor():
