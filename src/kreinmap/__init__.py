@@ -27,7 +27,6 @@ from .fields import (
     structural_constants,
 )
 from .quadops import (
-    DiscOp,
     adjoint_op,
     compose,
     field_norm,
@@ -90,7 +89,6 @@ __all__ = [
     "potential_adjoint",
     "reflect",
     "structural_constants",
-    "DiscOp",
     "adjoint_op",
     "compose",
     "field_norm",

@@ -197,7 +197,6 @@ def check_fundamental_representation(
     A potential the march does not resolve on its own grid raises
     FieldFormatError.
     """
-    _require_resolved(q)
     plus, minus = transformation_kernels(q)
     grid = q.grid
     x = grid.nodes
@@ -448,7 +447,7 @@ def check_krein_derivative_identity(h: Accelerant, tol: float = 5e-3) -> Diagnos
 
 def spectral_radius_probe(kernel: Kernel2D, s_max: int = 16) -> list:
     """Rooted operator norms ||M^s||^{1/s} of the induced matrix, s = 1..s_max."""
-    mat = op_from_kernel(kernel).M
+    mat = op_from_kernel(kernel)
     power = mat.copy()
     out = []
     for s in range(1, s_max + 1):

@@ -6,7 +6,8 @@ The central object is the layer-stripping solve for the lower kernel X of
 
 discretized row by row with the trapezoid rule on [0, x_i]. Everything else
 here (the accelerant test, the Krein solve, the two-sided factorization of
-I + F) is built on that solve plus the operator algebra in quadops.
+I + F) is built on that solve; the factorization alone also works with the
+weighted operator matrices of quadops (op_from_kernel, invert_identity_plus).
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError, SingularSystemError
 from .fields import Accelerant, GridSpec, Kernel2D
-from .quadops import _flatten, _unflatten, mixed_norm, nystrom_weights, op_from_kernel
+from .quadops import (
+    _flatten,
+    _unflatten,
+    invert_identity_plus,
+    mixed_norm,
+    nystrom_weights,
+    op_from_kernel,
+)
 
 __all__ = [
     "convolution_kernel",
@@ -364,12 +372,12 @@ def factorize(f_kernel: Kernel2D, leak_tol: float = 5e-8):
     """
     grid, n = f_kernel.grid, f_kernel.n
     l_plus = solve_glm(f_kernel)
-    m_plus = op_from_kernel(l_plus).M
-    m_f = op_from_kernel(f_kernel).M
+    m_plus = op_from_kernel(l_plus)
+    m_f = op_from_kernel(f_kernel)
     u = m_plus + m_f + m_plus @ m_f
 
     m = grid.N + 1
-    ublocks = u.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+    ublocks = _unflatten(u, n)
     i, j = np.indices((m, m))
     leak_vals = np.where((j < i)[:, :, None, None], ublocks, 0.0)
     leak_kernel = Kernel2D(
@@ -381,12 +389,9 @@ def factorize(f_kernel: Kernel2D, leak_tol: float = 5e-8):
             1.0, f"factorization leakage {leakage:.3e} exceeds {leak_tol:.1e}"
         )
 
-    umasked = np.where((j >= i)[:, :, None, None], ublocks, 0.0)
-    u_upper = np.ascontiguousarray(umasked.transpose(0, 2, 1, 3)).reshape(m * n, m * n)
-    minus_mat = np.linalg.solve(np.eye(m * n) + u_upper, np.eye(m * n)) - np.eye(m * n)
-
+    u_upper = _flatten(np.where((j >= i)[:, :, None, None], ublocks, 0.0))
+    mb = _unflatten(invert_identity_plus(u_upper), n)
     tw_up = nystrom_weights(grid, "upper")
-    mb = minus_mat.reshape(m, n, m, n).transpose(0, 2, 1, 3)
     vals = np.zeros_like(mb)
     pos = tw_up > 0
     vals[pos] = mb[pos] / tw_up[pos][:, None, None]

@@ -15,7 +15,8 @@ map never forms the full 2r x 2r kernels; transformation_kernels scatters
 the chains into them for the consumers that need them.  The resolvent
 product needs K for Q and for Q*, and their four chains share one march
 over the rows of the refined grid, which stores only the even rows that K
-reads.
+reads.  Its cross term is quadops.compose of L with the adjoint of L*, so
+the quadrature weights of operator products stay in quadops.
 
 Two discretization conventions deserve a note because they are easy to get
 wrong.  First, the Volterra resolvent is solved by forward substitution with
@@ -45,7 +46,7 @@ from .fields import (
     potential_adjoint,
     structural_constants,
 )
-from .quadops import adjoint_op, compose, op_from_kernel
+from .quadops import adjoint_op, compose
 
 __all__ = [
     "transformation_kernels",
@@ -172,13 +173,14 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     chains of r x r kernels (see _kernel_chains), whose blocks are scattered
     into the full 2r x 2r kernels: P_plus = diag(U_A, U_B) and P_minus has
     V_B above and V_A below the diagonal.  A potential too large for its grid
-    is refused by the callers (_require_resolved), not here.  Kernels that
-    overflow floating point raise FieldFormatError.
+    (_require_resolved) and kernels that overflow floating point raise
+    FieldFormatError.
 
     P_plus commutes with J and P_minus anticommutes, exactly, since the
     chains hold no other blocks.  The check at the end is a tripwire on the
     scatter: it fails if a block lands on the wrong side of the diagonal.
     """
+    _require_resolved(q)
     r, n = q.r, 2 * q.r
     m = q.grid.N + 1
     (ua, va), (ub, vb) = _kernel_chains(_chain_coefficients(q), q.grid.step, 1)
@@ -347,17 +349,8 @@ class ProductParts(NamedTuple):
 @np.errstate(over="ignore", invalid="ignore")
 def resolvent_product_parts(l_low: Kernel2D, l_star: Kernel2D) -> ProductParts:
     """Product parts from the resolvents L of K_Q and L* of K_{Q*}."""
-    grid = l_low.grid
-    upper_vals = np.conj(l_star.values.transpose(1, 0, 3, 2))
-    upper = Kernel2D(l_low.n, grid, "upper", upper_vals)
-
-    # The composed operator read reproduces the trapezoid rule on [0, min(x,t)]
-    # exactly, except on the grid diagonal where the two triangular reads hit
-    # their endpoint together and leave a quarter-weight deficit; patch it.
-    prod = compose(op_from_kernel(l_low), adjoint_op(op_from_kernel(l_star)))
-    cross = prod.blocks() / grid.weights[None, :, None, None]
-    d = np.arange(1, grid.N)
-    cross[d, d] += 0.25 * grid.step * (l_low.values[d, d] @ upper_vals[d, d])
+    upper = adjoint_op(l_star)
+    cross = compose(l_low, upper)
     _require_finite("resolvent product values", cross)
     return ProductParts(l_low, upper, cross)
 

@@ -5,13 +5,16 @@ M[i][j] = w(i,j) K(x_i, x_j), where w is the trapezoid rule matched to the
 support: global weights for full kernels, the restricted rule on [0, x_i]
 (resp. [x_i, 1]) for lower (resp. upper) kernels. Triangular supports carry
 their diagonal with half weight, and the degenerate row (empty interval)
-is zero. This is what makes products of triangular operators agree with the
-iterated integrals to second order.
+is zero. The matrix is held flattened, block (x, s) at rows (x, a) and
+columns (s, b), so that an operator product is one matrix product.
+
+Operators are plain ndarrays, built only where a dense operator is needed
+(the factorization and the spectral radius probe). The cross term of the
+inverse map's resolvent product is compose, one GEMM of the two weighted
+triangular factors, so the weight algebra of operator products stays here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +23,6 @@ from .errors import FieldFormatError, SingularSystemError
 from .fields import Accelerant, GridSpec, Kernel2D, Potential
 
 __all__ = [
-    "DiscOp",
     "nystrom_weights",
     "op_from_kernel",
     "compose",
@@ -29,26 +31,6 @@ __all__ = [
     "mixed_norm",
     "field_norm",
 ]
-
-
-@dataclass(frozen=True)
-class DiscOp:
-    """Dense matrix realization of an integral operator (identity excluded)."""
-
-    n: int
-    grid: GridSpec
-    M: np.ndarray
-
-    def __post_init__(self):
-        dim = (self.grid.N + 1) * self.n
-        M = np.ascontiguousarray(self.M, dtype=np.complex128)
-        if M.shape != (dim, dim):
-            raise FieldFormatError(f"operator matrix shape {M.shape}, expected {(dim, dim)}")
-        object.__setattr__(self, "M", M)
-
-    def blocks(self) -> np.ndarray:
-        """View the matrix as (N+1, N+1, n, n)."""
-        return _unflatten(self.M, self.n)
 
 
 def nystrom_weights(grid: GridSpec, support: str) -> np.ndarray:
@@ -81,20 +63,36 @@ def _unflatten(flat: np.ndarray, n: int) -> np.ndarray:
     return flat.reshape(m, n, m, n).transpose(0, 2, 1, 3)
 
 
-def op_from_kernel(kernel: Kernel2D) -> DiscOp:
+def op_from_kernel(kernel: Kernel2D) -> np.ndarray:
+    """The weighted flattened operator matrix of a kernel (identity excluded)."""
     w = nystrom_weights(kernel.grid, kernel.support)
-    blocks = w[:, :, None, None] * kernel.values
-    return DiscOp(kernel.n, kernel.grid, _flatten(blocks))
+    return _flatten(w[:, :, None, None] * kernel.values)
 
 
-def _check_compatible(a: DiscOp, b: DiscOp):
+def compose(a: Kernel2D, b: Kernel2D) -> np.ndarray:
+    """int_0^min(x,t) a(x,s) b(s,t) ds for a lower a and an upper b, as blocks.
+
+    One GEMM of the flattened factors: a carries the lower rule on [0, x]
+    and b the lower rule on [0, t] divided by the global rule, so that their
+    product is the trapezoid rule on [0, min(x,t)] except on the interior
+    grid diagonal, where both reads hit their endpoint together and leave a
+    quarter-weight deficit that is patched.  Where min(x,t) = 0 the result
+    is zero.  Returns (N+1, N+1, n, n) blocks.
+    """
+    if a.support != "lower" or b.support != "upper":
+        raise FieldFormatError(
+            f"compose takes a lower and an upper kernel, got {a.support} and {b.support}"
+        )
     if a.n != b.n or a.grid.N != b.grid.N:
         raise FieldFormatError("operators live on different grids or block sizes")
-
-
-def compose(a: DiscOp, b: DiscOp) -> DiscOp:
-    _check_compatible(a, b)
-    return DiscOp(a.n, a.grid, a.M @ b.M)
+    grid = a.grid
+    w = nystrom_weights(grid, "lower")
+    left = _flatten(w[:, :, None, None] * a.values)
+    right = _flatten((w.T / grid.weights[:, None])[:, :, None, None] * b.values)
+    out = _unflatten(left @ right, a.n)
+    d = np.arange(1, grid.N)
+    out[d, d] += 0.25 * grid.step * (a.values[d, d] @ b.values[d, d])
+    return out
 
 
 def _is_triangular(M: np.ndarray):
@@ -105,17 +103,21 @@ def _is_triangular(M: np.ndarray):
     return None
 
 
-def invert_identity_plus(op: DiscOp) -> DiscOp:
-    """Gamma with (I + M)(I + Gamma) = I, i.e. the discrete resolvent.
+def invert_identity_plus(m: np.ndarray) -> np.ndarray:
+    """Gamma with (I + m)(I + Gamma) = I, i.e. the discrete resolvent.
 
-    Elementwise-triangular matrices go through a triangular solve; everything
-    else through a dense LU. A numerically singular I + M raises with the
-    smallest singular value attached.
+    m is a square operator matrix (see op_from_kernel); anything else raises
+    FieldFormatError.  Elementwise-triangular matrices go through a
+    triangular solve; everything else through a dense LU. A numerically
+    singular I + m raises with the smallest singular value attached.
     """
-    dim = op.M.shape[0]
-    A = np.eye(dim, dtype=np.complex128) + op.M
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise FieldFormatError(f"operator matrix shape {m.shape} is not a square matrix")
+    dim = m.shape[0]
+    A = np.eye(dim, dtype=np.complex128) + m
     rhs = np.eye(dim, dtype=np.complex128)
-    tri = _is_triangular(op.M)
+    tri = _is_triangular(m)
     try:
         if tri is not None:
             inv = scipy.linalg.solve_triangular(A, rhs, lower=(tri == "lower"))
@@ -128,14 +130,13 @@ def invert_identity_plus(op: DiscOp) -> DiscOp:
     if not np.isfinite(residual) or residual > 1e-6:
         sigma = np.linalg.svd(A, compute_uv=False)
         raise SingularSystemError(float("nan"), f"sigma_min = {sigma[-1]:.3e}")
-    return DiscOp(op.n, op.grid, inv - rhs)
+    return inv - rhs
 
 
-def adjoint_op(op: DiscOp) -> DiscOp:
-    """Kernel-level adjoint K*(x,t) = K(t,x)^H, realized as W^-1 M^H W."""
-    w = np.repeat(op.grid.weights, op.n)
-    M_adj = (op.M.conj().T * w[None, :]) / w[:, None]
-    return DiscOp(op.n, op.grid, M_adj)
+def adjoint_op(kernel: Kernel2D) -> Kernel2D:
+    """Kernel-level adjoint K*(x,t) = K(t,x)^H, with the support flipped."""
+    flip = {"lower": "upper", "upper": "lower", "full": "full"}[kernel.support]
+    return Kernel2D(kernel.n, kernel.grid, flip, np.conj(kernel.values.transpose(1, 0, 3, 2)))
 
 
 def _block_spectral_norms(blocks: np.ndarray) -> np.ndarray:

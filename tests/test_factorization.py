@@ -187,10 +187,10 @@ def _reconstruction_error(f: Kernel2D) -> tuple:
     l_plus, l_minus = factorize(f)
     dim = f.values.shape[0] * f.n
     eye = np.eye(dim)
-    lo = eye + op_from_kernel(l_plus).M
-    up = eye + op_from_kernel(l_minus).M
+    lo = eye + op_from_kernel(l_plus)
+    up = eye + op_from_kernel(l_minus)
     recon = np.linalg.inv(lo) @ np.linalg.inv(up)
-    target = eye + op_from_kernel(f).M
+    target = eye + op_from_kernel(f)
     return float(np.max(np.abs(recon - target))), lo, up
 
 
@@ -248,7 +248,7 @@ def test_factorize_matches_dense_brute_force():
         dim = lo.shape[0]
         m = dim // n
         eye = np.eye(dim)
-        b = np.linalg.inv(eye + op_from_kernel(f).M)
+        b = np.linalg.inv(eye + op_from_kernel(f))
         flip = _block_flip(m, n)
         low_f, up_f = _block_doolittle(flip @ b @ flip, n)
         u_brute = flip @ low_f @ flip

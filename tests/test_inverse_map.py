@@ -103,14 +103,14 @@ def _dense_transformation_kernels(q: Potential) -> tuple[np.ndarray, np.ndarray]
 
 def test_transformation_kernels_against_dense_solve():
     # the strong constant potentials grow the kernels like e^{|Q| x}, so
-    # they are compared relative to the kernels' size
+    # they are compared relative to the kernels' size; potentials the march
+    # does not resolve are refused (see the test below)
     # r >= 2 makes a b != b a, so swapped chains or coefficients show
     cases = [
         (_random_potential(2), None),
         (_random_potential(2, r=2), None),
         (_random_potential(2, r=3), None),
         (const_potential(10.0, 8), 1e-12),
-        (const_potential(40.0, 8), 1e-12),
     ]
     for q, rel in cases:
         plus_ref, minus_ref = _dense_transformation_kernels(q)
@@ -120,6 +120,15 @@ def test_transformation_kernels_against_dense_solve():
             tol = rel * max(np.max(np.abs(p_plus.values)), np.max(np.abs(p_minus.values)))
         assert np.max(np.abs(p_plus.values - plus_ref)) < tol
         assert np.max(np.abs(p_minus.values - minus_ref)) < tol
+
+
+@pytest.mark.parametrize("value, rho", [(16.0, "1"), (40.0, "2.5")])
+def test_transformation_kernels_refuse_unresolved_potential(value, rho):
+    # at (step/2) q = 1 the pairing matrix of the march is singular, and
+    # beyond it the march solves a system that no longer approximates P
+    message = f"grid too coarse for the potential: (step/2) rho(JQ) = {rho}"
+    with pytest.raises(FieldFormatError, match=f"^{re.escape(message)}$"):
+        transformation_kernels(const_potential(value, 8))
 
 
 def test_transmutation_kernel_zero_potential():
