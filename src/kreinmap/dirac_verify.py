@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError
-from .factorization import is_accelerant, solve_krein
+from .factorization import _require_accelerant, solve_krein
 from .fields import (
     Accelerant,
     DiagnosticReport,
@@ -141,13 +141,12 @@ def krein_solution(h: Accelerant, lams) -> np.ndarray:
     phi_1(x) = e^{i lam x} (I + int_0^x e^{-2 i lam s} r_h(x, x-s) ds) and
     phi_2 is the mirror with the reflected accelerant and conjugated phases.
     The stack (phi_1; phi_2) starts at (I; I) and solves the Dirac system
-    with the potential theta(h). Neither the sweep nor the kernels depend
-    on lam, so one of each serves every value in lams; the result has
-    shape (len(lams), N + 1, 2r, r).
+    with the potential theta(h). h passes the same gate as in theta: the
+    sweep runs only when the Schur norm bound cannot certify h. Neither the
+    gate nor the kernels depend on lam, so one of each serves every value
+    in lams; the result has shape (len(lams), N + 1, 2r, r).
     """
-    test = is_accelerant(h)
-    if not test.accepted:
-        raise NotAccelerantError(test.worst_alpha, float(test.margins.min()))
+    _require_accelerant(h)
     r1 = solve_krein(h)
     r2 = solve_krein(reflect(h))
     grid = h.grid

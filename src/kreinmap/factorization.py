@@ -83,7 +83,9 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
 
     and test each restricted matrix I + H_alpha for numerical invertibility.
     A breakpoint is flagged when the smallest singular value is at most
-    1e-8 times the largest. The restriction to [0, alpha] in both
+    1e-8 times the largest. This always runs the full sweep, N dense
+    SVDs; theta and krein_solution call it only for an input that
+    _certified_margin cannot certify. The restriction to [0, alpha] in both
     variables is unitarily equivalent, via the index flip, to the same
     matrix built from the reflected accelerant, so the verdict is
     reflection-invariant on the grid.
@@ -127,6 +129,51 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
         sigma_min=sig_min,
         sigma_max=sig_max,
     )
+
+
+def _certified_margin(h: Accelerant) -> float | None:
+    """A lower bound on every margin of is_accelerant's sweep, or None.
+
+    I + H_alpha is the leading block of I + T D with T the block Toeplitz
+    matrix [h(x_i - x_j)] over all N + 1 nodes and D the trapezoid weights,
+    each at most step. Bounding every block by its spectral norm
+    b_d = |h(d/N)|_2 and applying the Schur test to [b_{i-j}] gives
+    |H_alpha|_2 <= rho := step * sqrt(max row sum * max column sum) for
+    every alpha at once. The row sums and the column sums of [b_{i-j}]
+    are the same N + 1 sliding windows of b_{-N..N}, so rho is step times
+    the largest of them, read from one cumsum. Then every sigma_min is at
+    least 1 - rho and every sigma_max at most 1 + rho.
+
+    For rho <= 1 - 1e-6 every margin is at least (1 - rho)/(1 + rho) > 1e-8,
+    so the sweep would accept, and that bound is returned. Otherwise, and
+    when rho overflows to inf or nan, None: the bound certifies nothing and
+    the input has to be swept.
+    """
+    N = h.grid.N
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.linalg.norm(h.values[::2], 2, axis=(1, 2))  # b_d, d = -N..N
+        sums = np.cumsum(np.concatenate(([0.0], b)))
+        rho = h.grid.step * float(np.max(sums[N + 1 :] - sums[: N + 1]))
+    if not rho <= 1.0 - 1e-6:
+        return None
+    return (1.0 - rho) / (1.0 + rho)
+
+
+def _require_accelerant(h: Accelerant) -> tuple[float, bool]:
+    """The accept-or-sweep gate shared by theta, CLI theta and krein_solution.
+
+    Returns (margin, swept). An input _certified_margin certifies is
+    accepted without a sweep, and margin is that lower bound. Any other
+    input runs is_accelerant, and margin is its minimum; a rejection raises
+    NotAccelerantError from the sweep's worst truncation.
+    """
+    bound = _certified_margin(h)
+    if bound is not None:
+        return bound, False
+    test = is_accelerant(h)
+    if not test.accepted:
+        raise NotAccelerantError(test.worst_alpha, float(test.margins.min()))
+    return float(test.margins.min()), True
 
 
 def solve_glm(

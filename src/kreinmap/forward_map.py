@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotAccelerantError
-from .factorization import is_accelerant, solve_krein
+from .factorization import _require_accelerant, solve_krein
 from .fields import (
     Accelerant,
     Kernel2D,
@@ -27,18 +26,18 @@ __all__ = ["theta", "folded_kernel", "block_krein_kernel", "folded_lower_factor"
 def theta(h: Accelerant) -> Potential:
     """Forward map: q_plus = i r_h(x, 0), q_minus = -i r_reflected(x, 0).
 
-    Rejects inputs that fail the accelerant sweep. The same potential is
+    Rejects inputs that fail the accelerant sweep. The sweep runs only when
+    the Schur norm bound of factorization._certified_margin cannot certify
+    h; a certified h is one the sweep would accept. The same potential is
     assembled a second time through the block-kernel route
     Q = R_H(x,0) B J; the two must agree to round-off.
     """
-    test = is_accelerant(h)
-    if not test.accepted:
-        raise NotAccelerantError(test.worst_alpha, float(test.margins.min()))
+    _require_accelerant(h)
     return _krein_potential(h)
 
 
 def _krein_potential(h: Accelerant) -> Potential:
-    """theta without the sweep, for callers that have already run it."""
+    """theta without the accelerant gate, for callers that have already run it."""
     r_direct = solve_krein(h)
     r_reflected = solve_krein(reflect(h))
     q_plus = 1j * r_direct.values[:, 0]

@@ -76,9 +76,15 @@ def test_roundtrip_builds_one_product_kernel_per_rung(count_calls, field):
     assert counts == {"resolvent_product_kernel": 2}
 
 
+# c = 1.7 is an accelerant (1 + 1.7 alpha > 0) whose Schur norm bound
+# rho = 1.7 (1 + 1/N) exceeds 1, so it is accepted only by the sweep; c = 0.5
+# at N = 16 has rho = 0.53 and is certified without one.
+SWEPT, CERTIFIED = const_accelerant(1.7, 16), const_accelerant(0.5, 16)
+
+
 def test_cli_theta_runs_the_sweep_once(count_calls, tmp_path):
     src = tmp_path / "h.json"
-    write_field(str(src), const_accelerant(0.5, 16))
+    write_field(str(src), SWEPT)
     counts = count_calls("is_accelerant")
     assert main(["theta", "--in", str(src), "--out", str(tmp_path / "q.json")]) == 0
     assert counts == {"is_accelerant": 1}
@@ -86,10 +92,25 @@ def test_cli_theta_runs_the_sweep_once(count_calls, tmp_path):
 
 def test_krein_solution_runs_one_sweep_for_every_lambda(count_calls):
     counts = count_calls("is_accelerant", "solve_krein")
-    phis = kreinmap.krein_solution(const_accelerant(0.5, 16), (0.0, 1.0, 1.0 + 0.5j))
+    phis = kreinmap.krein_solution(SWEPT, (0.0, 1.0, 1.0 + 0.5j))
     assert phis.shape == (3, 17, 2, 1)
     # the direct and the reflected Krein kernel
     assert counts == {"is_accelerant": 1, "solve_krein": 2}
+
+
+def test_certified_accelerant_is_not_swept(count_calls, tmp_path):
+    counts = count_calls("is_accelerant", "solve_krein")
+    kreinmap.theta(CERTIFIED)
+    assert counts == {"is_accelerant": 0, "solve_krein": 2}
+
+    src = tmp_path / "h.json"
+    write_field(str(src), CERTIFIED)
+    assert main(["theta", "--in", str(src), "--out", str(tmp_path / "q.json")]) == 0
+    assert counts == {"is_accelerant": 0, "solve_krein": 4}
+
+    phis = kreinmap.krein_solution(CERTIFIED, (0.0, 1.0, 1.0 + 0.5j))
+    assert phis.shape == (3, 17, 2, 1)
+    assert counts == {"is_accelerant": 0, "solve_krein": 6}
 
 
 @pytest.fixture

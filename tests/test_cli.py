@@ -15,7 +15,7 @@ import pytest
 
 from conftest import const_accelerant, const_potential, gauss_accelerant, linear_potential
 
-from kreinmap import GridSpec, Potential, theta
+from kreinmap import GridSpec, Potential, is_accelerant, theta
 from kreinmap.cli import main, read_field, write_field
 from kreinmap.errors import FieldFormatError
 
@@ -116,6 +116,42 @@ def test_theta_command_writes_matching_potential(tmp_path, capsys):
     q = read_field(str(dst))
     direct = theta(const_accelerant(0.5, 32))
     assert np.array_equal(q.q_plus, direct.q_plus)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.7])
+def test_theta_command_names_bound_or_swept_margin(tmp_path, capsys, c):
+    # rho = c (1 + 1/16) = 0.53 certifies c = 0.5 without a sweep, while
+    # c = 1.7 (rho = 1.81) is accepted only by the sweep
+    h = const_accelerant(c, 16)
+    if c < 1:
+        line = "accelerant bound: min margin >= 0.306122 (Schur norm bound, not swept)"
+    else:
+        line = f"accelerant test: min margin {is_accelerant(h).margins.min():.6f}"
+    src = tmp_path / "h.json"
+    dst = tmp_path / "q.json"
+    ref = tmp_path / "ref.json"
+    write_field(str(src), h)
+    assert main(["theta", "--in", str(src), "--out", str(dst)]) == 0
+    assert capsys.readouterr().out == line + f"\nwrote potential (r=1, N=16) to {dst}\n"
+    write_field(str(ref), theta(h), meta=f"theta of {src}")
+    assert dst.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("c", [1e300, np.finfo(float).max])
+def test_theta_command_rejects_overflowing_accelerant_cleanly(tmp_path, capsys, c):
+    # the Schur norm bound overflows here; the input must go to the sweep
+    src = tmp_path / "h.json"
+    write_field(str(src), const_accelerant(c, 16))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["theta", "--in", str(src), "--out", str(tmp_path / "q.json")])
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "not an accelerant: I + H_alpha singular near alpha = 0.5 "
+        "(relative margin 0.000e+00)\n"
+    )
+    assert not (tmp_path / "q.json").exists()
 
 
 def test_theta_command_rejects_singular_accelerant(tmp_path, capsys):

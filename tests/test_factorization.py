@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import const_accelerant, gauss_accelerant, random_accelerant, ratio_ok
 from kreinmap import (
@@ -108,6 +110,59 @@ def test_accelerant_sweep_matches_complex_svd(h):
     assert np.max(np.abs(rep.sigma_max - ref_max)) <= 1e-12 * scale
     assert rep.accepted == bool(np.all(margins > 1e-8))
     assert rep.worst_alpha == (int(np.argmin(margins)) + 1) / N
+
+
+def _schur_rho(h: Accelerant) -> float:
+    # step * sqrt(max row sum * max column sum) of the dense [|h(x_i - x_j)|_2]
+    N = h.grid.N
+    i, j = np.indices((N + 1, N + 1))
+    blocks = h.values[2 * N + 2 * (i - j)]
+    b = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    return h.grid.step * np.sqrt(b.sum(axis=1).max() * b.sum(axis=0).max())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.sampled_from([1, 2]),
+    n_cells=st.sampled_from([8, 10, 16, 24]),
+    complex_values=st.booleans(),
+    rho=st.floats(0.01, 1.5),
+)
+def test_certified_margin_never_exceeds_the_sweep(seed, r, n_cells, complex_values, rho):
+    rng = np.random.default_rng(seed)
+    shape = (4 * n_cells + 1, r, r)
+    vals = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_values else 0)
+    h = Accelerant(r, GridSpec(n_cells), vals.astype(complex))
+    h = Accelerant(r, h.grid, h.values * (rho / _schur_rho(h)))
+    for g in (h, reflect(h)):
+        bound = factorization._certified_margin(g)
+        if rho < 0.999:
+            assert bound == pytest.approx((1 - rho) / (1 + rho), rel=1e-9)
+        if rho > 1.001:
+            assert bound is None
+        if bound is not None:
+            rep = is_accelerant(g)
+            assert rep.accepted
+            assert rep.margins.min() >= bound
+
+
+def test_certified_margin_leaves_the_between_node_constant_to_the_sweep():
+    # 1 + c alpha vanishes between two nodes for c = -1/(x_20 + step/2);
+    # the bound must not certify it, so the sweep still decides it
+    n_cells = 100
+    h = const_accelerant(-1.0 / (20 / n_cells + 0.5 / n_cells), n_cells)
+    assert _schur_rho(h) > 1
+    assert factorization._certified_margin(h) is None
+    assert factorization._certified_margin(reflect(h)) is None
+
+
+@pytest.mark.parametrize("c", [1e300, np.finfo(float).max])
+def test_certified_margin_of_an_overflowing_accelerant_is_none(c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert factorization._certified_margin(const_accelerant(c, 16)) is None
+        assert factorization._certified_margin(const_accelerant(c, 16, r=2)) is None
 
 
 def test_glm_zero_kernel():
