@@ -29,9 +29,8 @@ from .forward_map import _krein_potential, folded_kernel, folded_lower_factor, t
 from .inverse_map import upsilon
 from .quadops import mixed_norm
 from .dirac_verify import (
-    check_fundamental_representation,
+    _verify_potential,
     check_krein_derivative_identity,
-    identity_suite,
     roundtrip_report,
     solve_cauchy,
 )
@@ -228,15 +227,11 @@ def cmd_verify(args) -> int:
     if isinstance(field, Potential):
         if args.n is not None:
             field = decimate_potential(field, args.n)
-        report = identity_suite(field)
-        rep2 = check_fundamental_representation(field)
-        report.entries.extend(rep2.entries)
+        report = _verify_potential(field)
     elif isinstance(field, Accelerant):
         if args.n is not None:
             field = decimate_accelerant(field, args.n)
-        q = theta(field)
-        report = identity_suite(q)
-        report.entries.extend(check_fundamental_representation(q).entries)
+        report = _verify_potential(theta(field))
         report.entries.extend(check_krein_derivative_identity(field).entries)
         # dual-route factor check: the folded Krein factor against the
         # triangular factor recovered from the folded kernel itself

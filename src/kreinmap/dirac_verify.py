@@ -23,19 +23,16 @@ from .fields import (
     Potential,
     decimate_accelerant,
     decimate_potential,
-    potential_adjoint,
     reflect,
     structural_constants,
 )
 from .forward_map import block_krein_kernel, folded_kernel, theta
 from .inverse_map import (
-    _require_resolved,
-    _transmutation_kernels,
+    _resolvent_factors,
     assemble_product,
     characteristic_extract,
     resolvent_product_kernel,
     resolvent_product_parts,
-    resolvent_volterra,
     transformation_kernels,
     upsilon,
 )
@@ -180,7 +177,6 @@ def transmuted_solution(kernel: Kernel2D, lam: complex) -> np.ndarray:
     return phi0 + np.einsum("ij,ijab,jbc->iac", tw, kernel.values, phi0)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def check_fundamental_representation(
     q: Potential,
     lams=DEFAULT_LAMBDAS,
@@ -196,7 +192,22 @@ def check_fundamental_representation(
     A potential the march does not resolve on its own grid raises
     FieldFormatError.
     """
-    plus, minus = transformation_kernels(q)
+    return _fundamental_representation(
+        q, transformation_kernels(q), lams, substeps, tol, imag_tol
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _fundamental_representation(
+    q: Potential,
+    pair: tuple[Kernel2D, Kernel2D],
+    lams=DEFAULT_LAMBDAS,
+    substeps: int = 4,
+    tol: float = 5e-3,
+    imag_tol: float = 1e-2,
+) -> DiagnosticReport:
+    """check_fundamental_representation with the pair transformation_kernels(q)."""
+    plus, minus = pair
     grid = q.grid
     x = grid.nodes
     tw = nystrom_weights(grid, "lower")
@@ -292,7 +303,6 @@ def _masked_sup(arr: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.abs(arr[mask])))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def identity_suite(
     q: Potential,
     algebraic_tol: float = 5e-3,
@@ -304,11 +314,45 @@ def identity_suite(
     algebraic contractions carry algebraic_tol, and the two structural
     checks that hold at the matrix level (J-block symmetry of the
     transformation pair, the triangular resolvent identity) carry fixed
-    tight tolerances.  The transformation pair is built on the potential's
-    own grid, so a potential the march does not resolve there raises
-    FieldFormatError before any work.
+    tight tolerances.  The transformation pair is built first, on the
+    potential's own grid, so a potential the march does not resolve there
+    raises FieldFormatError before any other work.  K_Q, L and L* come
+    from the product kernel's own _resolvent_factors, so a real-class or
+    self-adjoint q takes the same float64 or one-resolvent route as there.
     """
-    _require_resolved(q)
+    symmetry = _block_symmetry(transformation_kernels(q))
+    return _identity_suite(q, symmetry, algebraic_tol, derivative_tol)
+
+
+def _verify_potential(q: Potential) -> DiagnosticReport:
+    """identity_suite(q) followed by the entries of
+    check_fundamental_representation(q), from one build of the
+    transformation pair (CLI verify)."""
+    pair = transformation_kernels(q)
+    report = _identity_suite(q, _block_symmetry(pair))
+    report.entries.extend(_fundamental_representation(q, pair).entries)
+    return report
+
+
+def _block_symmetry(pair: tuple[Kernel2D, Kernel2D]) -> float:
+    """The symmetry_P residual: P+ commutes with J and P- anticommutes."""
+    plus, minus = pair
+    J = structural_constants(plus.n // 2).J
+    return max(
+        float(np.max(np.abs(plus.values @ J - J @ plus.values))),
+        float(np.max(np.abs(minus.values @ J + J @ minus.values))),
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _identity_suite(
+    q: Potential,
+    symmetry: float,
+    algebraic_tol: float = 5e-3,
+    derivative_tol: float = 5e-2,
+) -> DiagnosticReport:
+    """identity_suite with the symmetry_P residual of transformation_kernels(q)
+    (_block_symmetry) already computed."""
     sc = structural_constants(q.r)
     J, B = sc.J, sc.B
     astar = sc.a_row.conj().T
@@ -319,7 +363,9 @@ def identity_suite(
     d = np.arange(m)
     report = DiagnosticReport()
 
-    kq, k_star = _transmutation_kernels(q, potential_adjoint(q))
+    n = 2 * q.r
+    k_values, l_values, l_star_values = _resolvent_factors(q)
+    kq = Kernel2D(n, grid, "lower", k_values)
     ak, mask_k = apply_wave_operator(kq, "lower")
     report.add(
         "wave_K",
@@ -334,7 +380,7 @@ def identity_suite(
         "boundary_K", float(np.max(np.abs(kq.values[1:N, 0] @ astar))), algebraic_tol
     )
 
-    lq = resolvent_volterra(kq)
+    lq = Kernel2D(n, grid, "lower", l_values)
     al, mask_l = apply_wave_operator(lq, "lower")
     report.add(
         "wave_L",
@@ -349,9 +395,7 @@ def identity_suite(
         "boundary_L", float(np.max(np.abs(lq.values[:, 0] @ astar))), algebraic_tol
     )
 
-    l_star = resolvent_volterra(k_star)
-    del k_star
-    parts = resolvent_product_parts(lq, l_star)
+    parts = resolvent_product_parts(lq, Kernel2D(n, grid, "lower", l_star_values))
     i, j = np.indices((m, m))
     f_low = np.where((j <= i)[:, :, None, None], parts.cross, 0) + parts.lower.values
     af_low, mask_fl = apply_wave_operator(
@@ -376,11 +420,6 @@ def identity_suite(
         algebraic_tol,
     )
 
-    plus, minus = transformation_kernels(q)
-    symmetry = max(
-        float(np.max(np.abs(plus.values @ J - J @ plus.values))),
-        float(np.max(np.abs(minus.values @ J + J @ minus.values))),
-    )
     report.add("symmetry_P", symmetry, 1e-8)
 
     low = j <= i

@@ -18,6 +18,24 @@ over the rows of the refined grid, which stores only the even rows that K
 reads.  Its cross term is quadops.compose of L with the adjoint of L*, so
 the quadrature weights of operator products stay in quadops.
 
+Two classes of potentials are closed under both maps, and the product
+kernel detects them once (_structure, by exact comparisons with no
+tolerance) and carries them through its chain:
+
+- the real class, where q_plus and q_minus have no nonzero real part, so
+  that a = -i q_plus and b = i q_minus are real: the chains, K, both
+  resolvents and the cross term are then computed in float64;
+- the self-adjoint potentials, equal to their adjoint value for value:
+  K_{Q*} = K_Q and L* = L, so the march runs the two chains of Q alone and
+  one resolvent serves as both factors of the product.
+
+Between the layers of that chain the blocks travel as plain arrays in
+their own dtype, through private helpers (_transmutation_values,
+_resolvent_values, _product_values, _assemble_into) that the public
+functions wrap, and they are cast to complex128 once, where a public
+Kernel2D is built; every public function takes and returns complex128
+fields as before.
+
 Two discretization conventions deserve a note because they are easy to get
 wrong.  First, the Volterra resolvent is solved by forward substitution with
 per-interval trapezoid weights rather than read off the inverted operator
@@ -41,12 +59,13 @@ from .errors import FieldFormatError, SingularSystemError
 from .fields import (
     Accelerant,
     DiagnosticReport,
+    GridSpec,
     Kernel2D,
     Potential,
     potential_adjoint,
     structural_constants,
 )
-from .quadops import adjoint_op, compose
+from .quadops import _compose
 
 __all__ = [
     "transformation_kernels",
@@ -87,9 +106,32 @@ def _require_resolved(q: Potential) -> None:
         )
 
 
-def _chain_coefficients(q: Potential) -> np.ndarray:
-    """co[i, c, k]: alpha (k = 0) and beta (k = 1) of chains A, B at x_i."""
-    a, b = -1j * q.q_plus, 1j * q.q_minus
+def _structure(q: Potential) -> tuple[bool, bool]:
+    """(real class, self-adjoint) of q, by exact comparisons.
+
+    The real class has no nonzero real part in q_plus or q_minus; a
+    self-adjoint q equals potential_adjoint(q) value for value.  There is no
+    tolerance: theta of a real accelerant is self-adjoint only up to the
+    rounding of its two Krein solves, and takes the general path.  Both
+    classes survive _midpoint_fill, whose coefficients are real, so a
+    verdict on q holds for its refined potential.
+    """
+    real = not q.q_plus.real.any() and not q.q_minus.real.any()
+    adj = potential_adjoint(q)
+    self_adjoint = np.array_equal(adj.q_plus, q.q_plus) and np.array_equal(adj.q_minus, q.q_minus)
+    return real, self_adjoint
+
+
+def _chain_coefficients(q: Potential, real: bool) -> np.ndarray:
+    """co[i, c, k]: alpha (k = 0) and beta (k = 1) of chains A, B at x_i.
+
+    For q of the real class (real), a = -i q_plus and b = i q_minus are the
+    float64 arrays q_plus.imag and -q_minus.imag.
+    """
+    if real:
+        a, b = q.q_plus.imag, -q.q_minus.imag
+    else:
+        a, b = -1j * q.q_plus, 1j * q.q_minus
     return np.stack([np.stack([a, b], axis=1), np.stack([b, a], axis=1)], axis=2)
 
 
@@ -110,7 +152,8 @@ def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     any number of chains on one grid (_chain_coefficients gives A and B of
     one potential), and they all march together, stacked on a leading axis.
     Returns out[c, k, l, j] = (U if k == 0 else V)(x_i, x_j) of chain c at
-    the kept rows i = l * stride.
+    the kept rows i = l * stride, in the dtype of co: float64 coefficients
+    (the real class) march in real arithmetic.
 
     The trapezoid system is Volterra in x: one forward march over the rows
     x_i solves it exactly, in O(N^2 r^3), with running sums over s < x_i for
@@ -132,14 +175,14 @@ def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     # row[c, k, :, j] is the block at (x_i, x_j), laid out so that an r x r
     # coefficient applies to a whole row as one product with reshape(r, -1);
     # columns j > i stay zero until row j reaches them
-    row = np.zeros((chains, 2, r, m, r), dtype=np.complex128)
-    out = np.empty(((m - 1) // stride + 1,) + row.shape, dtype=np.complex128)
+    row = np.zeros((chains, 2, r, m, r), dtype=co.dtype)
+    out = np.empty(((m - 1) // stride + 1,) + row.shape, dtype=co.dtype)
     # hist[c, k, :, j]: trapezoid sum over s in [x_j, x_{i-1}], without the
     # step, of coefficient(s) times the other kind at (s, s - x_j)
     hist = np.zeros_like(row)
     # the pairing matrices of rows 2.. (rows 0 and 1 have no paired column),
     # inverted in one batched call
-    pair = np.zeros((m, chains, r, r), dtype=np.complex128)
+    pair = np.zeros((m, chains, r, r), dtype=co.dtype)
     pair[2:] = np.linalg.inv(np.eye(r) - (0.5 * step) ** 2 * (co[2:, :, 0] @ co[2:, :, 1]))
     for i in range(m):
         h = 0.5 * step * co[i]
@@ -172,8 +215,9 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     The trapezoid-discretized system is solved exactly as two decoupled
     chains of r x r kernels (see _kernel_chains), whose blocks are scattered
     into the full 2r x 2r kernels: P_plus = diag(U_A, U_B) and P_minus has
-    V_B above and V_A below the diagonal.  A potential too large for its grid
-    (_require_resolved) and kernels that overflow floating point raise
+    V_B above and V_A below the diagonal.  The chains are marched in
+    complex arithmetic for every potential.  A potential too large for its
+    grid (_require_resolved) and kernels that overflow floating point raise
     FieldFormatError.
 
     P_plus commutes with J and P_minus anticommutes, exactly, since the
@@ -183,7 +227,7 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     _require_resolved(q)
     r, n = q.r, 2 * q.r
     m = q.grid.N + 1
-    (ua, va), (ub, vb) = _kernel_chains(_chain_coefficients(q), q.grid.step, 1)
+    (ua, va), (ub, vb) = _kernel_chains(_chain_coefficients(q, False), q.grid.step, 1)
     plus = np.zeros((m, m, n, n), dtype=np.complex128)
     minus = np.zeros_like(plus)
     plus[..., :r, :r] = ua
@@ -226,18 +270,21 @@ def transmutation_kernel(q: Potential) -> Kernel2D:
     and at far = (x+t)/2 off it: K00 = (U_A + V_B)/2, K11 = (U_B + V_A)/2,
     and likewise K01, K10 at far.  The full kernels are never formed, and
     only the even rows of the refined grid, the nodes x of the potential's
-    own grid, are stored.
+    own grid, are stored.  A potential of the real class is marched in
+    float64 (see _structure) and its K cast to complex128 at the end.
     """
-    return _transmutation_kernels(q)[0]
+    real, _ = _structure(q)
+    return Kernel2D(2 * q.r, q.grid, "lower", _transmutation_values([q], real)[0])
 
 
-def _transmutation_kernels(*qs: Potential) -> list[Kernel2D]:
-    """transmutation_kernel of each potential, all from one march.
+def _transmutation_values(qs: list[Potential], real: bool) -> list[np.ndarray]:
+    """The blocks of transmutation_kernel of each potential, from one march.
 
     The potentials share r and grid, and their chains are stacked into one
     march over the refined grid (see _kernel_chains), so that K_Q and
     K_{Q*} cost one pass over its rows.  Each potential is guarded as
-    transmutation_kernel guards it, before any march.
+    transmutation_kernel guards it, before any march.  With real (every
+    potential of the real class) the march and the blocks are float64.
     """
     fines = [
         Potential(q.r, q.grid.refined(), _midpoint_fill(q.q_plus), _midpoint_fill(q.q_minus))
@@ -245,7 +292,7 @@ def _transmutation_kernels(*qs: Potential) -> list[Kernel2D]:
     ]
     for fine in fines:
         _require_resolved(fine)
-    co = np.concatenate([_chain_coefficients(fine) for fine in fines], axis=1)
+    co = np.concatenate([_chain_coefficients(fine, real) for fine in fines], axis=1)
     # keep the rows x = 2 i of the refined grid, the only ones K reads
     chains = _kernel_chains(co, fines[0].grid.step, 2)
     r = qs[0].r
@@ -255,20 +302,19 @@ def _transmutation_kernels(*qs: Potential) -> list[Kernel2D]:
     near = np.where(low, i - j, 0)
     far = np.where(low, i + j, 0)
     kernels = []
-    for p, q in enumerate(qs):
+    for p in range(len(qs)):
         (ua, va), (ub, vb) = chains[2 * p : 2 * p + 2]
-        vals = np.empty((m, m, 2 * r, 2 * r), dtype=np.complex128)
+        vals = np.empty((m, m, 2 * r, 2 * r), dtype=chains.dtype)
         vals[..., :r, :r] = ua[i, near] + vb[i, near]
         vals[..., r:, r:] = ub[i, near] + va[i, near]
         vals[..., :r, r:] = ua[i, far] + vb[i, far]
         vals[..., r:, :r] = ub[i, far] + va[i, far]
         vals *= 0.5
         vals[~low] = 0.0
-        kernels.append(Kernel2D(2 * r, q.grid, "lower", vals))
+        kernels.append(vals)
     return kernels
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     """Kernel of (I + K)^-1 - I for a triangular K.
 
@@ -288,30 +334,31 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     I + (step/2) K(x_i, x_i) finishes the row.  The finished matrix is
     reordered in place into the Kernel2D layout.  An upper K is solved as
     the transposed lower problem.
+
+    The substitution runs in the dtype of the blocks it is given
+    (_resolvent_values): the product kernel passes float64 K for a
+    potential of the real class, and for a self-adjoint one builds a single
+    resolvent, which serves as both L and L*.  This function takes and
+    returns complex128 kernels.
     """
     if kernel.support not in ("lower", "upper"):
         raise FieldFormatError("resolvent extraction requires triangular support")
-    if kernel.support == "upper":
-        flipped = Kernel2D(
-            kernel.n,
-            kernel.grid,
-            "lower",
-            np.ascontiguousarray(kernel.values.transpose(1, 0, 3, 2)),
-        )
-        out = resolvent_volterra(flipped)
-        return Kernel2D(
-            kernel.n,
-            kernel.grid,
-            "upper",
-            np.ascontiguousarray(out.values.transpose(1, 0, 3, 2)),
-        )
-    N, n = kernel.grid.N, kernel.n
-    m = N + 1
     step = kernel.grid.step
-    K = kernel.values
-    lf = np.zeros((m * n, m * n), dtype=np.complex128)  # lf[(x, a), (s, b)] = L(x, s)[a, b]
+    if kernel.support == "lower":
+        return Kernel2D(kernel.n, kernel.grid, "lower", _resolvent_values(kernel.values, step))
+    lower = np.ascontiguousarray(kernel.values.transpose(1, 0, 3, 2))
+    out = _resolvent_values(lower, step)
+    return Kernel2D(kernel.n, kernel.grid, "upper", out.transpose(1, 0, 3, 2))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _resolvent_values(K: np.ndarray, step: float) -> np.ndarray:
+    """resolvent_volterra of the lower blocks K[x, s, a, b], in K's dtype."""
+    m, _, n, _ = K.shape
+    N = m - 1
+    lf = np.zeros((m * n, m * n), dtype=K.dtype)  # lf[(x, a), (s, b)] = L(x, s)[a, b]
     diag = -K[np.arange(m), np.arange(m)]  # L(t, t) = -K(t, t)
-    eye = np.eye(n, dtype=np.complex128)
+    eye = np.eye(n, dtype=K.dtype)
     lf[:n, :n] = diag[0]
     for i in range(1, m):
         rows = slice(i * n, (i + 1) * n)
@@ -330,7 +377,7 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     by_x = lf.reshape(m, n * m * n)
     for x in range(m):
         by_x[x] = by_x[x].reshape(n, m, n).transpose(1, 0, 2).ravel()
-    return Kernel2D(n, kernel.grid, "lower", lf.reshape(m, m, n, n))
+    return lf.reshape(m, m, n, n)
 
 
 class ProductParts(NamedTuple):
@@ -346,13 +393,21 @@ class ProductParts(NamedTuple):
     cross: np.ndarray
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def resolvent_product_parts(l_low: Kernel2D, l_star: Kernel2D) -> ProductParts:
     """Product parts from the resolvents L of K_Q and L* of K_{Q*}."""
-    upper = adjoint_op(l_star)
-    cross = compose(l_low, upper)
+    upper, cross = _product_values(l_low.values, l_star.values, l_low.grid)
+    return ProductParts(l_low, Kernel2D(l_low.n, l_low.grid, "upper", upper), cross)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _product_values(
+    l_low: np.ndarray, l_star: np.ndarray, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The upper part L~ = adjoint_op(L*) and the cross term, as blocks."""
+    upper = np.conj(l_star.transpose(1, 0, 3, 2))
+    cross = _compose(l_low, upper, grid)
     _require_finite("resolvent product values", cross)
-    return ProductParts(l_low, upper, cross)
+    return upper, cross
 
 
 def assemble_product(parts: ProductParts) -> Kernel2D:
@@ -362,31 +417,54 @@ def assemble_product(parts: ProductParts) -> Kernel2D:
     diagonal the two one-sided limits differ unless the potential lies in the
     image of the forward map; the grid stores their average.
     """
-    grid = parts.lower.grid
-    m = grid.N + 1
+    vals = _assemble_into(parts.cross.copy(), parts.lower.values, parts.upper.values)
+    return Kernel2D(parts.lower.n, parts.lower.grid, "full", vals)
+
+
+def _assemble_into(cross: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """assemble_product on blocks, written into cross, which it returns."""
+    m = cross.shape[0]
     i, j = np.indices((m, m))
-    vals = parts.cross.copy()
     below = j < i
     above = j > i
-    vals[below] += parts.lower.values[below]
-    vals[above] += parts.upper.values[above]
+    cross[below] += lower[below]
+    cross[above] += upper[above]
     d = np.arange(m)
-    vals[d, d] += 0.5 * (parts.lower.values[d, d] + parts.upper.values[d, d])
-    return Kernel2D(parts.lower.n, grid, "full", vals)
+    cross[d, d] += 0.5 * (lower[d, d] + upper[d, d])
+    return cross
+
+
+def _resolvent_factors(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks of K_Q and of the resolvents L of K_Q and L* of K_{Q*}.
+
+    The structure of q (_structure) decides the work here, for every
+    consumer of the product kernel.  A real-class q gives float64 blocks.
+    A self-adjoint q has K_{Q*} = K_Q, so the march runs its two chains
+    alone and the one resolvent L is returned as L* too.  Otherwise K_Q and
+    K_{Q*} come from one march of four chains.  L* is built first, so that
+    K_{Q*} is dropped before L is built and no more kernel-sized arrays are
+    held at once than K_Q must add.
+    """
+    real, self_adjoint = _structure(q)
+    kernels = _transmutation_values([q] if self_adjoint else [q, potential_adjoint(q)], real)
+    k_low = kernels[0]
+    l_star = _resolvent_values(kernels.pop(), q.grid.step)
+    l_low = l_star if self_adjoint else _resolvent_values(k_low, q.grid.step)
+    return k_low, l_low, l_star
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def resolvent_product_kernel(q: Potential) -> Kernel2D:
     """Full-grid product kernel F with I + F = (I + L)(I + L~).
 
-    K_Q and K_{Q*} come from one march (_transmutation_kernels), and each is
-    dropped once its resolvent is built, so that no more kernel-sized arrays
-    are held at once than with one march per potential.
+    L and L* come from _resolvent_factors, in float64 for a potential of
+    the real class and as one resolvent for a self-adjoint one.  The cross
+    term and the assembly run in their dtype, and F is cast to complex128
+    once, when its Kernel2D is built.
     """
-    kernels = _transmutation_kernels(q, potential_adjoint(q))
-    l_low = resolvent_volterra(kernels.pop(0))
-    l_star = resolvent_volterra(kernels.pop())
-    return assemble_product(resolvent_product_parts(l_low, l_star))
+    l_low, l_star = _resolvent_factors(q)[1:]
+    upper, cross = _product_values(l_low, l_star, q.grid)
+    return Kernel2D(2 * q.r, q.grid, "full", _assemble_into(cross, l_low, upper))
 
 
 def _half_r(f: Kernel2D) -> int:
@@ -450,6 +528,12 @@ def upsilon(q: Potential) -> tuple[Accelerant, DiagnosticReport]:
     trace is computed as well and the spread between the two is recorded,
     since on a grid they differ by the discretization error of the product
     kernel.
+
+    The product kernel runs in float64 for a potential of the real class
+    (q_plus and q_minus with no nonzero real part) and with one march of two
+    chains and one resolvent for a self-adjoint one (equal to
+    potential_adjoint(q) value for value); both tests are exact.  Its
+    Kernel2D, and so the accelerant, is complex128 in every case.
     """
     f = resolvent_product_kernel(q)
     robust = characteristic_extract(f)

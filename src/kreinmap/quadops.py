@@ -85,13 +85,18 @@ def compose(a: Kernel2D, b: Kernel2D) -> np.ndarray:
         )
     if a.n != b.n or a.grid.N != b.grid.N:
         raise FieldFormatError("operators live on different grids or block sizes")
-    grid = a.grid
+    return _compose(a.values, b.values, a.grid)
+
+
+def _compose(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """compose on the kernels' blocks, in their dtype: the inverse map passes
+    real blocks for a potential of the real class."""
     w = nystrom_weights(grid, "lower")
-    left = _flatten(w[:, :, None, None] * a.values)
-    right = _flatten((w.T / grid.weights[:, None])[:, :, None, None] * b.values)
-    out = _unflatten(left @ right, a.n)
+    left = _flatten(w[:, :, None, None] * a)
+    right = _flatten((w.T / grid.weights[:, None])[:, :, None, None] * b)
+    out = _unflatten(left @ right, a.shape[2])
     d = np.arange(1, grid.N)
-    out[d, d] += 0.25 * grid.step * (a.values[d, d] @ b.values[d, d])
+    out[d, d] += 0.25 * grid.step * (a[d, d] @ b[d, d])
     return out
 
 

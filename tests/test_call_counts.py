@@ -4,68 +4,150 @@ A counter replaces a function at every kreinmap module binding that holds
 it, so a call is seen whichever module makes it.  A public name is looked
 up on the package; "module.name" names a private function of a module.
 The sweep's SVDs are also recorded by dtype, to show which arithmetic each
-accelerant is swept in.
+accelerant is swept in, and so are the arrays that the inverse map's march
+and resolvent receive, to show which structure of the potential they use.
 """
 
 import importlib
+import json
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import const_accelerant, linear_potential
+from conftest import const_accelerant, const_potential, linear_potential
 
 import kreinmap
 import kreinmap.cli
-from kreinmap import Accelerant, identity_suite, is_accelerant, roundtrip_report, upsilon
+from kreinmap import (
+    Accelerant,
+    check_fundamental_representation,
+    identity_suite,
+    is_accelerant,
+    resolvent_product_kernel,
+    roundtrip_report,
+    upsilon,
+)
 from kreinmap.cli import main, write_field
+
+# The inverse map's resolvent is built by this private function on the blocks
+# of K; the public resolvent_volterra wraps it for Kernel2D arguments.
+RESOLVENT = "inverse_map._resolvent_values"
+MARCH = "inverse_map._kernel_chains"
+
+
+def _replace_everywhere(monkeypatch, name, wrap):
+    """Bind wrap(original) wherever a kreinmap module binds the function name."""
+    module, _, attr = name.rpartition(".")
+    owner = importlib.import_module(f"kreinmap.{module}") if module else kreinmap
+    original = getattr(owner, attr)
+    wrapper = wrap(original)
+    for key, mod in list(sys.modules.items()):
+        if key == "kreinmap" or key.startswith("kreinmap."):
+            for binding, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, binding, wrapper)
 
 
 @pytest.fixture
 def count_calls(monkeypatch):
     def install(*names):
         counts = dict.fromkeys(names, 0)
-        modules = [
-            mod for key, mod in list(sys.modules.items())
-            if key == "kreinmap" or key.startswith("kreinmap.")
-        ]
         for name in names:
-            module, _, attr = name.rpartition(".")
-            owner = importlib.import_module(f"kreinmap.{module}") if module else kreinmap
-            original = getattr(owner, attr)
 
-            def counted(*args, _name=name, _fn=original, **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
+            def wrap(fn, _name=name):
+                def counted(*args, **kwargs):
+                    counts[_name] += 1
+                    return fn(*args, **kwargs)
 
-            for mod in modules:
-                for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, attr, counted)
+                return counted
+
+            _replace_everywhere(monkeypatch, name, wrap)
         return counts
 
     return install
 
 
+@pytest.fixture
+def first_args(monkeypatch):
+    """install(*names): per name, the list of first arguments of its calls."""
+
+    def install(*names):
+        seen = {name: [] for name in names}
+        for name in names:
+
+            def wrap(fn, _seen=seen[name]):
+                def recorded(first, *args, **kwargs):
+                    _seen.append(first)
+                    return fn(first, *args, **kwargs)
+
+                return recorded
+
+            _replace_everywhere(monkeypatch, name, wrap)
+        return seen
+
+    return install
+
+
 def test_identity_suite_builds_each_resolvent_once(count_calls):
-    counts = count_calls("inverse_map._kernel_chains", "resolvent_volterra")
+    counts = count_calls(MARCH, RESOLVENT)
     assert identity_suite(linear_potential(16)).passed
     # one march for K_Q and K_{Q*} on the refined grid, one for symmetry_P on
     # the potential's own grid; one resolvent each for Q and for its adjoint Q*
-    assert counts == {"inverse_map._kernel_chains": 2, "resolvent_volterra": 2}
+    assert counts == {MARCH: 2, RESOLVENT: 2}
+
+    # a self-adjoint Q has K_{Q*} = K_Q, so one resolvent serves as L and L*
+    counts.update(dict.fromkeys(counts, 0))
+    assert identity_suite(const_potential(1.0, 16)).passed
+    assert counts == {MARCH: 2, RESOLVENT: 1}
 
 
 def test_upsilon_builds_no_full_transformation_kernels(count_calls):
-    counts = count_calls(
-        "inverse_map._kernel_chains", "transformation_kernels", "resolvent_volterra"
-    )
+    counts = count_calls(MARCH, "transformation_kernels", RESOLVENT)
     upsilon(linear_potential(16))
     # K_Q and K_{Q*} are read from the chains of one march
-    assert counts == {
-        "inverse_map._kernel_chains": 1,
-        "transformation_kernels": 0,
-        "resolvent_volterra": 2,
-    }
+    assert counts == {MARCH: 1, "transformation_kernels": 0, RESOLVENT: 2}
+
+
+C128, F64 = np.dtype(np.complex128), np.dtype(np.float64)
+
+
+@pytest.mark.parametrize(
+    "q, chains, dtype, resolvents",
+    [
+        # neither class: q+ = 0.3 (1 + x), q- = 0.2
+        (linear_potential(16), 4, C128, 2),
+        # self-adjoint (q+ = q- = 10 is real-valued) but not of the real class
+        (const_potential(10.0, 16), 2, C128, 1),
+        # the real class (a = 0.3, b = -0.3) but not self-adjoint
+        (const_potential(0.3j, 16), 4, F64, 2),
+    ],
+    ids=["neither", "self-adjoint", "real-class"],
+)
+def test_upsilon_marches_and_solves_what_the_structure_needs(
+    first_args, q, chains, dtype, resolvents
+):
+    seen = first_args(MARCH, RESOLVENT)
+    h, _ = upsilon(q)
+    # _kernel_chains(co, ...) with co[i, c, k]: one march of `chains` chains
+    assert [(co.shape[1], co.dtype) for co in seen[MARCH]] == [(chains, dtype)]
+    assert [k.dtype for k in seen[RESOLVENT]] == [dtype] * resolvents
+    assert h.values.dtype == C128
+    assert resolvent_product_kernel(q).values.dtype == C128
+
+
+def test_cli_verify_builds_the_transformation_kernels_once(count_calls, tmp_path, capsys):
+    q = linear_potential(16)
+    src = tmp_path / "q.json"
+    write_field(str(src), q)
+    counts = count_calls("transformation_kernels")
+    assert main(["verify", "--in", str(src)]) == 0
+    # one pair serves symmetry_P and the representation check
+    assert counts == {"transformation_kernels": 1}
+    # the report is the one the two public checks give, to the byte
+    report = identity_suite(q)
+    report.entries.extend(check_fundamental_representation(q).entries)
+    assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("field", [const_accelerant(0.5, 32), linear_potential(32)])

@@ -5,7 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from conftest import const_accelerant, const_potential, gauss_accelerant, random_accelerant, ratio_ok
+from conftest import (
+    const_accelerant,
+    const_potential,
+    gauss_accelerant,
+    linear_potential,
+    random_accelerant,
+    ratio_ok,
+)
 from kreinmap import (
     FieldFormatError,
     GridSpec,
@@ -26,7 +33,7 @@ from kreinmap import (
     transmutation_kernel,
     upsilon,
 )
-from kreinmap.inverse_map import _midpoint_fill, _transmutation_kernels
+from kreinmap.inverse_map import _midpoint_fill, _structure, _transmutation_values
 
 
 def _zero_potential(n_cells: int, r: int = 1) -> Potential:
@@ -180,25 +187,110 @@ def test_transmutation_kernel_against_four_term_formula(q):
 )
 def test_one_march_gives_both_transmutation_kernels_exactly(q):
     # the stacked march of Q and Q* repeats each potential's own march bit for bit
-    k_q, k_star = _transmutation_kernels(q, potential_adjoint(q))
-    assert np.array_equal(k_q.values, transmutation_kernel(q).values)
-    assert np.array_equal(k_star.values, transmutation_kernel(potential_adjoint(q)).values)
+    real, _ = _structure(q)
+    k_q, k_star = _transmutation_values([q, potential_adjoint(q)], real)
+    assert np.array_equal(k_q, transmutation_kernel(q).values)
+    assert np.array_equal(k_star, transmutation_kernel(potential_adjoint(q)).values)
+
+
+def _const_blocks(q_plus: complex, q_minus: complex, n_cells: int) -> Potential:
+    """r = 1 potential with constant blocks q+ = q_plus, q- = q_minus."""
+    block = lambda value: np.full((n_cells + 1, 1, 1), value, dtype=np.complex128)
+    return Potential(1, GridSpec(n_cells), block(q_plus), block(q_minus))
+
+
+OVERFLOW = "transformation kernels overflow floating point; the potential is too large"
 
 
 @pytest.mark.parametrize(
     "q, message",
     [
         (const_potential(200.0, 50), "grid too coarse for the potential: (step/2) rho(JQ) = 1"),
-        (
-            const_potential(750.0, 200),
-            "transformation kernels overflow floating point; the potential is too large",
-        ),
+        (const_potential(750.0, 200), OVERFLOW),
+        # the same refusals on the self-adjoint and the real-class paths
+        (_const_blocks(40, 40, 8), "grid too coarse for the potential: (step/2) rho(JQ) = 1.25"),
+        (_const_blocks(40j, -30j, 8), "grid too coarse for the potential: (step/2) rho(JQ) = 1.08"),
+        (_const_blocks(750, 750, 200), OVERFLOW),
+        (_const_blocks(750j, -700j, 200), OVERFLOW),
+        (_const_blocks(750j, -750j, 200), OVERFLOW),
     ],
-    ids=["too-coarse", "overflow"],
+    ids=[
+        "too-coarse",
+        "overflow",
+        "too-coarse-self-adjoint",
+        "too-coarse-real",
+        "overflow-self-adjoint",
+        "overflow-real",
+        "overflow-both",
+    ],
 )
 def test_product_kernel_refusals_keep_their_text(q, message):
     with pytest.raises(FieldFormatError, match=f"^{re.escape(message)}$"):
         resolvent_product_kernel(q)
+
+
+def _random_blocks(seed: int, n_cells: int = 32, r: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    shape = (n_cells + 1, r, r)
+    return 0.4 * rng.standard_normal(shape), 0.4 * rng.standard_normal(shape)
+
+
+def _hermitian_t(a: np.ndarray) -> np.ndarray:
+    return np.conj(a.transpose(0, 2, 1))
+
+
+def _structured_cases():
+    x = GridSpec(50).nodes
+    closed = (-1.5j / (1.0 + 1.5 * x))[:, None, None]  # theta of the constant 1.5
+    a, b = _random_blocks(11)
+    c = a + 1j * b
+    grid = GridSpec(32)
+    return [
+        # (potential, real class, self-adjoint)
+        (Potential(1, GridSpec(50), closed, -closed), True, True),
+        (const_potential(10.0, 50), False, True),
+        (const_potential(0.3j, 50), True, False),
+        (linear_potential(50), False, False),
+        # real-class, but self-adjoint only up to the rounding of its Krein solves
+        (theta(gauss_accelerant(0.3, 50)), True, False),
+        (Potential(2, grid, 1j * a, 1j * b), True, False),
+        (Potential(2, grid, c, _hermitian_t(c)), False, True),
+        (Potential(2, grid, 1j * a, _hermitian_t(1j * a)), True, True),
+        (Potential(2, grid, c, b + 1j * a), False, False),
+    ]
+
+
+@pytest.mark.parametrize(
+    "q, real, self_adjoint",
+    _structured_cases(),
+    ids=[
+        "closed-form-1.5",
+        "const10",
+        "const0.3i",
+        "linear",
+        "theta-gauss",
+        "random-r2-real",
+        "random-r2-self-adjoint",
+        "random-r2-both",
+        "random-r2-neither",
+    ],
+)
+def test_structured_paths_agree_with_the_general_path(monkeypatch, q, real, self_adjoint):
+    assert _structure(q) == (real, self_adjoint)
+    h, _ = upsilon(q)
+    f = resolvent_product_kernel(q)
+    for out in (h, f, transmutation_kernel(q)):
+        assert out.values.dtype == np.complex128
+    # the reference: every potential on the complex path with two resolvents
+    monkeypatch.setattr("kreinmap.inverse_map._structure", lambda q: (False, False))
+    h_ref, _ = upsilon(q)
+    f_ref = resolvent_product_kernel(q)
+    if real or self_adjoint:
+        assert np.abs(h.values - h_ref.values).max() <= 1e-12 * np.abs(h_ref.values).max()
+        assert np.abs(f.values - f_ref.values).max() <= 1e-12 * np.abs(f_ref.values).max()
+    else:
+        assert np.array_equal(h.values, h_ref.values)
+        assert np.array_equal(f.values, f_ref.values)
 
 
 def test_transmutation_matches_folded_factor():
