@@ -25,12 +25,18 @@ from .fields import (
     decimate_accelerant,
     decimate_potential,
 )
-from .forward_map import _krein_potential, folded_kernel, folded_lower_factor, theta
+from .forward_map import (
+    _block_kernel,
+    _krein_kernels,
+    _krein_potential,
+    folded_kernel,
+    folded_lower_factor,
+)
 from .inverse_map import upsilon
 from .quadops import mixed_norm
 from .dirac_verify import (
+    _derivative_identity,
     _verify_potential,
-    check_krein_derivative_identity,
     roundtrip_report,
     solve_cauchy,
 )
@@ -169,13 +175,13 @@ def _emit_report(report) -> None:
 
 def cmd_theta(args) -> int:
     h = _load(args.in_path, Accelerant, args.n)
-    margin, swept = _require_accelerant(h)
-    q = _krein_potential(h)  # theta without repeating the gate just passed
+    margin, certificate = _require_accelerant(h)
+    q = _krein_potential(h, _krein_kernels(h))  # theta without repeating the gate
     write_field(args.out_path, q, meta=f"theta of {args.in_path}")
-    if swept:
+    if certificate is None:
         print(f"accelerant test: min margin {margin:.6f}")
     else:
-        print(f"accelerant bound: min margin >= {margin:.6f} (Schur norm bound, not swept)")
+        print(f"accelerant bound: min margin >= {margin:.6f} ({certificate}, not swept)")
     print(f"wrote potential (r={q.r}, N={q.grid.N}) to {args.out_path}")
     return 0
 
@@ -231,8 +237,13 @@ def cmd_verify(args) -> int:
     elif isinstance(field, Accelerant):
         if args.n is not None:
             field = decimate_accelerant(field, args.n)
-        report = _verify_potential(theta(field))
-        report.entries.extend(check_krein_derivative_identity(field).entries)
+        # theta and the derivative identity read the same two Krein kernels
+        _require_accelerant(field)
+        kernels = _krein_kernels(field)
+        report = _verify_potential(_krein_potential(field, kernels))
+        report.entries.extend(
+            _derivative_identity(field, _block_kernel(field, kernels)).entries
+        )
         # dual-route factor check: the folded Krein factor against the
         # triangular factor recovered from the folded kernel itself
         lh = folded_lower_factor(field)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError
-from .factorization import _require_accelerant, solve_krein
+from .factorization import _require_accelerant
 from .fields import (
     Accelerant,
     DiagnosticReport,
@@ -23,10 +23,9 @@ from .fields import (
     Potential,
     decimate_accelerant,
     decimate_potential,
-    reflect,
     structural_constants,
 )
-from .forward_map import block_krein_kernel, folded_kernel, theta
+from .forward_map import _krein_kernels, block_krein_kernel, folded_kernel, theta
 from .inverse_map import (
     _resolvent_factors,
     assemble_product,
@@ -139,13 +138,13 @@ def krein_solution(h: Accelerant, lams) -> np.ndarray:
     phi_2 is the mirror with the reflected accelerant and conjugated phases.
     The stack (phi_1; phi_2) starts at (I; I) and solves the Dirac system
     with the potential theta(h). h passes the same gate as in theta: the
-    sweep runs only when the Schur norm bound cannot certify h. Neither the
-    gate nor the kernels depend on lam, so one of each serves every value
-    in lams; the result has shape (len(lams), N + 1, 2r, r).
+    sweep runs only when neither the Schur norm bound nor the numerical
+    range bound can certify h. Neither the gate nor the kernels depend on
+    lam, so one of each serves every value in lams; the result has shape
+    (len(lams), N + 1, 2r, r).
     """
     _require_accelerant(h)
-    r1 = solve_krein(h)
-    r2 = solve_krein(reflect(h))
+    r1, r2 = _krein_kernels(h)
     grid = h.grid
     x = grid.nodes
     tw = nystrom_weights(grid, "lower")
@@ -463,7 +462,12 @@ def _triangle_compose(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def check_krein_derivative_identity(h: Accelerant, tol: float = 5e-3) -> DiagnosticReport:
     """Residual of d/dx R_H(x, x-t) = R_H(x, 0) B R_H(x, t) B on the triangle."""
-    rk = block_krein_kernel(h)
+    return _derivative_identity(h, block_krein_kernel(h), tol)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _derivative_identity(h: Accelerant, rk: Kernel2D, tol: float = 5e-3) -> DiagnosticReport:
+    """check_krein_derivative_identity on rk = block_krein_kernel(h)."""
     grid = h.grid
     N = grid.N
     m = N + 1

@@ -84,9 +84,10 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
     and test each restricted matrix I + H_alpha for numerical invertibility.
     A breakpoint is flagged when the smallest singular value is at most
     1e-8 times the largest. This always runs the full sweep, N dense
-    SVDs; theta and krein_solution call it only for an input that
-    _certified_margin cannot certify. The restriction to [0, alpha] in both
-    variables is unitarily equivalent, via the index flip, to the same
+    SVDs; theta and krein_solution call it only for an input that neither
+    certificate of _require_accelerant (the Schur norm bound and the
+    numerical range bound) can certify. The restriction to [0, alpha] in
+    both variables is unitarily equivalent, via the index flip, to the same
     matrix built from the reflected accelerant, so the verdict is
     reflection-invariant on the grid.
 
@@ -104,16 +105,12 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
     the complex path.
     """
     N, r = h.grid.N, h.r
-    conv = convolution_kernel(h).values
-    if not conv.imag.any():
-        conv = conv.real
+    t = _toeplitz_matrix(h)
     sig_min = np.empty(N)
     sig_max = np.empty(N)
     for k in range(1, N + 1):
-        w = h.grid.trapezoid(k)
-        blocks = conv[: k + 1, : k + 1] * w[None, :, None, None]
         dim = (k + 1) * r
-        A = blocks.transpose(0, 2, 1, 3).reshape(dim, dim)
+        A = t[:dim, :dim] * np.repeat(h.grid.trapezoid(k), r)
         A = A + np.eye(dim)
         sigma = np.linalg.svd(A, compute_uv=False)
         sig_max[k - 1] = sigma[0]
@@ -131,8 +128,24 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
     )
 
 
-def _certified_margin(h: Accelerant) -> float | None:
-    """A lower bound on every margin of is_accelerant's sweep, or None.
+def _toeplitz_matrix(h: Accelerant) -> np.ndarray:
+    """T = [h(x_i - x_j)] over all N + 1 nodes as one ((N+1) r)^2 matrix,
+    node-major, so that I + H_alpha is I + T_k W_k with T_k its leading
+    (k+1) r block and W_k the trapezoid weights of [0, x_k]. Real (float64)
+    when every sample it reads has imaginary part exactly zero."""
+    t = _flatten(convolution_kernel(h).values)
+    return t if t.imag.any() else t.real
+
+
+# The smallest margin a certificate must prove before the sweep is skipped.
+# It sits two orders above the sweep's own 1e-8, so no round-off in a bound
+# can carry an input that the sweep rejects.
+_CERTIFY_FLOOR = 1e-6
+
+
+def _norm_bound(h: Accelerant) -> float:
+    """rho >= |H_alpha|_2 for every alpha at once, in O(N r^3); inf or nan
+    when the block norms overflow.
 
     I + H_alpha is the leading block of I + T D with T the block Toeplitz
     matrix [h(x_i - x_j)] over all N + 1 nodes and D the trapezoid weights,
@@ -141,39 +154,99 @@ def _certified_margin(h: Accelerant) -> float | None:
     |H_alpha|_2 <= rho := step * sqrt(max row sum * max column sum) for
     every alpha at once. The row sums and the column sums of [b_{i-j}]
     are the same N + 1 sliding windows of b_{-N..N}, so rho is step times
-    the largest of them, read from one cumsum. Then every sigma_min is at
-    least 1 - rho and every sigma_max at most 1 + rho.
-
-    For rho <= 1 - 1e-6 every margin is at least (1 - rho)/(1 + rho) > 1e-8,
-    so the sweep would accept, and that bound is returned. Otherwise, and
-    when rho overflows to inf or nan, None: the bound certifies nothing and
-    the input has to be swept.
+    the largest of them, read from one cumsum. The same test gives
+    |T|_2 <= rho / step.
     """
     N = h.grid.N
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.linalg.norm(h.values[::2], 2, axis=(1, 2))  # b_d, d = -N..N
         sums = np.cumsum(np.concatenate(([0.0], b)))
-        rho = h.grid.step * float(np.max(sums[N + 1 :] - sums[: N + 1]))
+        return h.grid.step * float(np.max(sums[N + 1 :] - sums[: N + 1]))
+
+
+def _certified_margin(rho: float) -> float | None:
+    """The Schur norm bound: a lower bound on every margin of
+    is_accelerant's sweep, or None.
+
+    With rho = _norm_bound(h) every sigma_min is at least 1 - rho and
+    every sigma_max at most 1 + rho. For rho <= 1 - 1e-6 every margin is
+    at least (1 - rho)/(1 + rho) > 1e-8, so the sweep would accept, and
+    that bound is returned. Otherwise, and when rho overflows to inf or
+    nan, None: the bound certifies nothing.
+    """
     if not rho <= 1.0 - 1e-6:
         return None
     return (1.0 - rho) / (1.0 + rho)
 
 
-def _require_accelerant(h: Accelerant) -> tuple[float, bool]:
+def _numerical_range_margin(h: Accelerant, rho: float) -> float | None:
+    """The numerical range bound: a lower bound on every margin of
+    is_accelerant's sweep, or None. rho is _norm_bound(h).
+
+    Let lam be the smallest eigenvalue of the Hermitian part (T + T^H)/2,
+    one values-only eigvalsh of size (N+1) r, O(N^3 r^3). With W_k the
+    trapezoid weights of [0, x_k], A_k = I + T_k W_k and
+    M_k = W_k^(1/2) A_k W_k^(-1/2) = I + W_k^(1/2) T_k W_k^(1/2):
+
+    - Re <M_k x, x> >= (1 + step min(0, lam)) |x|^2, since the Hermitian
+      part of T_k is a principal block of that of T, whose eigenvalues
+      interlace, and every weight is at most step (Kato's field-of-values
+      bound);
+    - sigma_min(A_k) >= sigma_min(M_k) / sqrt(2), since
+      min w / max w >= 1/2;
+    - sigma_max(A_k) <= 1 + rho.
+
+    So every margin is at least (1 + step min(0, lam - slack)) /
+    (sqrt(2) (1 + rho)), where slack = 4 (N+1) r eps rho / step covers the
+    backward error of eigvalsh on |T|_2 <= rho / step. The bound is
+    returned when it is at least _CERTIFY_FLOOR. It certifies an accretive
+    I + H_alpha: h of positive type (the Fourier transform of a positive
+    measure, such as any constant c > 0), whose Hermitian part is positive
+    semi-definite, and inputs not far from one. None, before any eigvalsh,
+    when rho alone rules the floor out, which includes rho inf or nan.
+
+    T is built here and freed before any sweep builds its own. At most
+    three ((N+1) r)^2 arrays are live at once: T, its conjugate (complex h
+    only) and T + T^H, whose lowest eigenvalue is 2 lam; eigvalsh then
+    works on one copy of the sum.
+    """
+    denominator = np.sqrt(2.0) * (1.0 + rho)
+    if not 1.0 / denominator >= _CERTIFY_FLOOR:
+        return None
+    step = h.grid.step
+    t = _toeplitz_matrix(h)
+    t = t + t.conj().T
+    lam = 0.5 * float(np.linalg.eigvalsh(t)[0])
+    slack = 4.0 * t.shape[0] * np.finfo(float).eps * rho / step
+    bound = (1.0 + step * min(0.0, lam - slack)) / denominator
+    return bound if bound >= _CERTIFY_FLOOR else None
+
+
+def _require_accelerant(h: Accelerant) -> tuple[float, str | None]:
     """The accept-or-sweep gate shared by theta, CLI theta and krein_solution.
 
-    Returns (margin, swept). An input _certified_margin certifies is
-    accepted without a sweep, and margin is that lower bound. Any other
-    input runs is_accelerant, and margin is its minimum; a rejection raises
-    NotAccelerantError from the sweep's worst truncation.
+    Returns (margin, certificate). Two certificates are tried in turn, both
+    on rho = _norm_bound(h), computed once: the Schur norm bound of
+    _certified_margin, O(N r^3), and, when it fails, the numerical range
+    bound of _numerical_range_margin, one O(N^3 r^3) eigvalsh. An input
+    either certifies is accepted without a sweep; margin is that lower
+    bound and certificate names it ("Schur norm bound" or "numerical range
+    bound"). Any other input runs is_accelerant, and margin is its
+    minimum, with certificate None; a rejection raises
+    NotAccelerantError from the sweep's worst truncation, so every
+    rejection comes from the sweep.
     """
-    bound = _certified_margin(h)
+    rho = _norm_bound(h)
+    bound = _certified_margin(rho)
     if bound is not None:
-        return bound, False
+        return bound, "Schur norm bound"
+    bound = _numerical_range_margin(h, rho)
+    if bound is not None:
+        return bound, "numerical range bound"
     test = is_accelerant(h)
     if not test.accepted:
         raise NotAccelerantError(test.worst_alpha, float(test.margins.min()))
-    return float(test.margins.min()), True
+    return float(test.margins.min()), None
 
 
 def solve_glm(
@@ -226,6 +299,11 @@ def solve_glm(
     dense solve too raises SingularSystemError. The LU runs with numpy's
     floating-point warnings off: a zero or tiny pivot shows up as flagged
     rows, not as a warning.
+
+    When F and both edges are real (every imaginary part exactly zero, as
+    for the Krein kernels of a real accelerant), the nested LU, the
+    Woodbury step and the residual run in float64, and the rows are cast
+    to complex128 once, before any dense fallback row is written.
     """
     grid, n = f_kernel.grid, f_kernel.n
     m, step = grid.N + 1, grid.step
@@ -235,6 +313,8 @@ def solve_glm(
     f_diag = F[nodes, nodes]
     plus = f_diag if edge_plus is None else np.broadcast_to(edge_plus, f_diag.shape)
     minus = f_diag if edge_minus is None else np.broadcast_to(edge_minus, f_diag.shape)
+    if not any(np.iscomplexobj(a) and a.imag.any() for a in (F, plus, minus)):
+        F, f_diag, plus, minus = F.real, f_diag.real, plus.real, minus.real
     delta = 0.5 * step * (minus + plus) - step * f_diag
 
     rows = np.repeat(nodes, n)
@@ -283,7 +363,7 @@ def solve_glm(
         scale = np.maximum(1.0, np.abs(x_rows.reshape(m, n * dim)).max(axis=1))
         flagged = ~(worst <= 1e-10 * scale)  # a NaN compares False and is flagged
 
-    X = np.ascontiguousarray(_unflatten(x, n))
+    X = np.ascontiguousarray(_unflatten(x, n), dtype=np.complex128)
     X[~np.tri(m, dtype=bool)] = 0.0
     X[0, 0] = -plus[0]
     for i in np.flatnonzero(flagged[1:]) + 1:
@@ -295,7 +375,7 @@ def _shared_matrix(F: np.ndarray, plus: np.ndarray, step: float) -> np.ndarray:
     """S = I + D F flattened, with the full weight at every node but x_0,
     which keeps the half weight, and plus[0] in block (0, 0)."""
     m, n = F.shape[0], F.shape[2]
-    s = np.empty((m * n, m * n), dtype=np.complex128)
+    s = np.empty((m * n, m * n), dtype=F.dtype)
     _unflatten(s, n)[...] = F
     s[:n, :n] = plus[0]
     s *= step
@@ -308,7 +388,7 @@ def _stacked_rhs(F: np.ndarray, plus: np.ndarray, right_of_diagonal: np.ndarray)
     """B: flattened row i is b_i = F[i, :i+1] with plus[i] as its diagonal
     block, zero to the right of it."""
     m, n = F.shape[0], F.shape[2]
-    b = np.empty((m * n, m * n), dtype=np.complex128)
+    b = np.empty((m * n, m * n), dtype=F.dtype)
     _unflatten(b, n)[...] = F
     b[right_of_diagonal] = 0.0
     nodes = np.arange(m)

@@ -27,19 +27,26 @@ def theta(h: Accelerant) -> Potential:
     """Forward map: q_plus = i r_h(x, 0), q_minus = -i r_reflected(x, 0).
 
     Rejects inputs that fail the accelerant sweep. The sweep runs only when
-    the Schur norm bound of factorization._certified_margin cannot certify
-    h; a certified h is one the sweep would accept. The same potential is
-    assembled a second time through the block-kernel route
-    Q = R_H(x,0) B J; the two must agree to round-off.
+    neither certificate of factorization._require_accelerant can certify
+    h: the Schur norm bound, O(N r^3), and the numerical range bound, one
+    O(N^3 r^3) eigvalsh; a certified h is one the sweep would accept. The
+    same potential is assembled a second time through the block-kernel
+    route Q = R_H(x,0) B J; the two must agree to round-off.
     """
     _require_accelerant(h)
-    return _krein_potential(h)
+    return _krein_potential(h, _krein_kernels(h))
 
 
-def _krein_potential(h: Accelerant) -> Potential:
-    """theta without the accelerant gate, for callers that have already run it."""
-    r_direct = solve_krein(h)
-    r_reflected = solve_krein(reflect(h))
+def _krein_kernels(h: Accelerant) -> tuple[Kernel2D, Kernel2D]:
+    """(r_h, r_reflected): the Krein kernels of h and of reflect(h) on h's
+    grid, which theta, block_krein_kernel and krein_solution all read."""
+    return solve_krein(h), solve_krein(reflect(h))
+
+
+def _krein_potential(h: Accelerant, kernels: tuple[Kernel2D, Kernel2D]) -> Potential:
+    """theta from the kernels of _krein_kernels(h), without the accelerant
+    gate, for callers that have already run it."""
+    r_direct, r_reflected = kernels
     q_plus = 1j * r_direct.values[:, 0]
     q_minus = -1j * r_reflected.values[:, 0]
 
@@ -77,8 +84,12 @@ def folded_kernel(h: Accelerant) -> Kernel2D:
 
 def block_krein_kernel(h: Accelerant) -> Kernel2D:
     """diag(r_h, r_reflected) as one lower 2r x 2r kernel."""
-    r_direct = solve_krein(h)
-    r_reflected = solve_krein(reflect(h))
+    return _block_kernel(h, _krein_kernels(h))
+
+
+def _block_kernel(h: Accelerant, kernels: tuple[Kernel2D, Kernel2D]) -> Kernel2D:
+    """block_krein_kernel from the kernels of _krein_kernels(h)."""
+    r_direct, r_reflected = kernels
     m = h.grid.N + 1
     vals = np.zeros((m, m, 2 * h.r, 2 * h.r), dtype=np.complex128)
     vals[:, :, : h.r, : h.r] = r_direct.values

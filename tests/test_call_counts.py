@@ -29,6 +29,7 @@ from kreinmap import (
     upsilon,
 )
 from kreinmap.cli import main, write_field
+from kreinmap.dirac_verify import _verify_potential
 
 # The inverse map's resolvent is built by this private function on the blocks
 # of K; the public resolvent_volterra wraps it for Kernel2D arguments.
@@ -150,6 +151,27 @@ def test_cli_verify_builds_the_transformation_kernels_once(count_calls, tmp_path
     assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
+def test_cli_verify_solves_each_krein_equation_once(count_calls, tmp_path, capsys):
+    h = const_accelerant(0.5, 16)
+    src = tmp_path / "h.json"
+    write_field(str(src), h)
+    counts = count_calls("solve_krein")
+    assert main(["verify", "--in", str(src)]) == 0
+    # r_h and r_reflected on the accelerant's grid serve theta and the
+    # derivative identity; the folded lower factor solves the pair again on
+    # the refined 2N grid
+    assert counts == {"solve_krein": 4}
+    out = capsys.readouterr().out
+    # the report is the one the public calls give, to the byte
+    report = _verify_potential(kreinmap.theta(h))
+    report.entries.extend(kreinmap.check_krein_derivative_identity(h).entries)
+    lh = kreinmap.folded_lower_factor(h)
+    glm = kreinmap.solve_glm(kreinmap.folded_kernel(h))
+    diff = kreinmap.Kernel2D(lh.n, lh.grid, "lower", lh.values - glm.values)
+    report.add("glm_consistency", kreinmap.mixed_norm(diff, 1.0), 5e-3)
+    assert out == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("field", [const_accelerant(0.5, 32), linear_potential(32)])
 def test_roundtrip_builds_one_product_kernel_per_rung(count_calls, field):
     counts = count_calls("resolvent_product_kernel")
@@ -158,10 +180,13 @@ def test_roundtrip_builds_one_product_kernel_per_rung(count_calls, field):
     assert counts == {"resolvent_product_kernel": 2}
 
 
-# c = 1.7 is an accelerant (1 + 1.7 alpha > 0) whose Schur norm bound
-# rho = 1.7 (1 + 1/N) exceeds 1, so it is accepted only by the sweep; c = 0.5
-# at N = 16 has rho = 0.53 and is certified without one.
-SWEPT, CERTIFIED = const_accelerant(1.7, 16), const_accelerant(0.5, 16)
+# c = -0.95 at N = 16 is an accelerant (1 - 0.95 alpha > 0) that neither
+# certificate covers: its Schur norm bound rho = 0.95 (1 + 1/N) = 1.009
+# exceeds 1, and the smallest eigenvalue of the Hermitian part of its
+# Toeplitz matrix gives 1 + step lam = -0.009 < 0. So it is accepted only by
+# the sweep (minimum margin 0.0487); c = 0.5 at N = 16 has rho = 0.53 and is
+# certified without one.
+SWEPT, CERTIFIED = const_accelerant(-0.95, 16), const_accelerant(0.5, 16)
 
 
 def test_cli_theta_runs_the_sweep_once(count_calls, tmp_path):

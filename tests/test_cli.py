@@ -6,9 +6,11 @@ which needs a fresh interpreter to see the environment variable.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from conftest import const_accelerant, const_potential, gauss_accelerant, linear
 from kreinmap import GridSpec, Potential, is_accelerant, theta
 from kreinmap.cli import main, read_field, write_field
 from kreinmap.errors import FieldFormatError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _zero_potential(n_cells, r=1):
@@ -118,13 +122,17 @@ def test_theta_command_writes_matching_potential(tmp_path, capsys):
     assert np.array_equal(q.q_plus, direct.q_plus)
 
 
-@pytest.mark.parametrize("c", [0.5, 1.7])
+@pytest.mark.parametrize("c", [0.5, 1.7, -0.95])
 def test_theta_command_names_bound_or_swept_margin(tmp_path, capsys, c):
-    # rho = c (1 + 1/16) = 0.53 certifies c = 0.5 without a sweep, while
-    # c = 1.7 (rho = 1.81) is accepted only by the sweep
+    # rho = |c| (1 + 1/16): 0.53 certifies c = 0.5 by the Schur norm bound;
+    # c = 1.7 (rho = 1.81) has a positive semi-definite Toeplitz matrix and is
+    # certified by the numerical range bound 1 / (sqrt(2) (1 + rho)); c = -0.95
+    # (rho = 1.009, 1 + step lam = -0.009) is accepted only by the sweep
     h = const_accelerant(c, 16)
-    if c < 1:
+    if c == 0.5:
         line = "accelerant bound: min margin >= 0.306122 (Schur norm bound, not swept)"
+    elif c == 1.7:
+        line = "accelerant bound: min margin >= 0.251976 (numerical range bound, not swept)"
     else:
         line = f"accelerant test: min margin {is_accelerant(h).margins.min():.6f}"
     src = tmp_path / "h.json"
@@ -135,6 +143,19 @@ def test_theta_command_names_bound_or_swept_margin(tmp_path, capsys, c):
     assert capsys.readouterr().out == line + f"\nwrote potential (r=1, N=16) to {dst}\n"
     write_field(str(ref), theta(h), meta=f"theta of {src}")
     assert dst.read_bytes() == ref.read_bytes()
+
+
+def test_readme_quotes_the_theta_labels_as_printed(tmp_path, capsys):
+    # c = 0.5 takes the Schur norm bound, c = 1.7 the numerical range bound
+    # and c = -0.95 the sweep; the README quotes each first line with its
+    # number written as "…"
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    src = tmp_path / "h.json"
+    for c in (0.5, 1.7, -0.95):
+        write_field(str(src), const_accelerant(c, 16))
+        assert main(["theta", "--in", str(src), "--out", str(tmp_path / "q.json")]) == 0
+        label = capsys.readouterr().out.splitlines()[0]
+        assert f"`{re.sub(r'[0-9.]+[0-9]', '…', label)}`" in readme, label
 
 
 @pytest.mark.parametrize("c", [1e300, np.finfo(float).max])

@@ -136,7 +136,7 @@ def test_certified_margin_never_exceeds_the_sweep(seed, r, n_cells, complex_valu
     h = Accelerant(r, GridSpec(n_cells), vals.astype(complex))
     h = Accelerant(r, h.grid, h.values * (rho / _schur_rho(h)))
     for g in (h, reflect(h)):
-        bound = factorization._certified_margin(g)
+        bound = factorization._certified_margin(factorization._norm_bound(g))
         if rho < 0.999:
             assert bound == pytest.approx((1 - rho) / (1 + rho), rel=1e-9)
         if rho > 1.001:
@@ -153,16 +153,124 @@ def test_certified_margin_leaves_the_between_node_constant_to_the_sweep():
     n_cells = 100
     h = const_accelerant(-1.0 / (20 / n_cells + 0.5 / n_cells), n_cells)
     assert _schur_rho(h) > 1
-    assert factorization._certified_margin(h) is None
-    assert factorization._certified_margin(reflect(h)) is None
+    assert factorization._certified_margin(factorization._norm_bound(h)) is None
+    assert factorization._certified_margin(factorization._norm_bound(reflect(h))) is None
 
 
 @pytest.mark.parametrize("c", [1e300, np.finfo(float).max])
 def test_certified_margin_of_an_overflowing_accelerant_is_none(c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert factorization._certified_margin(const_accelerant(c, 16)) is None
-        assert factorization._certified_margin(const_accelerant(c, 16, r=2)) is None
+        for r in (1, 2):
+            rho = factorization._norm_bound(const_accelerant(c, 16, r=r))
+            assert factorization._certified_margin(rho) is None
+
+
+def _positive_type(rng, r: int, n_cells: int, complex_values: bool) -> np.ndarray:
+    # sum_k P_k e^{i w_k u} (cos(w_k u) when real) with P_k = G_k G_k^H >= 0:
+    # every Toeplitz matrix [h(x_i - x_j)] of it is Hermitian positive
+    # semi-definite
+    u = -1.0 + np.arange(4 * n_cells + 1) / (2 * n_cells)
+    g = rng.standard_normal((3, r, r))
+    if complex_values:
+        g = g + 1j * rng.standard_normal((3, r, r))
+    p = g @ np.conj(np.swapaxes(g, 1, 2))
+    w = rng.uniform(-12.0, 12.0, 3)
+    phase = np.exp(1j * np.outer(u, w)) if complex_values else np.cos(np.outer(u, w))
+    return np.einsum("uk,kab->uab", phase, p)
+
+
+def _numerical_range_margin(h: Accelerant):
+    return factorization._numerical_range_margin(h, factorization._norm_bound(h))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.sampled_from([1, 2]),
+    n_cells=st.sampled_from([8, 10, 16, 24]),
+    complex_values=st.booleans(),
+    rho=st.floats(1.01, 20.0),
+    noise=st.floats(0.0, 2.0),
+)
+def test_numerical_range_margin_never_exceeds_the_sweep(
+    seed, r, n_cells, complex_values, rho, noise
+):
+    # positive-type h beyond the Schur norm bound (rho > 1), then the same h
+    # plus an arbitrary perturbation of relative size noise, large enough to
+    # leave about half of them uncertified
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(n_cells)
+    h = Accelerant(r, grid, _positive_type(rng, r, n_cells, complex_values).astype(complex))
+    h = Accelerant(r, grid, h.values * (rho / _schur_rho(h)))
+    shape = h.values.shape
+    kick = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_values else 0)
+    size = np.mean(np.linalg.norm(h.values, 2, axis=(1, 2)))
+    perturbed = Accelerant(r, grid, h.values + noise * size * kick / np.abs(kick).max())
+    assert factorization._certified_margin(factorization._norm_bound(h)) is None
+    assert _numerical_range_margin(h) is not None  # positive type is certified
+    for g in (h, reflect(h), perturbed, reflect(perturbed)):
+        bound = _numerical_range_margin(g)
+        if bound is not None:
+            assert bound >= factorization._CERTIFY_FLOOR
+            rep = is_accelerant(g)
+            assert rep.accepted
+            assert rep.margins.min() >= bound
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize(
+    "c, n_cells, accepted",
+    [
+        (-1.25, 40, False),  # 1 + c alpha = 0 on the node alpha = 0.8
+        (-1.0 / (20 / 100 + 0.5 / 100), 100, True),  # 1 + c alpha = 0 between two nodes
+        (-0.95, 16, True),  # rho = 1.009, 1 + step lam = -0.009
+        (-16 / 17 * (1 - 1e-7), 16, True),  # bound 3.5e-8, below the floor
+        (1e10, 16, False),  # positive type, but margins below 1e-8
+        (1e300, 16, False),
+        (np.finfo(float).max, 16, False),
+    ],
+    ids=["-1.25", "between-nodes", "-0.95", "floor", "1e10", "1e300", "float-max"],
+)
+def test_neither_certificate_covers_these_constants(r, c, n_cells, accepted):
+    # the sweep alone decides these: every rejection, and the two accepted
+    # inputs that sit closest to a singular I + H_alpha
+    h = const_accelerant(c, n_cells, r=r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = factorization._norm_bound(h)
+        assert factorization._certified_margin(rho) is None
+        assert factorization._numerical_range_margin(h, rho) is None
+        if r == 1:
+            assert is_accelerant(h).accepted == accepted
+
+
+@pytest.mark.parametrize(
+    "h",
+    [gauss_accelerant(0.3, 40), const_accelerant(-0.95, 16), _real_r2_accelerant()],
+    ids=["gauss", "c=-0.95", "real-r2"],
+)
+def test_real_krein_solve_agrees_with_the_complex_path(monkeypatch, h):
+    dtypes = set()
+    lu_inverses = factorization._lu_inverses
+
+    def recorded(a):
+        dtypes.add(a.dtype)
+        return lu_inverses(a)
+
+    monkeypatch.setattr(factorization, "_lu_inverses", recorded)
+    real = solve_krein(h)
+    assert dtypes == {np.dtype(np.float64)}
+    assert real.values.dtype == np.complex128
+
+    # an imaginary part of 1e-300 on one sample the solve reads keeps the
+    # complex path and moves no real part
+    dtypes.clear()
+    vals = h.values.copy()
+    vals[2 * h.grid.N + 2] += 1e-300j
+    ref = solve_krein(Accelerant(h.r, h.grid, vals)).values
+    assert dtypes == {np.dtype(np.complex128)}
+    assert np.max(np.abs(real.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_glm_zero_kernel():
