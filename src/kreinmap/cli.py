@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError, SingularSystemError
-from .factorization import _require_accelerant, is_accelerant, solve_glm
+from .factorization import _require_accelerant, is_accelerant
 from .fields import (
     Accelerant,
     GridSpec,
@@ -25,17 +25,10 @@ from .fields import (
     decimate_accelerant,
     decimate_potential,
 )
-from .forward_map import (
-    _block_kernel,
-    _krein_kernels,
-    _krein_potential,
-    folded_kernel,
-    folded_lower_factor,
-)
+from .forward_map import _krein_kernels, _krein_potential
 from .inverse_map import upsilon
-from .quadops import mixed_norm
 from .dirac_verify import (
-    _derivative_identity,
+    _verify_accelerant,
     _verify_potential,
     roundtrip_report,
     solve_cauchy,
@@ -169,6 +162,12 @@ def _parse_ladder(text: str):
     return ladder
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a roundtrip --tol that fails every ladder (nan, <= 0) or none (inf)."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise FieldFormatError(f"--tol must be a finite number > 0, got {tol!r}")
+
+
 def _emit_report(report) -> None:
     print(json.dumps(report.to_dict(), indent=2))
 
@@ -218,8 +217,7 @@ def cmd_check_accelerant(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise FieldFormatError(f"--tol must be a finite number > 0, got {args.tol!r}")
+    _check_tol(args.tol)
     field = read_field(args.in_path)
     if not isinstance(field, (Accelerant, Potential)):
         raise FieldFormatError(f"{args.in_path}: roundtrip needs an accelerant or potential")
@@ -237,19 +235,7 @@ def cmd_verify(args) -> int:
     elif isinstance(field, Accelerant):
         if args.n is not None:
             field = decimate_accelerant(field, args.n)
-        # theta and the derivative identity read the same two Krein kernels
-        _require_accelerant(field)
-        kernels = _krein_kernels(field)
-        report = _verify_potential(_krein_potential(field, kernels))
-        report.entries.extend(
-            _derivative_identity(field, _block_kernel(field, kernels)).entries
-        )
-        # dual-route factor check: the folded Krein factor against the
-        # triangular factor recovered from the folded kernel itself
-        lh = folded_lower_factor(field)
-        glm = solve_glm(folded_kernel(field))
-        diff = Kernel2D(lh.n, lh.grid, "lower", lh.values - glm.values)
-        report.add("glm_consistency", mixed_norm(diff, 1.0), 5e-3)
+        report = _verify_accelerant(field)
     else:
         raise FieldFormatError(f"{args.in_path}: verify needs an accelerant or potential")
     _emit_report(report)

@@ -8,6 +8,11 @@ against the identities they must satisfy, using finite differences that
 never straddle the diagonal, where the kernels are only one-sidedly smooth.
 A residual that overflows floating point comes out non-finite and fails its
 report entry, without a numpy warning.
+
+The report tolerances are module constants that no caller sets: 5e-2 on
+the finite-difference wave_* entries, 1e-8 on symmetry_P, 1e-2 on the
+representation at non-real lambda, and 5e-3 on every other entry.  Only
+roundtrip_report takes its finest-grid tolerance as an argument.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError
-from .factorization import _require_accelerant
+from .factorization import _require_accelerant, solve_glm
 from .fields import (
     Accelerant,
     DiagnosticReport,
@@ -25,8 +30,17 @@ from .fields import (
     decimate_potential,
     structural_constants,
 )
-from .forward_map import _krein_kernels, block_krein_kernel, folded_kernel, theta
+from .forward_map import (
+    _block_kernel,
+    _krein_kernels,
+    _krein_potential,
+    block_krein_kernel,
+    folded_kernel,
+    folded_lower_factor,
+    theta,
+)
 from .inverse_map import (
+    _block_symmetry,
     _resolvent_factors,
     assemble_product,
     characteristic_extract,
@@ -52,6 +66,11 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDAS = (0.0, 1.0, -1.0, 1.0 + 0.5j)
+_SUBSTEPS = 4  # RK4 steps per grid cell in solve_cauchy
+_TOL = 5e-3  # every report entry not named below
+_WAVE_TOL = 5e-2  # finite-difference wave_* entries
+_NONREAL_TOL = 1e-2  # representation at non-real lambda
+_SYMMETRY_TOL = 1e-8  # symmetry_P, exact at the matrix level
 
 
 def _lam_label(lam: complex) -> str:
@@ -72,7 +91,7 @@ def _free_evolution(lam: complex, x: np.ndarray, r: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_cauchy(q: Potential, lam: complex, substeps: int = 4) -> np.ndarray:
+def solve_cauchy(q: Potential, lam: complex, substeps: int = _SUBSTEPS) -> np.ndarray:
     """Fundamental solution of J Y' + Q Y = lam Y, Y(0) = I, at the nodes.
 
     Classical fourth-order one-step integration of Y' = -J (lam - Q(x)) Y
@@ -176,34 +195,22 @@ def transmuted_solution(kernel: Kernel2D, lam: complex) -> np.ndarray:
     return phi0 + np.einsum("ij,ijab,jbc->iac", tw, kernel.values, phi0)
 
 
-def check_fundamental_representation(
-    q: Potential,
-    lams=DEFAULT_LAMBDAS,
-    substeps: int = 4,
-    tol: float = 5e-3,
-    imag_tol: float = 1e-2,
-) -> DiagnosticReport:
+def check_fundamental_representation(q: Potential) -> DiagnosticReport:
     """Residual of the two-kernel representation of the fundamental solution.
 
     E(x) + int_0^x P+(x,t) E(x-2t) dt + int_0^x P-(x,t) E(2t-x) dt is
-    compared with the integrated solution per spectral value. Non-real
-    values get the looser tolerance; conditioning grows like e^{|Im lam|}.
-    A potential the march does not resolve on its own grid raises
+    compared with the solution integrated by solve_cauchy, at each lambda
+    of DEFAULT_LAMBDAS.  A real lambda carries tolerance 5e-3 and a
+    non-real one 1e-2, since conditioning grows like e^{|Im lam|}.  A
+    potential the march does not resolve on its own grid raises
     FieldFormatError.
     """
-    return _fundamental_representation(
-        q, transformation_kernels(q), lams, substeps, tol, imag_tol
-    )
+    return _fundamental_representation(q, transformation_kernels(q))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _fundamental_representation(
-    q: Potential,
-    pair: tuple[Kernel2D, Kernel2D],
-    lams=DEFAULT_LAMBDAS,
-    substeps: int = 4,
-    tol: float = 5e-3,
-    imag_tol: float = 1e-2,
+    q: Potential, pair: tuple[Kernel2D, Kernel2D]
 ) -> DiagnosticReport:
     """check_fundamental_representation with the pair transformation_kernels(q)."""
     plus, minus = pair
@@ -211,8 +218,8 @@ def _fundamental_representation(
     x = grid.nodes
     tw = nystrom_weights(grid, "lower")
     report = DiagnosticReport()
-    for lam in lams:
-        y_ode = solve_cauchy(q, lam, substeps)
+    for lam in DEFAULT_LAMBDAS:
+        y_ode = solve_cauchy(q, lam)
         e_plus = _free_evolution(lam, x[:, None] - 2.0 * x[None, :], q.r)
         e_minus = _free_evolution(lam, 2.0 * x[None, :] - x[:, None], q.r)
         y_rep = (
@@ -221,9 +228,9 @@ def _fundamental_representation(
             + np.einsum("ij,ijab,ijbc->iac", tw, minus.values, e_minus)
         )
         residual = float(np.max(np.abs(y_rep - y_ode)))
-        entry_tol = tol if complex(lam).imag == 0 else imag_tol
+        entry_tol = _TOL if complex(lam).imag == 0 else _NONREAL_TOL
         report.add(f"representation_{_lam_label(lam)}", residual, entry_tol)
-    report.metadata.update({"N": grid.N, "r": q.r, "substeps": substeps})
+    report.metadata.update({"N": grid.N, "r": q.r, "substeps": _SUBSTEPS})
     return report
 
 
@@ -302,58 +309,56 @@ def _masked_sup(arr: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.abs(arr[mask])))
 
 
-def identity_suite(
-    q: Potential,
-    algebraic_tol: float = 5e-3,
-    derivative_tol: float = 5e-2,
-) -> DiagnosticReport:
+def identity_suite(q: Potential) -> DiagnosticReport:
     """Residuals of every computable identity of the kernel calculus.
 
-    Finite-difference entries (wave_*) carry derivative_tol, pointwise
-    algebraic contractions carry algebraic_tol, and the two structural
-    checks that hold at the matrix level (J-block symmetry of the
-    transformation pair, the triangular resolvent identity) carry fixed
-    tight tolerances.  The transformation pair is built first, on the
-    potential's own grid, so a potential the march does not resolve there
-    raises FieldFormatError before any other work.  K_Q, L and L* come
-    from the product kernel's own _resolvent_factors, so a real-class or
-    self-adjoint q takes the same float64 or one-resolvent route as there.
+    The finite-difference entries (wave_*) carry tolerance 5e-2, the
+    J-block symmetry of the transformation pair (symmetry_P), which holds
+    at the matrix level, carries 1e-8, and the pointwise algebraic
+    contractions and reciprocity identities carry 5e-3.  The transformation
+    pair is built first, on the potential's own grid, so a potential the
+    march does not resolve there raises FieldFormatError before any other
+    work.  K_Q, L and L* come from the product kernel's own
+    _resolvent_factors, so a real-class or self-adjoint q takes the same
+    float64 or one-resolvent route as there.
     """
-    symmetry = _block_symmetry(transformation_kernels(q))
-    return _identity_suite(q, symmetry, algebraic_tol, derivative_tol)
+    return _identity_suite(q, _block_symmetry(transformation_kernels(q)))
 
 
 def _verify_potential(q: Potential) -> DiagnosticReport:
     """identity_suite(q) followed by the entries of
     check_fundamental_representation(q), from one build of the
-    transformation pair (CLI verify)."""
+    transformation pair (CLI verify on a potential)."""
     pair = transformation_kernels(q)
     report = _identity_suite(q, _block_symmetry(pair))
     report.entries.extend(_fundamental_representation(q, pair).entries)
     return report
 
 
-def _block_symmetry(pair: tuple[Kernel2D, Kernel2D]) -> float:
-    """The symmetry_P residual: P+ commutes with J and P- anticommutes."""
-    plus, minus = pair
-    J = structural_constants(plus.n // 2).J
-    return max(
-        float(np.max(np.abs(plus.values @ J - J @ plus.values))),
-        float(np.max(np.abs(minus.values @ J + J @ minus.values))),
-    )
+def _verify_accelerant(h: Accelerant) -> DiagnosticReport:
+    """_verify_potential(theta(h)) followed by the entries of
+    check_krein_derivative_identity(h) and glm_consistency (CLI verify on
+    an accelerant).  h passes the gate once, and theta and the derivative
+    identity read the same two Krein kernels."""
+    _require_accelerant(h)
+    kernels = _krein_kernels(h)
+    report = _verify_potential(_krein_potential(h, kernels))
+    report.entries.extend(_derivative_identity(h, _block_kernel(h, kernels)).entries)
+    # dual-route factor check: the folded Krein factor against the
+    # triangular factor recovered from the folded kernel itself
+    lh = folded_lower_factor(h)
+    glm = solve_glm(folded_kernel(h))
+    diff = Kernel2D(lh.n, lh.grid, "lower", lh.values - glm.values)
+    report.add("glm_consistency", mixed_norm(diff, 1.0), _TOL)
+    return report
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _identity_suite(
-    q: Potential,
-    symmetry: float,
-    algebraic_tol: float = 5e-3,
-    derivative_tol: float = 5e-2,
-) -> DiagnosticReport:
+def _identity_suite(q: Potential, symmetry: float) -> DiagnosticReport:
     """identity_suite with the symmetry_P residual of transformation_kernels(q)
     (_block_symmetry) already computed."""
     sc = structural_constants(q.r)
-    J, B = sc.J, sc.B
+    J = sc.J
     astar = sc.a_row.conj().T
     qfull = q.full()
     grid = q.grid
@@ -366,33 +371,17 @@ def _identity_suite(
     k_values, l_values, l_star_values = _resolvent_factors(q)
     kq = Kernel2D(n, grid, "lower", k_values)
     ak, mask_k = apply_wave_operator(kq, "lower")
-    report.add(
-        "wave_K",
-        _masked_sup(ak.values + qfull[:, None] @ kq.values, mask_k),
-        derivative_tol,
-    )
+    report.add("wave_K", _masked_sup(ak.values + qfull[:, None] @ kq.values, mask_k), _WAVE_TOL)
     diag_k = kq.values[d, d]
-    report.add(
-        "diag_K", float(np.max(np.abs(diag_k @ J - J @ diag_k - qfull))), algebraic_tol
-    )
-    report.add(
-        "boundary_K", float(np.max(np.abs(kq.values[1:N, 0] @ astar))), algebraic_tol
-    )
+    report.add("diag_K", float(np.max(np.abs(diag_k @ J - J @ diag_k - qfull))), _TOL)
+    report.add("boundary_K", float(np.max(np.abs(kq.values[1:N, 0] @ astar))), _TOL)
 
     lq = Kernel2D(n, grid, "lower", l_values)
     al, mask_l = apply_wave_operator(lq, "lower")
-    report.add(
-        "wave_L",
-        _masked_sup(al.values - lq.values @ qfull[None, :], mask_l),
-        derivative_tol,
-    )
+    report.add("wave_L", _masked_sup(al.values - lq.values @ qfull[None, :], mask_l), _WAVE_TOL)
     diag_l = lq.values[d, d]
-    report.add(
-        "diag_L", float(np.max(np.abs(J @ diag_l - diag_l @ J - qfull))), algebraic_tol
-    )
-    report.add(
-        "boundary_L", float(np.max(np.abs(lq.values[:, 0] @ astar))), algebraic_tol
-    )
+    report.add("diag_L", float(np.max(np.abs(J @ diag_l - diag_l @ J - qfull))), _TOL)
+    report.add("boundary_L", float(np.max(np.abs(lq.values[:, 0] @ astar))), _TOL)
 
     parts = resolvent_product_parts(lq, Kernel2D(n, grid, "lower", l_star_values))
     i, j = np.indices((m, m))
@@ -400,26 +389,18 @@ def _identity_suite(
     af_low, mask_fl = apply_wave_operator(
         Kernel2D(2 * q.r, grid, "lower", f_low), "lower"
     )
-    report.add("wave_F_lower", _masked_sup(af_low.values, mask_fl), derivative_tol)
+    report.add("wave_F_lower", _masked_sup(af_low.values, mask_fl), _WAVE_TOL)
     f_up = np.where((j >= i)[:, :, None, None], parts.cross, 0) + parts.upper.values
     af_up, mask_fu = apply_wave_operator(
         Kernel2D(2 * q.r, grid, "upper", f_up), "upper"
     )
-    report.add("wave_F_upper", _masked_sup(af_up.values, mask_fu), derivative_tol)
+    report.add("wave_F_upper", _masked_sup(af_up.values, mask_fu), _WAVE_TOL)
 
     f_full = assemble_product(parts)
-    report.add(
-        "boundary_F_row",
-        float(np.max(np.abs(f_full.values[1:N, 0] @ astar))),
-        algebraic_tol,
-    )
-    report.add(
-        "boundary_F_col",
-        float(np.max(np.abs(sc.a_row @ f_full.values[0, 1:N]))),
-        algebraic_tol,
-    )
+    report.add("boundary_F_row", float(np.max(np.abs(f_full.values[1:N, 0] @ astar))), _TOL)
+    report.add("boundary_F_col", float(np.max(np.abs(sc.a_row @ f_full.values[0, 1:N]))), _TOL)
 
-    report.add("symmetry_P", symmetry, 1e-8)
+    report.add("symmetry_P", symmetry, _SYMMETRY_TOL)
 
     low = j <= i
     report.add(
@@ -428,7 +409,7 @@ def _identity_suite(
             kq.values + lq.values + _triangle_compose(kq.values, lq.values, grid.step),
             low,
         ),
-        algebraic_tol,
+        _TOL,
     )
     report.add(
         "reciprocity_LK",
@@ -436,7 +417,7 @@ def _identity_suite(
             kq.values + lq.values + _triangle_compose(lq.values, kq.values, grid.step),
             low,
         ),
-        algebraic_tol,
+        _TOL,
     )
 
     report.metadata.update({"N": N, "r": q.r})
@@ -460,13 +441,14 @@ def _triangle_compose(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_krein_derivative_identity(h: Accelerant, tol: float = 5e-3) -> DiagnosticReport:
-    """Residual of d/dx R_H(x, x-t) = R_H(x, 0) B R_H(x, t) B on the triangle."""
-    return _derivative_identity(h, block_krein_kernel(h), tol)
+def check_krein_derivative_identity(h: Accelerant) -> DiagnosticReport:
+    """Residual of d/dx R_H(x, x-t) = R_H(x, 0) B R_H(x, t) B on the
+    triangle, with tolerance 5e-3."""
+    return _derivative_identity(h, block_krein_kernel(h))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _derivative_identity(h: Accelerant, rk: Kernel2D, tol: float = 5e-3) -> DiagnosticReport:
+def _derivative_identity(h: Accelerant, rk: Kernel2D) -> DiagnosticReport:
     """check_krein_derivative_identity on rk = block_krein_kernel(h)."""
     grid = h.grid
     N = grid.N
@@ -480,9 +462,7 @@ def _derivative_identity(h: Accelerant, rk: Kernel2D, tol: float = 5e-3) -> Diag
     head = rk.values[:, 0] @ sc.B
     target = head[:, None] @ (rk.values @ sc.B)
     report = DiagnosticReport()
-    report.add(
-        "derivative_identity", _masked_sup(dw - target, mask & low), tol
-    )
+    report.add("derivative_identity", _masked_sup(dw - target, mask & low), _TOL)
     report.metadata.update({"N": N, "r": h.r})
     return report
 

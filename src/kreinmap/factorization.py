@@ -141,6 +141,7 @@ def _toeplitz_matrix(h: Accelerant) -> np.ndarray:
 # It sits two orders above the sweep's own 1e-8, so no round-off in a bound
 # can carry an input that the sweep rejects.
 _CERTIFY_FLOOR = 1e-6
+_LEAK_TOL = 5e-8  # the strict-lower leakage factorize lets pass as round-off
 
 
 def _norm_bound(h: Accelerant) -> float:
@@ -488,14 +489,14 @@ def solve_krein(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:
     return solve_glm(conv, edge_plus=plus, edge_minus=minus)
 
 
-def factorize(f_kernel: Kernel2D, leak_tol: float = 5e-8):
+def factorize(f_kernel: Kernel2D):
     """Split I + F into inverse triangular factors.
 
     Returns (l_plus, l_minus) with l_plus lower and l_minus upper such that
     at the matrix level (I + L+)^-1 (I + L-)^-1 = I + F. The product
     (I + L+)(I + F) - I must come out upper triangular up to solver
-    round-off; its strict-lower leakage is checked against leak_tol before
-    masking.
+    round-off; a strict-lower leakage above 5e-8 in the mixed norm raises
+    SingularSystemError before masking.
     """
     grid, n = f_kernel.grid, f_kernel.n
     l_plus = solve_glm(f_kernel)
@@ -511,9 +512,9 @@ def factorize(f_kernel: Kernel2D, leak_tol: float = 5e-8):
         n, grid, "full", leak_vals / grid.weights[None, :, None, None]
     )
     leakage = mixed_norm(leak_kernel, 1)
-    if leakage > leak_tol:
+    if leakage > _LEAK_TOL:
         raise SingularSystemError(
-            1.0, f"factorization leakage {leakage:.3e} exceeds {leak_tol:.1e}"
+            1.0, f"factorization leakage {leakage:.3e} exceeds {_LEAK_TOL:.1e}"
         )
 
     u_upper = _flatten(np.where((j >= i)[:, :, None, None], ublocks, 0.0))

@@ -173,11 +173,6 @@ class Kernel2D:
         object.__setattr__(self, "values", vals)
 
 
-def zero_kernel(n: int, grid: GridSpec, support: str = "full") -> Kernel2D:
-    m = grid.N + 1
-    return Kernel2D(n, grid, support, np.zeros((m, m, n, n), dtype=np.complex128))
-
-
 @dataclass(frozen=True)
 class StructuralConstants:
     """The fixed matrices of the 2r x 2r block calculus.

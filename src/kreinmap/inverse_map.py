@@ -234,12 +234,20 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     plus[..., r:, r:] = ub
     minus[..., r:, :r] = va
     minus[..., :r, r:] = vb
-
-    d = np.diagonal(structural_constants(r).J)  # (PJ -+ JP)[a, c] = P[a, c] (d[c] -+ d[a])
-    sym = max(np.abs(plus * (d - d[:, None])).max(), np.abs(minus * (d + d[:, None])).max())
+    pair = Kernel2D(n, q.grid, "lower", plus), Kernel2D(n, q.grid, "lower", minus)
+    sym = _block_symmetry(pair)
     if sym > 1e-8:
         raise AssertionError(f"block symmetry violated by {sym:.3e}")
-    return Kernel2D(n, q.grid, "lower", plus), Kernel2D(n, q.grid, "lower", minus)
+    return pair
+
+
+def _block_symmetry(pair: tuple[Kernel2D, Kernel2D]) -> float:
+    """max |P+ J - J P+| and |P- J + J P-|, exactly: J is diagonal, so
+    (PJ -+ JP)[a, c] = P[a, c] (d[c] -+ d[a]) with d its diagonal."""
+    plus, minus = pair
+    d = np.diagonal(structural_constants(plus.n // 2).J)
+    plus_sym = np.abs(plus.values * (d - d[:, None])).max()
+    return float(max(plus_sym, np.abs(minus.values * (d + d[:, None])).max()))
 
 
 def _midpoint_fill(samples: np.ndarray) -> np.ndarray:

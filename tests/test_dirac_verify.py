@@ -1,5 +1,7 @@
 """Cross-checks against the differential system and the probe harnesses."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from kreinmap import (
     transmuted_solution,
     upsilon,
 )
+from kreinmap.cli import main, write_field
 from kreinmap.dirac_verify import _triangle_compose
 from kreinmap.errors import FieldFormatError
 
@@ -229,6 +232,42 @@ def test_roundtrip_report_both_directions():
     q = linear_potential(64)
     rep_q = roundtrip_report(q, ladder=(16, 32, 64), final_tol=5e-3)
     assert rep_q.passed
+
+
+SUITE_TOLS = [
+    ("wave_K", 5e-2), ("diag_K", 5e-3), ("boundary_K", 5e-3),
+    ("wave_L", 5e-2), ("diag_L", 5e-3), ("boundary_L", 5e-3),
+    ("wave_F_lower", 5e-2), ("wave_F_upper", 5e-2),
+    ("boundary_F_row", 5e-3), ("boundary_F_col", 5e-3),
+    ("symmetry_P", 1e-8), ("reciprocity_KL", 5e-3), ("reciprocity_LK", 5e-3),
+]
+# non-real lambda gets the looser tolerance
+REPRESENTATION_TOLS = [
+    ("representation_0", 5e-3), ("representation_1", 5e-3),
+    ("representation_-1", 5e-3), ("representation_1+0.5i", 1e-2),
+]
+
+
+def test_report_tolerances_are_fixed(tmp_path, capsys):
+    q = linear_potential(16)
+    h = const_accelerant(0.5, 16)
+    tols = lambda report: [(e.name, e.tol) for e in report.entries]
+    assert tols(identity_suite(q)) == SUITE_TOLS
+    assert tols(check_fundamental_representation(q)) == REPRESENTATION_TOLS
+    assert tols(check_krein_derivative_identity(h)) == [("derivative_identity", 5e-3)]
+
+    src = tmp_path / "h.json"
+    write_field(str(src), h)
+    assert main(["verify", "--in", str(src)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(e["name"], e["tol"]) for e in doc["entries"]] == (
+        SUITE_TOLS + REPRESENTATION_TOLS
+        + [("derivative_identity", 5e-3), ("glm_consistency", 5e-3)]
+    )
+
+    # only the finest rung carries a tolerance
+    report = roundtrip_report(h, ladder=(8, 16), final_tol=1e-3)
+    assert tols(report) == [("roundtrip_N8", np.inf), ("roundtrip_N16", 1e-3)]
 
 
 def test_upsilon_then_theta_is_stable():

@@ -56,13 +56,18 @@ def test_scripts_run_on_demo_fields(tmp_path):
         ("run_identity_suite.py", "16,32", "grid 16 is not nested over target 32"),
         ("run_roundtrip.py", "16,32", "grid 16 is not nested over target 32"),
         ("run_identity_suite.py", "16,x", "cannot parse ladder"),
+        # refused as by kreinmap roundtrip: nan and -1 would fail the whole
+        # ladder, inf would pass it vacuously
+        ("run_roundtrip.py", "8,16 --tol nan", "--tol must be a finite number > 0, got nan"),
+        ("run_roundtrip.py", "8,16 --tol -1", "--tol must be a finite number > 0, got -1.0"),
+        ("run_roundtrip.py", "8,16 --tol inf", "--tol must be a finite number > 0, got inf"),
     ],
 )
 def test_scripts_exit_3_on_input_errors(tmp_path, script, ladder, message):
     # the CLI's contract: one line on stderr and exit 3, no traceback
     src = tmp_path / "q16.json"
     write_field(str(src), linear_potential(16))
-    proc = _spawn(script, "--in", src, "--ladder", ladder)
+    proc = _spawn(script, "--in", src, "--ladder", *ladder.split())
     assert proc.returncode == 3
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
