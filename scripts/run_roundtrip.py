@@ -8,8 +8,8 @@ one actually stares at while changing a discretization.
 import argparse
 import math
 
-from kreinmap.cli import _check_tol, _parse_ladder, read_field, run_guarded
-from kreinmap.dirac_verify import roundtrip_report
+from kreinmap.cli import _parse_ladder, read_field, run_guarded
+from kreinmap.dirac_verify import _check_tol, roundtrip_report
 
 
 def _table(argv) -> int:
@@ -18,7 +18,7 @@ def _table(argv) -> int:
     ap.add_argument("--ladder", default="50,100,200")
     ap.add_argument("--tol", type=float, default=5e-3)
     args = ap.parse_args(argv)
-    _check_tol(args.tol)
+    _check_tol(args.tol, "--tol")
 
     field = read_field(args.in_path)
     ladder = _parse_ladder(args.ladder)

@@ -28,6 +28,7 @@ from .fields import (
 from .forward_map import _krein_kernels, _krein_potential
 from .inverse_map import upsilon
 from .dirac_verify import (
+    _check_tol,
     _verify_accelerant,
     _verify_potential,
     roundtrip_report,
@@ -154,18 +155,9 @@ def _parse_lambda(text: str) -> complex:
 
 def _parse_ladder(text: str):
     try:
-        ladder = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise FieldFormatError(f"cannot parse ladder {text!r}")
-    if not ladder:
-        raise FieldFormatError("empty ladder")
-    return ladder
-
-
-def _check_tol(tol: float) -> None:
-    """Refuse a roundtrip --tol that fails every ladder (nan, <= 0) or none (inf)."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise FieldFormatError(f"--tol must be a finite number > 0, got {tol!r}")
 
 
 def _emit_report(report) -> None:
@@ -217,7 +209,7 @@ def cmd_check_accelerant(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    _check_tol(args.tol)
+    _check_tol(args.tol, "--tol")
     field = read_field(args.in_path)
     if not isinstance(field, (Accelerant, Potential)):
         raise FieldFormatError(f"{args.in_path}: roundtrip needs an accelerant or potential")

@@ -556,6 +556,13 @@ def lipschitz_probe(
     return {"map": map_id, "seed": seed, "trials": trials, "scales": per_scale}
 
 
+def _check_tol(tol: float, name: str = "final_tol") -> None:
+    """Refuse a roundtrip tolerance that fails every ladder (nan, <= 0) or
+    passes any (inf); name is how the caller spells the argument."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise FieldFormatError(f"{name} must be a finite number > 0, got {tol!r}")
+
+
 def roundtrip_report(field, ladder=(50, 100, 200), final_tol: float = 5e-3) -> DiagnosticReport:
     """Self-consistency of the composed maps across a nested grid ladder.
 
@@ -563,9 +570,13 @@ def roundtrip_report(field, ladder=(50, 100, 200), final_tol: float = 5e-3) -> D
     report records the relative L1 roundtrip error plus the gap between the
     two resolvent kernels the maps must share; only the finest error
     carries a tolerance, the coarser values and the consecutive ratios are
-    informational metadata.
+    informational metadata.  A final_tol that is not a finite number > 0
+    and an empty ladder raise FieldFormatError before any map runs.
     """
+    _check_tol(final_tol)
     ladder = tuple(sorted(int(n) for n in ladder))
+    if not ladder:
+        raise FieldFormatError("empty ladder")
     report = DiagnosticReport()
     errors = []
     f_gaps = []

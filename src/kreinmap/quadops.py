@@ -12,12 +12,13 @@ Operators are plain ndarrays, built only where a dense operator is needed
 (the factorization and the spectral radius probe). The cross term of the
 inverse map's resolvent product is compose, one GEMM of the two weighted
 triangular factors, so the weight algebra of operator products stays here.
+The discrete resolvent (invert_identity_plus) is one dense LU for every
+matrix, triangular or not, so numpy is the only library the package needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FieldFormatError, SingularSystemError
 from .fields import Accelerant, GridSpec, Kernel2D, Potential
@@ -100,21 +101,17 @@ def _compose(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _is_triangular(M: np.ndarray):
-    if not np.any(np.triu(M, 1)):
-        return "lower"
-    if not np.any(np.tril(M, -1)):
-        return "upper"
-    return None
-
-
 def invert_identity_plus(m: np.ndarray) -> np.ndarray:
     """Gamma with (I + m)(I + Gamma) = I, i.e. the discrete resolvent.
 
     m is a square operator matrix (see op_from_kernel); anything else raises
-    FieldFormatError.  Elementwise-triangular matrices go through a
-    triangular solve; everything else through a dense LU. A numerically
-    singular I + m raises with the smallest singular value attached.
+    FieldFormatError.  Every matrix goes through one dense LU.  A triangular
+    I + m, such as the upper one factorize inverts for scalar kernels, needs
+    no branch of its own: each column of an upper-triangular matrix is
+    already zero below the diagonal, so partial pivoting swaps no rows and
+    the LU is the triangular solve plus an elimination that changes
+    nothing.  A numerically singular I + m raises with the smallest singular
+    value attached.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
@@ -122,12 +119,8 @@ def invert_identity_plus(m: np.ndarray) -> np.ndarray:
     dim = m.shape[0]
     A = np.eye(dim, dtype=np.complex128) + m
     rhs = np.eye(dim, dtype=np.complex128)
-    tri = _is_triangular(m)
     try:
-        if tri is not None:
-            inv = scipy.linalg.solve_triangular(A, rhs, lower=(tri == "lower"))
-        else:
-            inv = np.linalg.solve(A, rhs)
+        inv = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
         sigma = np.linalg.svd(A, compute_uv=False)
         raise SingularSystemError(float("nan"), f"sigma_min = {sigma[-1]:.3e}")

@@ -26,6 +26,7 @@ from kreinmap import (
     transmuted_solution,
     upsilon,
 )
+from kreinmap import dirac_verify
 from kreinmap.cli import main, write_field
 from kreinmap.dirac_verify import _triangle_compose
 from kreinmap.errors import FieldFormatError
@@ -232,6 +233,31 @@ def test_roundtrip_report_both_directions():
     q = linear_potential(64)
     rep_q = roundtrip_report(q, ladder=(16, 32, 64), final_tol=5e-3)
     assert rep_q.passed
+
+
+
+@pytest.mark.parametrize(
+    "final_tol, ladder, message",
+    [
+        (np.inf, (8, 16), "final_tol must be a finite number > 0, got inf"),
+        (np.nan, (8, 16), "final_tol must be a finite number > 0, got nan"),
+        (-1.0, (8, 16), "final_tol must be a finite number > 0, got -1.0"),
+        (0.0, (8, 16), "final_tol must be a finite number > 0, got 0.0"),
+        (5e-3, (), "empty ladder"),
+    ],
+    ids=["inf", "nan", "negative", "zero", "empty_ladder"],
+)
+def test_roundtrip_report_refuses_malformed_arguments(monkeypatch, final_tol, ladder, message):
+    # inf passed whatever the error, nan and -1 failed every ladder, and an
+    # empty ladder passed with no entries; now none of them reaches a map
+    def no_map(*args):
+        raise AssertionError("a map ran before the arguments were checked")
+
+    monkeypatch.setattr(dirac_verify, "theta", no_map)
+    monkeypatch.setattr(dirac_verify, "resolvent_product_kernel", no_map)
+    with pytest.raises(FieldFormatError) as info:
+        roundtrip_report(const_accelerant(0.5, 16), ladder=ladder, final_tol=final_tol)
+    assert str(info.value) == message
 
 
 SUITE_TOLS = [

@@ -1,0 +1,40 @@
+"""The package's only runtime dependency is numpy.
+
+scipy used to be imported for one triangular solve, and its import was most
+of the start-up time of every CLI call. A fresh interpreter that imports the
+package and runs a CLI command must leave no scipy module loaded, so that no
+import deferred into a function can bring it back unnoticed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import const_accelerant
+
+from kreinmap.cli import write_field
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PROBE = """
+import contextlib, io, json, sys
+import kreinmap, kreinmap.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = kreinmap.cli.main(["check-accelerant", "--in", sys.argv[1]])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"code": code, "scipy": loaded}))
+"""
+
+
+def test_import_and_cli_load_no_scipy(tmp_path):
+    src = tmp_path / "h.json"
+    write_field(str(src), const_accelerant(0.3, 8))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(src)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result == {"code": 0, "scipy": []}

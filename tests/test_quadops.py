@@ -117,22 +117,32 @@ def test_resolvent_inverts(rng):
 
 
 def test_resolvent_triangular_path_matches_dense(rng):
+    # triangular input takes the same dense LU as any other matrix; the oracle
+    # is the defining residual, not a second solve. The upper r = 2 case is
+    # block-upper with full diagonal blocks, the shape factorize inverts.
     g = GridSpec(8)
-    vals = rng.standard_normal((9, 9, 1, 1)) * 0.3 + 0j
     i, j = np.indices((9, 9))
-    vals[j > i] = 0.0
-    k = Kernel2D(1, g, "lower", vals)
-    op = op_from_kernel(k)
-    gamma = invert_identity_plus(op)
-    dense = np.linalg.solve(np.eye(9) + op, np.eye(9)) - np.eye(9)
-    assert np.max(np.abs(gamma - dense)) < 1e-12
+    for support, n in [("lower", 1), ("upper", 1), ("upper", 2)]:
+        vals = rng.standard_normal((9, 9, n, n)) * 0.3 + 0j
+        vals[(j > i) if support == "lower" else (j < i)] = 0.0
+        op = op_from_kernel(Kernel2D(n, g, support, vals))
+        gamma = invert_identity_plus(op)
+        eye = np.eye(op.shape[0])
+        residual = (eye + op) @ (eye + gamma) - eye
+        assert np.max(np.abs(residual)) < 1e-12, (support, n)
 
 
-def test_resolvent_rejects_singular():
+def test_resolvent_rejects_singular(rng):
     m = np.zeros((9, 9), dtype=complex)
     m[0, 0] = -1.0
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError, match="sigma_min = "):
         invert_identity_plus(m)
+    # exactly singular triangular I + m: one zero on the diagonal
+    for tri in (np.tril, np.triu):
+        m = tri(rng.standard_normal((9, 9)) * 0.3 + 0j)
+        m[4, 4] = -1.0
+        with pytest.raises(SingularSystemError, match="sigma_min = "):
+            invert_identity_plus(m)
 
 
 @pytest.mark.parametrize("shape", [(9,), (9, 8), (0, 0), (2, 9, 9)])
