@@ -19,7 +19,6 @@ from .fields import (
     Potential,
     ReportEntry,
     StructuralConstants,
-    assemble_potential,
     decimate_accelerant,
     decimate_potential,
     potential_adjoint,
@@ -83,7 +82,6 @@ __all__ = [
     "Potential",
     "ReportEntry",
     "StructuralConstants",
-    "assemble_potential",
     "decimate_accelerant",
     "decimate_potential",
     "potential_adjoint",

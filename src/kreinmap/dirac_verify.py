@@ -91,56 +91,56 @@ def _free_evolution(lam: complex, x: np.ndarray, r: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_cauchy(q: Potential, lam: complex, substeps: int = _SUBSTEPS) -> np.ndarray:
+def solve_cauchy(q: Potential, lam: complex) -> np.ndarray:
     """Fundamental solution of J Y' + Q Y = lam Y, Y(0) = I, at the nodes.
 
     Classical fourth-order one-step integration of Y' = -J (lam - Q(x)) Y
-    with step 1/(N*substeps) and Q interpolated linearly between its node
-    samples. This is the oracle side of every representation check, so it
-    deliberately touches none of the kernel code.
+    with _SUBSTEPS = 4 steps per cell and Q interpolated linearly between
+    its node samples. The generator -lam J + J Q(x) is tabulated once, at
+    the three stage points x0, x0 + hh/2 and x0 + hh of every step, and the
+    march reads the table. This is the oracle side of every representation
+    check, so it deliberately touches none of the kernel code.
 
-    The step hh must resolve the generator, whose norm is at most
+    The step hh = 1/(4N) must resolve the generator, whose norm is at most
     rho = |lam| + max_x ||Q(x)||_2.  RK4 leaves a relative error of about
     (hh rho)^5 / 120 per step, so the leading global error estimate is
-    steps (hh rho)^5 / 120 over the steps = N*substeps of [0, 1].  Above
-    5e-3 the integrator is no longer an oracle: on the zero potential at
-    N = 8 it returns |Y(1)_00| = 4e-10 at lam = 80 and 2e9 at lam = 100,
-    where the exact value is 1.  Such inputs raise FieldFormatError up
-    front.  A solution that still overflows floating point raises
-    FieldFormatError as well.
+    steps (hh rho)^5 / 120 over the 4N steps of [0, 1].  Above 5e-3 the
+    integrator is no longer an oracle: on the zero potential at N = 8 it
+    returns |Y(1)_00| = 4e-10 at lam = 80 and 2e9 at lam = 100, where the
+    exact value is 1.  Such inputs raise FieldFormatError up front.  A
+    solution that still overflows floating point raises FieldFormatError
+    as well.
     """
-    if substeps < 1:
-        raise FieldFormatError(f"substeps must be >= 1, got {substeps}")
     sc = structural_constants(q.r)
     J = sc.J
     qfull = q.full()
     N = q.grid.N
-    hh = q.grid.step / substeps
+    hh = q.grid.step / _SUBSTEPS
     q_max = np.linalg.norm(qfull, 2, axis=(1, 2)).max()  # a numpy float: overflows to inf
-    estimate = N * substeps * (hh * (abs(lam) + q_max)) ** 5 / 120.0
+    estimate = N * _SUBSTEPS * (hh * (abs(lam) + q_max)) ** 5 / 120.0
     if not estimate <= 5e-3:  # a nan estimate is refused too
         raise FieldFormatError(
             f"Cauchy step {hh:.3g} does not resolve lambda = {_lam_label(lam)} with "
             f"max|Q| = {q_max:.3g}: RK4 error estimate {estimate:.3g} > 5e-3"
         )
 
-    def generator(x: float) -> np.ndarray:
-        pos = min(max(x, 0.0), 1.0) * N
-        cell = min(int(pos), N - 1)
-        frac = pos - cell
-        qx = (1.0 - frac) * qfull[cell] + frac * qfull[cell + 1]
-        return -lam * J + J @ qx
+    steps = np.arange(N * _SUBSTEPS)
+    x0 = (steps // _SUBSTEPS) * q.grid.step + (steps % _SUBSTEPS) * hh
+    pos = np.clip(np.stack([x0, x0 + 0.5 * hh, x0 + hh], axis=1), 0.0, 1.0) * N
+    cell = np.minimum(pos.astype(int), N - 1)
+    frac = (pos - cell)[..., None, None]
+    qx = (1.0 - frac) * qfull[cell] + frac * qfull[cell + 1]
+    generator = (-lam * J + J @ qx).reshape(N, _SUBSTEPS, 3, 2 * q.r, 2 * q.r)
 
     out = np.zeros((N + 1, 2 * q.r, 2 * q.r), dtype=np.complex128)
     y = np.eye(2 * q.r, dtype=np.complex128)
     out[0] = y
-    for i in range(N):
-        for k in range(substeps):
-            x0 = i * q.grid.step + k * hh
-            g1 = generator(x0) @ y
-            g2 = generator(x0 + 0.5 * hh) @ (y + 0.5 * hh * g1)
-            g3 = generator(x0 + 0.5 * hh) @ (y + 0.5 * hh * g2)
-            g4 = generator(x0 + hh) @ (y + hh * g3)
+    for i, cell_steps in enumerate(generator):
+        for g_start, g_mid, g_end in cell_steps:
+            g1 = g_start @ y
+            g2 = g_mid @ (y + 0.5 * hh * g1)
+            g3 = g_mid @ (y + 0.5 * hh * g2)
+            g4 = g_end @ (y + hh * g3)
             y = y + (hh / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
         out[i + 1] = y
     if not np.isfinite(out).all():
@@ -160,25 +160,25 @@ def krein_solution(h: Accelerant, lams) -> np.ndarray:
     sweep runs only when neither the Schur norm bound nor the numerical
     range bound can certify h. Neither the gate nor the kernels depend on
     lam, so one of each serves every value in lams; the result has shape
-    (len(lams), N + 1, 2r, r).
+    (len(lams), N + 1, 2r, r).  Substituting t = x - s, each integral is one
+    contraction of the kernel with the phases e^{-2 i lam (x_i - x_t)} for
+    phi_1 and e^{2 i lam (x_i - x_t)} for phi_2 on the lower trapezoid
+    weights, which are symmetric on [0, x_i].
     """
     _require_accelerant(h)
     r1, r2 = _krein_kernels(h)
     grid = h.grid
     x = grid.nodes
     tw = nystrom_weights(grid, "lower")
+    idx = np.arange(grid.N + 1)
+    lag = np.abs(idx[:, None] - idx[None, :])  # i - t wherever tw is nonzero
     eye = np.eye(h.r)
     phis = np.zeros((len(lams), grid.N + 1, 2 * h.r, h.r), dtype=np.complex128)
     for phi, lam in zip(phis, lams):
-        down = np.exp(-2j * lam * x)
-        up = np.exp(2j * lam * x)
-        for i in range(grid.N + 1):
-            w1 = tw[i, : i + 1] * down[: i + 1]
-            w2 = tw[i, : i + 1] * up[: i + 1]
-            s1 = np.einsum("k,kab->ab", w1, r1.values[i, i::-1])
-            s2 = np.einsum("k,kab->ab", w2, r2.values[i, i::-1])
-            phi[i, : h.r] = np.exp(1j * lam * x[i]) * (eye + s1)
-            phi[i, h.r :] = np.exp(-1j * lam * x[i]) * (eye + s2)
+        s1 = np.einsum("it,itab->iab", tw * np.exp(-2j * lam * x)[lag], r1.values)
+        s2 = np.einsum("it,itab->iab", tw * np.exp(2j * lam * x)[lag], r2.values)
+        phi[:, : h.r] = np.exp(1j * lam * x)[:, None, None] * (eye + s1)
+        phi[:, h.r :] = np.exp(-1j * lam * x)[:, None, None] * (eye + s2)
     return phis
 
 
@@ -271,9 +271,10 @@ def _line_deriv(vals, axis, lo, hi, step):
 def apply_wave_operator(x_kernel: Kernel2D, region: str = "lower"):
     """The first-order operator J d/dx + (d/dt) J on a sampled kernel.
 
-    Differences are confined to the named region so that no stencil crosses
-    the diagonal. Returns the image kernel together with the mask of nodes
-    where both directional stencils fit.
+    Differences are confined to the named triangle, "lower" (t <= x) or
+    "upper" (t >= x), so that no stencil crosses the diagonal; any other
+    region raises FieldFormatError. Returns the image kernel together with
+    the mask of nodes where both directional stencils fit.
     """
     grid = x_kernel.grid
     N = grid.N
@@ -287,9 +288,6 @@ def apply_wave_operator(x_kernel: Kernel2D, region: str = "lower"):
     elif region == "upper":
         lo0, hi0 = zeros, idx
         lo1, hi1 = idx, full
-    elif region == "full":
-        lo0, hi0 = zeros, full
-        lo1, hi1 = zeros, full
     else:
         raise FieldFormatError(f"unknown region {region!r}")
     dx, mask_x = _line_deriv(x_kernel.values, 0, lo0, hi0, grid.step)
@@ -479,6 +477,18 @@ def spectral_radius_probe(kernel: Kernel2D, s_max: int = 16) -> list:
     return out
 
 
+def _samples(f) -> list:
+    """The sample arrays of a field: [values] or [q_plus, q_minus]."""
+    if isinstance(f, Accelerant):
+        return [f.values]
+    return [f.q_plus, f.q_minus]
+
+
+def _difference(a, b):
+    """The field a - b, sample by sample, of a's type and on a's grid."""
+    return type(a)(a.r, a.grid, *(u - v for u, v in zip(_samples(a), _samples(b))))
+
+
 def lipschitz_probe(
     map_id: str,
     center,
@@ -492,59 +502,46 @@ def lipschitz_probe(
     L1 and the ratio ||map(c+d) - map(c)||_1 / ||d||_1 is summarized per
     scale. Perturbations rejected by the map's domain test are skipped and
     counted; the random stream is consumed identically either way, so a
-    fixed seed gives a fixed report.
+    fixed seed gives a fixed report.  A scale that is not a finite number
+    > 0 and trials < 1 raise FieldFormatError before any map runs.
     """
-    rng = np.random.default_rng(seed)
     if map_id == "theta":
         if not isinstance(center, Accelerant):
             raise FieldFormatError("theta probe needs an accelerant center")
-        base = theta(center)
+        apply = theta
     elif map_id == "upsilon":
         if not isinstance(center, Potential):
             raise FieldFormatError("upsilon probe needs a potential center")
-        base, _ = upsilon(center)
+        apply = lambda p: upsilon(p)[0]
     else:
         raise FieldFormatError(f"unknown map {map_id!r}")
+    for scale in scales:
+        _check_tol(scale, "scale")
+    if trials < 1:
+        raise FieldFormatError(f"trials must be >= 1, got {trials!r}")
 
+    rng = np.random.default_rng(seed)
+    base = apply(center)
+    samples = _samples(center)
     per_scale = []
     for scale in scales:
         ratios = []
         skipped = 0
         for _ in range(trials):
-            if map_id == "theta":
-                shape = center.values.shape
-                draw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                raw = Accelerant(center.r, center.grid, draw)
-                bump = draw * (scale / field_norm(raw, 1.0))
-                candidate = Accelerant(center.r, center.grid, center.values + bump)
-                try:
-                    mapped = theta(candidate)
-                except NotAccelerantError:
-                    skipped += 1
-                    continue
-                diff = Potential(
-                    base.r,
-                    base.grid,
-                    mapped.q_plus - base.q_plus,
-                    mapped.q_minus - base.q_minus,
-                )
-            else:
-                shape = center.q_plus.shape
-                draw_p = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                draw_m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                raw = Potential(center.r, center.grid, draw_p, draw_m)
-                factor = scale / field_norm(raw, 1.0)
-                candidate = Potential(
-                    center.r,
-                    center.grid,
-                    center.q_plus + factor * draw_p,
-                    center.q_minus + factor * draw_m,
-                )
-                mapped, _ = upsilon(candidate)
-                diff = Accelerant(
-                    base.r, base.grid, mapped.values - base.values
-                )
-            ratios.append(field_norm(diff, 1.0) / scale)
+            draws = [
+                rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+                for v in samples
+            ]
+            factor = scale / field_norm(type(center)(center.r, center.grid, *draws), 1.0)
+            candidate = type(center)(
+                center.r, center.grid, *(v + factor * d for v, d in zip(samples, draws))
+            )
+            try:
+                mapped = apply(candidate)
+            except NotAccelerantError:
+                skipped += 1
+                continue
+            ratios.append(field_norm(_difference(mapped, base), 1.0) / scale)
         stats = {
             "scale": float(scale),
             "mean": float(np.mean(ratios)) if ratios else None,
@@ -557,8 +554,9 @@ def lipschitz_probe(
 
 
 def _check_tol(tol: float, name: str = "final_tol") -> None:
-    """Refuse a roundtrip tolerance that fails every ladder (nan, <= 0) or
-    passes any (inf); name is how the caller spells the argument."""
+    """Refuse a tolerance or probe scale that is not a finite number > 0
+    (a nan or non-positive tolerance fails every ladder, inf passes any);
+    name is how the caller spells the argument."""
     if not (np.isfinite(tol) and tol > 0):
         raise FieldFormatError(f"{name} must be a finite number > 0, got {tol!r}")
 
@@ -583,25 +581,17 @@ def roundtrip_report(field, ladder=(50, 100, 200), final_tol: float = 5e-3) -> D
     for n_target in ladder:
         if isinstance(field, Accelerant):
             h_n = decimate_accelerant(field, n_target)
-            q_n = theta(h_n)
-            f_q = resolvent_product_kernel(q_n)
-            back = characteristic_extract(f_q)  # what upsilon(q_n) returns
-            num = field_norm(Accelerant(h_n.r, h_n.grid, back.values - h_n.values), 1.0)
-            den = field_norm(h_n, 1.0)
+            f_q = resolvent_product_kernel(theta(h_n))
+            start, back = h_n, characteristic_extract(f_q)  # back is upsilon(theta(h_n))
         elif isinstance(field, Potential):
             q_n = decimate_potential(field, n_target)
             f_q = resolvent_product_kernel(q_n)
             h_n = characteristic_extract(f_q)
-            back = theta(h_n)
-            num = field_norm(
-                Potential(
-                    q_n.r, q_n.grid, back.q_plus - q_n.q_plus, back.q_minus - q_n.q_minus
-                ),
-                1.0,
-            )
-            den = field_norm(q_n, 1.0)
+            start, back = q_n, theta(h_n)
         else:
             raise FieldFormatError(f"cannot roundtrip {type(field).__name__}")
+        num = field_norm(_difference(back, start), 1.0)
+        den = field_norm(start, 1.0)
         err = num / den if den > 0 else num
         errors.append(err)
         f_gaps.append(_product_gap(f_q, h_n))

@@ -28,7 +28,6 @@ __all__ = [
     "ReportEntry",
     "reflect",
     "potential_adjoint",
-    "assemble_potential",
     "decimate_accelerant",
     "decimate_potential",
 ]
@@ -265,24 +264,6 @@ def potential_adjoint(q: Potential) -> Potential:
     """Pointwise conjugate transpose: swaps and conjugates the two blocks."""
     conj_t = lambda a: np.conj(np.transpose(a, (0, 2, 1)))
     return Potential(q.r, q.grid, conj_t(q.q_minus), conj_t(q.q_plus))
-
-
-def assemble_potential(top_right, bottom_left) -> Potential:
-    """Build a Potential from node sequences of the two off-diagonal blocks."""
-    qp = np.asarray(top_right, dtype=np.complex128)
-    qm = np.asarray(bottom_left, dtype=np.complex128)
-    if qp.ndim == 1:
-        qp = qp[:, None, None]
-    if qm.ndim == 1:
-        qm = qm[:, None, None]
-    if qp.shape != qm.shape:
-        raise FieldFormatError(
-            f"block sequences disagree: {qp.shape} vs {qm.shape}"
-        )
-    if qp.ndim != 3 or qp.shape[1] != qp.shape[2]:
-        raise FieldFormatError(f"expected (N+1, r, r) blocks, got {qp.shape}")
-    grid = GridSpec(qp.shape[0] - 1)
-    return Potential(qp.shape[1], grid, qp, qm)
 
 
 def decimate_accelerant(h: Accelerant, n_target: int) -> Accelerant:

@@ -14,6 +14,7 @@ from kreinmap import (
     apply_wave_operator,
     check_fundamental_representation,
     check_krein_derivative_identity,
+    field_norm,
     identity_suite,
     krein_solution,
     lipschitz_probe,
@@ -59,9 +60,50 @@ def test_cauchy_refuses_unresolved_step():
     for lam in (80.0, 100.0, 1e3):
         with pytest.raises(FieldFormatError, match="does not resolve"):
             solve_cauchy(q, lam)
-    for lam, substeps in ((10.0, 4), (80.0, 40)):  # a finer step resolves 80
-        y = solve_cauchy(q, lam, substeps)
-        assert abs(abs(y[-1, 0, 0]) - 1.0) < 1e-3
+    y = solve_cauchy(q, 10.0)
+    assert abs(abs(y[-1, 0, 0]) - 1.0) < 1e-3
+
+
+def _cauchy_reference(q: Potential, lam: complex) -> np.ndarray:
+    """solve_cauchy's march with the generator as a per-stage closure."""
+    J = structural_constants(q.r).J
+    qfull = q.full()
+    N = q.grid.N
+    substeps = 4
+    hh = q.grid.step / substeps
+
+    def generator(x: float) -> np.ndarray:
+        pos = min(max(x, 0.0), 1.0) * N
+        cell = min(int(pos), N - 1)
+        frac = pos - cell
+        qx = (1.0 - frac) * qfull[cell] + frac * qfull[cell + 1]
+        return -lam * J + J @ qx
+
+    out = np.zeros((N + 1, 2 * q.r, 2 * q.r), dtype=np.complex128)
+    y = np.eye(2 * q.r, dtype=np.complex128)
+    out[0] = y
+    for i in range(N):
+        for k in range(substeps):
+            x0 = i * q.grid.step + k * hh
+            g1 = generator(x0) @ y
+            g2 = generator(x0 + 0.5 * hh) @ (y + 0.5 * hh * g1)
+            g3 = generator(x0 + 0.5 * hh) @ (y + 0.5 * hh * g2)
+            g4 = generator(x0 + hh) @ (y + hh * g3)
+            y = y + (hh / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        out[i + 1] = y
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 1.0, -2.5, 1.0 + 0.5j, 3.0 - 2.0j])
+def test_cauchy_tabulated_generator_matches_closure_bitwise(r, lam):
+    rng = np.random.default_rng(r)
+    g = GridSpec(16)
+    shape = (g.N + 1, r, r)
+    qp, qm = (0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+              for _ in range(2))
+    q = Potential(r, g, qp, qm)
+    assert np.array_equal(solve_cauchy(q, lam), _cauchy_reference(q, lam))
 
 
 def test_triangle_compose_against_loops():
@@ -164,6 +206,9 @@ def test_wave_operator_masks_short_lines():
     # the corner (0, 0) line has a single point in each direction
     assert not mask[0, 0]
     assert mask[8, 4]
+    # only the two triangles: a stencil over the full square crosses the diagonal
+    with pytest.raises(FieldFormatError, match="unknown region 'full'"):
+        apply_wave_operator(kern, "full")
 
 
 def test_identity_suite_passes_and_converges():
@@ -222,6 +267,69 @@ def test_lipschitz_probe_deterministic():
     stats = a["scales"][0]
     assert stats["skipped"] == 0
     assert stats["mean"] is not None and stats["mean"] > 0
+
+
+def test_lipschitz_probe_skip_keeps_the_random_stream(monkeypatch):
+    h = const_accelerant(0.5, 32)
+    scale = 1e-3
+
+    def run(rejected_call):
+        calls, ratios = [], []
+
+        def spy_norm(field, p):
+            value = field_norm(field, p)
+            if isinstance(field, Potential):  # the difference of two theta images
+                ratios.append(value / scale)
+            return value
+
+        def stub_theta(field):
+            calls.append(field)
+            if len(calls) == rejected_call:
+                raise NotAccelerantError(0.5, 0.0)
+            return theta(field)
+
+        monkeypatch.setattr(dirac_verify, "field_norm", spy_norm)
+        monkeypatch.setattr(dirac_verify, "theta", stub_theta)
+        probe = lipschitz_probe("theta", h, scales=(scale,), trials=3, seed=7)
+        return probe["scales"][0], ratios
+
+    plain, ratios = run(None)
+    # the center is theta's first call, so the second candidate is its third
+    stats, kept = run(3)
+    assert plain["skipped"] == 0 and stats["skipped"] == 1
+    assert plain["mean"] == float(np.mean(ratios))
+    # the third candidate sees the same draws whether or not the second is rejected
+    assert kept == [ratios[0], ratios[2]]
+    assert (stats["mean"], stats["min"], stats["max"]) == (
+        float(np.mean(kept)), min(kept), max(kept)
+    )
+
+
+@pytest.mark.parametrize(
+    "scales, trials, message",
+    [
+        ((1e-3, -1e-3), 2, "scale must be a finite number > 0, got -0.001"),
+        ((0.0,), 2, "scale must be a finite number > 0, got 0.0"),
+        ((np.inf,), 2, "scale must be a finite number > 0, got inf"),
+        ((np.nan,), 2, "scale must be a finite number > 0, got nan"),
+        ((1e-3,), 0, "trials must be >= 1, got 0"),
+        ((1e-3,), -1, "trials must be >= 1, got -1"),
+    ],
+    ids=["negative", "zero", "inf", "nan", "no_trials", "negative_trials"],
+)
+def test_lipschitz_probe_refuses_malformed_arguments(monkeypatch, scales, trials, message):
+    # a negative scale gave a negative mean ratio, zero divided by zero,
+    # inf and nan blamed the accelerant and trials = -1 reported Nones
+    def no_map(*args):
+        raise AssertionError("a map ran before the arguments were checked")
+
+    monkeypatch.setattr(dirac_verify, "theta", no_map)
+    monkeypatch.setattr(dirac_verify, "upsilon", no_map)
+    for map_id, center in (("theta", const_accelerant(0.5, 16)),
+                           ("upsilon", linear_potential(16))):
+        with pytest.raises(FieldFormatError) as info:
+            lipschitz_probe(map_id, center, scales=scales, trials=trials)
+        assert str(info.value) == message
 
 
 def test_roundtrip_report_both_directions():

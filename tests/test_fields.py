@@ -13,7 +13,6 @@ from kreinmap import (
     GridSpec,
     Kernel2D,
     Potential,
-    assemble_potential,
     decimate_accelerant,
     decimate_potential,
     potential_adjoint,
@@ -106,13 +105,6 @@ def test_potential_adjoint_is_involution(rng):
     assert np.array_equal(back.q_minus, q.q_minus)
     # full() of the adjoint is the pointwise conjugate transpose
     assert np.allclose(qa.full(), np.conj(np.transpose(q.full(), (0, 2, 1))))
-
-
-def test_assemble_potential_promotes_scalars():
-    x = GridSpec(8).nodes
-    q = assemble_potential(0.3 * (1 + x), np.full(9, 0.2))
-    assert q.r == 1
-    assert q.q_plus.shape == (9, 1, 1)
 
 
 def test_decimation_is_exact_subsampling():

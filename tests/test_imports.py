@@ -1,4 +1,5 @@
-"""The package's only runtime dependency is numpy.
+"""The package's import surface: numpy is its only runtime dependency, and
+the package's name list is exactly its modules' name lists.
 
 scipy used to be imported for one triangular solve, and its import was most
 of the start-up time of every CLI call. A fresh interpreter that imports the
@@ -14,6 +15,8 @@ from pathlib import Path
 
 from conftest import const_accelerant
 
+import kreinmap
+from kreinmap import dirac_verify, errors, factorization, fields, forward_map, inverse_map, quadops
 from kreinmap.cli import write_field
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,3 +41,15 @@ def test_import_and_cli_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result == {"code": 0, "scipy": []}
+
+
+def test_package_names_are_the_module_names():
+    modules = (fields, quadops, factorization, forward_map, inverse_map, dirac_verify)
+    owner = {name: module for module in modules for name in module.__all__}
+    assert sum(len(module.__all__) for module in modules) == len(owner)  # no name twice
+    for name in ("FieldFormatError", "NotAccelerantError", "SingularSystemError"):
+        owner[name] = errors
+    assert len(kreinmap.__all__) == len(set(kreinmap.__all__))
+    assert set(kreinmap.__all__) == set(owner) | {"__version__"}
+    for name, module in owner.items():
+        assert getattr(kreinmap, name) is getattr(module, name), name
