@@ -17,6 +17,8 @@ roundtrip_report takes its finest-grid tolerance as an argument.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError
@@ -502,8 +504,9 @@ def lipschitz_probe(
     L1 and the ratio ||map(c+d) - map(c)||_1 / ||d||_1 is summarized per
     scale. Perturbations rejected by the map's domain test are skipped and
     counted; the random stream is consumed identically either way, so a
-    fixed seed gives a fixed report.  A scale that is not a finite number
-    > 0 and trials < 1 raise FieldFormatError before any map runs.
+    fixed seed gives a fixed report.  scales that are not a sequence of
+    finite real numbers > 0, and trials that is not an integer >= 1, raise
+    FieldFormatError before any map runs.
     """
     if map_id == "theta":
         if not isinstance(center, Accelerant):
@@ -515,8 +518,14 @@ def lipschitz_probe(
         apply = lambda p: upsilon(p)[0]
     else:
         raise FieldFormatError(f"unknown map {map_id!r}")
+    try:
+        scales = tuple(scales)
+    except TypeError:
+        raise FieldFormatError(f"scales must be a sequence of numbers, got {scales!r}")
     for scale in scales:
         _check_tol(scale, "scale")
+    if not isinstance(trials, numbers.Integral):
+        raise FieldFormatError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise FieldFormatError(f"trials must be >= 1, got {trials!r}")
 
@@ -554,10 +563,10 @@ def lipschitz_probe(
 
 
 def _check_tol(tol: float, name: str = "final_tol") -> None:
-    """Refuse a tolerance or probe scale that is not a finite number > 0
-    (a nan or non-positive tolerance fails every ladder, inf passes any);
-    name is how the caller spells the argument."""
-    if not (np.isfinite(tol) and tol > 0):
+    """Refuse a tolerance or probe scale that is not a finite real number
+    > 0 (a nan or non-positive tolerance fails every ladder, inf passes
+    any); name is how the caller spells the argument."""
+    if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
         raise FieldFormatError(f"{name} must be a finite number > 0, got {tol!r}")
 
 

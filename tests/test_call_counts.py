@@ -3,9 +3,10 @@
 A counter replaces a function at every kreinmap module binding that holds
 it, so a call is seen whichever module makes it.  A public name is looked
 up on the package; "module.name" names a private function of a module.
-The sweep's SVDs are also recorded by dtype, to show which arithmetic each
-accelerant is swept in, and so are the arrays that the inverse map's march
-and resolvent receive, to show which structure of the potential they use.
+The sweep's SVDs and QRs are also recorded by dtype, to show which
+arithmetic each accelerant is swept in, and so are the arrays that the
+inverse map's march and resolvent receive, to show which structure of the
+potential they use.
 """
 
 import importlib
@@ -21,6 +22,8 @@ import kreinmap
 import kreinmap.cli
 from kreinmap import (
     Accelerant,
+    GridSpec,
+    Potential,
     check_fundamental_representation,
     identity_suite,
     is_accelerant,
@@ -221,34 +224,61 @@ def test_certified_accelerant_is_not_swept(count_calls, tmp_path):
 
 
 @pytest.fixture
-def svd_dtypes(monkeypatch):
-    """The dtype of every matrix passed to np.linalg.svd, in call order."""
+def factorizations(monkeypatch):
+    """(name, dtype, compute_uv) of every np.linalg.svd and np.linalg.qr
+    call, in call order; compute_uv is None for a QR."""
     seen = []
-    original = np.linalg.svd
+    for name in ("svd", "qr"):
+        original = getattr(np.linalg, name)
 
-    def recorded(a, *args, **kwargs):
-        seen.append(np.asarray(a).dtype)
-        return original(a, *args, **kwargs)
+        def recorded(a, *args, _name=name, _original=original, **kwargs):
+            uv = kwargs.get("compute_uv", True) if _name == "svd" else None
+            seen.append((_name, np.asarray(a).dtype, uv))
+            return _original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+        monkeypatch.setattr(np.linalg, name, recorded)
     return seen
 
 
-def test_real_accelerant_is_swept_in_real_arithmetic(svd_dtypes, tmp_path):
+def test_real_accelerant_is_swept_in_real_arithmetic(factorizations, tmp_path):
+    # T of a constant has rank 1, so the sweep factors T and runs a batched
+    # QR besides its SVDs: every one of them is real
     is_accelerant(const_accelerant(0.5, 16))
-    assert svd_dtypes == [np.dtype(np.float64)] * 16
+    assert {name for name, _, _ in factorizations} == {"svd", "qr"}
+    assert {dtype for _, dtype, _ in factorizations} == {np.dtype(np.float64)}
 
     # the field file's [re, im] pairs keep the imaginary parts exactly zero
-    svd_dtypes.clear()
+    factorizations.clear()
     src = tmp_path / "h.json"
     write_field(str(src), const_accelerant(0.5, 16))
     assert main(["check-accelerant", "--in", str(src), "--csv"]) == 0
-    assert svd_dtypes == [np.dtype(np.float64)] * 16
+    assert {name for name, _, _ in factorizations} == {"svd", "qr"}
+    assert {dtype for _, dtype, _ in factorizations} == {np.dtype(np.float64)}
 
-    # one complex sample the sweep reads keeps every truncation complex
-    svd_dtypes.clear()
+    # one complex sample the sweep reads keeps every factorization complex
+    factorizations.clear()
     h = const_accelerant(0.5, 16)
     vals = h.values.copy()
     vals[2 * 16 + 2] += 0.2j
     is_accelerant(Accelerant(1, h.grid, vals))
-    assert svd_dtypes == [np.dtype(np.complex128)] * 16
+    assert factorizations
+    assert {dtype for _, dtype, _ in factorizations} == {np.dtype(np.complex128)}
+
+
+def _r2_potential() -> Potential:
+    # seeded complex 2 x 2 potential, linear in x, at N = 16
+    rng = np.random.default_rng(2)
+    x = np.linspace(0.0, 1.0, 17)[:, None, None]
+    a, b, c, d = 0.4 * (rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2)))
+    return Potential(2, GridSpec(16), a + x * b, c + x * d)
+
+
+def test_full_rank_accelerant_computes_no_singular_vectors(factorizations):
+    # an upsilon output jumps at u = 0, so its T has full numerical rank:
+    # the sweep takes T's singular values only, then the dense SVDs
+    h = upsilon(_r2_potential())[0]
+    factorizations.clear()
+    test = is_accelerant(h)
+    assert test.accepted
+    assert [name for name, _, _ in factorizations] == ["svd"] * 17
+    assert not any(uv for _, _, uv in factorizations)

@@ -314,12 +314,17 @@ def test_lipschitz_probe_skip_keeps_the_random_stream(monkeypatch):
         ((np.nan,), 2, "scale must be a finite number > 0, got nan"),
         ((1e-3,), 0, "trials must be >= 1, got 0"),
         ((1e-3,), -1, "trials must be >= 1, got -1"),
+        ((1e-3,), 2.5, "trials must be an integer, got 2.5"),
+        (1e-3, 2, "scales must be a sequence of numbers, got 0.001"),
+        (("1e-3",), 2, "scale must be a finite number > 0, got '1e-3'"),
     ],
-    ids=["negative", "zero", "inf", "nan", "no_trials", "negative_trials"],
+    ids=["negative", "zero", "inf", "nan", "no_trials", "negative_trials",
+         "fractional_trials", "bare_scale", "string_scale"],
 )
 def test_lipschitz_probe_refuses_malformed_arguments(monkeypatch, scales, trials, message):
     # a negative scale gave a negative mean ratio, zero divided by zero,
-    # inf and nan blamed the accelerant and trials = -1 reported Nones
+    # inf and nan blamed the accelerant and trials = -1 reported Nones;
+    # trials = 2.5 and the last two scales raised bare TypeErrors
     def no_map(*args):
         raise AssertionError("a map ran before the arguments were checked")
 

@@ -81,18 +81,48 @@ def _one_complex_sample() -> Accelerant:
     return Accelerant(1, GridSpec(40), vals)
 
 
+def _fourier_r2() -> Accelerant:
+    # three complex exponentials with 2 x 2 coefficients: T has rank 6
+    rng = np.random.default_rng(5)
+    grid = GridSpec(40)
+    u = -1.0 + np.arange(4 * grid.N + 1) / (2 * grid.N)
+    coef = 0.3 * (rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
+    waves = np.exp(1j * np.pi * np.outer(u, np.arange(1, 4)))
+    return Accelerant(2, grid, np.einsum("uj,jab->uab", waves, coef))
+
+
+# At N = 40 the minimum margin of c = -1.25 (1 + d) is 0.98509 d, at alpha = 0.8;
+# these two d put it at 1.04e-8 and 0.96e-8, within 1e-9 of the threshold.
+_NEAR_THRESHOLD = {"above": 1.0557421929539808e-8, "below": 9.745312550344436e-9}
+
+
 @pytest.mark.parametrize(
-    "h",
+    "h, low_rank",
     [
-        const_accelerant(0.5, 40),
-        const_accelerant(-1.25, 40),
-        gauss_accelerant(0.3, 40),
-        _real_r2_accelerant(),
-        _one_complex_sample(),
+        (const_accelerant(0.5, 40), True),
+        (const_accelerant(-1.25, 40), True),
+        (gauss_accelerant(0.3, 40), False),
+        (_real_r2_accelerant(), False),
+        (_one_complex_sample(), False),
+        (const_accelerant(-1.25, 100), True),
+        (_fourier_r2(), True),
+        (gauss_accelerant(0.3, 80), True),
+        (const_accelerant(-1.25 * (1 + _NEAR_THRESHOLD["above"]), 40), True),
+        (const_accelerant(-1.25 * (1 + _NEAR_THRESHOLD["below"]), 40), True),
     ],
-    ids=["c=0.5", "c=-1.25", "gauss", "real-r2", "one-complex-sample"],
+    ids=[
+        "c=0.5", "c=-1.25", "gauss", "real-r2", "one-complex-sample",
+        "c=-1.25-N100", "fourier-r2", "gauss-N80", "near-threshold-above",
+        "near-threshold-below",
+    ],
 )
-def test_accelerant_sweep_matches_complex_svd(h):
+def test_accelerant_sweep_matches_complex_svd(h, low_rank):
+    # pin which inputs the low-rank sweep serves, then check it against the
+    # dense SVDs
+    _, _, dense = factorization._low_rank_sweep(
+        factorization._toeplitz_matrix(h), h.grid, h.r
+    )
+    assert (not dense.all()) == low_rank
     # reference: every I + H_alpha built and decomposed in complex128
     N, r = h.grid.N, h.r
     conv = convolution_kernel(h).values.astype(np.complex128)
@@ -241,8 +271,7 @@ def test_neither_certificate_covers_these_constants(r, c, n_cells, accepted):
         rho = factorization._norm_bound(h)
         assert factorization._certified_margin(rho) is None
         assert factorization._numerical_range_margin(h, rho) is None
-        if r == 1:
-            assert is_accelerant(h).accepted == accepted
+        assert is_accelerant(h).accepted == accepted
 
 
 @pytest.mark.parametrize(
