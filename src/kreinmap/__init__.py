@@ -44,11 +44,8 @@ from .factorization import (
 )
 from .forward_map import block_krein_kernel, folded_kernel, folded_lower_factor, theta
 from .inverse_map import (
-    ProductParts,
-    assemble_product,
     characteristic_extract,
     resolvent_product_kernel,
-    resolvent_product_parts,
     resolvent_volterra,
     trace_extract,
     transformation_kernels,
@@ -104,11 +101,8 @@ __all__ = [
     "folded_kernel",
     "folded_lower_factor",
     "theta",
-    "ProductParts",
-    "assemble_product",
     "characteristic_extract",
     "resolvent_product_kernel",
-    "resolvent_product_parts",
     "resolvent_volterra",
     "trace_extract",
     "transformation_kernels",

@@ -75,9 +75,12 @@ def write_field(path: str, obj, meta: str = "") -> None:
         "data": data,
         "meta": meta,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise FieldFormatError(f"cannot write {path}: {exc}")
 
 
 def read_field(path: str):
@@ -91,8 +94,10 @@ def read_field(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise FieldFormatError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FieldFormatError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise FieldFormatError(f"{path}: JSON nested too deeply")
     if not isinstance(doc, dict):
         raise FieldFormatError(f"{path}: expected a JSON object")
     for key in ("kind", "r", "N", "domain", "data"):
@@ -132,11 +137,15 @@ def read_field(path: str):
     )
 
 
-def _load(path: str, want, n_cells=None):
+def _load(path: str, kinds: tuple, n_cells=None):
+    """read_field(path), refused unless it is one of kinds, then decimated
+    to n_cells when that is given."""
     obj = read_field(path)
-    if not isinstance(obj, want):
+    if not isinstance(obj, kinds):
+        names = " or ".join(kind.__name__.lower() for kind in kinds)
+        article = "an" if names[0] in "aeiou" else "a"
         raise FieldFormatError(
-            f"{path}: expected a {want.__name__.lower()} file, got {type(obj).__name__.lower()}"
+            f"{path}: expected {article} {names} file, got {type(obj).__name__.lower()}"
         )
     if n_cells is not None:
         if isinstance(obj, Accelerant):
@@ -165,7 +174,7 @@ def _emit_report(report) -> None:
 
 
 def cmd_theta(args) -> int:
-    h = _load(args.in_path, Accelerant, args.n)
+    h = _load(args.in_path, (Accelerant,), args.n)
     margin, certificate = _require_accelerant(h)
     q = _krein_potential(h, _krein_kernels(h))  # theta without repeating the gate
     write_field(args.out_path, q, meta=f"theta of {args.in_path}")
@@ -178,7 +187,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_upsilon(args) -> int:
-    q = _load(args.in_path, Potential, args.n)
+    q = _load(args.in_path, (Potential,), args.n)
     h, report = upsilon(q)
     write_field(args.out_path, h, meta=f"upsilon of {args.in_path}")
     spread = report["extraction_spread"].residual
@@ -188,7 +197,7 @@ def cmd_upsilon(args) -> int:
 
 
 def cmd_check_accelerant(args) -> int:
-    h = _load(args.in_path, Accelerant, args.n)
+    h = _load(args.in_path, (Accelerant,), args.n)
     test = is_accelerant(h)
     if args.csv:
         print("alpha,sigma_min,sigma_max,margin")
@@ -210,26 +219,18 @@ def cmd_check_accelerant(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     _check_tol(args.tol, "--tol")
-    field = read_field(args.in_path)
-    if not isinstance(field, (Accelerant, Potential)):
-        raise FieldFormatError(f"{args.in_path}: roundtrip needs an accelerant or potential")
+    field = _load(args.in_path, (Accelerant, Potential))
     report = roundtrip_report(field, _parse_ladder(args.ladder), final_tol=args.tol)
     _emit_report(report)
     return 0 if report.passed else 2
 
 
 def cmd_verify(args) -> int:
-    field = read_field(args.in_path)
+    field = _load(args.in_path, (Accelerant, Potential), args.n)
     if isinstance(field, Potential):
-        if args.n is not None:
-            field = decimate_potential(field, args.n)
         report = _verify_potential(field)
-    elif isinstance(field, Accelerant):
-        if args.n is not None:
-            field = decimate_accelerant(field, args.n)
-        report = _verify_accelerant(field)
     else:
-        raise FieldFormatError(f"{args.in_path}: verify needs an accelerant or potential")
+        report = _verify_accelerant(field)
     _emit_report(report)
     if report.passed:
         return 0
@@ -238,13 +239,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_dirac(args) -> int:
-    q = _load(args.in_path, Potential, args.n)
+    q = _load(args.in_path, (Potential,), args.n)
     lams = []
     for chunk in args.lambdas or ["0"]:
         lams.extend(_parse_lambda(part) for part in chunk.split(","))
     # solve everything first, so that a refused value leaves no output file
     solutions = [(lam, solve_cauchy(q, lam)) for lam in lams]
-    out = open(args.out_path, "w") if args.out_path else sys.stdout
+    try:
+        out = open(args.out_path, "w") if args.out_path else sys.stdout
+    except OSError as exc:
+        raise FieldFormatError(f"cannot write {args.out_path}: {exc}")
     try:
         for lam, y in solutions:
             out.write(f"# lambda = {lam.real:g}{lam.imag:+g}i\n")

@@ -44,7 +44,6 @@ from .forward_map import (
 from .inverse_map import (
     _block_symmetry,
     _resolvent_factors,
-    assemble_product,
     characteristic_extract,
     resolvent_product_kernel,
     resolvent_product_parts,
@@ -319,8 +318,12 @@ def identity_suite(q: Potential) -> DiagnosticReport:
     pair is built first, on the potential's own grid, so a potential the
     march does not resolve there raises FieldFormatError before any other
     work.  K_Q, L and L* come from the product kernel's own
-    _resolvent_factors, so a real-class or self-adjoint q takes the same
-    float64 or one-resolvent route as there.
+    _resolvent_factors, and the upper part and cross term of F from its
+    resolvent_product_parts, so a real-class or self-adjoint q takes the
+    same float64 or one-resolvent route as upsilon.  The full F is not
+    assembled: its one-sided parts f_low (cross + L) and f_up (cross + L~)
+    carry the wave_F entries, and the boundary_F entries read the
+    off-diagonal lines that F shares with them.
     """
     return _identity_suite(q, _block_symmetry(transformation_kernels(q)))
 
@@ -383,22 +386,19 @@ def _identity_suite(q: Potential, symmetry: float) -> DiagnosticReport:
     report.add("diag_L", float(np.max(np.abs(J @ diag_l - diag_l @ J - qfull))), _TOL)
     report.add("boundary_L", float(np.max(np.abs(lq.values[:, 0] @ astar))), _TOL)
 
-    parts = resolvent_product_parts(lq, Kernel2D(n, grid, "lower", l_star_values))
+    upper, cross = resolvent_product_parts(l_values, l_star_values, grid)
     i, j = np.indices((m, m))
-    f_low = np.where((j <= i)[:, :, None, None], parts.cross, 0) + parts.lower.values
-    af_low, mask_fl = apply_wave_operator(
-        Kernel2D(2 * q.r, grid, "lower", f_low), "lower"
-    )
+    f_low = np.where((j <= i)[:, :, None, None], cross, 0) + l_values
+    af_low, mask_fl = apply_wave_operator(Kernel2D(n, grid, "lower", f_low), "lower")
     report.add("wave_F_lower", _masked_sup(af_low.values, mask_fl), _WAVE_TOL)
-    f_up = np.where((j >= i)[:, :, None, None], parts.cross, 0) + parts.upper.values
-    af_up, mask_fu = apply_wave_operator(
-        Kernel2D(2 * q.r, grid, "upper", f_up), "upper"
-    )
+    f_up = np.where((j >= i)[:, :, None, None], cross, 0) + upper
+    af_up, mask_fu = apply_wave_operator(Kernel2D(n, grid, "upper", f_up), "upper")
     report.add("wave_F_upper", _masked_sup(af_up.values, mask_fu), _WAVE_TOL)
 
-    f_full = assemble_product(parts)
-    report.add("boundary_F_row", float(np.max(np.abs(f_full.values[1:N, 0] @ astar))), _TOL)
-    report.add("boundary_F_col", float(np.max(np.abs(sc.a_row @ f_full.values[0, 1:N]))), _TOL)
+    # off the diagonal F is cross + L below it and cross + L~ above it
+    # (assemble_product), which f_low and f_up already hold
+    report.add("boundary_F_row", float(np.max(np.abs(f_low[1:N, 0] @ astar))), _TOL)
+    report.add("boundary_F_col", float(np.max(np.abs(sc.a_row @ f_up[0, 1:N]))), _TOL)
 
     report.add("symmetry_P", symmetry, _SYMMETRY_TOL)
 

@@ -174,8 +174,13 @@ def _low_rank_sweep(
     sigma_max are at least 1 - e, every margin within 3e. A truncation
     whose margin lies within 3e of 1e-8, or within 6e of the smallest
     compressed margin, is left to the dense SVD as well.
+
+    A T that is exactly zero (h = 0) makes every A_k exactly I, so every
+    sigma is 1 and no SVD runs.
     """
     N, n, step = grid.N, t.shape[0], grid.step
+    if not t.any():
+        return np.ones(N), np.ones(N), np.zeros(N, dtype=bool)
     sig_min, sig_max = np.empty(N), np.empty(N)
     dense = np.ones(N, dtype=bool)
     eps = np.finfo(float).eps

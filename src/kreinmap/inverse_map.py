@@ -30,11 +30,12 @@ tolerance) and carries them through its chain:
   one resolvent serves as both factors of the product.
 
 Between the layers of that chain the blocks travel as plain arrays in
-their own dtype, through private helpers (_transmutation_values,
-_resolvent_values, _product_values, _assemble_into) that the public
-functions wrap, and they are cast to complex128 once, where a public
-Kernel2D is built; every public function takes and returns complex128
-fields as before.
+their own dtype: _transmutation_values and _resolvent_values, which
+transmutation_kernel and resolvent_volterra wrap, and the two product
+layers resolvent_product_parts and assemble_product, which take and
+return arrays and are not exported.  The blocks are cast to complex128
+once, where a public Kernel2D is built; every exported function takes
+and returns complex128 fields as before.
 
 Two discretization conventions deserve a note because they are easy to get
 wrong.  First, the Volterra resolvent is solved by forward substitution with
@@ -50,8 +51,6 @@ consumers that differentiate up to the diagonal.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,9 +70,6 @@ __all__ = [
     "transformation_kernels",
     "transmutation_kernel",
     "resolvent_volterra",
-    "ProductParts",
-    "resolvent_product_parts",
-    "assemble_product",
     "resolvent_product_kernel",
     "trace_extract",
     "characteristic_extract",
@@ -324,7 +320,7 @@ def _transmutation_values(qs: list[Potential], real: bool) -> list[np.ndarray]:
 
 
 def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
-    """Kernel of (I + K)^-1 - I for a triangular K.
+    """Kernel of (I + K)^-1 - I for a lower K.
 
     Solves L(x,t) = -K(x,t) - int_t^x K(x,s) L(s,t) ds by forward
     substitution with the trapezoid rule on [t, x], all columns of a row at
@@ -340,8 +336,8 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     of L.  The half weight at s = t comes back out as a batched n x n
     product with the diagonal blocks L(t, t) = -K(t, t), and one solve with
     I + (step/2) K(x_i, x_i) finishes the row.  The finished matrix is
-    reordered in place into the Kernel2D layout.  An upper K is solved as
-    the transposed lower problem.
+    reordered in place into the Kernel2D layout.  Any other support than
+    lower raises FieldFormatError.
 
     The substitution runs in the dtype of the blocks it is given
     (_resolvent_values): the product kernel passes float64 K for a
@@ -349,14 +345,10 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     resolvent, which serves as both L and L*.  This function takes and
     returns complex128 kernels.
     """
-    if kernel.support not in ("lower", "upper"):
-        raise FieldFormatError("resolvent extraction requires triangular support")
-    step = kernel.grid.step
-    if kernel.support == "lower":
-        return Kernel2D(kernel.n, kernel.grid, "lower", _resolvent_values(kernel.values, step))
-    lower = np.ascontiguousarray(kernel.values.transpose(1, 0, 3, 2))
-    out = _resolvent_values(lower, step)
-    return Kernel2D(kernel.n, kernel.grid, "upper", out.transpose(1, 0, 3, 2))
+    if kernel.support != "lower":
+        raise FieldFormatError("the Volterra resolvent requires a lower kernel")
+    values = _resolvent_values(kernel.values, kernel.grid.step)
+    return Kernel2D(kernel.n, kernel.grid, "lower", values)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -388,49 +380,31 @@ def _resolvent_values(K: np.ndarray, step: float) -> np.ndarray:
     return lf.reshape(m, m, n, n)
 
 
-class ProductParts(NamedTuple):
-    """One-sided ingredients of the product kernel on a shared grid.
-
-    lower   resolvent of the transmutation kernel, lower support
-    upper   adjoint-side term, upper support: upper(x,t) = lower*(t,x)^H
-    cross   the integral term int_0^min(x,t) L(x,s) L*(t,s)^H ds, full grid
-    """
-
-    lower: Kernel2D
-    upper: Kernel2D
-    cross: np.ndarray
-
-
-def resolvent_product_parts(l_low: Kernel2D, l_star: Kernel2D) -> ProductParts:
-    """Product parts from the resolvents L of K_Q and L* of K_{Q*}."""
-    upper, cross = _product_values(l_low.values, l_star.values, l_low.grid)
-    return ProductParts(l_low, Kernel2D(l_low.n, l_low.grid, "upper", upper), cross)
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _product_values(
+def resolvent_product_parts(
     l_low: np.ndarray, l_star: np.ndarray, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The upper part L~ = adjoint_op(L*) and the cross term, as blocks."""
+    """The one-sided parts of the product kernel from the blocks of the
+    resolvents L of K_Q and L* of K_{Q*}, in their own dtype.
+
+    Returns (upper, cross): the upper part L~(x,t) = L*(t,x)^H, which is
+    quadops.adjoint_op of L*, and the cross term
+    int_0^min(x,t) L(x,s) L*(t,s)^H ds on the full grid.
+    """
     upper = np.conj(l_star.transpose(1, 0, 3, 2))
     cross = _compose(l_low, upper, grid)
     _require_finite("resolvent product values", cross)
     return upper, cross
 
 
-def assemble_product(parts: ProductParts) -> Kernel2D:
-    """Merge one-sided product parts into the full-grid kernel.
+def assemble_product(cross: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Merge the one-sided parts into the full-grid blocks of F, written
+    into cross, which it returns.
 
     Below the diagonal F = L + cross, above it F = L~ + cross.  On the
     diagonal the two one-sided limits differ unless the potential lies in the
     image of the forward map; the grid stores their average.
     """
-    vals = _assemble_into(parts.cross.copy(), parts.lower.values, parts.upper.values)
-    return Kernel2D(parts.lower.n, parts.lower.grid, "full", vals)
-
-
-def _assemble_into(cross: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """assemble_product on blocks, written into cross, which it returns."""
     m = cross.shape[0]
     i, j = np.indices((m, m))
     below = j < i
@@ -471,8 +445,8 @@ def resolvent_product_kernel(q: Potential) -> Kernel2D:
     once, when its Kernel2D is built.
     """
     l_low, l_star = _resolvent_factors(q)[1:]
-    upper, cross = _product_values(l_low, l_star, q.grid)
-    return Kernel2D(2 * q.r, q.grid, "full", _assemble_into(cross, l_low, upper))
+    upper, cross = resolvent_product_parts(l_low, l_star, q.grid)
+    return Kernel2D(2 * q.r, q.grid, "full", assemble_product(cross, l_low, upper))
 
 
 def _half_r(f: Kernel2D) -> int:

@@ -45,6 +45,14 @@ def const_potential(value: complex, n_cells: int) -> Potential:
     return Potential(1, GridSpec(n_cells), c, c.copy())
 
 
+def r2_potential() -> Potential:
+    """Seeded complex 2 x 2 potential, linear in x, at N = 16."""
+    rng = np.random.default_rng(2)
+    x = np.linspace(0.0, 1.0, 17)[:, None, None]
+    a, b, c, d = 0.4 * (rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2)))
+    return Potential(2, GridSpec(16), a + x * b, c + x * d)
+
+
 def random_accelerant(seed: int, r: int = 2, n_cells: int = 32, scale: float = 0.3) -> Accelerant:
     """Complex Gaussian samples, non-hermitian on purpose."""
     rng = np.random.default_rng(seed)

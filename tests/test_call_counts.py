@@ -2,7 +2,8 @@
 
 A counter replaces a function at every kreinmap module binding that holds
 it, so a call is seen whichever module makes it.  A public name is looked
-up on the package; "module.name" names a private function of a module.
+up on the package; "module.name" names a function of a module that the
+package does not export.
 The sweep's SVDs and QRs are also recorded by dtype, to show which
 arithmetic each accelerant is swept in, and so are the arrays that the
 inverse map's march and resolvent receive, to show which structure of the
@@ -16,14 +17,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import const_accelerant, const_potential, linear_potential
+from conftest import const_accelerant, const_potential, linear_potential, r2_potential
 
 import kreinmap
 import kreinmap.cli
 from kreinmap import (
     Accelerant,
-    GridSpec,
-    Potential,
     check_fundamental_representation,
     identity_suite,
     is_accelerant,
@@ -38,6 +37,8 @@ from kreinmap.dirac_verify import _verify_potential
 # of K; the public resolvent_volterra wraps it for Kernel2D arguments.
 RESOLVENT = "inverse_map._resolvent_values"
 MARCH = "inverse_map._kernel_chains"
+PARTS = "inverse_map.resolvent_product_parts"
+ASSEMBLE = "inverse_map.assemble_product"
 
 
 def _replace_everywhere(monkeypatch, name, wrap):
@@ -104,6 +105,13 @@ def test_identity_suite_builds_each_resolvent_once(count_calls):
     counts.update(dict.fromkeys(counts, 0))
     assert identity_suite(const_potential(1.0, 16)).passed
     assert counts == {MARCH: 2, RESOLVENT: 1}
+
+
+def test_identity_suite_takes_the_product_parts_without_assembling_f(count_calls):
+    counts = count_calls(PARTS, ASSEMBLE)
+    assert identity_suite(linear_potential(16)).passed
+    # the boundary_F entries read F's off-diagonal lines from its parts
+    assert counts == {PARTS: 1, ASSEMBLE: 0}
 
 
 def test_upsilon_builds_no_full_transformation_kernels(count_calls):
@@ -265,18 +273,20 @@ def test_real_accelerant_is_swept_in_real_arithmetic(factorizations, tmp_path):
     assert {dtype for _, dtype, _ in factorizations} == {np.dtype(np.complex128)}
 
 
-def _r2_potential() -> Potential:
-    # seeded complex 2 x 2 potential, linear in x, at N = 16
-    rng = np.random.default_rng(2)
-    x = np.linspace(0.0, 1.0, 17)[:, None, None]
-    a, b, c, d = 0.4 * (rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2)))
-    return Potential(2, GridSpec(16), a + x * b, c + x * d)
+def test_zero_accelerant_runs_no_dense_svd(factorizations):
+    # h = 0 makes T exactly zero, so every I + H_alpha is exactly I
+    test = is_accelerant(const_accelerant(0.0, 200))
+    assert [(name, uv) for name, _, uv in factorizations] in ([], [("svd", False)])
+    assert test.accepted
+    assert np.array_equal(test.sigma_min, np.ones(200))
+    assert np.array_equal(test.sigma_max, np.ones(200))
+    assert test.worst_alpha == 1 / 200
 
 
 def test_full_rank_accelerant_computes_no_singular_vectors(factorizations):
     # an upsilon output jumps at u = 0, so its T has full numerical rank:
     # the sweep takes T's singular values only, then the dense SVDs
-    h = upsilon(_r2_potential())[0]
+    h = upsilon(r2_potential())[0]
     factorizations.clear()
     test = is_accelerant(h)
     assert test.accepted

@@ -197,7 +197,7 @@ def test_wrong_field_kind_exits_three(tmp_path, capsys):
     write_field(str(src), linear_potential(16))
     code = main(["theta", "--in", str(src), "--out", str(tmp_path / "out.json")])
     assert code == 3
-    assert "expected a accelerant" in capsys.readouterr().err
+    assert "expected an accelerant file, got potential" in capsys.readouterr().err
 
 
 def test_upsilon_command_on_zero_potential(tmp_path, capsys):
@@ -266,6 +266,27 @@ def test_fuzz_findings_exit_cleanly(tmp_path, capsys):
         ["verify", "--in", str(tmp_path / "h.json"), "--n", "0"],
     ):
         write_field(str(tmp_path / "h.json"), const_accelerant(0.5, 16))
+        code, err = run(argv)
+        assert code == 3 and "input error" in err, argv
+
+    # files that cannot be decoded or parsed, and outputs that cannot be written
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "open.json").write_text("[" * 200000)
+    doc = json.loads((tmp_path / "h.json").read_text())
+    doc["data"] = 0
+    deep = json.dumps(doc).replace('"data": 0', '"data": ' + "[" * 5000 + "0.5, 0.0" + "]" * 5000)
+    (tmp_path / "deep.json").write_text(deep)
+    missing = tmp_path / "missing"
+    write_field(str(tmp_path / "q.json"), linear_potential(16))
+    for argv in (
+        ["theta", "--in", str(tmp_path / "utf16.json"), "--out", dst],
+        ["theta", "--in", str(tmp_path / "open.json"), "--out", dst],
+        ["theta", "--in", str(tmp_path / "deep.json"), "--out", dst],
+        ["theta", "--in", str(tmp_path / "h.json"), "--out", str(missing / "x.json")],
+        ["upsilon", "--in", str(tmp_path / "q.json"), "--out", str(missing / "x.json")],
+        ["theta", "--in", str(tmp_path / "h.json"), "--out", str(tmp_path)],
+        ["solve-dirac", "--in", str(tmp_path / "q.json"), "--out", str(missing / "x.csv")],
+    ):
         code, err = run(argv)
         assert code == 3 and "input error" in err, argv
 

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import const_accelerant, gauss_accelerant, linear_potential, ratio_ok
+from conftest import (
+    const_accelerant,
+    const_potential,
+    gauss_accelerant,
+    linear_potential,
+    r2_potential,
+    ratio_ok,
+)
 from kreinmap import (
     GridSpec,
     Kernel2D,
@@ -18,6 +25,7 @@ from kreinmap import (
     identity_suite,
     krein_solution,
     lipschitz_probe,
+    resolvent_product_kernel,
     roundtrip_report,
     solve_cauchy,
     spectral_radius_probe,
@@ -222,6 +230,30 @@ def test_identity_suite_passes_and_converges():
     # discrete-exact entries stay at round-off on both grids
     for name in ("diag_K", "boundary_K", "boundary_L", "symmetry_P", "reciprocity_KL"):
         assert rep100[name].residual < 1e-11, name
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        linear_potential(16),
+        const_potential(0.3j, 16),
+        r2_potential(),
+    ],
+    ids=["linear", "real-class", "r2"],
+)
+def test_identity_suite_reads_the_boundaries_of_the_product_kernel(q):
+    # boundary_F_* come from the one-sided parts of F; off the diagonal they
+    # hold what the assembled resolvent_product_kernel(q) holds
+    sc = structural_constants(q.r)
+    f = resolvent_product_kernel(q).values
+    N = q.grid.N
+    expected = {
+        "boundary_F_row": np.max(np.abs(f[1:N, 0] @ sc.a_row.conj().T)),
+        "boundary_F_col": np.max(np.abs(sc.a_row @ f[0, 1:N])),
+    }
+    report = identity_suite(q)
+    for name, value in expected.items():
+        assert abs(report[name].residual - value) <= 1e-14 * value, name
 
 
 def test_krein_derivative_identity_converges():

@@ -314,28 +314,20 @@ def _lower_random(seed: int, n_cells: int, n: int = 1, scale: float = 0.5) -> Ke
 def _row_equation_residual(k: Kernel2D, l: Kernel2D) -> float:
     """Worst residual of the discrete equations the resolvent solver satisfies.
 
-    Lower support: L(x,t) + K(x,t) + int_t^x K(x,s) L(s,t) ds = 0, upper
-    support: L(x,t) + K(x,t) + int_x^t L(x,s) K(s,t) ds = 0 (the lower
-    equation transposed), both with the per-interval trapezoid on the
-    integration range, restated with plain loops over nodes and blocks.
+    L(x,t) + K(x,t) + int_t^x K(x,s) L(s,t) ds = 0 with the per-interval
+    trapezoid on [t, x], restated with plain loops over nodes and blocks.
     """
     step = k.grid.step
     kv, lv = k.values, l.values
     m = k.grid.N + 1
     worst = 0.0
     for i in range(m):
-        for j in range(m):
-            lo, hi = (j, i) if k.support == "lower" else (i, j)
-            if lo > hi:
-                continue
+        for j in range(i + 1):
             acc = np.zeros((k.n, k.n), dtype=np.complex128)
-            if lo < hi:
-                for s in range(lo, hi + 1):
-                    w = step * (0.5 if s in (lo, hi) else 1.0)
-                    if k.support == "lower":
-                        acc += w * (kv[i, s] @ lv[s, j])
-                    else:
-                        acc += w * (lv[i, s] @ kv[s, j])
+            if j < i:
+                for s in range(j, i + 1):
+                    w = step * (0.5 if s in (j, i) else 1.0)
+                    acc += w * (kv[i, s] @ lv[s, j])
             worst = max(worst, np.abs(kv[i, j] + lv[i, j] + acc).max())
     return worst
 
@@ -345,25 +337,27 @@ def test_resolvent_volterra_satisfies_row_equations():
     assert _row_equation_residual(k, resolvent_volterra(k)) < 1e-13
 
 
-def _upper_random(seed: int, n_cells: int, n: int) -> Kernel2D:
-    low = _lower_random(seed, n_cells, n)
-    return Kernel2D(n, low.grid, "upper", np.ascontiguousarray(low.values.transpose(1, 0, 3, 2)))
-
-
 @pytest.mark.parametrize(
     "build",
     [
         lambda: _lower_random(4, 16, n=4),  # r = 2: the blocks do not commute
-        lambda: _upper_random(5, 16, n=2),  # through the transposed lower solve
         lambda: transmutation_kernel(const_potential(10.0, 50)),  # K grows like e^{|Q|}
     ],
-    ids=["r2_blocks", "upper", "strong_q10"],
+    ids=["r2_blocks", "strong_q10"],
 )
 def test_resolvent_volterra_row_equations_wider(build):
     k = build()
     l = resolvent_volterra(k)
-    assert l.support == k.support
+    assert l.support == "lower"
     assert _row_equation_residual(k, l) < 1e-13 * np.abs(k.values).max()
+
+
+@pytest.mark.parametrize("support", ["upper", "full"])
+def test_resolvent_volterra_refuses_non_lower_kernels(support):
+    low = _lower_random(5, 8, n=2)
+    vals = low.values.transpose(1, 0, 3, 2) if support == "upper" else low.values
+    with pytest.raises(FieldFormatError, match="requires a lower kernel"):
+        resolvent_volterra(Kernel2D(2, low.grid, support, vals))
 
 
 def test_resolvent_constant_closed_form():

@@ -2,20 +2,39 @@
 
 perfbench/tracer.py looks each "module.name" of LAYERS up with a bare
 getattr, so a renamed or deleted layer function breaks every traced run.
+A layer the call chains reach only through a private twin reads 0 calls.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from conftest import linear_potential
+
+import kreinmap.cli  # noqa: F401  (the tracer wraps the cli layers too)
+from kreinmap import upsilon
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_every_traced_layer_is_a_kreinmap_callable():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_layer_is_a_kreinmap_callable():
+    tracer = _tracer()
     for mod, names in tracer.LAYERS.items():
         module = importlib.import_module(f"kreinmap.{mod}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{mod}.{name}"
+
+
+def test_traced_upsilon_records_the_product_layers():
+    with _tracer().Tracer() as traced:
+        upsilon(linear_potential(16))
+    names = [span[0] for span in traced.spans]
+    assert names.count("inverse_map.resolvent_product_parts") == 1
+    assert names.count("inverse_map.assemble_product") == 1
