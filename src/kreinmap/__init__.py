@@ -26,8 +26,6 @@ from .fields import (
     structural_constants,
 )
 from .quadops import (
-    adjoint_op,
-    compose,
     field_norm,
     invert_identity_plus,
     mixed_norm,
@@ -84,8 +82,6 @@ __all__ = [
     "potential_adjoint",
     "reflect",
     "structural_constants",
-    "adjoint_op",
-    "compose",
     "field_norm",
     "invert_identity_plus",
     "mixed_norm",

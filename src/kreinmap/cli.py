@@ -20,7 +20,6 @@ from .factorization import _require_accelerant, is_accelerant
 from .fields import (
     Accelerant,
     GridSpec,
-    Kernel2D,
     Potential,
     decimate_accelerant,
     decimate_potential,
@@ -35,7 +34,7 @@ from .dirac_verify import (
     solve_cauchy,
 )
 
-_DOMAINS = {"accelerant": "[-1,1]", "potential": "[0,1]", "kernel": "[0,1]^2"}
+_DOMAINS = {"accelerant": "[-1,1]", "potential": "[0,1]"}
 
 
 def _encode(arr: np.ndarray):
@@ -55,16 +54,13 @@ def _decode(data, label: str) -> np.ndarray:
 
 
 def write_field(path: str, obj, meta: str = "") -> None:
-    """Serialize an accelerant, potential, or kernel to a field file."""
+    """Serialize an accelerant or a potential to a field file."""
     if isinstance(obj, Accelerant):
         kind, r, n_cells = "accelerant", obj.r, obj.grid.N
         data = _encode(obj.values)
     elif isinstance(obj, Potential):
         kind, r, n_cells = "potential", obj.r, obj.grid.N
         data = _encode(np.stack([obj.q_plus, obj.q_minus]))
-    elif isinstance(obj, Kernel2D):
-        kind, r, n_cells = "kernel", obj.n, obj.grid.N
-        data = _encode(obj.values)
     else:
         raise FieldFormatError(f"cannot serialize {type(obj).__name__}")
     doc = {
@@ -116,8 +112,6 @@ def read_field(path: str):
     grid = GridSpec(n_cells)
     if kind == "accelerant":
         return Accelerant(r, grid, arr)
-    if kind == "kernel":
-        return Kernel2D(r, grid, "full", arr)
     if arr.shape == (2, n_cells + 1, r, r):
         return Potential(r, grid, arr[0], arr[1])
     if arr.shape == (n_cells + 1, 2 * r, 2 * r):

@@ -505,8 +505,9 @@ def lipschitz_probe(
     scale. Perturbations rejected by the map's domain test are skipped and
     counted; the random stream is consumed identically either way, so a
     fixed seed gives a fixed report.  scales that are not a sequence of
-    finite real numbers > 0, and trials that is not an integer >= 1, raise
-    FieldFormatError before any map runs.
+    finite real numbers > 0, trials that is not an integer >= 1 and a seed
+    that np.random.default_rng refuses raise FieldFormatError before any
+    map runs.
     """
     if map_id == "theta":
         if not isinstance(center, Accelerant):
@@ -524,12 +525,14 @@ def lipschitz_probe(
         raise FieldFormatError(f"scales must be a sequence of numbers, got {scales!r}")
     for scale in scales:
         _check_tol(scale, "scale")
-    if not isinstance(trials, numbers.Integral):
-        raise FieldFormatError(f"trials must be an integer, got {trials!r}")
+    _check_int(trials, "trials")
     if trials < 1:
         raise FieldFormatError(f"trials must be >= 1, got {trials!r}")
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise FieldFormatError(f"seed {seed!r} is not a valid random seed ({exc})")
 
-    rng = np.random.default_rng(seed)
     base = apply(center)
     samples = _samples(center)
     per_scale = []
@@ -570,6 +573,12 @@ def _check_tol(tol: float, name: str = "final_tol") -> None:
         raise FieldFormatError(f"{name} must be a finite number > 0, got {tol!r}")
 
 
+def _check_int(value, name: str) -> None:
+    """Refuse a count or grid size that is not an integer, bool included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise FieldFormatError(f"{name} must be an integer, got {value!r}")
+
+
 def roundtrip_report(field, ladder=(50, 100, 200), final_tol: float = 5e-3) -> DiagnosticReport:
     """Self-consistency of the composed maps across a nested grid ladder.
 
@@ -577,13 +586,18 @@ def roundtrip_report(field, ladder=(50, 100, 200), final_tol: float = 5e-3) -> D
     report records the relative L1 roundtrip error plus the gap between the
     two resolvent kernels the maps must share; only the finest error
     carries a tolerance, the coarser values and the consecutive ratios are
-    informational metadata.  A final_tol that is not a finite number > 0
-    and an empty ladder raise FieldFormatError before any map runs.
+    informational metadata.  A final_tol that is not a finite number > 0,
+    an empty ladder, a rung that is not an integer and a repeated rung raise
+    FieldFormatError before any map runs.
     """
     _check_tol(final_tol)
+    for n in ladder:
+        _check_int(n, "ladder rung")
     ladder = tuple(sorted(int(n) for n in ladder))
     if not ladder:
         raise FieldFormatError("empty ladder")
+    if len(set(ladder)) < len(ladder):
+        raise FieldFormatError(f"ladder repeats a rung: {list(ladder)}")
     report = DiagnosticReport()
     errors = []
     f_gaps = []

@@ -15,8 +15,8 @@ map never forms the full 2r x 2r kernels; transformation_kernels scatters
 the chains into them for the consumers that need them.  The resolvent
 product needs K for Q and for Q*, and their four chains share one march
 over the rows of the refined grid, which stores only the even rows that K
-reads.  Its cross term is quadops.compose of L with the adjoint of L*, so
-the quadrature weights of operator products stay in quadops.
+reads.  Its cross term is quadops.compose of L with quadops.adjoint_op of
+L*, so the quadrature weights of operator products stay in quadops.
 
 Two classes of potentials are closed under both maps, and the product
 kernel detects them once (_structure, by exact comparisons with no
@@ -31,11 +31,11 @@ tolerance) and carries them through its chain:
 
 Between the layers of that chain the blocks travel as plain arrays in
 their own dtype: _transmutation_values and _resolvent_values, which
-transmutation_kernel and resolvent_volterra wrap, and the two product
-layers resolvent_product_parts and assemble_product, which take and
-return arrays and are not exported.  The blocks are cast to complex128
-once, where a public Kernel2D is built; every exported function takes
-and returns complex128 fields as before.
+transmutation_kernel and resolvent_volterra wrap, and the product layers
+resolvent_product_parts (quadops.adjoint_op, then quadops.compose) and
+assemble_product, which take and return arrays and are not exported.
+The blocks are cast to complex128 once, where a public Kernel2D is built;
+every exported function takes and returns complex128 fields as before.
 
 Two discretization conventions deserve a note because they are easy to get
 wrong.  First, the Volterra resolvent is solved by forward substitution with
@@ -64,7 +64,7 @@ from .fields import (
     potential_adjoint,
     structural_constants,
 )
-from .quadops import _compose
+from .quadops import adjoint_op, compose
 
 __all__ = [
     "transformation_kernels",
@@ -246,6 +246,7 @@ def _block_symmetry(pair: tuple[Kernel2D, Kernel2D]) -> float:
     return float(max(plus_sym, np.abs(minus.values * (d + d[:, None])).max()))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _midpoint_fill(samples: np.ndarray) -> np.ndarray:
     # cubic interpolation onto the refined grid; a linear fill leaves an
     # O(h^2) sawtooth at the odd nodes, invisible to centered differences but
@@ -256,6 +257,7 @@ def _midpoint_fill(samples: np.ndarray) -> np.ndarray:
     out[3:-2:2] = (-f[:-3] + 9.0 * f[1:-2] + 9.0 * f[2:-1] - f[3:]) / 16.0
     out[1] = (5.0 * f[0] + 15.0 * f[1] - 5.0 * f[2] + f[3]) / 16.0
     out[-2] = (f[-4] - 5.0 * f[-3] + 15.0 * f[-2] + 5.0 * f[-1]) / 16.0
+    _require_finite("refined potential", out)
     return out
 
 
@@ -389,10 +391,10 @@ def resolvent_product_parts(
 
     Returns (upper, cross): the upper part L~(x,t) = L*(t,x)^H, which is
     quadops.adjoint_op of L*, and the cross term
-    int_0^min(x,t) L(x,s) L*(t,s)^H ds on the full grid.
+    int_0^min(x,t) L(x,s) L*(t,s)^H ds, quadops.compose of L and L~.
     """
-    upper = np.conj(l_star.transpose(1, 0, 3, 2))
-    cross = _compose(l_low, upper, grid)
+    upper = adjoint_op(l_star)
+    cross = compose(l_low, upper, grid)
     _require_finite("resolvent product values", cross)
     return upper, cross
 
@@ -403,16 +405,16 @@ def assemble_product(cross: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
 
     Below the diagonal F = L + cross, above it F = L~ + cross.  On the
     diagonal the two one-sided limits differ unless the potential lies in the
-    image of the forward map; the grid stores their average.
+    image of the forward map; the grid stores their average.  lower must be
+    exactly zero above the diagonal and upper below it, as the one-sided
+    parts are by construction: both are added whole, and the diagonal,
+    saved first, is written back as the average.
     """
-    m = cross.shape[0]
-    i, j = np.indices((m, m))
-    below = j < i
-    above = j > i
-    cross[below] += lower[below]
-    cross[above] += upper[above]
-    d = np.arange(m)
-    cross[d, d] += 0.5 * (lower[d, d] + upper[d, d])
+    d = np.arange(cross.shape[0])
+    diag = cross[d, d] + 0.5 * (lower[d, d] + upper[d, d])
+    cross += lower
+    cross += upper
+    cross[d, d] = diag
     return cross
 
 

@@ -9,9 +9,10 @@ is zero. The matrix is held flattened, block (x, s) at rows (x, a) and
 columns (s, b), so that an operator product is one matrix product.
 
 Operators are plain ndarrays, built only where a dense operator is needed
-(the factorization and the spectral radius probe). The cross term of the
-inverse map's resolvent product is compose, one GEMM of the two weighted
-triangular factors, so the weight algebra of operator products stays here.
+(the factorization and the spectral radius probe). The inverse map's
+product kernel runs two unexported array layers from here, adjoint_op and
+its cross term compose, one GEMM of the two weighted triangular factors,
+so the weight algebra of operator products stays here.
 The discrete resolvent (invert_identity_plus) is one dense LU for every
 matrix, triangular or not, so numpy is the only library the package needs.
 """
@@ -26,9 +27,7 @@ from .fields import Accelerant, GridSpec, Kernel2D, Potential
 __all__ = [
     "nystrom_weights",
     "op_from_kernel",
-    "compose",
     "invert_identity_plus",
-    "adjoint_op",
     "mixed_norm",
     "field_norm",
 ]
@@ -70,28 +69,17 @@ def op_from_kernel(kernel: Kernel2D) -> np.ndarray:
     return _flatten(w[:, :, None, None] * kernel.values)
 
 
-def compose(a: Kernel2D, b: Kernel2D) -> np.ndarray:
-    """int_0^min(x,t) a(x,s) b(s,t) ds for a lower a and an upper b, as blocks.
+def compose(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """int_0^min(x,t) a(x,s) b(s,t) ds for lower blocks a and upper blocks b.
 
     One GEMM of the flattened factors: a carries the lower rule on [0, x]
     and b the lower rule on [0, t] divided by the global rule, so that their
     product is the trapezoid rule on [0, min(x,t)] except on the interior
     grid diagonal, where both reads hit their endpoint together and leave a
     quarter-weight deficit that is patched.  Where min(x,t) = 0 the result
-    is zero.  Returns (N+1, N+1, n, n) blocks.
+    is zero.  Takes and returns (N+1, N+1, n, n) blocks in their own dtype:
+    the inverse map passes real blocks for a potential of the real class.
     """
-    if a.support != "lower" or b.support != "upper":
-        raise FieldFormatError(
-            f"compose takes a lower and an upper kernel, got {a.support} and {b.support}"
-        )
-    if a.n != b.n or a.grid.N != b.grid.N:
-        raise FieldFormatError("operators live on different grids or block sizes")
-    return _compose(a.values, b.values, a.grid)
-
-
-def _compose(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """compose on the kernels' blocks, in their dtype: the inverse map passes
-    real blocks for a potential of the real class."""
     w = nystrom_weights(grid, "lower")
     left = _flatten(w[:, :, None, None] * a)
     right = _flatten((w.T / grid.weights[:, None])[:, :, None, None] * b)
@@ -131,10 +119,10 @@ def invert_identity_plus(m: np.ndarray) -> np.ndarray:
     return inv - rhs
 
 
-def adjoint_op(kernel: Kernel2D) -> Kernel2D:
-    """Kernel-level adjoint K*(x,t) = K(t,x)^H, with the support flipped."""
-    flip = {"lower": "upper", "upper": "lower", "full": "full"}[kernel.support]
-    return Kernel2D(kernel.n, kernel.grid, flip, np.conj(kernel.values.transpose(1, 0, 3, 2)))
+def adjoint_op(blocks: np.ndarray) -> np.ndarray:
+    """Blocks of the adjoint kernel K*(x,t) = K(t,x)^H, in their own dtype;
+    the adjoint of a lower kernel is upper and vice versa."""
+    return np.conj(blocks.transpose(1, 0, 3, 2))
 
 
 def _block_spectral_norms(blocks: np.ndarray) -> np.ndarray:

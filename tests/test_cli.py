@@ -244,6 +244,12 @@ def test_upsilon_command_refuses_overflowing_potential(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+def test_upsilon_command_refuses_overflowing_refined_potential(tmp_path, capsys):
+    # finite samples, but the midpoint fill onto the refined grid overflows
+    assert _upsilon_quietly(tmp_path, const_potential(1e308, 8)) == 3
+    assert "refined potential overflow" in capsys.readouterr().err
+
+
 def test_fuzz_findings_exit_cleanly(tmp_path, capsys):
     src = tmp_path / "in.json"
     dst = str(tmp_path / "out.json")
@@ -377,6 +383,16 @@ def test_roundtrip_command_refuses_malformed_tolerance(tmp_path, capsys):
         assert captured.out == ""
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and "--tol must be a finite number > 0" in err[0], err
+
+
+def test_roundtrip_command_refuses_repeated_rung(tmp_path, capsys):
+    # a repeated rung would run N = 32 twice and report a ratio of 1.0
+    src = tmp_path / "q.json"
+    write_field(str(src), const_potential(0.3, 32))
+    assert main(["roundtrip", "--in", str(src), "--ladder", "16,32,32"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "input error: ladder repeats a rung: [16, 32, 32]"
 
 
 def test_verify_command_on_accelerant(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Cross-checks against the differential system and the probe harnesses."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -369,6 +370,16 @@ def test_lipschitz_probe_refuses_malformed_arguments(monkeypatch, scales, trials
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("seed", [-1, "x", 1.5])
+def test_lipschitz_probe_refuses_seeds_the_generator_refuses(monkeypatch, seed):
+    def no_map(*args):
+        raise AssertionError("a map ran before the arguments were checked")
+
+    monkeypatch.setattr(dirac_verify, "theta", no_map)
+    with pytest.raises(FieldFormatError, match=f"^seed {re.escape(repr(seed))} is not a valid"):
+        lipschitz_probe("theta", const_accelerant(0.5, 16), scales=(1e-3,), trials=2, seed=seed)
+
+
 def test_roundtrip_report_both_directions():
     h = const_accelerant(0.5, 64)
     rep_h = roundtrip_report(h, ladder=(16, 32, 64), final_tol=5e-3)
@@ -389,12 +400,17 @@ def test_roundtrip_report_both_directions():
         (-1.0, (8, 16), "final_tol must be a finite number > 0, got -1.0"),
         (0.0, (8, 16), "final_tol must be a finite number > 0, got 0.0"),
         (5e-3, (), "empty ladder"),
+        (5e-3, (16.7, 32), "ladder rung must be an integer, got 16.7"),
+        (5e-3, (True, 16), "ladder rung must be an integer, got True"),
+        (5e-3, (16, 32, 32), "ladder repeats a rung: [16, 32, 32]"),
     ],
-    ids=["inf", "nan", "negative", "zero", "empty_ladder"],
+    ids=["inf", "nan", "negative", "zero", "empty_ladder", "fractional_rung", "bool_rung",
+         "repeated_rung"],
 )
 def test_roundtrip_report_refuses_malformed_arguments(monkeypatch, final_tol, ladder, message):
     # inf passed whatever the error, nan and -1 failed every ladder, and an
-    # empty ladder passed with no entries; now none of them reaches a map
+    # empty ladder passed with no entries; a fractional rung ran truncated
+    # and a repeated one ran twice; now none of them reaches a map
     def no_map(*args):
         raise AssertionError("a map ran before the arguments were checked")
 

@@ -1,6 +1,7 @@
 """Inverse map: transformation kernels, Volterra resolvent, extraction."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,16 @@ OVERFLOW = "transformation kernels overflow floating point; the potential is too
 def test_product_kernel_refusals_keep_their_text(q, message):
     with pytest.raises(FieldFormatError, match=f"^{re.escape(message)}$"):
         resolvent_product_kernel(q)
+
+
+@pytest.mark.parametrize("build", [transmutation_kernel, resolvent_product_kernel, upsilon])
+def test_refined_potential_overflow_is_refused_without_a_warning(build):
+    # finite samples near the float64 limit overflow the cubic midpoint fill
+    q = const_potential(1e308, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldFormatError, match="^refined potential overflow floating point"):
+            build(q)
 
 
 def _random_blocks(seed: int, n_cells: int = 32, r: int = 2) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,12 @@
 """Smoke test of the three scripts under scripts/, each in a fresh interpreter."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import linear_potential
@@ -61,12 +63,20 @@ def test_scripts_run_on_demo_fields(tmp_path):
         ("run_roundtrip.py", "8,16 --tol nan", "--tol must be a finite number > 0, got nan"),
         ("run_roundtrip.py", "8,16 --tol -1", "--tol must be a finite number > 0, got -1.0"),
         ("run_roundtrip.py", "8,16 --tol inf", "--tol must be a finite number > 0, got inf"),
+        # these two read a kernel document, a kind no command reads or writes
+        ("run_identity_suite.py", "16", "unknown kind 'kernel'"),
+        ("run_roundtrip.py", "8,16", "unknown kind 'kernel'"),
     ],
 )
 def test_scripts_exit_3_on_input_errors(tmp_path, script, ladder, message):
     # the CLI's contract: one line on stderr and exit 3, no traceback
     src = tmp_path / "q16.json"
-    write_field(str(src), linear_potential(16))
+    if "kind 'kernel'" in message:
+        data = np.zeros((17, 17, 1, 1, 2)).tolist()
+        doc = {"kind": "kernel", "r": 1, "N": 16, "domain": "[0,1]^2", "data": data, "meta": ""}
+        src.write_text(json.dumps(doc))
+    else:
+        write_field(str(src), linear_potential(16))
     proc = _spawn(script, "--in", src, "--ladder", *ladder.split())
     assert proc.returncode == 3
     assert proc.stdout == ""

@@ -38,3 +38,6 @@ def test_traced_upsilon_records_the_product_layers():
     names = [span[0] for span in traced.spans]
     assert names.count("inverse_map.resolvent_product_parts") == 1
     assert names.count("inverse_map.assemble_product") == 1
+    # the cross term runs the quadops layers under their traced names
+    assert names.count("quadops.adjoint_op") == 1
+    assert names.count("quadops.compose") == 1
