@@ -52,7 +52,6 @@ from .inverse_map import (
 )
 from .dirac_verify import (
     DEFAULT_LAMBDAS,
-    apply_wave_operator,
     check_fundamental_representation,
     check_krein_derivative_identity,
     identity_suite,
@@ -105,7 +104,6 @@ __all__ = [
     "transmutation_kernel",
     "upsilon",
     "DEFAULT_LAMBDAS",
-    "apply_wave_operator",
     "check_fundamental_representation",
     "check_krein_derivative_identity",
     "identity_suite",

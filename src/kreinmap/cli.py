@@ -27,6 +27,7 @@ from .fields import (
 from .forward_map import _krein_kernels, _krein_potential
 from .inverse_map import upsilon
 from .dirac_verify import (
+    _check_ladder,
     _check_tol,
     _verify_accelerant,
     _verify_potential,
@@ -156,11 +157,13 @@ def _parse_lambda(text: str) -> complex:
         raise FieldFormatError(f"cannot parse spectral parameter {text!r}")
 
 
-def _parse_ladder(text: str):
+def _parse_ladder(text: str) -> tuple:
+    """The rungs of a --ladder value, ascending, checked by _check_ladder."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        rungs = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise FieldFormatError(f"cannot parse ladder {text!r}")
+    return _check_ladder(rungs)
 
 
 def _emit_report(report) -> None:

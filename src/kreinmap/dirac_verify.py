@@ -6,8 +6,12 @@ interpolated potential samples. Everything else in the module compares the
 transformation kernels, the resolvent factors, and the product kernel
 against the identities they must satisfy, using finite differences that
 never straddle the diagonal, where the kernels are only one-sidedly smooth.
-A residual that overflows floating point comes out non-finite and fails its
-report entry, without a numpy warning.
+The wave operator J d/dx + (d/dt) J (apply_wave_operator) is an array layer
+on kernel blocks in their own dtype.  J and the free evolution E(x) =
+diag(e^{i lam x} I, e^{-i lam x} I) are diagonal, so both are applied as
+their diagonals, scaling rows and columns.  A residual that overflows
+floating point comes out non-finite and fails its report entry, without a
+numpy warning.
 
 The report tolerances are module constants that no caller sets: 5e-2 on
 the finite-difference wave_* entries, 1e-8 on symmetry_P, 1e-2 on the
@@ -58,7 +62,6 @@ __all__ = [
     "krein_solution",
     "transmuted_solution",
     "check_fundamental_representation",
-    "apply_wave_operator",
     "identity_suite",
     "check_krein_derivative_identity",
     "spectral_radius_probe",
@@ -82,13 +85,11 @@ def _lam_label(lam: complex) -> str:
 
 
 def _free_evolution(lam: complex, x: np.ndarray, r: int) -> np.ndarray:
-    """diag(e^{i lam x} I, e^{-i lam x} I) at every entry of x."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros(x.shape + (2 * r, 2 * r), dtype=np.complex128)
-    eye = np.eye(r)
-    out[..., :r, :r] = np.exp(1j * lam * x)[..., None, None] * eye
-    out[..., r:, r:] = np.exp(-1j * lam * x)[..., None, None] * eye
-    return out
+    """The diagonal of E(x) = diag(e^{i lam x} I, e^{-i lam x} I) at every
+    entry of x: shape x.shape + (2r,).  E is diagonal, so it is applied by
+    scaling rows, never as a 2r x 2r matrix product."""
+    phases = np.stack([np.exp(1j * lam * x), np.exp(-1j * lam * x)], axis=-1)
+    return np.repeat(phases, r, axis=-1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -164,8 +165,13 @@ def krein_solution(h: Accelerant, lams) -> np.ndarray:
     (len(lams), N + 1, 2r, r).  Substituting t = x - s, each integral is one
     contraction of the kernel with the phases e^{-2 i lam (x_i - x_t)} for
     phi_1 and e^{2 i lam (x_i - x_t)} for phi_2 on the lower trapezoid
-    weights, which are symmetric on [0, x_i].
+    weights, which are symmetric on [0, x_i].  lams that is not a non-empty
+    sequence of finite numbers raises FieldFormatError before the gate runs.
     """
+    lams = _check_sequence(lams, "lams", "numbers")
+    for lam in lams:
+        if isinstance(lam, bool) or not (isinstance(lam, numbers.Number) and np.isfinite(lam)):
+            raise FieldFormatError(f"lambda must be a finite number, got {lam!r}")
     _require_accelerant(h)
     r1, r2 = _krein_kernels(h)
     grid = h.grid
@@ -190,8 +196,7 @@ def transmuted_solution(kernel: Kernel2D, lam: complex) -> np.ndarray:
     if kernel.n % 2:
         raise FieldFormatError(f"kernel block size {kernel.n} is odd")
     r = kernel.n // 2
-    sc = structural_constants(r)
-    phi0 = _free_evolution(lam, kernel.grid.nodes, r) @ sc.a_col
+    phi0 = _free_evolution(lam, kernel.grid.nodes, r)[:, :, None] * structural_constants(r).a_col
     tw = nystrom_weights(kernel.grid, "lower")
     return phi0 + np.einsum("ij,ijab,jbc->iac", tw, kernel.values, phi0)
 
@@ -224,9 +229,9 @@ def _fundamental_representation(
         e_plus = _free_evolution(lam, x[:, None] - 2.0 * x[None, :], q.r)
         e_minus = _free_evolution(lam, 2.0 * x[None, :] - x[:, None], q.r)
         y_rep = (
-            _free_evolution(lam, x, q.r)
-            + np.einsum("ij,ijab,ijbc->iac", tw, plus.values, e_plus)
-            + np.einsum("ij,ijab,ijbc->iac", tw, minus.values, e_minus)
+            _free_evolution(lam, x, q.r)[:, :, None] * np.eye(2 * q.r)
+            + np.einsum("ij,ijab,ijb->iab", tw, plus.values, e_plus)
+            + np.einsum("ij,ijab,ijb->iab", tw, minus.values, e_minus)
         )
         residual = float(np.max(np.abs(y_rep - y_ode)))
         entry_tol = _TOL if complex(lam).imag == 0 else _NONREAL_TOL
@@ -235,71 +240,57 @@ def _fundamental_representation(
     return report
 
 
-def _line_deriv(vals, axis, lo, hi, step):
-    """Second-order derivative along one axis with per-line index bounds.
+def _line_deriv(vals, axis, diagonal_first, step):
+    """Second-order derivative along one axis, on lines that run between
+    the grid diagonal and an array edge.
 
-    lo/hi give, for each line, the first and last valid index on that axis;
-    central differences inside, one-sided three-point stencils at the two
-    ends. Lines shorter than three nodes are masked out entirely. The
-    shifted arrays wrap around, but wrapped entries are only ever selected
-    where the mask is already false.
+    A line starts on the diagonal when diagonal_first and ends there
+    otherwise, so no stencil crosses it: central differences inside, the
+    one-sided three-point stencils at the diagonal and at the array edge.
+    Returns the derivative and the mask of the nodes on lines of at least
+    three nodes; entries off the mask carry no meaning.
     """
-    m = vals.shape[axis]
-    up1 = np.roll(vals, -1, axis=axis)
-    up2 = np.roll(vals, -2, axis=axis)
-    dn1 = np.roll(vals, 1, axis=axis)
-    dn2 = np.roll(vals, 2, axis=axis)
-    central = (up1 - dn1) / (2.0 * step)
-    forward = (-3.0 * vals + 4.0 * up1 - up2) / (2.0 * step)
-    backward = (3.0 * vals - 4.0 * dn1 + dn2) / (2.0 * step)
-    idx = np.arange(m)
-    if axis == 0:
-        pos = idx[:, None]
-        lo_b, hi_b = lo[None, :], hi[None, :]
-    else:
-        pos = idx[None, :]
-        lo_b, hi_b = lo[:, None], hi[:, None]
-    mask = (pos >= lo_b) & (pos <= hi_b) & (hi_b - lo_b >= 2)
-    sel = np.where(
-        (pos == lo_b)[..., None, None],
-        forward,
-        np.where((pos == hi_b)[..., None, None], backward, central),
-    )
-    sel = np.where(mask[..., None, None], sel, 0.0)
-    return sel, mask
+    v = vals if axis == 0 else vals.swapaxes(0, 1)  # line j is v[:, j]
+    m = v.shape[0]
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * step)
+    d = np.arange(m)
+    if diagonal_first:  # line j runs from (j, j) down to the edge m - 1
+        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * step)
+        j = d[: m - 2]
+        out[j, j] = (-3.0 * v[j, j] + 4.0 * v[j + 1, j] - v[j + 2, j]) / (2.0 * step)
+        mask = (d[:, None] >= d) & (d <= m - 3)
+    else:  # line j runs from the edge 0 down to (j, j)
+        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * step)
+        j = d[2:]
+        out[j, j] = (3.0 * v[j, j] - 4.0 * v[j - 1, j] + v[j - 2, j]) / (2.0 * step)
+        mask = (d[:, None] <= d) & (d >= 2)
+    return (out, mask) if axis == 0 else (out.swapaxes(0, 1), mask.T)
 
 
-def apply_wave_operator(x_kernel: Kernel2D, region: str = "lower"):
-    """The first-order operator J d/dx + (d/dt) J on a sampled kernel.
+def apply_wave_operator(blocks: np.ndarray, grid, region: str):
+    """The first-order operator J d/dx + (d/dt) J on sampled kernel blocks.
 
+    blocks[i, j] is the n x n block at the nodes (x_i, x_j) of the GridSpec
+    grid, in its own dtype.
     Differences are confined to the named triangle, "lower" (t <= x) or
     "upper" (t >= x), so that no stencil crosses the diagonal; any other
-    region raises FieldFormatError. Returns the image kernel together with
-    the mask of nodes where both directional stencils fit.
+    region and an odd block size raise FieldFormatError.  J is diagonal, so
+    it scales rows on the left and columns on the right.  Returns the image
+    blocks, zero off the mask, and the mask of nodes where both stencils fit.
     """
-    grid = x_kernel.grid
-    N = grid.N
-    m = N + 1
-    idx = np.arange(m)
-    zeros = np.zeros(m, dtype=int)
-    full = np.full(m, N, dtype=int)
-    if region == "lower":
-        lo0, hi0 = idx, full
-        lo1, hi1 = zeros, idx
-    elif region == "upper":
-        lo0, hi0 = zeros, idx
-        lo1, hi1 = idx, full
-    else:
+    if region not in ("lower", "upper"):
         raise FieldFormatError(f"unknown region {region!r}")
-    dx, mask_x = _line_deriv(x_kernel.values, 0, lo0, hi0, grid.step)
-    dt, mask_t = _line_deriv(x_kernel.values, 1, lo1, hi1, grid.step)
-    if x_kernel.n % 2:
-        raise FieldFormatError(f"kernel block size {x_kernel.n} is odd")
-    sc = structural_constants(x_kernel.n // 2)
-    out = sc.J @ dx + dt @ sc.J
+    n = blocks.shape[-1]
+    if n % 2:
+        raise FieldFormatError(f"kernel block size {n} is odd")
+    dx, mask_x = _line_deriv(blocks, 0, region == "lower", grid.step)
+    dt, mask_t = _line_deriv(blocks, 1, region == "upper", grid.step)
+    d = np.diagonal(structural_constants(n // 2).J)
+    out = d[:, None] * dx + dt * d
     mask = mask_x & mask_t
     out[~mask] = 0
-    return Kernel2D(x_kernel.n, grid, region, out), mask
+    return out, mask
 
 
 def _masked_sup(arr: np.ndarray, mask: np.ndarray) -> float:
@@ -370,30 +361,27 @@ def _identity_suite(q: Potential, symmetry: float) -> DiagnosticReport:
     d = np.arange(m)
     report = DiagnosticReport()
 
-    n = 2 * q.r
     k_values, l_values, l_star_values = _resolvent_factors(q)
-    kq = Kernel2D(n, grid, "lower", k_values)
-    ak, mask_k = apply_wave_operator(kq, "lower")
-    report.add("wave_K", _masked_sup(ak.values + qfull[:, None] @ kq.values, mask_k), _WAVE_TOL)
-    diag_k = kq.values[d, d]
+    ak, mask_k = apply_wave_operator(k_values, grid, "lower")
+    report.add("wave_K", _masked_sup(ak + qfull[:, None] @ k_values, mask_k), _WAVE_TOL)
+    diag_k = k_values[d, d]
     report.add("diag_K", float(np.max(np.abs(diag_k @ J - J @ diag_k - qfull))), _TOL)
-    report.add("boundary_K", float(np.max(np.abs(kq.values[1:N, 0] @ astar))), _TOL)
+    report.add("boundary_K", float(np.max(np.abs(k_values[1:N, 0] @ astar))), _TOL)
 
-    lq = Kernel2D(n, grid, "lower", l_values)
-    al, mask_l = apply_wave_operator(lq, "lower")
-    report.add("wave_L", _masked_sup(al.values - lq.values @ qfull[None, :], mask_l), _WAVE_TOL)
-    diag_l = lq.values[d, d]
+    al, mask_l = apply_wave_operator(l_values, grid, "lower")
+    report.add("wave_L", _masked_sup(al - l_values @ qfull[None, :], mask_l), _WAVE_TOL)
+    diag_l = l_values[d, d]
     report.add("diag_L", float(np.max(np.abs(J @ diag_l - diag_l @ J - qfull))), _TOL)
-    report.add("boundary_L", float(np.max(np.abs(lq.values[:, 0] @ astar))), _TOL)
+    report.add("boundary_L", float(np.max(np.abs(l_values[:, 0] @ astar))), _TOL)
 
     upper, cross = resolvent_product_parts(l_values, l_star_values, grid)
-    i, j = np.indices((m, m))
-    f_low = np.where((j <= i)[:, :, None, None], cross, 0) + l_values
-    af_low, mask_fl = apply_wave_operator(Kernel2D(n, grid, "lower", f_low), "lower")
-    report.add("wave_F_lower", _masked_sup(af_low.values, mask_fl), _WAVE_TOL)
-    f_up = np.where((j >= i)[:, :, None, None], cross, 0) + upper
-    af_up, mask_fu = apply_wave_operator(Kernel2D(n, grid, "upper", f_up), "upper")
-    report.add("wave_F_upper", _masked_sup(af_up.values, mask_fu), _WAVE_TOL)
+    low = np.tri(m, dtype=bool)  # j <= i
+    f_low = np.where(low[:, :, None, None], cross, 0) + l_values
+    af_low, mask_fl = apply_wave_operator(f_low, grid, "lower")
+    report.add("wave_F_lower", _masked_sup(af_low, mask_fl), _WAVE_TOL)
+    f_up = np.where(low.T[:, :, None, None], cross, 0) + upper
+    af_up, mask_fu = apply_wave_operator(f_up, grid, "upper")
+    report.add("wave_F_upper", _masked_sup(af_up, mask_fu), _WAVE_TOL)
 
     # off the diagonal F is cross + L below it and cross + L~ above it
     # (assemble_product), which f_low and f_up already hold
@@ -402,23 +390,11 @@ def _identity_suite(q: Potential, symmetry: float) -> DiagnosticReport:
 
     report.add("symmetry_P", symmetry, _SYMMETRY_TOL)
 
-    low = j <= i
-    report.add(
-        "reciprocity_KL",
-        _masked_sup(
-            kq.values + lq.values + _triangle_compose(kq.values, lq.values, grid.step),
-            low,
-        ),
-        _TOL,
-    )
-    report.add(
-        "reciprocity_LK",
-        _masked_sup(
-            kq.values + lq.values + _triangle_compose(lq.values, kq.values, grid.step),
-            low,
-        ),
-        _TOL,
-    )
+    # (I + K)(I + L) = (I + L)(I + K) = I on the lower triangle
+    k_plus_l = k_values + l_values
+    for name, a, b in (("KL", k_values, l_values), ("LK", l_values, k_values)):
+        residual = _masked_sup(k_plus_l + _triangle_compose(a, b, grid.step), low)
+        report.add(f"reciprocity_{name}", residual, _TOL)
 
     report.metadata.update({"N": N, "r": q.r})
     return report
@@ -457,7 +433,7 @@ def _derivative_identity(h: Accelerant, rk: Kernel2D) -> DiagnosticReport:
     low = j <= i
     w = np.zeros_like(rk.values)
     w[low] = rk.values[i[low], (i - j)[low]]
-    dw, mask = _line_deriv(w, 0, np.arange(m), np.full(m, N, dtype=int), grid.step)
+    dw, mask = _line_deriv(w, 0, True, grid.step)
     sc = structural_constants(h.r)
     head = rk.values[:, 0] @ sc.B
     target = head[:, None] @ (rk.values @ sc.B)
@@ -468,7 +444,9 @@ def _derivative_identity(h: Accelerant, rk: Kernel2D) -> DiagnosticReport:
 
 
 def spectral_radius_probe(kernel: Kernel2D, s_max: int = 16) -> list:
-    """Rooted operator norms ||M^s||^{1/s} of the induced matrix, s = 1..s_max."""
+    """Rooted operator norms ||M^s||^{1/s} of the induced matrix, s = 1..s_max;
+    an s_max that is not an integer >= 1 raises FieldFormatError."""
+    _check_int(s_max, "s_max", minimum=1)
     mat = op_from_kernel(kernel)
     power = mat.copy()
     out = []
@@ -504,10 +482,10 @@ def lipschitz_probe(
     L1 and the ratio ||map(c+d) - map(c)||_1 / ||d||_1 is summarized per
     scale. Perturbations rejected by the map's domain test are skipped and
     counted; the random stream is consumed identically either way, so a
-    fixed seed gives a fixed report.  scales that are not a sequence of
-    finite real numbers > 0, trials that is not an integer >= 1 and a seed
-    that np.random.default_rng refuses raise FieldFormatError before any
-    map runs.
+    fixed seed gives a fixed report.  scales that are not a non-empty
+    sequence of finite real numbers > 0, trials that is not an integer >= 1
+    and a seed that np.random.default_rng refuses raise FieldFormatError
+    before any map runs.
     """
     if map_id == "theta":
         if not isinstance(center, Accelerant):
@@ -519,15 +497,10 @@ def lipschitz_probe(
         apply = lambda p: upsilon(p)[0]
     else:
         raise FieldFormatError(f"unknown map {map_id!r}")
-    try:
-        scales = tuple(scales)
-    except TypeError:
-        raise FieldFormatError(f"scales must be a sequence of numbers, got {scales!r}")
+    scales = _check_sequence(scales, "scales", "numbers")
     for scale in scales:
         _check_tol(scale, "scale")
-    _check_int(trials, "trials")
-    if trials < 1:
-        raise FieldFormatError(f"trials must be >= 1, got {trials!r}")
+    _check_int(trials, "trials", minimum=1)
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -573,10 +546,41 @@ def _check_tol(tol: float, name: str = "final_tol") -> None:
         raise FieldFormatError(f"{name} must be a finite number > 0, got {tol!r}")
 
 
-def _check_int(value, name: str) -> None:
-    """Refuse a count or grid size that is not an integer, bool included."""
+def _check_int(value, name: str, minimum: int | None = None) -> None:
+    """Refuse a count or grid size that is not an integer, bool included,
+    or that is below minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise FieldFormatError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise FieldFormatError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _check_sequence(value, name: str, kind: str) -> tuple:
+    """value as a non-empty tuple.  A string or a lone number is refused as
+    a whole, not item by item; kind names what the items should be."""
+    refusal = FieldFormatError(f"{name} must be a sequence of {kind}, got {value!r}")
+    if isinstance(value, (str, bytes)):
+        raise refusal
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise refusal from None
+    if not items:
+        raise FieldFormatError(f"empty {name}")
+    return items
+
+
+def _check_ladder(ladder) -> tuple:
+    """The rungs of a grid ladder, ascending.  A ladder that is not a
+    non-empty sequence of integers, or that repeats a rung, raises
+    FieldFormatError."""
+    rungs = _check_sequence(ladder, "ladder", "integers")
+    for n in rungs:
+        _check_int(n, "ladder rung")
+    rungs = tuple(sorted(int(n) for n in rungs))
+    if len(set(rungs)) < len(rungs):
+        raise FieldFormatError(f"ladder repeats a rung: {list(rungs)}")
+    return rungs
 
 
 def roundtrip_report(field, ladder=(50, 100, 200), final_tol: float = 5e-3) -> DiagnosticReport:
@@ -586,18 +590,12 @@ def roundtrip_report(field, ladder=(50, 100, 200), final_tol: float = 5e-3) -> D
     report records the relative L1 roundtrip error plus the gap between the
     two resolvent kernels the maps must share; only the finest error
     carries a tolerance, the coarser values and the consecutive ratios are
-    informational metadata.  A final_tol that is not a finite number > 0,
-    an empty ladder, a rung that is not an integer and a repeated rung raise
-    FieldFormatError before any map runs.
+    informational metadata.  A final_tol that is not a finite number > 0
+    and a ladder that _check_ladder refuses raise FieldFormatError before
+    any map runs.
     """
     _check_tol(final_tol)
-    for n in ladder:
-        _check_int(n, "ladder rung")
-    ladder = tuple(sorted(int(n) for n in ladder))
-    if not ladder:
-        raise FieldFormatError("empty ladder")
-    if len(set(ladder)) < len(ladder):
-        raise FieldFormatError(f"ladder repeats a rung: {list(ladder)}")
+    ladder = _check_ladder(ladder)
     report = DiagnosticReport()
     errors = []
     f_gaps = []

@@ -39,6 +39,8 @@ RESOLVENT = "inverse_map._resolvent_values"
 MARCH = "inverse_map._kernel_chains"
 PARTS = "inverse_map.resolvent_product_parts"
 ASSEMBLE = "inverse_map.assemble_product"
+WAVE = "dirac_verify.apply_wave_operator"
+C128, F64 = np.dtype(np.complex128), np.dtype(np.float64)
 
 
 def _replace_everywhere(monkeypatch, name, wrap):
@@ -114,14 +116,23 @@ def test_identity_suite_takes_the_product_parts_without_assembling_f(count_calls
     assert counts == {PARTS: 1, ASSEMBLE: 0}
 
 
+@pytest.mark.parametrize(
+    "q, dtype",
+    [(kreinmap.theta(const_accelerant(0.5, 16)), F64), (linear_potential(16), C128)],
+    ids=["real-class", "neither"],
+)
+def test_identity_suite_hands_the_wave_operator_blocks_in_their_dtype(first_args, q, dtype):
+    seen = first_args(WAVE)
+    assert identity_suite(q).passed
+    # K_Q, L and the two one-sided parts of F, never cast to complex
+    assert [(type(b), b.dtype) for b in seen[WAVE]] == [(np.ndarray, dtype)] * 4
+
+
 def test_upsilon_builds_no_full_transformation_kernels(count_calls):
     counts = count_calls(MARCH, "transformation_kernels", RESOLVENT)
     upsilon(linear_potential(16))
     # K_Q and K_{Q*} are read from the chains of one march
     assert counts == {MARCH: 1, "transformation_kernels": 0, RESOLVENT: 2}
-
-
-C128, F64 = np.dtype(np.complex128), np.dtype(np.float64)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from kreinmap import (
     Kernel2D,
     NotAccelerantError,
     Potential,
-    apply_wave_operator,
     check_fundamental_representation,
     check_krein_derivative_identity,
     field_norm,
@@ -38,7 +37,7 @@ from kreinmap import (
 )
 from kreinmap import dirac_verify
 from kreinmap.cli import main, write_field
-from kreinmap.dirac_verify import _triangle_compose
+from kreinmap.dirac_verify import _triangle_compose, apply_wave_operator
 from kreinmap.errors import FieldFormatError
 
 
@@ -167,6 +166,30 @@ def test_krein_solution_gates_on_accelerant():
         krein_solution(const_accelerant(-1.25, 40), (0.0,))
 
 
+@pytest.mark.parametrize(
+    "lams, message",
+    [
+        (0.5, "lams must be a sequence of numbers, got 0.5"),
+        ("0.5", "lams must be a sequence of numbers, got '0.5'"),
+        ([], "empty lams"),
+        (["x"], "lambda must be a finite number, got 'x'"),
+        ([1.0, np.nan], "lambda must be a finite number, got nan"),
+        ([True], "lambda must be a finite number, got True"),
+    ],
+    ids=["bare_lambda", "string_lams", "no_lams", "string_lambda", "nan_lambda", "bool_lambda"],
+)
+def test_krein_solution_refuses_malformed_lambdas(monkeypatch, lams, message):
+    # a bare number and "x" raised TypeErrors, and [] ran the gate and both
+    # Krein solves for an empty result; now none of them reaches the gate
+    def no_gate(*args):
+        raise AssertionError("the gate ran before the lambdas were checked")
+
+    monkeypatch.setattr(dirac_verify, "_require_accelerant", no_gate)
+    with pytest.raises(FieldFormatError) as info:
+        krein_solution(const_accelerant(0.5, 16), lams)
+    assert str(info.value) == message
+
+
 def test_solution_routes_agree():
     h = gauss_accelerant(0.3, 100)
     q = theta(h)
@@ -187,37 +210,46 @@ def test_representation_report_smooth():
     assert "representation_0" in names and "representation_1+0.5i" in names
 
 
-def test_wave_operator_exact_on_quadratics():
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+@pytest.mark.parametrize("region", ["lower", "upper"])
+def test_wave_operator_exact_on_quadratics(region, dtype):
     # both difference stencils are exact on quadratics, so the operator
     # application must be exact too, masks and edge selection included
     g = GridSpec(16)
     m = 17
     x = g.nodes
-    cmat = np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex)
+    cmat = np.array([[1.0, 2.0], [0.5, 1.0]]).astype(dtype)
+    if dtype is np.complex128:
+        cmat *= 1.0 - 0.5j
     f = (x[:, None] ** 2 + 3.0 * x[None, :] ** 2)[:, :, None, None] * cmat
     i, j = np.indices((m, m))
-    f[(j > i)] = 0.0
-    kern = Kernel2D(2, g, "lower", f)
-    out, mask = apply_wave_operator(kern, "lower")
+    inside = j <= i if region == "lower" else j >= i
+    f[~inside] = 0.0
+    out, mask = apply_wave_operator(f, g, region)
+    assert f.dtype == dtype and out.dtype == np.complex128
     sc = structural_constants(1)
     dx = (2.0 * x[:, None] * np.ones((1, m)))[:, :, None, None] * cmat
     dt = (np.ones((m, 1)) * 6.0 * x[None, :])[:, :, None, None] * cmat
     target = sc.J @ dx + dt @ sc.J
-    err = np.abs(out.values - target)[mask & (j <= i)]
+    assert not mask[~inside].any()
+    err = np.abs(out - target)[mask]
     assert err.size > 0
     assert np.max(err) < 1e-12
+    assert not out[~mask].any()
 
 
 def test_wave_operator_masks_short_lines():
     g = GridSpec(16)
-    kern = Kernel2D(2, g, "lower", np.zeros((17, 17, 2, 2)))
-    _, mask = apply_wave_operator(kern, "lower")
+    blocks = np.zeros((17, 17, 2, 2))
+    _, mask = apply_wave_operator(blocks, g, "lower")
     # the corner (0, 0) line has a single point in each direction
     assert not mask[0, 0]
     assert mask[8, 4]
     # only the two triangles: a stencil over the full square crosses the diagonal
     with pytest.raises(FieldFormatError, match="unknown region 'full'"):
-        apply_wave_operator(kern, "full")
+        apply_wave_operator(blocks, g, "full")
+    with pytest.raises(FieldFormatError, match="kernel block size 3 is odd"):
+        apply_wave_operator(np.zeros((17, 17, 3, 3)), g, "lower")
 
 
 def test_identity_suite_passes_and_converges():
@@ -292,6 +324,27 @@ def test_spectral_sequence_mirrors_under_flip():
     assert np.max(np.abs(a - b) / a) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "s_max, message",
+    [
+        (2.5, "s_max must be an integer, got 2.5"),
+        (True, "s_max must be an integer, got True"),
+        (0, "s_max must be >= 1, got 0"),
+        (-3, "s_max must be >= 1, got -3"),
+    ],
+    ids=["fractional", "bool", "zero", "negative"],
+)
+def test_spectral_radius_probe_refuses_malformed_s_max(monkeypatch, s_max, message):
+    # 2.5 raised a TypeError and 0 returned []
+    def no_matrix(*args):
+        raise AssertionError("the operator was built before s_max was checked")
+
+    monkeypatch.setattr(dirac_verify, "op_from_kernel", no_matrix)
+    with pytest.raises(FieldFormatError) as info:
+        spectral_radius_probe(_constant_lower(1.0, 16), s_max)
+    assert str(info.value) == message
+
+
 def test_lipschitz_probe_deterministic():
     h = const_accelerant(0.5, 32)
     a = lipschitz_probe("theta", h, scales=(1e-3,), trials=3, seed=7)
@@ -350,14 +403,18 @@ def test_lipschitz_probe_skip_keeps_the_random_stream(monkeypatch):
         ((1e-3,), 2.5, "trials must be an integer, got 2.5"),
         (1e-3, 2, "scales must be a sequence of numbers, got 0.001"),
         (("1e-3",), 2, "scale must be a finite number > 0, got '1e-3'"),
+        ((), 2, "empty scales"),
+        ("1e-3", 2, "scales must be a sequence of numbers, got '1e-3'"),
     ],
     ids=["negative", "zero", "inf", "nan", "no_trials", "negative_trials",
-         "fractional_trials", "bare_scale", "string_scale"],
+         "fractional_trials", "bare_scale", "string_scale", "no_scales", "string_scales"],
 )
 def test_lipschitz_probe_refuses_malformed_arguments(monkeypatch, scales, trials, message):
     # a negative scale gave a negative mean ratio, zero divided by zero,
     # inf and nan blamed the accelerant and trials = -1 reported Nones;
-    # trials = 2.5 and the last two scales raised bare TypeErrors
+    # trials = 2.5, a bare scale and a tuple holding a string raised bare
+    # TypeErrors, no scales gave an empty report and a string was refused
+    # as its first character
     def no_map(*args):
         raise AssertionError("a map ran before the arguments were checked")
 
@@ -403,14 +460,17 @@ def test_roundtrip_report_both_directions():
         (5e-3, (16.7, 32), "ladder rung must be an integer, got 16.7"),
         (5e-3, (True, 16), "ladder rung must be an integer, got True"),
         (5e-3, (16, 32, 32), "ladder repeats a rung: [16, 32, 32]"),
+        (5e-3, 16, "ladder must be a sequence of integers, got 16"),
+        (5e-3, "16", "ladder must be a sequence of integers, got '16'"),
     ],
     ids=["inf", "nan", "negative", "zero", "empty_ladder", "fractional_rung", "bool_rung",
-         "repeated_rung"],
+         "repeated_rung", "bare_rung", "string_ladder"],
 )
 def test_roundtrip_report_refuses_malformed_arguments(monkeypatch, final_tol, ladder, message):
     # inf passed whatever the error, nan and -1 failed every ladder, and an
     # empty ladder passed with no entries; a fractional rung ran truncated
-    # and a repeated one ran twice; now none of them reaches a map
+    # and a repeated one ran twice; a bare rung raised a TypeError and a
+    # string was refused as its first character; now none of them reaches a map
     def no_map(*args):
         raise AssertionError("a map ran before the arguments were checked")
 

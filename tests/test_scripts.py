@@ -58,6 +58,9 @@ def test_scripts_run_on_demo_fields(tmp_path):
         ("run_identity_suite.py", "16,32", "grid 16 is not nested over target 32"),
         ("run_roundtrip.py", "16,32", "grid 16 is not nested over target 32"),
         ("run_identity_suite.py", "16,x", "cannot parse ladder"),
+        # ran the rung twice and exited 0; both scripts share roundtrip_report's check
+        ("run_identity_suite.py", "16,16", "ladder repeats a rung: [16, 16]"),
+        ("run_roundtrip.py", "16,16", "ladder repeats a rung: [16, 16]"),
         # refused as by kreinmap roundtrip: nan and -1 would fail the whole
         # ladder, inf would pass it vacuously
         ("run_roundtrip.py", "8,16 --tol nan", "--tol must be a finite number > 0, got nan"),

@@ -12,7 +12,7 @@ from pathlib import Path
 from conftest import linear_potential
 
 import kreinmap.cli  # noqa: F401  (the tracer wraps the cli layers too)
-from kreinmap import upsilon
+from kreinmap import identity_suite, upsilon
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -41,3 +41,11 @@ def test_traced_upsilon_records_the_product_layers():
     # the cross term runs the quadops layers under their traced names
     assert names.count("quadops.adjoint_op") == 1
     assert names.count("quadops.compose") == 1
+
+
+def test_traced_identity_suite_records_the_wave_operator():
+    with _tracer().Tracer() as traced:
+        identity_suite(linear_potential(16))
+    names = [span[0] for span in traced.spans]
+    # K_Q, L and the lower and upper parts of F
+    assert names.count("dirac_verify.apply_wave_operator") == 4
