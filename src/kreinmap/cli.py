@@ -173,7 +173,7 @@ def _emit_report(report) -> None:
 def cmd_theta(args) -> int:
     h = _load(args.in_path, (Accelerant,), args.n)
     margin, certificate = _require_accelerant(h)
-    q = _krein_potential(h, _krein_kernels(h))  # theta without repeating the gate
+    q = _krein_potential(_krein_kernels(h))  # theta without repeating the gate
     write_field(args.out_path, q, meta=f"theta of {args.in_path}")
     if certificate is None:
         print(f"accelerant test: min margin {margin:.6f}")

@@ -46,7 +46,6 @@ from .forward_map import (
     theta,
 )
 from .inverse_map import (
-    _block_symmetry,
     _resolvent_factors,
     characteristic_extract,
     resolvent_product_kernel,
@@ -166,12 +165,12 @@ def krein_solution(h: Accelerant, lams) -> np.ndarray:
     contraction of the kernel with the phases e^{-2 i lam (x_i - x_t)} for
     phi_1 and e^{2 i lam (x_i - x_t)} for phi_2 on the lower trapezoid
     weights, which are symmetric on [0, x_i].  lams that is not a non-empty
-    sequence of finite numbers raises FieldFormatError before the gate runs.
+    sequence of finite numbers raises FieldFormatError before the gate runs,
+    and so does a solution that overflows floating point after it.
     """
     lams = _check_sequence(lams, "lams", "numbers")
     for lam in lams:
-        if isinstance(lam, bool) or not (isinstance(lam, numbers.Number) and np.isfinite(lam)):
-            raise FieldFormatError(f"lambda must be a finite number, got {lam!r}")
+        _check_lambda(lam)
     _require_accelerant(h)
     r1, r2 = _krein_kernels(h)
     grid = h.grid
@@ -181,24 +180,39 @@ def krein_solution(h: Accelerant, lams) -> np.ndarray:
     lag = np.abs(idx[:, None] - idx[None, :])  # i - t wherever tw is nonzero
     eye = np.eye(h.r)
     phis = np.zeros((len(lams), grid.N + 1, 2 * h.r, h.r), dtype=np.complex128)
-    for phi, lam in zip(phis, lams):
-        s1 = np.einsum("it,itab->iab", tw * np.exp(-2j * lam * x)[lag], r1.values)
-        s2 = np.einsum("it,itab->iab", tw * np.exp(2j * lam * x)[lag], r2.values)
-        phi[:, : h.r] = np.exp(1j * lam * x)[:, None, None] * (eye + s1)
-        phi[:, h.r :] = np.exp(-1j * lam * x)[:, None, None] * (eye + s2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phi, lam in zip(phis, lams):
+            s1 = np.einsum("it,itab->iab", tw * np.exp(-2j * lam * x)[lag], r1.values)
+            s2 = np.einsum("it,itab->iab", tw * np.exp(2j * lam * x)[lag], r2.values)
+            phi[:, : h.r] = np.exp(1j * lam * x)[:, None, None] * (eye + s1)
+            phi[:, h.r :] = np.exp(-1j * lam * x)[:, None, None] * (eye + s2)
+    if not np.isfinite(phis).all():
+        raise FieldFormatError("Krein solution overflows floating point; lambda is too large")
     return phis
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def transmuted_solution(kernel: Kernel2D, lam: complex) -> np.ndarray:
-    """phi_0 + int_0^x K(x,s) phi_0(s) ds for the distinguished columns."""
+    """phi_0 + int_0^x K(x,s) phi_0(s) ds for the distinguished columns; a
+    lam that is not a finite number, or an overflow, raises FieldFormatError."""
     if kernel.support != "lower":
         raise FieldFormatError("transmuted solution needs a lower kernel")
     if kernel.n % 2:
         raise FieldFormatError(f"kernel block size {kernel.n} is odd")
+    _check_lambda(lam)
     r = kernel.n // 2
     phi0 = _free_evolution(lam, kernel.grid.nodes, r)[:, :, None] * structural_constants(r).a_col
     tw = nystrom_weights(kernel.grid, "lower")
-    return phi0 + np.einsum("ij,ijab,jbc->iac", tw, kernel.values, phi0)
+    phi = phi0 + np.einsum("ij,ijab,jbc->iac", tw, kernel.values, phi0)
+    if not np.isfinite(phi).all():
+        raise FieldFormatError("transmuted solution overflows floating point; lambda is too large")
+    return phi
+
+
+def _check_lambda(lam) -> None:
+    """Refuse a lambda that is not a finite number, bool included."""
+    if isinstance(lam, bool) or not (isinstance(lam, numbers.Number) and np.isfinite(lam)):
+        raise FieldFormatError(f"lambda must be a finite number, got {lam!r}")
 
 
 def check_fundamental_representation(q: Potential) -> DiagnosticReport:
@@ -319,6 +333,16 @@ def identity_suite(q: Potential) -> DiagnosticReport:
     return _identity_suite(q, _block_symmetry(transformation_kernels(q)))
 
 
+def _block_symmetry(pair: tuple[Kernel2D, Kernel2D]) -> float:
+    """The symmetry_P residual of the transformation pair: max |P+ J - J P+|
+    and |P- J + J P-|, exactly.  J is diagonal, so (PJ -+ JP)[a, c] =
+    P[a, c] (d[c] -+ d[a]) with d its diagonal."""
+    plus, minus = pair
+    d = np.diagonal(structural_constants(plus.n // 2).J)
+    plus_sym = np.abs(plus.values * (d - d[:, None])).max()
+    return float(max(plus_sym, np.abs(minus.values * (d + d[:, None])).max()))
+
+
 def _verify_potential(q: Potential) -> DiagnosticReport:
     """identity_suite(q) followed by the entries of
     check_fundamental_representation(q), from one build of the
@@ -336,8 +360,8 @@ def _verify_accelerant(h: Accelerant) -> DiagnosticReport:
     identity read the same two Krein kernels."""
     _require_accelerant(h)
     kernels = _krein_kernels(h)
-    report = _verify_potential(_krein_potential(h, kernels))
-    report.entries.extend(_derivative_identity(h, _block_kernel(h, kernels)).entries)
+    report = _verify_potential(_krein_potential(kernels))
+    report.entries.extend(_derivative_identity(h, _block_kernel(kernels)).entries)
     # dual-route factor check: the folded Krein factor against the
     # triangular factor recovered from the folded kernel itself
     lh = folded_lower_factor(h)
@@ -443,14 +467,18 @@ def _derivative_identity(h: Accelerant, rk: Kernel2D) -> DiagnosticReport:
     return report
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def spectral_radius_probe(kernel: Kernel2D, s_max: int = 16) -> list:
     """Rooted operator norms ||M^s||^{1/s} of the induced matrix, s = 1..s_max;
-    an s_max that is not an integer >= 1 raises FieldFormatError."""
+    an s_max that is not an integer >= 1 and a power that overflows floating
+    point raise FieldFormatError."""
     _check_int(s_max, "s_max", minimum=1)
     mat = op_from_kernel(kernel)
     power = mat.copy()
     out = []
     for s in range(1, s_max + 1):
+        if not np.isfinite(power).all():
+            raise FieldFormatError(f"power {s} of the operator overflows floating point")
         norm = float(np.linalg.norm(power, 2))
         out.append(norm ** (1.0 / s) if norm > 0 else 0.0)
         power = power @ mat

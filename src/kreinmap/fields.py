@@ -103,14 +103,6 @@ class Accelerant:
             )
         object.__setattr__(self, "values", vals)
 
-    @property
-    def center(self) -> int:
-        """Index of h(0)."""
-        return 2 * self.grid.N
-
-    def points(self) -> np.ndarray:
-        return -1.0 + np.arange(4 * self.grid.N + 1) / (2 * self.grid.N)
-
 
 @dataclass(frozen=True)
 class Potential:

@@ -12,13 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factorization import _require_accelerant, solve_krein
-from .fields import (
-    Accelerant,
-    Kernel2D,
-    Potential,
-    reflect,
-    structural_constants,
-)
+from .fields import Accelerant, Kernel2D, Potential, reflect
 
 __all__ = ["theta", "folded_kernel", "block_krein_kernel", "folded_lower_factor"]
 
@@ -29,12 +23,10 @@ def theta(h: Accelerant) -> Potential:
     Rejects inputs that fail the accelerant sweep. The sweep runs only when
     neither certificate of factorization._require_accelerant can certify
     h: the Schur norm bound, O(N r^3), and the numerical range bound, one
-    O(N^3 r^3) eigvalsh; a certified h is one the sweep would accept. The
-    same potential is assembled a second time through the block-kernel
-    route Q = R_H(x,0) B J; the two must agree to round-off.
+    O(N^3 r^3) eigvalsh; a certified h is one the sweep would accept.
     """
     _require_accelerant(h)
-    return _krein_potential(h, _krein_kernels(h))
+    return _krein_potential(_krein_kernels(h))
 
 
 def _krein_kernels(h: Accelerant) -> tuple[Kernel2D, Kernel2D]:
@@ -43,27 +35,13 @@ def _krein_kernels(h: Accelerant) -> tuple[Kernel2D, Kernel2D]:
     return solve_krein(h), solve_krein(reflect(h))
 
 
-def _krein_potential(h: Accelerant, kernels: tuple[Kernel2D, Kernel2D]) -> Potential:
+def _krein_potential(kernels: tuple[Kernel2D, Kernel2D]) -> Potential:
     """theta from the kernels of _krein_kernels(h), without the accelerant
     gate, for callers that have already run it."""
     r_direct, r_reflected = kernels
     q_plus = 1j * r_direct.values[:, 0]
     q_minus = -1j * r_reflected.values[:, 0]
-
-    sc = structural_constants(h.r)
-    m = h.grid.N + 1
-    rh0 = np.zeros((m, 2 * h.r, 2 * h.r), dtype=np.complex128)
-    rh0[:, : h.r, : h.r] = r_direct.values[:, 0]
-    rh0[:, h.r :, h.r :] = r_reflected.values[:, 0]
-    q_cross = rh0 @ (sc.B @ sc.J)
-    direct = np.zeros_like(q_cross)
-    direct[:, : h.r, h.r :] = q_plus
-    direct[:, h.r :, : h.r] = q_minus
-    agreement = np.max(np.abs(q_cross - direct))
-    if agreement > 1e-12:
-        raise AssertionError(f"assembly routes disagree by {agreement:.3e}")
-
-    return Potential(h.r, h.grid, q_plus, q_minus)
+    return Potential(r_direct.n, r_direct.grid, q_plus, q_minus)
 
 
 def folded_kernel(h: Accelerant) -> Kernel2D:
@@ -84,17 +62,18 @@ def folded_kernel(h: Accelerant) -> Kernel2D:
 
 def block_krein_kernel(h: Accelerant) -> Kernel2D:
     """diag(r_h, r_reflected) as one lower 2r x 2r kernel."""
-    return _block_kernel(h, _krein_kernels(h))
+    return _block_kernel(_krein_kernels(h))
 
 
-def _block_kernel(h: Accelerant, kernels: tuple[Kernel2D, Kernel2D]) -> Kernel2D:
+def _block_kernel(kernels: tuple[Kernel2D, Kernel2D]) -> Kernel2D:
     """block_krein_kernel from the kernels of _krein_kernels(h)."""
     r_direct, r_reflected = kernels
-    m = h.grid.N + 1
-    vals = np.zeros((m, m, 2 * h.r, 2 * h.r), dtype=np.complex128)
-    vals[:, :, : h.r, : h.r] = r_direct.values
-    vals[:, :, h.r :, h.r :] = r_reflected.values
-    return Kernel2D(2 * h.r, h.grid, "lower", vals)
+    r, grid = r_direct.n, r_direct.grid
+    m = grid.N + 1
+    vals = np.zeros((m, m, 2 * r, 2 * r), dtype=np.complex128)
+    vals[:, :, :r, :r] = r_direct.values
+    vals[:, :, r:, r:] = r_reflected.values
+    return Kernel2D(2 * r, grid, "lower", vals)
 
 
 def folded_lower_factor(h: Accelerant) -> Kernel2D:

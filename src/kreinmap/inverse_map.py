@@ -12,15 +12,18 @@ nonzero r x r blocks, which form two independent chains (_kernel_chains).
 The march stores and multiplies only those blocks, and the transmutation
 kernel reads each of its blocks as a sum of two chain blocks, so the inverse
 map never forms the full 2r x 2r kernels; transformation_kernels scatters
-the chains into them for the consumers that need them.  The resolvent
-product needs K for Q and for Q*, and their four chains share one march
-over the rows of the refined grid, which stores only the even rows that K
-reads.  Its cross term is quadops.compose of L with quadops.adjoint_op of
-L*, so the quadrature weights of operator products stay in quadops.
+the chains into zeroed full kernels for the consumers that need them, so
+P_plus commutes with J and P_minus anticommutes exactly, by construction.
+The resolvent product needs K for Q and for Q*, and their four chains share
+one march over the rows of the refined grid, which stores only the even
+rows that K reads.  Its cross term is quadops.compose of L with
+quadops.adjoint_op of L*, so the quadrature weights of operator products
+stay in quadops.
 
 Two classes of potentials are closed under both maps, and the product
 kernel detects them once (_structure, by exact comparisons with no
-tolerance) and carries them through its chain:
+tolerance, against the adjoint potential that the march of K_{Q*} also
+reads) and carries them through its chain:
 
 - the real class, where q_plus and q_minus have no nonzero real part, so
   that a = -i q_plus and b = i q_minus are real: the chains, K, both
@@ -62,7 +65,6 @@ from .fields import (
     Kernel2D,
     Potential,
     potential_adjoint,
-    structural_constants,
 )
 from .quadops import adjoint_op, compose
 
@@ -102,18 +104,18 @@ def _require_resolved(q: Potential) -> None:
         )
 
 
-def _structure(q: Potential) -> tuple[bool, bool]:
-    """(real class, self-adjoint) of q, by exact comparisons.
+def _structure(q: Potential, adj: Potential) -> tuple[bool, bool]:
+    """(real class, self-adjoint) of q, by exact comparisons with its
+    adjoint adj = potential_adjoint(q).
 
     The real class has no nonzero real part in q_plus or q_minus; a
-    self-adjoint q equals potential_adjoint(q) value for value.  There is no
+    self-adjoint q equals adj value for value.  There is no
     tolerance: theta of a real accelerant is self-adjoint only up to the
     rounding of its two Krein solves, and takes the general path.  Both
     classes survive _midpoint_fill, whose coefficients are real, so a
     verdict on q holds for its refined potential.
     """
     real = not q.q_plus.real.any() and not q.q_minus.real.any()
-    adj = potential_adjoint(q)
     self_adjoint = np.array_equal(adj.q_plus, q.q_plus) and np.array_equal(adj.q_minus, q.q_minus)
     return real, self_adjoint
 
@@ -217,8 +219,7 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     FieldFormatError.
 
     P_plus commutes with J and P_minus anticommutes, exactly, since the
-    chains hold no other blocks.  The check at the end is a tripwire on the
-    scatter: it fails if a block lands on the wrong side of the diagonal.
+    scatter writes the chain blocks into zeroed arrays and no others.
     """
     _require_resolved(q)
     r, n = q.r, 2 * q.r
@@ -230,20 +231,7 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     plus[..., r:, r:] = ub
     minus[..., r:, :r] = va
     minus[..., :r, r:] = vb
-    pair = Kernel2D(n, q.grid, "lower", plus), Kernel2D(n, q.grid, "lower", minus)
-    sym = _block_symmetry(pair)
-    if sym > 1e-8:
-        raise AssertionError(f"block symmetry violated by {sym:.3e}")
-    return pair
-
-
-def _block_symmetry(pair: tuple[Kernel2D, Kernel2D]) -> float:
-    """max |P+ J - J P+| and |P- J + J P-|, exactly: J is diagonal, so
-    (PJ -+ JP)[a, c] = P[a, c] (d[c] -+ d[a]) with d its diagonal."""
-    plus, minus = pair
-    d = np.diagonal(structural_constants(plus.n // 2).J)
-    plus_sym = np.abs(plus.values * (d - d[:, None])).max()
-    return float(max(plus_sym, np.abs(minus.values * (d + d[:, None])).max()))
+    return Kernel2D(n, q.grid, "lower", plus), Kernel2D(n, q.grid, "lower", minus)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -279,7 +267,7 @@ def transmutation_kernel(q: Potential) -> Kernel2D:
     own grid, are stored.  A potential of the real class is marched in
     float64 (see _structure) and its K cast to complex128 at the end.
     """
-    real, _ = _structure(q)
+    real, _ = _structure(q, potential_adjoint(q))
     return Kernel2D(2 * q.r, q.grid, "lower", _transmutation_values([q], real)[0])
 
 
@@ -427,10 +415,12 @@ def _resolvent_factors(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray
     alone and the one resolvent L is returned as L* too.  Otherwise K_Q and
     K_{Q*} come from one march of four chains.  L* is built first, so that
     K_{Q*} is dropped before L is built and no more kernel-sized arrays are
-    held at once than K_Q must add.
+    held at once than K_Q must add.  The adjoint of q is formed once, for
+    both the structure test and the march.
     """
-    real, self_adjoint = _structure(q)
-    kernels = _transmutation_values([q] if self_adjoint else [q, potential_adjoint(q)], real)
+    adj = potential_adjoint(q)
+    real, self_adjoint = _structure(q, adj)
+    kernels = _transmutation_values([q] if self_adjoint else [q, adj], real)
     k_low = kernels[0]
     l_star = _resolvent_values(kernels.pop(), q.grid.step)
     l_low = l_star if self_adjoint else _resolvent_values(k_low, q.grid.step)

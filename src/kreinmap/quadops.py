@@ -19,6 +19,8 @@ matrix, triangular or not, so numpy is the only library the package needs.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import FieldFormatError, SingularSystemError
@@ -131,14 +133,20 @@ def _block_spectral_norms(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.norm(blocks, ord=2, axis=(-2, -1))
 
 
+def _check_order(p) -> None:
+    """Refuse an order p that is not a finite real number >= 1: nan passes
+    a plain p < 1 test, and p = inf gives 1.0 for every field."""
+    if not (isinstance(p, numbers.Real) and np.isfinite(p) and p >= 1):
+        raise FieldFormatError(f"order p must be a finite number >= 1, got {p!r}")
+
+
 def mixed_norm(kernel: Kernel2D, p: float = 1.0) -> float:
     """max over rows and columns of the discrete L_p norm of the block sizes.
 
     Row i contributes (sum_j w_j ||K(x_i, x_j)||^p)^(1/p) with the global
     trapezoid weights, columns symmetrically; block sizes are spectral norms.
     """
-    if p < 1:
-        raise FieldFormatError(f"order p must be >= 1, got {p}")
+    _check_order(p)
     sizes = _block_spectral_norms(kernel.values)
     w = kernel.grid.weights
     rows = (sizes ** p @ w) ** (1.0 / p)
@@ -148,8 +156,7 @@ def mixed_norm(kernel: Kernel2D, p: float = 1.0) -> float:
 
 def field_norm(f, p: float = 1.0) -> float:
     """Discrete L_p norm of an accelerant (on [-1,1]) or potential (on [0,1])."""
-    if p < 1:
-        raise FieldFormatError(f"order p must be >= 1, got {p}")
+    _check_order(p)
     if isinstance(f, Accelerant):
         w = f.grid.refined().trapezoid(4 * f.grid.N)  # 4N half steps on [-1,1]
         sizes = _block_spectral_norms(f.values)

@@ -40,6 +40,7 @@ MARCH = "inverse_map._kernel_chains"
 PARTS = "inverse_map.resolvent_product_parts"
 ASSEMBLE = "inverse_map.assemble_product"
 WAVE = "dirac_verify.apply_wave_operator"
+SYMMETRY = "dirac_verify._block_symmetry"
 C128, F64 = np.dtype(np.complex128), np.dtype(np.float64)
 
 
@@ -97,16 +98,16 @@ def first_args(monkeypatch):
 
 
 def test_identity_suite_builds_each_resolvent_once(count_calls):
-    counts = count_calls(MARCH, RESOLVENT)
+    counts = count_calls(MARCH, RESOLVENT, SYMMETRY)
     assert identity_suite(linear_potential(16)).passed
     # one march for K_Q and K_{Q*} on the refined grid, one for symmetry_P on
     # the potential's own grid; one resolvent each for Q and for its adjoint Q*
-    assert counts == {MARCH: 2, RESOLVENT: 2}
+    assert counts == {MARCH: 2, RESOLVENT: 2, SYMMETRY: 1}
 
     # a self-adjoint Q has K_{Q*} = K_Q, so one resolvent serves as L and L*
     counts.update(dict.fromkeys(counts, 0))
     assert identity_suite(const_potential(1.0, 16)).passed
-    assert counts == {MARCH: 2, RESOLVENT: 1}
+    assert counts == {MARCH: 2, RESOLVENT: 1, SYMMETRY: 1}
 
 
 def test_identity_suite_takes_the_product_parts_without_assembling_f(count_calls):
@@ -129,10 +130,10 @@ def test_identity_suite_hands_the_wave_operator_blocks_in_their_dtype(first_args
 
 
 def test_upsilon_builds_no_full_transformation_kernels(count_calls):
-    counts = count_calls(MARCH, "transformation_kernels", RESOLVENT)
+    counts = count_calls(MARCH, "transformation_kernels", RESOLVENT, SYMMETRY)
     upsilon(linear_potential(16))
     # K_Q and K_{Q*} are read from the chains of one march
-    assert counts == {MARCH: 1, "transformation_kernels": 0, RESOLVENT: 2}
+    assert counts == {MARCH: 1, "transformation_kernels": 0, RESOLVENT: 2, SYMMETRY: 0}
 
 
 @pytest.mark.parametrize(
@@ -150,8 +151,11 @@ def test_upsilon_builds_no_full_transformation_kernels(count_calls):
 def test_upsilon_marches_and_solves_what_the_structure_needs(
     first_args, q, chains, dtype, resolvents
 ):
-    seen = first_args(MARCH, RESOLVENT)
+    seen = first_args(MARCH, RESOLVENT, "potential_adjoint")
     h, _ = upsilon(q)
+    # one adjoint of q serves the structure test and, unless q is
+    # self-adjoint, the march of K_{Q*}
+    assert [p is q for p in seen["potential_adjoint"]] == [True]
     # _kernel_chains(co, ...) with co[i, c, k]: one march of `chains` chains
     assert [(co.shape[1], co.dtype) for co in seen[MARCH]] == [(chains, dtype)]
     assert [k.dtype for k in seen[RESOLVENT]] == [dtype] * resolvents
@@ -163,13 +167,15 @@ def test_cli_verify_builds_the_transformation_kernels_once(count_calls, tmp_path
     q = linear_potential(16)
     src = tmp_path / "q.json"
     write_field(str(src), q)
-    counts = count_calls("transformation_kernels")
+    counts = count_calls("transformation_kernels", SYMMETRY)
     assert main(["verify", "--in", str(src)]) == 0
     # one pair serves symmetry_P and the representation check
-    assert counts == {"transformation_kernels": 1}
+    assert counts == {"transformation_kernels": 1, SYMMETRY: 1}
     # the report is the one the two public checks give, to the byte
     report = identity_suite(q)
     report.entries.extend(check_fundamental_representation(q).entries)
+    # only identity_suite reads symmetry_P off its pair
+    assert counts == {"transformation_kernels": 3, SYMMETRY: 2}
     assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 

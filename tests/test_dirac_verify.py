@@ -190,6 +190,29 @@ def test_krein_solution_refuses_malformed_lambdas(monkeypatch, lams, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("lam", [800j, 1e308], ids=["growing_phase", "huge_lambda"])
+def test_krein_solution_refuses_overflow(lam):
+    # both leaked a RuntimeWarning and returned non-finite columns
+    with pytest.raises(FieldFormatError, match="Krein solution overflows floating point"):
+        krein_solution(const_accelerant(0.5, 16), (lam,))
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (800j, "transmuted solution overflows floating point"),
+        (np.inf, "lambda must be a finite number, got inf"),
+        (np.nan, "lambda must be a finite number, got nan"),
+        (True, "lambda must be a finite number, got True"),
+    ],
+    ids=["growing_phase", "inf", "nan", "bool"],
+)
+def test_transmuted_solution_refuses_nonfinite(lam, message):
+    kernel = transmutation_kernel(linear_potential(16))
+    with pytest.raises(FieldFormatError, match=re.escape(message)):
+        transmuted_solution(kernel, lam)
+
+
 def test_solution_routes_agree():
     h = gauss_accelerant(0.3, 100)
     q = theta(h)
@@ -322,6 +345,17 @@ def test_spectral_sequence_mirrors_under_flip():
     b = np.array(spectral_radius_probe(up, 8))
     # index-reversal conjugation is exactly unitary for the weight pattern
     assert np.max(np.abs(a - b) / a) < 1e-12
+
+
+def test_spectral_radius_probe_refuses_overflowing_powers(capfd):
+    # the square of this operator overflows: numpy warned three times, LAPACK
+    # printed a DLASCL complaint and the SVD of the inf power did not converge
+    m = 17
+    vals = np.where(np.tri(m, dtype=bool)[:, :, None, None], 1e200, 0.0) * np.ones((m, m, 2, 2))
+    kernel = Kernel2D(2, GridSpec(16), "lower", vals)
+    with pytest.raises(FieldFormatError, match="power 2 of the operator overflows"):
+        spectral_radius_probe(kernel, 4)
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize(

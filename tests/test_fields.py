@@ -34,11 +34,9 @@ def test_grid_quadrature_is_normalized():
     assert g.refined().N == 20
 
 
-def test_accelerant_shape_and_center():
+def test_accelerant_shape():
     h = const_accelerant(0.5, 8)
     assert h.values.shape == (33, 1, 1)
-    assert h.center == 16
-    assert h.points()[h.center] == 0.0
     with pytest.raises(FieldFormatError):
         Accelerant(1, GridSpec(8), np.zeros((32, 1, 1)))
 

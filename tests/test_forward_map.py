@@ -11,6 +11,7 @@ from kreinmap import (
     folded_kernel,
     folded_lower_factor,
     mixed_norm,
+    reflect,
     solve_glm,
     solve_krein,
     theta,
@@ -32,6 +33,16 @@ def test_theta_even_accelerant_pairs_blocks():
     # for h(-x) = h(x) the reflected solve is bitwise the same solve
     q = theta(gauss_accelerant(0.3, 32))
     assert np.array_equal(q.q_minus, -q.q_plus)
+
+
+@pytest.mark.parametrize(
+    "h", [gauss_accelerant(0.3, 32), random_accelerant(0)], ids=["r1", "r2"]
+)
+def test_theta_is_the_t0_trace_of_the_krein_kernels(h):
+    # q_plus = i r_h(x, 0) and q_minus = -i r_reflected(x, 0), to the byte
+    q = theta(h)
+    assert q.q_plus.tobytes() == (1j * solve_krein(h).values[:, 0]).tobytes()
+    assert q.q_minus.tobytes() == (-1j * solve_krein(reflect(h)).values[:, 0]).tobytes()
 
 
 def test_theta_rejects_critical_constant():
@@ -59,7 +70,7 @@ def test_folded_kernel_characteristic_lines():
     assert np.array_equal(v[1:, :-1, r:, :r], v[:-1, 1:, r:, :r])
     assert np.array_equal(v[1:, 1:, r:, r:], v[:-1, :-1, r:, r:])
     # and the diagonal reads h(0) plus/minus exact sample offsets
-    assert np.array_equal(v[0, 0, :r, :r], 0.5 * h.values[h.center])
+    assert np.array_equal(v[0, 0, :r, :r], 0.5 * h.values[2 * h.grid.N])
 
 
 def test_block_krein_kernel_is_diagonal():

@@ -169,6 +169,18 @@ def test_field_norms():
     assert field_norm(q, 1.0) == pytest.approx(expected, abs=1e-14)
 
 
+@pytest.mark.parametrize("p", [np.inf, np.nan, -np.inf, 0.5, "2"])
+def test_norms_refuse_orders_that_are_not_finite_numbers_at_least_one(p):
+    # p = inf gave 1.0 for every input (the sup of const 0.5 is 0.5) and
+    # p = nan gave nan, since nan < 1 is false
+    k = Kernel2D(1, GridSpec(8), "full", np.full((9, 9, 1, 1), 0.5 + 0j))
+    message = f"order p must be a finite number >= 1, got {p!r}"
+    for norm, field in ((mixed_norm, k), (field_norm, const_accelerant(0.5, 16))):
+        with pytest.raises(FieldFormatError) as info:
+            norm(field, p)
+        assert str(info.value) == message
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.floats(1.0, 4.0))
 def test_mixed_norm_homogeneous(seed, p):
