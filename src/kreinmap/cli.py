@@ -166,6 +166,12 @@ def _parse_ladder(text: str) -> tuple:
     return _check_ladder(rungs)
 
 
+def _write_csv_rows(out, rows) -> None:
+    """Write each row of numbers as one CSV line of round-tripping .17g cells."""
+    for row in rows:
+        out.write(",".join(f"{cell:.17g}" for cell in row) + "\n")
+
+
 def _emit_report(report) -> None:
     print(json.dumps(report.to_dict(), indent=2))
 
@@ -198,11 +204,9 @@ def cmd_check_accelerant(args) -> int:
     test = is_accelerant(h)
     if args.csv:
         print("alpha,sigma_min,sigma_max,margin")
-        for k in range(len(test.alphas)):
-            print(
-                f"{test.alphas[k]:.17g},{test.sigma_min[k]:.17g},"
-                f"{test.sigma_max[k]:.17g},{test.margins[k]:.17g}"
-            )
+        _write_csv_rows(
+            sys.stdout, zip(test.alphas, test.sigma_min, test.sigma_max, test.margins)
+        )
     if not test.accepted:
         print(
             f"rejected: I + H_alpha singular near alpha = {test.worst_alpha:.6g}",
@@ -246,22 +250,17 @@ def cmd_solve_dirac(args) -> int:
         out = open(args.out_path, "w") if args.out_path else sys.stdout
     except OSError as exc:
         raise FieldFormatError(f"cannot write {args.out_path}: {exc}")
+    dim = 2 * q.r
+    header = ["x"] + [
+        f"y{a}{b}_{part}" for a in range(dim) for b in range(dim) for part in ("re", "im")
+    ]
     try:
         for lam, y in solutions:
             out.write(f"# lambda = {lam.real:g}{lam.imag:+g}i\n")
-            dim = 2 * q.r
-            header = ["x"] + [
-                f"y{a}{b}_{part}" for a in range(dim) for b in range(dim)
-                for part in ("re", "im")
-            ]
             out.write(",".join(header) + "\n")
-            for k, x in enumerate(q.grid.nodes):
-                cells = [f"{x:.17g}"]
-                for a in range(dim):
-                    for b in range(dim):
-                        cells.append(f"{y[k, a, b].real:.17g}")
-                        cells.append(f"{y[k, a, b].imag:.17g}")
-                out.write(",".join(cells) + "\n")
+            # per node: x, then re and im of y[a, b] in row-major order
+            parts = np.stack([y.real, y.imag], axis=-1).reshape(len(y), -1)
+            _write_csv_rows(out, np.column_stack([q.grid.nodes, parts]))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -481,7 +481,8 @@ def spectral_radius_probe(kernel: Kernel2D, s_max: int = 16) -> list:
             raise FieldFormatError(f"power {s} of the operator overflows floating point")
         norm = float(np.linalg.norm(power, 2))
         out.append(norm ** (1.0 / s) if norm > 0 else 0.0)
-        power = power @ mat
+        if s < s_max:
+            power = power @ mat
     return out
 
 

@@ -67,8 +67,11 @@ class GridSpec:
 
     def trapezoid(self, cells: int) -> np.ndarray:
         """Composite trapezoid weights over `cells` steps of this grid:
-        cells + 1 nodes, half weight at both endpoints. The one definition
-        every quadrature in the package uses."""
+        cells + 1 nodes, half weight at both endpoints. weights,
+        nystrom_weights, field_norm, is_accelerant and _dense_row use it;
+        solve_glm (_shared_matrix, delta), _kernel_chains, _resolvent_values,
+        compose's quarter-weight patch and _triangle_compose apply the half
+        weights inline."""
         w = np.full(cells + 1, self.step)
         w[0] = w[-1] = 0.5 * self.step
         return w

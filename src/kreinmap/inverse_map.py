@@ -20,23 +20,21 @@ rows that K reads.  Its cross term is quadops.compose of L with
 quadops.adjoint_op of L*, so the quadrature weights of operator products
 stay in quadops.
 
-Two classes of potentials are closed under both maps, and the product
-kernel detects them once (_structure, by exact comparisons with no
-tolerance, against the adjoint potential that the march of K_{Q*} also
-reads) and carries them through its chain:
+Two classes of potentials are closed under both maps, and the inverse map
+runs each in cheaper arithmetic, by exact tests with no tolerance:
 
-- the real class, where q_plus and q_minus have no nonzero real part, so
-  that a = -i q_plus and b = i q_minus are real: the chains, K, both
-  resolvents and the cross term are then computed in float64;
-- the self-adjoint potentials, equal to their adjoint value for value:
-  K_{Q*} = K_Q and L* = L, so the march runs the two chains of Q alone and
-  one resolvent serves as both factors of the product.
+- the real class, where a = -i q_plus and b = i q_minus are real:
+  _chain_coefficients then gives float64 coefficients, and the chains, K,
+  both resolvents and the cross term follow that dtype;
+- the self-adjoint potentials, equal to their adjoint value for value
+  (_self_adjoint): K_{Q*} = K_Q and L* = L, so the march runs the two
+  chains of Q alone and one resolvent serves as both factors.
 
 Between the layers of that chain the blocks travel as plain arrays in
-their own dtype: _transmutation_values and _resolvent_values, which
-transmutation_kernel and resolvent_volterra wrap, and the product layers
-resolvent_product_parts (quadops.adjoint_op, then quadops.compose) and
-assemble_product, which take and return arrays and are not exported.
+their own dtype and layout: _transmutation_values and _resolvent_values,
+which transmutation_kernel and resolvent_volterra wrap, and the product
+layers resolvent_product_parts (quadops.adjoint_op, then quadops.compose)
+and assemble_product, which take and return arrays and are not exported.
 The blocks are cast to complex128 once, where a public Kernel2D is built;
 every exported function takes and returns complex128 fields as before.
 
@@ -46,7 +44,7 @@ per-interval trapezoid weights rather than read off the inverted operator
 matrix, whose weight pattern is O(1/N) wrong along the column edge.  The
 substitution holds the resolvent flattened, block (x, s) at rows (x, a) and
 columns (s, b) of one matrix, so that each row's history sum is one matrix
-product.  Second,
+product, and returns its blocks as a view of that matrix.  Second,
 the product kernel has a jump across the grid diagonal whenever the
 potential is not in the image of the forward map; the stored grid holds the
 two-sided average there, and the one-sided parts are available separately for
@@ -104,32 +102,20 @@ def _require_resolved(q: Potential) -> None:
         )
 
 
-def _structure(q: Potential, adj: Potential) -> tuple[bool, bool]:
-    """(real class, self-adjoint) of q, by exact comparisons with its
-    adjoint adj = potential_adjoint(q).
-
-    The real class has no nonzero real part in q_plus or q_minus; a
-    self-adjoint q equals adj value for value.  There is no
-    tolerance: theta of a real accelerant is self-adjoint only up to the
-    rounding of its two Krein solves, and takes the general path.  Both
-    classes survive _midpoint_fill, whose coefficients are real, so a
-    verdict on q holds for its refined potential.
-    """
-    real = not q.q_plus.real.any() and not q.q_minus.real.any()
-    self_adjoint = np.array_equal(adj.q_plus, q.q_plus) and np.array_equal(adj.q_minus, q.q_minus)
-    return real, self_adjoint
+def _self_adjoint(q: Potential, adj: Potential) -> bool:
+    """Whether q equals adj = potential_adjoint(q) value for value.  There
+    is no tolerance: theta of a real accelerant is self-adjoint only up to
+    the rounding of its two Krein solves, and takes the general path."""
+    return np.array_equal(adj.q_plus, q.q_plus) and np.array_equal(adj.q_minus, q.q_minus)
 
 
-def _chain_coefficients(q: Potential, real: bool) -> np.ndarray:
-    """co[i, c, k]: alpha (k = 0) and beta (k = 1) of chains A, B at x_i.
-
-    For q of the real class (real), a = -i q_plus and b = i q_minus are the
-    float64 arrays q_plus.imag and -q_minus.imag.
-    """
-    if real:
-        a, b = q.q_plus.imag, -q.q_minus.imag
-    else:
-        a, b = -1j * q.q_plus, 1j * q.q_minus
+def _chain_coefficients(q: Potential) -> np.ndarray:
+    """co[i, c, k]: alpha (k = 0) and beta (k = 1) of chains A, B at x_i,
+    in float64 when a = -i q_plus and b = i q_minus are real (the real
+    class, which _midpoint_fill keeps since its coefficients are real)."""
+    a, b = -1j * q.q_plus, 1j * q.q_minus
+    if not a.imag.any() and not b.imag.any():
+        a, b = a.real, b.real
     return np.stack([np.stack([a, b], axis=1), np.stack([b, a], axis=1)], axis=2)
 
 
@@ -213,8 +199,9 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     The trapezoid-discretized system is solved exactly as two decoupled
     chains of r x r kernels (see _kernel_chains), whose blocks are scattered
     into the full 2r x 2r kernels: P_plus = diag(U_A, U_B) and P_minus has
-    V_B above and V_A below the diagonal.  The chains are marched in
-    complex arithmetic for every potential.  A potential too large for its
+    V_B above and V_A below the diagonal.  The chains of a real-class
+    potential are marched in float64 (_chain_coefficients) and scattered
+    into the complex128 kernels.  A potential too large for its
     grid (_require_resolved) and kernels that overflow floating point raise
     FieldFormatError.
 
@@ -224,7 +211,7 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     _require_resolved(q)
     r, n = q.r, 2 * q.r
     m = q.grid.N + 1
-    (ua, va), (ub, vb) = _kernel_chains(_chain_coefficients(q, False), q.grid.step, 1)
+    (ua, va), (ub, vb) = _kernel_chains(_chain_coefficients(q), q.grid.step, 1)
     plus = np.zeros((m, m, n, n), dtype=np.complex128)
     minus = np.zeros_like(plus)
     plus[..., :r, :r] = ua
@@ -265,20 +252,19 @@ def transmutation_kernel(q: Potential) -> Kernel2D:
     and likewise K01, K10 at far.  The full kernels are never formed, and
     only the even rows of the refined grid, the nodes x of the potential's
     own grid, are stored.  A potential of the real class is marched in
-    float64 (see _structure) and its K cast to complex128 at the end.
+    float64 (see _chain_coefficients) and its K cast to complex128 at the end.
     """
-    real, _ = _structure(q, potential_adjoint(q))
-    return Kernel2D(2 * q.r, q.grid, "lower", _transmutation_values([q], real)[0])
+    return Kernel2D(2 * q.r, q.grid, "lower", _transmutation_values([q])[0])
 
 
-def _transmutation_values(qs: list[Potential], real: bool) -> list[np.ndarray]:
+def _transmutation_values(qs: list[Potential]) -> list[np.ndarray]:
     """The blocks of transmutation_kernel of each potential, from one march.
 
     The potentials share r and grid, and their chains are stacked into one
     march over the refined grid (see _kernel_chains), so that K_Q and
     K_{Q*} cost one pass over its rows.  Each potential is guarded as
-    transmutation_kernel guards it, before any march.  With real (every
-    potential of the real class) the march and the blocks are float64.
+    transmutation_kernel guards it, before any march.  The march and the
+    blocks are float64 when every potential is of the real class.
     """
     fines = [
         Potential(q.r, q.grid.refined(), _midpoint_fill(q.q_plus), _midpoint_fill(q.q_minus))
@@ -286,7 +272,7 @@ def _transmutation_values(qs: list[Potential], real: bool) -> list[np.ndarray]:
     ]
     for fine in fines:
         _require_resolved(fine)
-    co = np.concatenate([_chain_coefficients(fine, real) for fine in fines], axis=1)
+    co = np.concatenate([_chain_coefficients(fine) for fine in fines], axis=1)
     # keep the rows x = 2 i of the refined grid, the only ones K reads
     chains = _kernel_chains(co, fines[0].grid.step, 2)
     r = qs[0].r
@@ -325,15 +311,15 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     K, gathered as an n x (i n) block, times the leading (i n) x (i n) block
     of L.  The half weight at s = t comes back out as a batched n x n
     product with the diagonal blocks L(t, t) = -K(t, t), and one solve with
-    I + (step/2) K(x_i, x_i) finishes the row.  The finished matrix is
-    reordered in place into the Kernel2D layout.  Any other support than
-    lower raises FieldFormatError.
+    I + (step/2) K(x_i, x_i) finishes the row.  The blocks are a view of
+    that matrix in the Kernel2D index order.  Any other support than lower
+    raises FieldFormatError.
 
     The substitution runs in the dtype of the blocks it is given
     (_resolvent_values): the product kernel passes float64 K for a
-    potential of the real class, and for a self-adjoint one builds a single
-    resolvent, which serves as both L and L*.  This function takes and
-    returns complex128 kernels.
+    potential of the real class (_chain_coefficients), and for a
+    self-adjoint one builds a single resolvent, which serves as both L and
+    L*.  This function takes and returns complex128 kernels.
     """
     if kernel.support != "lower":
         raise FieldFormatError("the Volterra resolvent requires a lower kernel")
@@ -343,7 +329,8 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _resolvent_values(K: np.ndarray, step: float) -> np.ndarray:
-    """resolvent_volterra of the lower blocks K[x, s, a, b], in K's dtype."""
+    """resolvent_volterra of the lower blocks K[x, s, a, b], in K's dtype,
+    as a [x, s, a, b] view of the flattened matrix it is solved in."""
     m, _, n, _ = K.shape
     N = m - 1
     lf = np.zeros((m * n, m * n), dtype=K.dtype)  # lf[(x, a), (s, b)] = L(x, s)[a, b]
@@ -362,12 +349,7 @@ def _resolvent_values(K: np.ndarray, step: float) -> np.ndarray:
             raise SingularSystemError(i / N, "volterra forward substitution")
         lf[rows, rows] = diag[i]
     _require_finite("Volterra resolvent values", lf)
-    # reorder each block row (x, a), (s, b) -> (x, s, a, b) in place: a second
-    # kernel-sized array would raise the inverse map's peak memory
-    by_x = lf.reshape(m, n * m * n)
-    for x in range(m):
-        by_x[x] = by_x[x].reshape(n, m, n).transpose(1, 0, 2).ravel()
-    return lf.reshape(m, m, n, n)
+    return lf.reshape(m, n, m, n).transpose(0, 2, 1, 3)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -409,18 +391,19 @@ def assemble_product(cross: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
 def _resolvent_factors(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The blocks of K_Q and of the resolvents L of K_Q and L* of K_{Q*}.
 
-    The structure of q (_structure) decides the work here, for every
-    consumer of the product kernel.  A real-class q gives float64 blocks.
-    A self-adjoint q has K_{Q*} = K_Q, so the march runs its two chains
+    The structure of q decides the work here, for every consumer of the
+    product kernel.  A real-class q gives float64 blocks, since its chain
+    coefficients are real (_chain_coefficients).  A self-adjoint q
+    (_self_adjoint) has K_{Q*} = K_Q, so the march runs its two chains
     alone and the one resolvent L is returned as L* too.  Otherwise K_Q and
     K_{Q*} come from one march of four chains.  L* is built first, so that
     K_{Q*} is dropped before L is built and no more kernel-sized arrays are
     held at once than K_Q must add.  The adjoint of q is formed once, for
-    both the structure test and the march.
+    both the self-adjoint test and the march.
     """
     adj = potential_adjoint(q)
-    real, self_adjoint = _structure(q, adj)
-    kernels = _transmutation_values([q] if self_adjoint else [q, adj], real)
+    self_adjoint = _self_adjoint(q, adj)
+    kernels = _transmutation_values([q] if self_adjoint else [q, adj])
     k_low = kernels[0]
     l_star = _resolvent_values(kernels.pop(), q.grid.step)
     l_low = l_star if self_adjoint else _resolvent_values(k_low, q.grid.step)

@@ -140,22 +140,31 @@ def _check_order(p) -> None:
         raise FieldFormatError(f"order p must be a finite number >= 1, got {p!r}")
 
 
+def _finite(norm) -> float:
+    if not np.isfinite(norm):  # computed under np.errstate, so no warning
+        raise FieldFormatError("the norm overflows floating point")
+    return float(norm)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def mixed_norm(kernel: Kernel2D, p: float = 1.0) -> float:
     """max over rows and columns of the discrete L_p norm of the block sizes.
 
     Row i contributes (sum_j w_j ||K(x_i, x_j)||^p)^(1/p) with the global
     trapezoid weights, columns symmetrically; block sizes are spectral norms.
-    """
+    A norm that overflows floating point raises FieldFormatError."""
     _check_order(p)
     sizes = _block_spectral_norms(kernel.values)
     w = kernel.grid.weights
     rows = (sizes ** p @ w) ** (1.0 / p)
     cols = (w @ sizes ** p) ** (1.0 / p)
-    return float(max(rows.max(), cols.max()))
+    return _finite(max(rows.max(), cols.max()))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def field_norm(f, p: float = 1.0) -> float:
-    """Discrete L_p norm of an accelerant (on [-1,1]) or potential (on [0,1])."""
+    """Discrete L_p norm of an accelerant (on [-1,1]) or potential (on [0,1]);
+    a norm that overflows floating point raises FieldFormatError."""
     _check_order(p)
     if isinstance(f, Accelerant):
         w = f.grid.refined().trapezoid(4 * f.grid.N)  # 4N half steps on [-1,1]
@@ -165,4 +174,4 @@ def field_norm(f, p: float = 1.0) -> float:
         sizes = _block_spectral_norms(f.full())
     else:
         raise FieldFormatError(f"field_norm does not apply to {type(f).__name__}")
-    return float((w @ sizes ** p) ** (1.0 / p))
+    return _finite((w @ sizes ** p) ** (1.0 / p))

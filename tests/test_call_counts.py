@@ -163,6 +163,36 @@ def test_upsilon_marches_and_solves_what_the_structure_needs(
     assert resolvent_product_kernel(q).values.dtype == C128
 
 
+@pytest.mark.parametrize(
+    "q",
+    [const_potential(0.3j, 16), kreinmap.theta(const_accelerant(0.5, 16))],
+    ids=["const0.3i", "theta-c0.5"],
+)
+def test_transformation_kernels_march_the_real_class_in_float64(monkeypatch, first_args, q):
+    seen = first_args(MARCH)
+    plus, minus = kreinmap.transformation_kernels(q)
+    # the two chains of q on its own grid, in real arithmetic
+    assert [(co.shape[1], co.dtype) for co in seen[MARCH]] == [(2, F64)]
+    assert plus.values.dtype == minus.values.dtype == C128
+    # the reference: the same march in complex arithmetic
+    coefficients = kreinmap.inverse_map._chain_coefficients
+    monkeypatch.setattr(
+        "kreinmap.inverse_map._chain_coefficients",
+        lambda p: coefficients(p).astype(np.complex128),
+    )
+    plus_ref, minus_ref = kreinmap.transformation_kernels(q)
+    assert seen[MARCH][-1].dtype == C128
+    for got, ref in ((plus, plus_ref), (minus, minus_ref)):
+        assert np.abs(got.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
+
+
+def test_transmutation_kernel_forms_no_adjoint(count_calls):
+    counts = count_calls("potential_adjoint")
+    kreinmap.transmutation_kernel(linear_potential(16))
+    kreinmap.transmutation_kernel(const_potential(0.3j, 16))
+    assert counts == {"potential_adjoint": 0}
+
+
 def test_cli_verify_builds_the_transformation_kernels_once(count_calls, tmp_path, capsys):
     q = linear_potential(16)
     src = tmp_path / "q.json"

@@ -358,6 +358,22 @@ def test_spectral_radius_probe_refuses_overflowing_powers(capfd):
     assert capfd.readouterr() == ("", "")
 
 
+def test_spectral_radius_probe_forms_only_the_powers_it_reads(monkeypatch):
+    class Counted(np.ndarray):
+        products = 0
+
+        def __matmul__(self, other):
+            Counted.products += 1
+            return super().__matmul__(other)
+
+    build = dirac_verify.op_from_kernel
+    monkeypatch.setattr(dirac_verify, "op_from_kernel", lambda k: build(k).view(Counted))
+    seq = spectral_radius_probe(_constant_lower(1.0, 16), 4)
+    # M^2, M^3 and M^4, and not M^5, which no entry reads
+    assert len(seq) == 4
+    assert Counted.products == 3
+
+
 @pytest.mark.parametrize(
     "s_max, message",
     [

@@ -34,7 +34,12 @@ from kreinmap import (
     transmutation_kernel,
     upsilon,
 )
-from kreinmap.inverse_map import _midpoint_fill, _structure, _transmutation_values
+from kreinmap.inverse_map import (
+    _chain_coefficients,
+    _midpoint_fill,
+    _self_adjoint,
+    _transmutation_values,
+)
 
 
 def _zero_potential(n_cells: int, r: int = 1) -> Potential:
@@ -188,8 +193,7 @@ def test_transmutation_kernel_against_four_term_formula(q):
 )
 def test_one_march_gives_both_transmutation_kernels_exactly(q):
     # the stacked march of Q and Q* repeats each potential's own march bit for bit
-    real, _ = _structure(q, potential_adjoint(q))
-    k_q, k_star = _transmutation_values([q, potential_adjoint(q)], real)
+    k_q, k_star = _transmutation_values([q, potential_adjoint(q)])
     assert np.array_equal(k_q, transmutation_kernel(q).values)
     assert np.array_equal(k_star, transmutation_kernel(potential_adjoint(q)).values)
 
@@ -287,13 +291,18 @@ def _structured_cases():
     ],
 )
 def test_structured_paths_agree_with_the_general_path(monkeypatch, q, real, self_adjoint):
-    assert _structure(q, potential_adjoint(q)) == (real, self_adjoint)
+    assert _self_adjoint(q, potential_adjoint(q)) == self_adjoint
+    assert _chain_coefficients(q).dtype == (np.float64 if real else np.complex128)
     h, _ = upsilon(q)
     f = resolvent_product_kernel(q)
     for out in (h, f, transmutation_kernel(q)):
         assert out.values.dtype == np.complex128
     # the reference: every potential on the complex path with two resolvents
-    monkeypatch.setattr("kreinmap.inverse_map._structure", lambda q, adj: (False, False))
+    monkeypatch.setattr("kreinmap.inverse_map._self_adjoint", lambda q, adj: False)
+    monkeypatch.setattr(
+        "kreinmap.inverse_map._chain_coefficients",
+        lambda q: _chain_coefficients(q).astype(np.complex128),
+    )
     h_ref, _ = upsilon(q)
     f_ref = resolvent_product_kernel(q)
     if real or self_adjoint:

@@ -181,6 +181,27 @@ def test_norms_refuse_orders_that_are_not_finite_numbers_at_least_one(p):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "field, p",
+    [
+        (const_accelerant(1e200, 16), 2.0),  # warned "overflow encountered in power"
+        (const_accelerant(1e308, 16), 1.0),  # warned "overflow encountered in matmul"
+        (const_accelerant(1e200, 16, r=2), 3.0),
+    ],
+    ids=["power", "matmul", "r2"],
+)
+def test_field_norm_refuses_overflow(field, p):
+    with pytest.raises(FieldFormatError, match="^the norm overflows floating point$"):
+        field_norm(field, p)
+
+
+@pytest.mark.parametrize("value, p", [(1e200, 2.0), (1e160, 2.5)], ids=["p2", "p2.5"])
+def test_mixed_norm_refuses_overflow(value, p):
+    lower = np.where(np.tri(17, dtype=bool), value + 0j, 0.0)[:, :, None, None]
+    with pytest.raises(FieldFormatError, match="^the norm overflows floating point$"):
+        mixed_norm(Kernel2D(1, GridSpec(16), "lower", lower), p)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.floats(1.0, 4.0))
 def test_mixed_norm_homogeneous(seed, p):
