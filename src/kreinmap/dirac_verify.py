@@ -32,6 +32,7 @@ from .fields import (
     DiagnosticReport,
     Kernel2D,
     Potential,
+    _check_int,
     decimate_accelerant,
     decimate_potential,
     structural_constants,
@@ -108,10 +109,11 @@ def solve_cauchy(q: Potential, lam: complex) -> np.ndarray:
     steps (hh rho)^5 / 120 over the 4N steps of [0, 1].  Above 5e-3 the
     integrator is no longer an oracle: on the zero potential at N = 8 it
     returns |Y(1)_00| = 4e-10 at lam = 80 and 2e9 at lam = 100, where the
-    exact value is 1.  Such inputs raise FieldFormatError up front.  A
-    solution that still overflows floating point raises FieldFormatError
-    as well.
+    exact value is 1.  Such inputs raise FieldFormatError up front, and so
+    does a lam that is not a finite number.  A solution that still
+    overflows floating point raises FieldFormatError as well.
     """
+    _check_lambda(lam)
     sc = structural_constants(q.r)
     J = sc.J
     qfull = q.full()
@@ -328,19 +330,10 @@ def identity_suite(q: Potential) -> DiagnosticReport:
     same float64 or one-resolvent route as upsilon.  The full F is not
     assembled: its one-sided parts f_low (cross + L) and f_up (cross + L~)
     carry the wave_F entries, and the boundary_F entries read the
-    off-diagonal lines that F shares with them.
+    off-diagonal lines that F shares with them.  symmetry_P is read off
+    the pair, which CLI verify hands on to the representation check.
     """
-    return _identity_suite(q, _block_symmetry(transformation_kernels(q)))
-
-
-def _block_symmetry(pair: tuple[Kernel2D, Kernel2D]) -> float:
-    """The symmetry_P residual of the transformation pair: max |P+ J - J P+|
-    and |P- J + J P-|, exactly.  J is diagonal, so (PJ -+ JP)[a, c] =
-    P[a, c] (d[c] -+ d[a]) with d its diagonal."""
-    plus, minus = pair
-    d = np.diagonal(structural_constants(plus.n // 2).J)
-    plus_sym = np.abs(plus.values * (d - d[:, None])).max()
-    return float(max(plus_sym, np.abs(minus.values * (d + d[:, None])).max()))
+    return _identity_suite(q, transformation_kernels(q))
 
 
 def _verify_potential(q: Potential) -> DiagnosticReport:
@@ -348,7 +341,7 @@ def _verify_potential(q: Potential) -> DiagnosticReport:
     check_fundamental_representation(q), from one build of the
     transformation pair (CLI verify on a potential)."""
     pair = transformation_kernels(q)
-    report = _identity_suite(q, _block_symmetry(pair))
+    report = _identity_suite(q, pair)
     report.entries.extend(_fundamental_representation(q, pair).entries)
     return report
 
@@ -361,7 +354,7 @@ def _verify_accelerant(h: Accelerant) -> DiagnosticReport:
     _require_accelerant(h)
     kernels = _krein_kernels(h)
     report = _verify_potential(_krein_potential(kernels))
-    report.entries.extend(_derivative_identity(h, _block_kernel(kernels)).entries)
+    report.entries.extend(_derivative_identity(_block_kernel(kernels)).entries)
     # dual-route factor check: the folded Krein factor against the
     # triangular factor recovered from the folded kernel itself
     lh = folded_lower_factor(h)
@@ -372,9 +365,9 @@ def _verify_accelerant(h: Accelerant) -> DiagnosticReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _identity_suite(q: Potential, symmetry: float) -> DiagnosticReport:
-    """identity_suite with the symmetry_P residual of transformation_kernels(q)
-    (_block_symmetry) already computed."""
+def _identity_suite(q: Potential, pair: tuple[Kernel2D, Kernel2D]) -> DiagnosticReport:
+    """identity_suite with the pair (P+, P-) = transformation_kernels(q),
+    whose symmetry_P is max |P+ J - J P+| and |P- J + J P-|, exactly."""
     sc = structural_constants(q.r)
     J = sc.J
     astar = sc.a_row.conj().T
@@ -386,14 +379,14 @@ def _identity_suite(q: Potential, symmetry: float) -> DiagnosticReport:
     report = DiagnosticReport()
 
     k_values, l_values, l_star_values = _resolvent_factors(q)
-    ak, mask_k = apply_wave_operator(k_values, grid, "lower")
-    report.add("wave_K", _masked_sup(ak + qfull[:, None] @ k_values, mask_k), _WAVE_TOL)
+    wave, mask = apply_wave_operator(k_values, grid, "lower")
+    report.add("wave_K", _masked_sup(wave + qfull[:, None] @ k_values, mask), _WAVE_TOL)
     diag_k = k_values[d, d]
     report.add("diag_K", float(np.max(np.abs(diag_k @ J - J @ diag_k - qfull))), _TOL)
     report.add("boundary_K", float(np.max(np.abs(k_values[1:N, 0] @ astar))), _TOL)
 
-    al, mask_l = apply_wave_operator(l_values, grid, "lower")
-    report.add("wave_L", _masked_sup(al - l_values @ qfull[None, :], mask_l), _WAVE_TOL)
+    wave, mask = apply_wave_operator(l_values, grid, "lower")
+    report.add("wave_L", _masked_sup(wave - l_values @ qfull[None, :], mask), _WAVE_TOL)
     diag_l = l_values[d, d]
     report.add("diag_L", float(np.max(np.abs(J @ diag_l - diag_l @ J - qfull))), _TOL)
     report.add("boundary_L", float(np.max(np.abs(l_values[:, 0] @ astar))), _TOL)
@@ -401,17 +394,21 @@ def _identity_suite(q: Potential, symmetry: float) -> DiagnosticReport:
     upper, cross = resolvent_product_parts(l_values, l_star_values, grid)
     low = np.tri(m, dtype=bool)  # j <= i
     f_low = np.where(low[:, :, None, None], cross, 0) + l_values
-    af_low, mask_fl = apply_wave_operator(f_low, grid, "lower")
-    report.add("wave_F_lower", _masked_sup(af_low, mask_fl), _WAVE_TOL)
+    wave, mask = apply_wave_operator(f_low, grid, "lower")
+    report.add("wave_F_lower", _masked_sup(wave, mask), _WAVE_TOL)
     f_up = np.where(low.T[:, :, None, None], cross, 0) + upper
-    af_up, mask_fu = apply_wave_operator(f_up, grid, "upper")
-    report.add("wave_F_upper", _masked_sup(af_up, mask_fu), _WAVE_TOL)
+    wave, mask = apply_wave_operator(f_up, grid, "upper")
+    report.add("wave_F_upper", _masked_sup(wave, mask), _WAVE_TOL)
 
     # off the diagonal F is cross + L below it and cross + L~ above it
     # (assemble_product), which f_low and f_up already hold
     report.add("boundary_F_row", float(np.max(np.abs(f_low[1:N, 0] @ astar))), _TOL)
     report.add("boundary_F_col", float(np.max(np.abs(sc.a_row @ f_up[0, 1:N]))), _TOL)
 
+    plus, minus = pair
+    dj = np.diagonal(J)  # (PJ -+ JP)[a, c] = P[a, c] (dj[c] -+ dj[a])
+    plus_sym = np.abs(plus.values * (dj - dj[:, None])).max()
+    symmetry = max(plus_sym, np.abs(minus.values * (dj + dj[:, None])).max())
     report.add("symmetry_P", symmetry, _SYMMETRY_TOL)
 
     # (I + K)(I + L) = (I + L)(I + K) = I on the lower triangle
@@ -444,13 +441,14 @@ def _triangle_compose(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
 def check_krein_derivative_identity(h: Accelerant) -> DiagnosticReport:
     """Residual of d/dx R_H(x, x-t) = R_H(x, 0) B R_H(x, t) B on the
     triangle, with tolerance 5e-3."""
-    return _derivative_identity(h, block_krein_kernel(h))
+    return _derivative_identity(block_krein_kernel(h))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _derivative_identity(h: Accelerant, rk: Kernel2D) -> DiagnosticReport:
+def _derivative_identity(rk: Kernel2D) -> DiagnosticReport:
     """check_krein_derivative_identity on rk = block_krein_kernel(h)."""
-    grid = h.grid
+    grid = rk.grid
+    r = rk.n // 2
     N = grid.N
     m = N + 1
     i, j = np.indices((m, m))
@@ -458,12 +456,12 @@ def _derivative_identity(h: Accelerant, rk: Kernel2D) -> DiagnosticReport:
     w = np.zeros_like(rk.values)
     w[low] = rk.values[i[low], (i - j)[low]]
     dw, mask = _line_deriv(w, 0, True, grid.step)
-    sc = structural_constants(h.r)
+    sc = structural_constants(r)
     head = rk.values[:, 0] @ sc.B
     target = head[:, None] @ (rk.values @ sc.B)
     report = DiagnosticReport()
     report.add("derivative_identity", _masked_sup(dw - target, mask & low), _TOL)
-    report.metadata.update({"N": N, "r": h.r})
+    report.metadata.update({"N": N, "r": r})
     return report
 
 
@@ -573,15 +571,6 @@ def _check_tol(tol: float, name: str = "final_tol") -> None:
     any); name is how the caller spells the argument."""
     if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
         raise FieldFormatError(f"{name} must be a finite number > 0, got {tol!r}")
-
-
-def _check_int(value, name: str, minimum: int | None = None) -> None:
-    """Refuse a count or grid size that is not an integer, bool included,
-    or that is below minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise FieldFormatError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise FieldFormatError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def _check_sequence(value, name: str, kind: str) -> tuple:

@@ -20,6 +20,7 @@ from .errors import FieldFormatError, NotAccelerantError, SingularSystemError
 from .fields import Accelerant, GridSpec, Kernel2D
 from .quadops import (
     _flatten,
+    _real_if_exact,
     _unflatten,
     invert_identity_plus,
     mixed_norm,
@@ -113,7 +114,7 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
     singular values are the same, up to round-off, whether the SVDs and
     QRs run in float64 or complex128, and the real factorizations do a
     fraction of the complex ones' floating-point work.  Any nonzero
-    imaginary part, however small, keeps the complex path.
+    imaginary part, however small, keeps the complex path (quadops._real_if_exact).
     """
     N, r = h.grid.N, h.r
     t = _toeplitz_matrix(h)
@@ -220,9 +221,9 @@ def _toeplitz_matrix(h: Accelerant) -> np.ndarray:
     """T = [h(x_i - x_j)] over all N + 1 nodes as one ((N+1) r)^2 matrix,
     node-major, so that I + H_alpha is I + T_k W_k with T_k its leading
     (k+1) r block and W_k the trapezoid weights of [0, x_k]. Real (float64)
-    when every sample it reads has imaginary part exactly zero."""
-    t = _flatten(convolution_kernel(h).values)
-    return t if t.imag.any() else t.real
+    when every sample it reads has imaginary part exactly zero
+    (quadops._real_if_exact)."""
+    return _real_if_exact(_flatten(convolution_kernel(h).values))[0]
 
 
 # The smallest margin a certificate must prove before the sweep is skipped.
@@ -390,10 +391,10 @@ def solve_glm(
     floating-point warnings off: a zero or tiny pivot shows up as flagged
     rows, not as a warning.
 
-    When F and both edges are real (every imaginary part exactly zero, as
-    for the Krein kernels of a real accelerant), the nested LU, the
-    Woodbury step and the residual run in float64, and the rows are cast
-    to complex128 once, before any dense fallback row is written.
+    When F and both edges are real (quadops._real_if_exact), as the Krein
+    kernels of a real accelerant are, the nested LU, the Woodbury step and
+    the residual run in float64, and the rows are cast to complex128 once,
+    before any dense fallback row is written.
     """
     grid, n = f_kernel.grid, f_kernel.n
     m, step = grid.N + 1, grid.step
@@ -403,8 +404,7 @@ def solve_glm(
     f_diag = F[nodes, nodes]
     plus = f_diag if edge_plus is None else np.broadcast_to(edge_plus, f_diag.shape)
     minus = f_diag if edge_minus is None else np.broadcast_to(edge_minus, f_diag.shape)
-    if not any(np.iscomplexobj(a) and a.imag.any() for a in (F, plus, minus)):
-        F, f_diag, plus, minus = F.real, f_diag.real, plus.real, minus.real
+    F, f_diag, plus, minus = _real_if_exact(F, f_diag, plus, minus)
     delta = 0.5 * step * (minus + plus) - step * f_diag
 
     rows = np.repeat(nodes, n)
@@ -565,16 +565,15 @@ def solve_krein(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:
 
     Accelerants in the image of the inverse map generically jump at 0, so
     the edge collocation is fed one-sided values of h recovered by quadratic
-    extrapolation from the three nearest samples on each side. For h smooth
-    through 0 the extrapolations coincide with the stored sample to cubic
-    order (exactly, for constant h) and the plain solve is recovered.
+    extrapolation from the three nearest samples on each side, read off the
+    convolution kernel as F[k, 0] = h(x_k) and F[0, k] = h(-x_k). For h
+    smooth through 0 the extrapolations coincide with the stored sample to
+    cubic order (exactly, for constant h) and the plain solve is recovered.
     """
     conv = convolution_kernel(h, grid)
-    stride = 2 if conv.grid.N == h.grid.N else 1
-    c = 2 * h.grid.N
-    v = h.values
-    plus = 3.0 * v[c + stride] - 3.0 * v[c + 2 * stride] + v[c + 3 * stride]
-    minus = 3.0 * v[c - stride] - 3.0 * v[c - 2 * stride] + v[c - 3 * stride]
+    F = conv.values
+    plus = 3.0 * F[1, 0] - 3.0 * F[2, 0] + F[3, 0]
+    minus = 3.0 * F[0, 1] - 3.0 * F[0, 2] + F[0, 3]
     return solve_glm(conv, edge_plus=plus, edge_minus=minus)
 
 

@@ -10,6 +10,7 @@ ever interpolates.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
@@ -35,12 +36,34 @@ __all__ = [
 SUPPORTS = ("lower", "upper", "full")
 
 
-def _as_complex(values, name: str) -> np.ndarray:
+def _check_int(value, name: str, minimum: int | None = None) -> None:
+    """Refuse a count or size that is not an integer, bool included, or is below minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise FieldFormatError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise FieldFormatError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _field_values(values, name: str, size, shape: tuple) -> np.ndarray:
+    """values as a read-only complex128 array of shape + (size, size); raises
+    FieldFormatError unless size is an integer >= 1 and values are finite."""
+    _check_int(size, f"{name} block size", minimum=1)
     arr = np.ascontiguousarray(values, dtype=np.complex128)
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise FieldFormatError(f"{name}: non-finite entries")
+    if arr.shape != shape + (size, size):
+        raise FieldFormatError(f"{name} shape {arr.shape}, expected {shape + (size, size)}")
     arr.setflags(write=False)
     return arr
+
+
+def _fold_lines(N: int) -> dict:
+    """{(a, b): the (N+1, N+1) array of the samples of h that block (a, b)
+    of the folded kernel reads at (x_i, x_j)}: h((x-t)/2), h((x+t)/2),
+    h(-(x+t)/2) and h(-(x-t)/2), with h(u) the sample 2N + 2N u."""
+    i, j = np.indices((N + 1, N + 1))
+    c = 2 * N
+    return {(0, 0): c + (i - j), (0, 1): c + (i + j), (1, 0): c - (i + j), (1, 1): c - (i - j)}
 
 
 @dataclass(frozen=True)
@@ -98,12 +121,7 @@ class Accelerant:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _as_complex(self.values, "accelerant values")
-        expected = (4 * self.grid.N + 1, self.r, self.r)
-        if vals.shape != expected:
-            raise FieldFormatError(
-                f"accelerant values shape {vals.shape}, expected {expected}"
-            )
+        vals = _field_values(self.values, "accelerant values", self.r, (4 * self.grid.N + 1,))
         object.__setattr__(self, "values", vals)
 
 
@@ -121,11 +139,8 @@ class Potential:
     q_minus: np.ndarray
 
     def __post_init__(self):
-        expected = (self.grid.N + 1, self.r, self.r)
         for name in ("q_plus", "q_minus"):
-            vals = _as_complex(getattr(self, name), name)
-            if vals.shape != expected:
-                raise FieldFormatError(f"{name} shape {vals.shape}, expected {expected}")
+            vals = _field_values(getattr(self, name), name, self.r, (self.grid.N + 1,))
             object.__setattr__(self, name, vals)
 
     def full(self) -> np.ndarray:
@@ -153,12 +168,8 @@ class Kernel2D:
     def __post_init__(self):
         if self.support not in SUPPORTS:
             raise FieldFormatError(f"unknown support {self.support!r}")
-        vals = _as_complex(self.values, "kernel values")
         m = self.grid.N + 1
-        if vals.shape != (m, m, self.n, self.n):
-            raise FieldFormatError(
-                f"kernel values shape {vals.shape}, expected {(m, m, self.n, self.n)}"
-            )
+        vals = _field_values(self.values, "kernel values", self.n, (m, m))
         i, j = np.indices((m, m))
         if self.support == "lower" and np.any(vals[j > i] != 0):
             raise FieldFormatError("nonzero entries above the diagonal in a lower kernel")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factorization import _require_accelerant, solve_krein
-from .fields import Accelerant, Kernel2D, Potential, reflect
+from .fields import Accelerant, GridSpec, Kernel2D, Potential, _fold_lines, reflect
 
 __all__ = ["theta", "folded_kernel", "block_krein_kernel", "folded_lower_factor"]
 
@@ -29,10 +29,11 @@ def theta(h: Accelerant) -> Potential:
     return _krein_potential(_krein_kernels(h))
 
 
-def _krein_kernels(h: Accelerant) -> tuple[Kernel2D, Kernel2D]:
-    """(r_h, r_reflected): the Krein kernels of h and of reflect(h) on h's
-    grid, which theta, block_krein_kernel and krein_solution all read."""
-    return solve_krein(h), solve_krein(reflect(h))
+def _krein_kernels(h: Accelerant, grid: GridSpec | None = None) -> tuple[Kernel2D, Kernel2D]:
+    """(r_h, r_reflected): the Krein kernels of h and of reflect(h) on grid,
+    h's own by default, which theta, block_krein_kernel and krein_solution
+    read, or its 2N refinement, which folded_lower_factor reads."""
+    return solve_krein(h, grid), solve_krein(reflect(h), grid)
 
 
 def _krein_potential(kernels: tuple[Kernel2D, Kernel2D]) -> Potential:
@@ -47,17 +48,13 @@ def _krein_potential(kernels: tuple[Kernel2D, Kernel2D]) -> Potential:
 def folded_kernel(h: Accelerant) -> Kernel2D:
     """2r x 2r kernel whose blocks read h at (x-t)/2, (x+t)/2 and their
     negatives, with an overall factor 1/2. All four reads are exact sample
-    indices on the half-step grid."""
-    N, r = h.grid.N, h.r
-    m = N + 1
-    i, j = np.indices((m, m))
-    c = 2 * N
-    vals = np.zeros((m, m, 2 * r, 2 * r), dtype=np.complex128)
-    vals[:, :, :r, :r] = h.values[c + (i - j)]
-    vals[:, :, :r, r:] = h.values[c + (i + j)]
-    vals[:, :, r:, :r] = h.values[c - (i + j)]
-    vals[:, :, r:, r:] = h.values[c - (i - j)]
-    return Kernel2D(2 * r, h.grid, "full", 0.5 * vals)
+    indices on the half-step grid, tabulated by fields._fold_lines."""
+    r, m = h.r, h.grid.N + 1
+    # block (a, b) of the 2r x 2r kernel is vals[:, :, a, :, b]
+    vals = np.empty((m, m, 2, r, 2, r), dtype=np.complex128)
+    for (a, b), idx in _fold_lines(h.grid.N).items():
+        vals[:, :, a, :, b] = h.values[idx]
+    return Kernel2D(2 * r, h.grid, "full", 0.5 * vals.reshape(m, m, 2 * r, 2 * r))
 
 
 def block_krein_kernel(h: Accelerant) -> Kernel2D:
@@ -84,9 +81,7 @@ def folded_lower_factor(h: Accelerant) -> Kernel2D:
     Krein equation is solved on the 2N refinement and read back exactly.
     """
     N, r = h.grid.N, h.r
-    refined = h.grid.refined()
-    r_direct = solve_krein(h, refined).values
-    r_reflected = solve_krein(reflect(h), refined).values
+    r_direct, r_reflected = (k.values for k in _krein_kernels(h, h.grid.refined()))
 
     m = N + 1
     i, j = np.indices((m, m))

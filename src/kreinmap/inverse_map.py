@@ -62,9 +62,10 @@ from .fields import (
     GridSpec,
     Kernel2D,
     Potential,
+    _fold_lines,
     potential_adjoint,
 )
-from .quadops import adjoint_op, compose
+from .quadops import _real_if_exact, _unflatten, adjoint_op, compose
 
 __all__ = [
     "transformation_kernels",
@@ -112,10 +113,9 @@ def _self_adjoint(q: Potential, adj: Potential) -> bool:
 def _chain_coefficients(q: Potential) -> np.ndarray:
     """co[i, c, k]: alpha (k = 0) and beta (k = 1) of chains A, B at x_i,
     in float64 when a = -i q_plus and b = i q_minus are real (the real
-    class, which _midpoint_fill keeps since its coefficients are real)."""
-    a, b = -1j * q.q_plus, 1j * q.q_minus
-    if not a.imag.any() and not b.imag.any():
-        a, b = a.real, b.real
+    class, which _midpoint_fill keeps since its coefficients are real:
+    quadops._real_if_exact)."""
+    a, b = _real_if_exact(-1j * q.q_plus, 1j * q.q_minus)
     return np.stack([np.stack([a, b], axis=1), np.stack([b, a], axis=1)], axis=2)
 
 
@@ -349,7 +349,7 @@ def _resolvent_values(K: np.ndarray, step: float) -> np.ndarray:
             raise SingularSystemError(i / N, "volterra forward substitution")
         lf[rows, rows] = diag[i]
     _require_finite("Volterra resolvent values", lf)
-    return lf.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+    return _unflatten(lf, n)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -424,27 +424,29 @@ def resolvent_product_kernel(q: Potential) -> Kernel2D:
     return Kernel2D(2 * q.r, q.grid, "full", assemble_product(cross, l_low, upper))
 
 
-def _half_r(f: Kernel2D) -> int:
+def _fold_blocks(f: Kernel2D) -> tuple[int, np.ndarray]:
+    """(r, blocks), blocks[:, :, a, :, b] a view of the r x r block (a, b)."""
     if f.n % 2:
         raise FieldFormatError("extraction requires an even block dimension")
-    return f.n // 2
+    r, m = f.n // 2, f.grid.N + 1
+    return r, f.values.reshape(m, m, 2, r, 2, r)
 
 
 def trace_extract(f: Kernel2D) -> Accelerant:
     """Piecewise boundary trace of F at second argument 1, times two.
 
-    The factor two compensates the 1/2 carried by the folded kernel; without
-    it the extraction returns half the accelerant.  See the README note.
+    Column t = 1 of each block is read through fields._fold_lines, the later
+    block in the loop winning where two meet: h(1/2) from block (1,1) at
+    x = 0, h(0) from (0,0) at x = 1, h(-1/2) from (1,0) at x = 0.  The
+    factor two compensates the 1/2 of the folded kernel; without it the
+    extraction returns half the accelerant.  See the README note.
     """
-    r = _half_r(f)
+    r, blocks = _fold_blocks(f)
     N = f.grid.N
-    v = f.values
+    lines = _fold_lines(N)
     h = np.empty((4 * N + 1, r, r), dtype=np.complex128)
-    k = np.arange(N + 1)
-    h[: N + 1] = 2.0 * v[N - k, N, r:, :r]
-    h[N + 1 : 2 * N + 1] = 2.0 * v[np.arange(1, N + 1), N, :r, :r]
-    h[2 * N + 1 : 3 * N + 1] = 2.0 * v[np.arange(N - 1, -1, -1), N, r:, r:]
-    h[3 * N + 1 :] = 2.0 * v[np.arange(1, N + 1), N, :r, r:]
+    for a, b in ((0, 1), (1, 1), (0, 0), (1, 0)):
+        h[lines[a, b][:, N]] = 2.0 * blocks[:, N, a, :, b]
     return Accelerant(r, f.grid, h)
 
 
@@ -453,28 +455,23 @@ def characteristic_extract(f: Kernel2D) -> Accelerant:
 
     Each half-step point of the accelerant is seen by O(N) entries of the
     kernel (diagonal blocks along x - t = const, off-diagonal along
-    x + t = const); equal-weight averaging of exact reads makes this both an
-    exact inverse of the folded kernel and the noise-robust default.
+    x + t = const, as fields._fold_lines tabulates; the off-diagonal blocks
+    leave out the one-point line x + t = 0); equal-weight averaging of
+    exact reads makes this both an exact inverse of the folded kernel and
+    the noise-robust default.
     """
-    r = _half_r(f)
+    r, blocks = _fold_blocks(f)
     N = f.grid.N
-    m = N + 1
-    i, j = np.indices((m, m))
-    diff = (i - j).ravel()
-    summ = (i + j).ravel()
-    v = f.values
+    lines = _fold_lines(N)
     acc = np.zeros((4 * N + 1, r, r), dtype=np.complex128)
     cnt = np.zeros(4 * N + 1, dtype=np.int64)
-
-    def gather(block, idx):
+    for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        idx = lines[a, b].ravel()
+        block = blocks[:, :, a, :, b].reshape(-1, r, r)
+        if a != b:  # drop flat index 0, the corner (0, 0)
+            idx, block = idx[1:], block[1:]
         np.add.at(acc, idx, block)
         np.add.at(cnt, idx, 1)
-
-    gather(v[:, :, :r, :r].reshape(-1, r, r), 2 * N + diff)
-    gather(v[:, :, r:, r:].reshape(-1, r, r), 2 * N - diff)
-    sel = summ > 0
-    gather(v[:, :, :r, r:].reshape(-1, r, r)[sel], 2 * N + summ[sel])
-    gather(v[:, :, r:, :r].reshape(-1, r, r)[sel], 2 * N - summ[sel])
     return Accelerant(r, f.grid, 2.0 * acc / cnt[:, None, None])
 
 

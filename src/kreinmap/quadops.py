@@ -65,6 +65,13 @@ def _unflatten(flat: np.ndarray, n: int) -> np.ndarray:
     return flat.reshape(m, n, m, n).transpose(0, 2, 1, 3)
 
 
+def _real_if_exact(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays' real parts if no entry of any has a nonzero imaginary
+    part, else the arrays as given: the exact test for float64 arithmetic."""
+    exact = not any(np.iscomplexobj(a) and a.imag.any() for a in arrays)
+    return tuple(a.real for a in arrays) if exact else arrays
+
+
 def op_from_kernel(kernel: Kernel2D) -> np.ndarray:
     """The weighted flattened operator matrix of a kernel (identity excluded)."""
     w = nystrom_weights(kernel.grid, kernel.support)

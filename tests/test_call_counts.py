@@ -40,7 +40,7 @@ MARCH = "inverse_map._kernel_chains"
 PARTS = "inverse_map.resolvent_product_parts"
 ASSEMBLE = "inverse_map.assemble_product"
 WAVE = "dirac_verify.apply_wave_operator"
-SYMMETRY = "dirac_verify._block_symmetry"
+PAIR = "transformation_kernels"
 C128, F64 = np.dtype(np.complex128), np.dtype(np.float64)
 
 
@@ -98,16 +98,17 @@ def first_args(monkeypatch):
 
 
 def test_identity_suite_builds_each_resolvent_once(count_calls):
-    counts = count_calls(MARCH, RESOLVENT, SYMMETRY)
+    counts = count_calls(MARCH, RESOLVENT, PAIR)
     assert identity_suite(linear_potential(16)).passed
-    # one march for K_Q and K_{Q*} on the refined grid, one for symmetry_P on
-    # the potential's own grid; one resolvent each for Q and for its adjoint Q*
-    assert counts == {MARCH: 2, RESOLVENT: 2, SYMMETRY: 1}
+    # one march for K_Q and K_{Q*} on the refined grid, one for the pair that
+    # symmetry_P reads on the potential's own grid; one resolvent each for Q
+    # and for its adjoint Q*
+    assert counts == {MARCH: 2, RESOLVENT: 2, PAIR: 1}
 
     # a self-adjoint Q has K_{Q*} = K_Q, so one resolvent serves as L and L*
     counts.update(dict.fromkeys(counts, 0))
     assert identity_suite(const_potential(1.0, 16)).passed
-    assert counts == {MARCH: 2, RESOLVENT: 1, SYMMETRY: 1}
+    assert counts == {MARCH: 2, RESOLVENT: 1, PAIR: 1}
 
 
 def test_identity_suite_takes_the_product_parts_without_assembling_f(count_calls):
@@ -130,10 +131,10 @@ def test_identity_suite_hands_the_wave_operator_blocks_in_their_dtype(first_args
 
 
 def test_upsilon_builds_no_full_transformation_kernels(count_calls):
-    counts = count_calls(MARCH, "transformation_kernels", RESOLVENT, SYMMETRY)
+    counts = count_calls(MARCH, PAIR, RESOLVENT)
     upsilon(linear_potential(16))
     # K_Q and K_{Q*} are read from the chains of one march
-    assert counts == {MARCH: 1, "transformation_kernels": 0, RESOLVENT: 2, SYMMETRY: 0}
+    assert counts == {MARCH: 1, PAIR: 0, RESOLVENT: 2}
 
 
 @pytest.mark.parametrize(
@@ -197,15 +198,15 @@ def test_cli_verify_builds_the_transformation_kernels_once(count_calls, tmp_path
     q = linear_potential(16)
     src = tmp_path / "q.json"
     write_field(str(src), q)
-    counts = count_calls("transformation_kernels", SYMMETRY)
+    counts = count_calls(PAIR)
     assert main(["verify", "--in", str(src)]) == 0
     # one pair serves symmetry_P and the representation check
-    assert counts == {"transformation_kernels": 1, SYMMETRY: 1}
-    # the report is the one the two public checks give, to the byte
+    assert counts == {PAIR: 1}
+    # the report is the one the two public checks give, to the byte; each
+    # of them builds its own pair
     report = identity_suite(q)
     report.entries.extend(check_fundamental_representation(q).entries)
-    # only identity_suite reads symmetry_P off its pair
-    assert counts == {"transformation_kernels": 3, SYMMETRY: 2}
+    assert counts == {PAIR: 3}
     assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
 
 

@@ -471,6 +471,13 @@ def test_solve_dirac_bad_lambda_exits_three(tmp_path, capsys):
     assert "spectral parameter" in capsys.readouterr().err
 
 
+def test_solve_dirac_refuses_a_nan_lambda(tmp_path, capsys):
+    src = tmp_path / "q.json"
+    write_field(str(src), _zero_potential(16))
+    assert main(["solve-dirac", "--in", str(src), "--lambda", "nan"]) == 3
+    assert "lambda must be a finite number, got (nan+0j)" in capsys.readouterr().err
+
+
 def test_solve_dirac_refuses_unresolved_lambda(tmp_path, capsys):
     # the RK4 step 1/32 at N = 8 resolves lambda = 10 but not 80, 100 or 1e3,
     # where it returned |Y(1)| = 4e-10, 2e9 and 1e147 instead of 1
@@ -497,7 +504,7 @@ def test_thread_cap_does_not_change_results(tmp_path):
     write_field(str(src), gauss_accelerant(0.3, 32))
     outs = []
     for cap in (None, "1"):
-        env = dict(os.environ)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         env.pop("OPENBLAS_NUM_THREADS", None)
         if cap:
             env["OPENBLAS_NUM_THREADS"] = cap

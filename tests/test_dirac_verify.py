@@ -213,6 +213,19 @@ def test_transmuted_solution_refuses_nonfinite(lam, message):
         transmuted_solution(kernel, lam)
 
 
+@pytest.mark.parametrize(
+    "lam",
+    [True, np.nan, np.inf, complex(1.0, np.nan), "x", None],
+    ids=["bool", "nan", "inf", "nan_imag", "string", "none"],
+)
+def test_solve_cauchy_refuses_a_lambda_that_is_not_a_finite_number(lam):
+    # True used to march lambda = 1, the non-finite values were refused as an
+    # unresolved RK4 step, and "x" and None raised TypeError
+    message = f"lambda must be a finite number, got {lam!r}"
+    with pytest.raises(FieldFormatError, match=re.escape(message)):
+        solve_cauchy(linear_potential(16), lam)
+
+
 def test_solution_routes_agree():
     h = gauss_accelerant(0.3, 100)
     q = theta(h)

@@ -1,5 +1,7 @@
 """Containers, structural constants, and exact grid operations."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,26 @@ def test_accelerant_shape():
     assert h.values.shape == (33, 1, 1)
     with pytest.raises(FieldFormatError):
         Accelerant(1, GridSpec(8), np.zeros((32, 1, 1)))
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.0, True], ids=["zero", "negative", "float", "bool"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda r, g, s: Accelerant(r, g, np.zeros((4 * g.N + 1, s, s))),
+        lambda r, g, s: Potential(r, g, np.zeros((g.N + 1, s, s)), np.zeros((g.N + 1, s, s))),
+        lambda r, g, s: Kernel2D(r, g, "full", np.zeros((g.N + 1, g.N + 1, s, s))),
+    ],
+    ids=["accelerant", "potential", "kernel"],
+)
+def test_fields_refuse_a_block_size_that_is_not_an_integer_of_at_least_one(make, bad):
+    # values of the shape the block size gives, so only the type test can refuse
+    # 0, 1.0 and True; r = 0 used to reach theta as a ZeroDivisionError
+    size = max(int(bad), 0)
+    message = rf"block size must be (an integer|>= 1), got {re.escape(repr(bad))}$"
+    with pytest.raises(FieldFormatError, match=message):
+        make(bad, GridSpec(16), size)
+    assert make(np.int64(1), GridSpec(16), 1).grid.N == 16
 
 
 def test_accelerant_rejects_nonfinite():

@@ -438,6 +438,19 @@ def test_trace_extract_reads_boundary_exactly():
     assert np.array_equal(back.values, h.values)
 
 
+def test_trace_extract_reads_the_named_block_where_two_lines_meet():
+    # a kernel that is no fold: its blocks disagree where column t = 1 of two
+    # of them reads the same sample, at u = -1/2, 0 and 1/2
+    rng = np.random.default_rng(11)
+    N, r = 16, 2
+    shape = (N + 1, N + 1, 2 * r, 2 * r)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h = trace_extract(Kernel2D(2 * r, GridSpec(N), "full", vals)).values
+    assert np.array_equal(h[N], 2.0 * vals[0, N, r:, :r])  # block (1,0) at (x_0, x_N)
+    assert np.array_equal(h[2 * N], 2.0 * vals[N, N, :r, :r])  # block (0,0) at (x_N, x_N)
+    assert np.array_equal(h[3 * N], 2.0 * vals[0, N, r:, r:])  # block (1,1) at (x_0, x_N)
+
+
 def test_characteristic_extract_dilutes_single_entry_noise():
     h = random_accelerant(5, r=1, n_cells=16)
     f = folded_kernel(h)
