@@ -2,7 +2,7 @@
 
 The package builds the forward map (accelerant to potential, through the
 Krein kernel equation), the inverse map (potential to accelerant, through
-transformation kernels and a Volterra resolvent), and a verification layer
+transformation kernels and two Volterra substitutions), and a verification layer
 that ties both to the underlying first-order system.
 """
 

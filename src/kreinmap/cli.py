@@ -10,6 +10,7 @@ convergence failure while an iterative solver remained).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -74,7 +75,7 @@ def write_field(path: str, obj, meta: str = "") -> None:
     }
     try:
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
+            json.dump(doc, fh)  # no indent: json's C encoder, not its Python one
             fh.write("\n")
     except OSError as exc:
         raise FieldFormatError(f"cannot write {path}: {exc}")
@@ -193,8 +194,8 @@ def cmd_upsilon(args) -> int:
     q = _load(args.in_path, (Potential,), args.n)
     h, report = upsilon(q)
     write_field(args.out_path, h, meta=f"upsilon of {args.in_path}")
-    spread = report["extraction_spread"].residual
-    print(f"extraction spread between trace and characteristic reads: {spread:.3e}")
+    resolution = report["resolution"].residual
+    print(f"resolution (step/2) rho(JQ): {resolution:.3e} (refused at 1)")
     print(f"wrote accelerant (r={h.r}, N={h.grid.N}) to {args.out_path}")
     return 0
 
@@ -267,7 +268,9 @@ def cmd_solve_dirac(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every main call reuses it."""
     top = argparse.ArgumentParser(
         prog="kreinmap",
         description="Krein mapping between accelerants and Dirac potentials",

@@ -327,11 +327,12 @@ def identity_suite(q: Potential) -> DiagnosticReport:
     work.  K_Q, L and L* come from the product kernel's own
     _resolvent_factors, and the upper part and cross term of F from its
     resolvent_product_parts, so a real-class or self-adjoint q takes the
-    same float64 or one-resolvent route as upsilon.  The full F is not
-    assembled: its one-sided parts f_low (cross + L) and f_up (cross + L~)
-    carry the wave_F entries, and the boundary_F entries read the
-    off-diagonal lines that F shares with them.  symmetry_P is read off
-    the pair, which CLI verify hands on to the representation check.
+    same float64 or one-resolvent route as resolvent_product_kernel.  The
+    full F is not assembled: its one-sided parts f_low (cross + L) and
+    f_up (cross + L~) carry the wave_F entries, and the boundary_F entries
+    read the off-diagonal lines that F shares with them.  symmetry_P is
+    read off the pair, which CLI verify hands on to the representation
+    check.
     """
     return _identity_suite(q, transformation_kernels(q))
 
@@ -608,9 +609,13 @@ def roundtrip_report(field, ladder=(50, 100, 200), final_tol: float = 5e-3) -> D
     report records the relative L1 roundtrip error plus the gap between the
     two resolvent kernels the maps must share; only the finest error
     carries a tolerance, the coarser values and the consecutive ratios are
-    informational metadata.  A final_tol that is not a finite number > 0
-    and a ladder that _check_ladder refuses raise FieldFormatError before
-    any map runs.
+    informational metadata.  The full product kernel F_Q is built on every
+    rung for that gap, so the inverse map read here is
+    characteristic_extract of F_Q, the average along characteristic lines,
+    not upsilon's one-column trace: the two agree to O(step^2), and reading
+    F_Q avoids a second march per rung.  A final_tol that is not a finite
+    number > 0 and a ladder that _check_ladder refuses raise
+    FieldFormatError before any map runs.
     """
     _check_tol(final_tol)
     ladder = _check_ladder(ladder)
@@ -621,7 +626,8 @@ def roundtrip_report(field, ladder=(50, 100, 200), final_tol: float = 5e-3) -> D
         if isinstance(field, Accelerant):
             h_n = decimate_accelerant(field, n_target)
             f_q = resolvent_product_kernel(theta(h_n))
-            start, back = h_n, characteristic_extract(f_q)  # back is upsilon(theta(h_n))
+            # the characteristic read of F of theta(h_n), upsilon's O(step^2) twin
+            start, back = h_n, characteristic_extract(f_q)
         elif isinstance(field, Potential):
             q_n = decimate_potential(field, n_target)
             f_q = resolvent_product_kernel(q_n)

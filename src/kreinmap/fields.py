@@ -57,11 +57,12 @@ def _field_values(values, name: str, size, shape: tuple) -> np.ndarray:
     return arr
 
 
-def _fold_lines(N: int) -> dict:
+def _fold_lines(N: int, column: int | None = None) -> dict:
     """{(a, b): the (N+1, N+1) array of the samples of h that block (a, b)
     of the folded kernel reads at (x_i, x_j)}: h((x-t)/2), h((x+t)/2),
-    h(-(x+t)/2) and h(-(x-t)/2), with h(u) the sample 2N + 2N u."""
-    i, j = np.indices((N + 1, N + 1))
+    h(-(x+t)/2) and h(-(x-t)/2), with h(u) the sample 2N + 2N u.  With a
+    column j given, the (N+1,) arrays of that column alone."""
+    i, j = np.indices((N + 1, N + 1)) if column is None else (np.arange(N + 1), column)
     c = 2 * N
     return {(0, 0): c + (i - j), (0, 1): c + (i + j), (1, 0): c - (i + j), (1, 1): c - (i - j)}
 
@@ -91,8 +92,9 @@ class GridSpec:
     def trapezoid(self, cells: int) -> np.ndarray:
         """Composite trapezoid weights over `cells` steps of this grid:
         cells + 1 nodes, half weight at both endpoints. weights,
-        nystrom_weights, field_norm, is_accelerant and _dense_row use it;
-        solve_glm (_shared_matrix, delta), _kernel_chains, _resolvent_values,
+        nystrom_weights, field_norm, is_accelerant, _dense_row and
+        _product_column (through weights) use it; solve_glm (_shared_matrix,
+        delta), _kernel_chains, _resolvent_values, _endpoint_inverses,
         compose's quarter-weight patch and _triangle_compose apply the half
         weights inline."""
         w = np.full(cells + 1, self.step)

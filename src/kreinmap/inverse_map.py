@@ -1,10 +1,17 @@
-"""The inverse map: potential to accelerant through the resolvent product.
+"""The inverse map: potential to accelerant through one column of the product kernel.
 
-The chain is: transformation kernels (the coupled shifted-argument system,
-solved exactly by one forward march over the rows of the grid), the
-transmutation kernel assembled from exact half-argument reads on the refined
-grid, its Volterra resolvent, the product kernel, and finally the extraction
-of the accelerant along characteristic lines.  Every solve is direct, so the
+The accelerant is read off the product kernel F, with I + F = (I + L)(I + L~),
+L the Volterra resolvent of the transmutation kernel K_Q and L~(x,t) =
+L*(t,x)^H that of K_{Q*}.  upsilon needs only the column t = 1 of F, the
+literal boundary trace, and that column is (I + L)u with u(s) = L~(s, 1) =
+L*(1, s)^H.  So the chain is: transformation kernels (the coupled
+shifted-argument system, solved exactly by one forward march over the rows
+of the grid), K_Q and K_{Q*} assembled from exact half-argument reads on the
+refined grid, u by one backward substitution of the left resolvent equation
+of K_{Q*}, the column by one forward substitution of (I + K_Q)v = u
+(_product_column), and the scatter of that column into the accelerant
+(_trace_column).  Both substitutions are O(N^2 r^3), as the march is; no
+resolvent, cross term or full F is built.  Every solve is direct, so the
 inverse map has no tolerance or iteration budget and no convergence failure.
 
 For an off-diagonal potential the transformation kernels have only four
@@ -14,41 +21,49 @@ kernel reads each of its blocks as a sum of two chain blocks, so the inverse
 map never forms the full 2r x 2r kernels; transformation_kernels scatters
 the chains into zeroed full kernels for the consumers that need them, so
 P_plus commutes with J and P_minus anticommutes exactly, by construction.
-The resolvent product needs K for Q and for Q*, and their four chains share
-one march over the rows of the refined grid, which stores only the even
-rows that K reads.  Its cross term is quadops.compose of L with
+K_Q and K_{Q*} come from one march over the rows of the refined grid, whose
+four chains are stacked, and which stores only the even rows that K reads.
+
+The full-grid product kernel stays for the verification drivers and the
+acceptance tests (resolvent_product_kernel): the two resolvents by row-loop
+forward substitution, the cross term quadops.compose of L with
 quadops.adjoint_op of L*, so the quadrature weights of operator products
-stay in quadops.
+stay in quadops, and the assembly.  characteristic_extract averages that
+F along characteristic lines; trace_extract reads its column t = 1 with the
+rule upsilon uses.
 
 Two classes of potentials are closed under both maps, and the inverse map
 runs each in cheaper arithmetic, by exact tests with no tolerance:
 
 - the real class, where a = -i q_plus and b = i q_minus are real:
   _chain_coefficients then gives float64 coefficients, and the chains, K,
-  both resolvents and the cross term follow that dtype;
+  both substitutions (or both resolvents and the cross term) follow that
+  dtype;
 - the self-adjoint potentials, equal to their adjoint value for value
   (_self_adjoint): K_{Q*} = K_Q and L* = L, so the march runs the two
-  chains of Q alone and one resolvent serves as both factors.
+  chains of Q alone, and one resolvent serves as both factors of F.
 
 Between the layers of that chain the blocks travel as plain arrays in
 their own dtype and layout: _transmutation_values and _resolvent_values,
 which transmutation_kernel and resolvent_volterra wrap, and the product
 layers resolvent_product_parts (quadops.adjoint_op, then quadops.compose)
 and assemble_product, which take and return arrays and are not exported.
-The blocks are cast to complex128 once, where a public Kernel2D is built;
+The blocks are cast to complex128 once, where a public field is built;
 every exported function takes and returns complex128 fields as before.
 
 Two discretization conventions deserve a note because they are easy to get
-wrong.  First, the Volterra resolvent is solved by forward substitution with
+wrong.  First, a Volterra equation is solved by substitution with
 per-interval trapezoid weights rather than read off the inverted operator
-matrix, whose weight pattern is O(1/N) wrong along the column edge.  The
-substitution holds the resolvent flattened, block (x, s) at rows (x, a) and
-columns (s, b) of one matrix, so that each row's history sum is one matrix
-product, and returns its blocks as a view of that matrix.  Second,
-the product kernel has a jump across the grid diagonal whenever the
-potential is not in the image of the forward map; the stored grid holds the
-two-sided average there, and the one-sided parts are available separately for
-consumers that differentiate up to the diagonal.
+matrix, whose weight pattern is O(1/N) wrong along the column edge: the
+half weight at the unknown's own node stays on the left-hand side as the
+factor I + (step/2) K(x, x).  The row-loop resolvent holds L flattened,
+block (x, s) at rows (x, a) and columns (s, b) of one matrix, so that each
+row's history sum is one matrix product, and returns its blocks as a view
+of that matrix.  Second, the product kernel has a jump across the grid
+diagonal whenever the potential is not in the image of the forward map; the
+stored grid, and upsilon's column at x = 1, hold the two-sided average
+there, and the one-sided parts are available separately for consumers that
+differentiate up to the diagonal.
 """
 
 from __future__ import annotations
@@ -84,8 +99,9 @@ def _require_finite(what: str, a: np.ndarray) -> None:
         raise FieldFormatError(f"{what} overflow floating point; the potential is too large")
 
 
-def _require_resolved(q: Potential) -> None:
-    """Refuse a potential whose trapezoid march does not resolve it on its grid.
+def _require_resolved(q: Potential) -> float:
+    """Refuse a potential whose trapezoid march does not resolve it on its
+    grid; otherwise return its resolution (step/2) rho(JQ), below one.
 
     The march approximates the transformation kernels only while
     h = (step/2) JQ(x_i) has spectral radius below one; at one the pairing
@@ -101,6 +117,7 @@ def _require_resolved(q: Potential) -> None:
         raise FieldFormatError(
             f"grid too coarse for the potential: (step/2) rho(JQ) = {np.sqrt(rho2):.3g}"
         )
+    return float(np.sqrt(rho2))
 
 
 def _self_adjoint(q: Potential, adj: Potential) -> bool:
@@ -254,11 +271,13 @@ def transmutation_kernel(q: Potential) -> Kernel2D:
     own grid, are stored.  A potential of the real class is marched in
     float64 (see _chain_coefficients) and its K cast to complex128 at the end.
     """
-    return Kernel2D(2 * q.r, q.grid, "lower", _transmutation_values([q])[0])
+    (k,), _ = _transmutation_values([q])
+    return Kernel2D(2 * q.r, q.grid, "lower", k)
 
 
-def _transmutation_values(qs: list[Potential]) -> list[np.ndarray]:
-    """The blocks of transmutation_kernel of each potential, from one march.
+def _transmutation_values(qs: list[Potential]) -> tuple[list[np.ndarray], float]:
+    """The blocks of transmutation_kernel of each potential, from one march,
+    and the largest resolution (step/2) rho(JQ) on the refined grid.
 
     The potentials share r and grid, and their chains are stacked into one
     march over the refined grid (see _kernel_chains), so that K_Q and
@@ -270,8 +289,7 @@ def _transmutation_values(qs: list[Potential]) -> list[np.ndarray]:
         Potential(q.r, q.grid.refined(), _midpoint_fill(q.q_plus), _midpoint_fill(q.q_minus))
         for q in qs
     ]
-    for fine in fines:
-        _require_resolved(fine)
+    resolution = max([_require_resolved(fine) for fine in fines])
     co = np.concatenate([_chain_coefficients(fine) for fine in fines], axis=1)
     # keep the rows x = 2 i of the refined grid, the only ones K reads
     chains = _kernel_chains(co, fines[0].grid.step, 2)
@@ -292,7 +310,7 @@ def _transmutation_values(qs: list[Potential]) -> list[np.ndarray]:
         vals *= 0.5
         vals[~low] = 0.0
         kernels.append(vals)
-    return kernels
+    return kernels, resolution
 
 
 def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
@@ -388,24 +406,37 @@ def assemble_product(cross: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
     return cross
 
 
+def _transmutation_pair(q: Potential) -> tuple[np.ndarray, np.ndarray, float]:
+    """The blocks of K_Q and K_{Q*} from one march, and the resolution of q.
+
+    The structure of q decides the work here, for upsilon and for every
+    consumer of the product kernel.  A real-class q gives float64 blocks,
+    since its chain coefficients are real (_chain_coefficients).  A
+    self-adjoint q (_self_adjoint) has K_{Q*} = K_Q, so the march runs its
+    two chains alone and returns the one K as both.  Otherwise K_Q and
+    K_{Q*} come from one march of four chains.  The adjoint of q is formed
+    once, for both the self-adjoint test and the march.
+    """
+    adj = potential_adjoint(q)
+    if _self_adjoint(q, adj):
+        (k_low,), resolution = _transmutation_values([q])
+        return k_low, k_low, resolution
+    (k_low, k_star), resolution = _transmutation_values([q, adj])
+    return k_low, k_star, resolution
+
+
 def _resolvent_factors(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The blocks of K_Q and of the resolvents L of K_Q and L* of K_{Q*}.
 
-    The structure of q decides the work here, for every consumer of the
-    product kernel.  A real-class q gives float64 blocks, since its chain
-    coefficients are real (_chain_coefficients).  A self-adjoint q
-    (_self_adjoint) has K_{Q*} = K_Q, so the march runs its two chains
-    alone and the one resolvent L is returned as L* too.  Otherwise K_Q and
-    K_{Q*} come from one march of four chains.  L* is built first, so that
-    K_{Q*} is dropped before L is built and no more kernel-sized arrays are
-    held at once than K_Q must add.  The adjoint of q is formed once, for
-    both the self-adjoint test and the march.
+    K_Q and K_{Q*} come from _transmutation_pair, in float64 for a
+    real-class q; for a self-adjoint q the one resolvent L is returned as
+    L* too.  L* is built first, so that K_{Q*} is dropped before L is built
+    and no more kernel-sized arrays are held at once than K_Q must add.
     """
-    adj = potential_adjoint(q)
-    self_adjoint = _self_adjoint(q, adj)
-    kernels = _transmutation_values([q] if self_adjoint else [q, adj])
-    k_low = kernels[0]
-    l_star = _resolvent_values(kernels.pop(), q.grid.step)
+    k_low, k_star, _ = _transmutation_pair(q)
+    self_adjoint = k_star is k_low
+    l_star = _resolvent_values(k_star, q.grid.step)
+    del k_star
     l_low = l_star if self_adjoint else _resolvent_values(k_low, q.grid.step)
     return k_low, l_low, l_star
 
@@ -432,22 +463,30 @@ def _fold_blocks(f: Kernel2D) -> tuple[int, np.ndarray]:
     return r, f.values.reshape(m, m, 2, r, 2, r)
 
 
-def trace_extract(f: Kernel2D) -> Accelerant:
-    """Piecewise boundary trace of F at second argument 1, times two.
+def _trace_column(col: np.ndarray, grid: GridSpec) -> Accelerant:
+    """The accelerant read off column t = 1 of F, times two, from
+    col[i, a, :, b, :], the r x r block (a, b) of F(x_i, 1).
 
-    Column t = 1 of each block is read through fields._fold_lines, the later
-    block in the loop winning where two meet: h(1/2) from block (1,1) at
-    x = 0, h(0) from (0,0) at x = 1, h(-1/2) from (1,0) at x = 0.  The
-    factor two compensates the 1/2 of the folded kernel; without it the
-    extraction returns half the accelerant.  See the README note.
+    Each block is scattered through fields._fold_lines in the order (0,1),
+    (1,1), (0,0), (1,0), the later block winning where two meet: h(1/2)
+    from block (1,1) at x = 0, h(0) from (0,0) at x = 1, h(-1/2) from (1,0)
+    at x = 0.  The factor two compensates the 1/2 of the folded kernel;
+    without it the extraction returns half the accelerant.  See the README
+    note.
     """
-    r, blocks = _fold_blocks(f)
-    N = f.grid.N
-    lines = _fold_lines(N)
+    N, r = grid.N, col.shape[2]
+    lines = _fold_lines(N, N)
     h = np.empty((4 * N + 1, r, r), dtype=np.complex128)
     for a, b in ((0, 1), (1, 1), (0, 0), (1, 0)):
-        h[lines[a, b][:, N]] = 2.0 * blocks[:, N, a, :, b]
-    return Accelerant(r, f.grid, h)
+        h[lines[a, b]] = 2.0 * col[:, a, :, b]
+    return Accelerant(r, grid, h)
+
+
+def trace_extract(f: Kernel2D) -> Accelerant:
+    """Piecewise boundary trace of F at second argument 1, times two: the
+    rule upsilon reads its own column of F with (_trace_column)."""
+    _, blocks = _fold_blocks(f)
+    return _trace_column(blocks[:, f.grid.N], f.grid)
 
 
 def characteristic_extract(f: Kernel2D) -> Accelerant:
@@ -475,28 +514,93 @@ def characteristic_extract(f: Kernel2D) -> Accelerant:
     return Accelerant(r, f.grid, 2.0 * acc / cnt[:, None, None])
 
 
-def upsilon(q: Potential) -> tuple[Accelerant, DiagnosticReport]:
-    """Inverse map.  Returns the accelerant and a consistency report.
+def _endpoint_inverses(k: np.ndarray, step: float, nodes: range) -> np.ndarray:
+    """(I + (step/2) K(x_i, x_i))^-1 for each node i of nodes, in one
+    batched call: the factor a substitution row leaves on its unknown, from
+    the trapezoid half weight at the row's own node.  An exactly singular
+    factor raises SingularSystemError at the first node that has one."""
+    d = np.asarray(nodes)
+    factors = np.eye(k.shape[2]) + 0.5 * step * k[d, d]
+    try:
+        return np.linalg.inv(factors)
+    except np.linalg.LinAlgError:
+        i = d[np.flatnonzero(np.linalg.det(factors) == 0)[0]]
+        raise SingularSystemError(i / (k.shape[0] - 1), "volterra substitution")
 
-    The characteristic-line extraction is the result; the literal boundary
-    trace is computed as well and the spread between the two is recorded,
-    since on a grid they differ by the discretization error of the product
-    kernel.
 
-    The product kernel runs in float64 for a potential of the real class
-    (q_plus and q_minus with no nonzero real part) and with one march of two
-    chains and one resolvent for a self-adjoint one (equal to
-    potential_adjoint(q) value for value); both tests are exact.  Its
-    Kernel2D, and so the accelerant, is complex128 in every case.
+@np.errstate(over="ignore", invalid="ignore")
+def _product_column(k_low: np.ndarray, k_star: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Column t = 1 of the product kernel F from the blocks of K_Q and
+    K_{Q*}, as col[x, a, b] in their dtype, with the two-sided average at
+    x = 1.
+
+    For x < 1, F(x, 1) = u(x) + int_0^x L(x,s) u(s) ds = ((I + L)u)(x) with
+    u(s) = L~(s, 1) = L*(1, s)^H, so two substitutions give the column
+    without any resolvent:
+
+    - l(t) = L*(1, t) solves the left resolvent equation at x = 1,
+      l(t) = -K*(1, t) - int_t^1 l(s) K*(s, t) ds, by backward substitution
+      from l(1) = -K*(1, 1) down to t = 0.  Each l(x_k) found adds its term
+      to the history of every t < x_k at once: one product with row k of
+      K*, into the flattened [a, (t, b)] matrix acc;
+    - v = (I + L)u solves (I + K_Q)v = u by forward substitution from
+      v(0) = u(0), the history sum of each row one product of row i of K_Q
+      with the weighted v(x_j), j < i.
+
+    Both histories take the global trapezoid weights (GridSpec.weights),
+    whose half weight sits at x = 1 for the first and at x = 0 for the
+    second; the half weight at the unknown's own node is the endpoint
+    factor (_endpoint_inverses), inverted for all rows before each loop,
+    so that a row costs two small products.  At x = 1 the lower limit of F
+    is v(1) - u(1) - K(1, 1) and the upper one v(1), and the column holds
+    their average, as assemble_product holds it on the diagonal.  Each
+    substitution is O(N^2 r^3).
     """
-    f = resolvent_product_kernel(q)
-    robust = characteristic_extract(f)
-    literal = trace_extract(f)
+    m, _, n, _ = k_low.shape
+    N = m - 1
+    w = grid.weights
+    dinv = _endpoint_inverses(k_star, grid.step, range(N))
+    ell = np.empty((m, n, n), dtype=k_star.dtype)
+    ell[N] = -k_star[N, N]
+    acc = k_star[N, :N].transpose(1, 0, 2).copy().reshape(n, N * n)
+    for k in range(N, 0, -1):
+        acc[:, : k * n] += (w[k] * ell[k]) @ k_star[k, :k].transpose(1, 0, 2).reshape(n, k * n)
+        ell[k - 1] = -acc[:, (k - 1) * n : k * n] @ dinv[k - 1]
+    u = np.conj(ell.transpose(0, 2, 1))
+    dinv = _endpoint_inverses(k_low, grid.step, range(1, m))
+    wv = np.empty_like(u)  # w_j v(x_j)
+    col = np.empty_like(u)
+    col[0] = u[0]
+    for i in range(1, m):
+        wv[i - 1] = w[i - 1] * col[i - 1]
+        body = k_low[i, :i].transpose(1, 0, 2).reshape(n, i * n) @ wv[:i].reshape(i * n, n)
+        col[i] = dinv[i - 1] @ (u[i] - body)
+    col[N] += 0.5 * (-k_low[N, N] - u[N])
+    _require_finite("product column values", col)
+    return col
+
+
+def upsilon(q: Potential) -> tuple[Accelerant, DiagnosticReport]:
+    """Inverse map.  Returns the accelerant and a report of its resolution.
+
+    The accelerant is the literal boundary trace of the product kernel F,
+    read off its one column t = 1 (_product_column) with trace_extract's
+    rule (_trace_column); F itself, its resolvents and its cross term are
+    never built, so the cost is one march and two O(N^2 r^3) substitutions.
+    The report's one entry, resolution, is (step/2) rho(JQ) on the refined
+    grid, the largest over the march, with tolerance 1: it says how close q
+    came to the bound at which the march is refused as too coarse.
+
+    The march and the substitutions run in float64 for a potential of the
+    real class (q_plus and q_minus with no nonzero real part), and the
+    march runs two chains for a self-adjoint one (equal to
+    potential_adjoint(q) value for value), whose K_{Q*} is K_Q; both tests
+    are exact.  The accelerant is complex128 in every case.
+    """
+    k_low, k_star, resolution = _transmutation_pair(q)
+    col = _product_column(k_low, k_star, q.grid)
+    h = _trace_column(col.reshape(q.grid.N + 1, 2, q.r, 2, q.r), q.grid)
     report = DiagnosticReport()
-    report.add(
-        "extraction_spread",
-        float(np.max(np.abs(robust.values - literal.values))),
-        np.inf,
-    )
-    report.metadata.update({"N": q.grid.N, "r": q.r, "extraction": "characteristic"})
-    return robust, report
+    report.add("resolution", resolution, 1.0)
+    report.metadata.update({"N": q.grid.N, "r": q.r, "extraction": "trace"})
+    return h, report

@@ -37,6 +37,7 @@ from kreinmap.dirac_verify import _verify_potential
 # of K; the public resolvent_volterra wraps it for Kernel2D arguments.
 RESOLVENT = "inverse_map._resolvent_values"
 MARCH = "inverse_map._kernel_chains"
+COLUMN = "inverse_map._product_column"
 PARTS = "inverse_map.resolvent_product_parts"
 ASSEMBLE = "inverse_map.assemble_product"
 WAVE = "dirac_verify.apply_wave_operator"
@@ -131,35 +132,52 @@ def test_identity_suite_hands_the_wave_operator_blocks_in_their_dtype(first_args
 
 
 def test_upsilon_builds_no_full_transformation_kernels(count_calls):
-    counts = count_calls(MARCH, PAIR, RESOLVENT)
+    full_f = (RESOLVENT, PARTS, ASSEMBLE, "quadops.compose", "characteristic_extract")
+    counts = count_calls(MARCH, PAIR, COLUMN, *full_f)
     upsilon(linear_potential(16))
-    # K_Q and K_{Q*} are read from the chains of one march
-    assert counts == {MARCH: 1, PAIR: 0, RESOLVENT: 2}
+    # K_Q and K_{Q*} are read from the chains of one march, and two
+    # substitutions give the one column of F that the trace reads
+    assert counts == {MARCH: 1, PAIR: 0, COLUMN: 1, **dict.fromkeys(full_f, 0)}
 
 
 @pytest.mark.parametrize(
-    "q, chains, dtype, resolvents",
+    "q, chains, dtype, one_kernel",
     [
         # neither class: q+ = 0.3 (1 + x), q- = 0.2
-        (linear_potential(16), 4, C128, 2),
+        (linear_potential(16), 4, C128, False),
         # self-adjoint (q+ = q- = 10 is real-valued) but not of the real class
-        (const_potential(10.0, 16), 2, C128, 1),
+        (const_potential(10.0, 16), 2, C128, True),
         # the real class (a = 0.3, b = -0.3) but not self-adjoint
-        (const_potential(0.3j, 16), 4, F64, 2),
+        (const_potential(0.3j, 16), 4, F64, False),
     ],
     ids=["neither", "self-adjoint", "real-class"],
 )
 def test_upsilon_marches_and_solves_what_the_structure_needs(
-    first_args, q, chains, dtype, resolvents
+    monkeypatch, first_args, q, chains, dtype, one_kernel
 ):
     seen = first_args(MARCH, RESOLVENT, "potential_adjoint")
+    column_args = []
+
+    def wrap(fn):
+        def recorded(k_low, k_star, grid):
+            column_args.append((k_low, k_star))
+            return fn(k_low, k_star, grid)
+
+        return recorded
+
+    _replace_everywhere(monkeypatch, COLUMN, wrap)
     h, _ = upsilon(q)
     # one adjoint of q serves the structure test and, unless q is
     # self-adjoint, the march of K_{Q*}
     assert [p is q for p in seen["potential_adjoint"]] == [True]
     # _kernel_chains(co, ...) with co[i, c, k]: one march of `chains` chains
     assert [(co.shape[1], co.dtype) for co in seen[MARCH]] == [(chains, dtype)]
-    assert [k.dtype for k in seen[RESOLVENT]] == [dtype] * resolvents
+    # the substitutions take K_Q and K_{Q*} in the march's dtype, the one K
+    # as both for a self-adjoint q, and no resolvent is built
+    assert [(k.dtype, k_star.dtype, k_star is k) for k, k_star in column_args] == [
+        (dtype, dtype, one_kernel)
+    ]
+    assert seen[RESOLVENT] == []
     assert h.values.dtype == C128
     assert resolvent_product_kernel(q).values.dtype == C128
 

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import const_accelerant, const_potential, gauss_accelerant, linear_potential
 
+import kreinmap.cli
 from kreinmap import GridSpec, Potential, is_accelerant, theta
 from kreinmap.cli import main, read_field, write_field
 from kreinmap.errors import FieldFormatError
@@ -38,6 +39,19 @@ def test_field_file_roundtrip_is_byte_identical(tmp_path):
     assert np.array_equal(back.values, h.values)
     write_field(str(second), back, meta="probe")
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_field_file_is_one_line_of_compact_json(tmp_path):
+    path = tmp_path / "q.json"
+    q = linear_potential(16)
+    write_field(str(path), q)
+    text = path.read_text()
+    # no indent: the whole document and its trailing newline
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    doc = json.loads(text)
+    assert (doc["kind"], doc["r"], doc["N"], doc["domain"]) == ("potential", 1, 16, "[0,1]")
+    back = read_field(str(path))
+    assert np.array_equal(back.q_plus, q.q_plus) and np.array_equal(back.q_minus, q.q_minus)
 
 
 def test_potential_field_roundtrip_bitwise(tmp_path):
@@ -206,7 +220,7 @@ def test_upsilon_command_on_zero_potential(tmp_path, capsys):
     write_field(str(src), _zero_potential(16))
     code = main(["upsilon", "--in", str(src), "--out", str(dst)])
     assert code == 0
-    assert "extraction spread" in capsys.readouterr().out
+    assert "resolution (step/2) rho(JQ): 0.000e+00 (refused at 1)" in capsys.readouterr().out
     h = read_field(str(dst))
     assert np.max(np.abs(h.values)) < 1e-12
 
@@ -327,6 +341,19 @@ def test_usage_errors_exit_three(tmp_path, capsys):
         assert "usage:" in capsys.readouterr().err
     assert main(["--help"]) == 0
     assert main(["upsilon", "--help"]) == 0
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    src = tmp_path / "h.json"
+    write_field(str(src), const_accelerant(0.5, 16))
+    assert kreinmap.cli._parser() is kreinmap.cli._parser()
+    assert main(["check-accelerant", "--in", str(src), "--csv"]) == 0
+    assert capsys.readouterr().out.startswith("alpha,sigma_min")
+    assert main(["check-accelerant", "--in", str(src), "--n", "eight"]) == 3
+    capsys.readouterr()
+    # the flags of earlier calls do not carry over to a later one
+    assert main(["check-accelerant", "--in", str(src)]) == 0
+    assert capsys.readouterr().out.startswith("accepted: min margin")
 
 
 def test_check_accelerant_csv_output(tmp_path, capsys):

@@ -37,6 +37,7 @@ from kreinmap import (
 from kreinmap.inverse_map import (
     _chain_coefficients,
     _midpoint_fill,
+    _product_column,
     _self_adjoint,
     _transmutation_values,
 )
@@ -193,7 +194,7 @@ def test_transmutation_kernel_against_four_term_formula(q):
 )
 def test_one_march_gives_both_transmutation_kernels_exactly(q):
     # the stacked march of Q and Q* repeats each potential's own march bit for bit
-    k_q, k_star = _transmutation_values([q, potential_adjoint(q)])
+    (k_q, k_star), _ = _transmutation_values([q, potential_adjoint(q)])
     assert np.array_equal(k_q, transmutation_kernel(q).values)
     assert np.array_equal(k_star, transmutation_kernel(potential_adjoint(q)).values)
 
@@ -468,14 +469,71 @@ def test_characteristic_extract_dilutes_single_entry_noise():
 def test_upsilon_zero_potential():
     h, report = upsilon(_zero_potential(8))
     assert np.all(h.values == 0)
-    assert report["extraction_spread"].residual == 0.0
+    assert report["resolution"].residual == 0.0
+    assert report.passed
 
 
 def test_upsilon_inverts_theta_smooth():
     h = gauss_accelerant(0.3, 50)
-    back, report = upsilon(theta(h))
+    q = theta(h)
+    back, report = upsilon(q)
     rel = field_norm(
         type(h)(h.r, h.grid, back.values - h.values), 1.0
     ) / field_norm(h, 1.0)
     assert rel < 5e-4
-    assert report["extraction_spread"].residual < 1e-2
+    # (step/2) rho(JQ) on the refined grid, step = 1/(2N), for r = 1
+    nodes = 0.25 * h.grid.step * np.sqrt(np.abs(q.q_plus * q.q_minus)).max()
+    assert report["resolution"].residual == pytest.approx(nodes, rel=1e-2)
+    assert report.passed
+
+
+def _closed_form_potential(c: float, n_cells: int) -> Potential:
+    """theta of the constant accelerant c: q+ = -ic/(1 + cx) = -q-."""
+    qp = (-1j * c / (1.0 + c * GridSpec(n_cells).nodes))[:, None, None]
+    return Potential(1, GridSpec(n_cells), qp, -qp)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [-0.8, 0.5, 5.0, "gauss"],
+    ids=["const-0.8", "const0.5", "const5", "theta-gauss"],
+)
+def test_upsilon_converges_at_second_order(case):
+    errors = []
+    for n in (50, 100, 200):
+        if case == "gauss":
+            truth = gauss_accelerant(0.3, n)
+            q = theta(truth)
+        else:
+            truth = const_accelerant(case, n)
+            q = _closed_form_potential(case, n)
+        h, _ = upsilon(q)
+        errors.append(np.abs(h.values - truth.values).max())
+    assert ratio_ok(errors[0], errors[1]) and ratio_ok(errors[1], errors[2]), errors
+
+
+def test_upsilon_matches_the_trace_of_the_full_product_kernel():
+    # the column's two substitutions and the full F's resolvents and
+    # compose are two trapezoid discretizations of the same column: they
+    # differ at O(step^2) on a complex r = 2 potential in neither class
+    gaps = []
+    for n in (16, 32, 64):
+        rng = np.random.default_rng(2)
+        x = GridSpec(n).nodes[:, None, None]
+        a, b, c, d = 0.4 * (rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2)))
+        q = Potential(2, GridSpec(n), a + x * b, c + x * d)
+        h, _ = upsilon(q)
+        literal = trace_extract(resolvent_product_kernel(q))
+        gap = np.abs(h.values - literal.values).max()
+        assert gap <= q.grid.step**2 * np.abs(literal.values).max()
+        gaps.append(gap)
+    assert ratio_ok(gaps[0], gaps[1]) and ratio_ok(gaps[1], gaps[2]), gaps
+
+
+def test_column_substitutions_refuse_a_singular_endpoint_factor():
+    # I + (step/2) K(x_5, x_5) = 0 at step = 1/8: both substitutions need
+    # that factor, and the refusal names its node
+    k = np.zeros((9, 9, 2, 2))
+    k[5, 5] = -16.0 * np.eye(2)
+    with pytest.raises(SingularSystemError, match=r"x = 0\.625 \(volterra substitution\)"):
+        _product_column(k, k, GridSpec(8))
