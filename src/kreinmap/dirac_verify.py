@@ -48,8 +48,6 @@ from .forward_map import (
 )
 from .inverse_map import (
     _resolvent_factors,
-    characteristic_extract,
-    resolvent_product_kernel,
     resolvent_product_parts,
     transformation_kernels,
     upsilon,
@@ -605,59 +603,37 @@ def _check_ladder(ladder) -> tuple:
 def roundtrip_report(field, ladder=(50, 100, 200), final_tol: float = 5e-3) -> DiagnosticReport:
     """Self-consistency of the composed maps across a nested grid ladder.
 
-    The input is restricted to each grid by exact decimation. Per grid the
-    report records the relative L1 roundtrip error plus the gap between the
-    two resolvent kernels the maps must share; only the finest error
-    carries a tolerance, the coarser values and the consecutive ratios are
-    informational metadata.  The full product kernel F_Q is built on every
-    rung for that gap, so the inverse map read here is
-    characteristic_extract of F_Q, the average along characteristic lines,
-    not upsilon's one-column trace: the two agree to O(step^2), and reading
-    F_Q avoids a second march per rung.  A final_tol that is not a finite
-    number > 0 and a ladder that _check_ladder refuses raise
-    FieldFormatError before any map runs.
+    The input is restricted to each grid by exact decimation and sent
+    through the two maps the package ships: upsilon(theta(h)) for an
+    accelerant, theta(upsilon(q)) for a potential.  Per grid the report
+    records the relative L1 roundtrip error; only the finest error carries
+    a tolerance, the coarser values and the consecutive ratios are
+    informational metadata.  A final_tol that is not a finite number > 0
+    and a ladder that _check_ladder refuses raise FieldFormatError before
+    any map runs.
     """
     _check_tol(final_tol)
     ladder = _check_ladder(ladder)
     report = DiagnosticReport()
     errors = []
-    f_gaps = []
     for n_target in ladder:
         if isinstance(field, Accelerant):
-            h_n = decimate_accelerant(field, n_target)
-            f_q = resolvent_product_kernel(theta(h_n))
-            # the characteristic read of F of theta(h_n), upsilon's O(step^2) twin
-            start, back = h_n, characteristic_extract(f_q)
+            start = decimate_accelerant(field, n_target)
+            back = upsilon(theta(start))[0]
         elif isinstance(field, Potential):
-            q_n = decimate_potential(field, n_target)
-            f_q = resolvent_product_kernel(q_n)
-            h_n = characteristic_extract(f_q)
-            start, back = q_n, theta(h_n)
+            start = decimate_potential(field, n_target)
+            back = theta(upsilon(start)[0])
         else:
             raise FieldFormatError(f"cannot roundtrip {type(field).__name__}")
         num = field_norm(_difference(back, start), 1.0)
         den = field_norm(start, 1.0)
         err = num / den if den > 0 else num
         errors.append(err)
-        f_gaps.append(_product_gap(f_q, h_n))
         tol = final_tol if n_target == ladder[-1] else np.inf
         report.add(f"roundtrip_N{n_target}", err, tol)
     ratios = [
         errors[k] / errors[k + 1] if errors[k + 1] > 0 else np.inf
         for k in range(len(errors) - 1)
     ]
-    report.metadata.update(
-        {
-            "ladder": list(ladder),
-            "errors": errors,
-            "ratios": ratios,
-            "f_residuals": f_gaps,
-        }
-    )
+    report.metadata.update({"ladder": list(ladder), "errors": errors, "ratios": ratios})
     return report
-
-
-def _product_gap(f_q: Kernel2D, h: Accelerant) -> float:
-    f_h = folded_kernel(h)
-    diff = Kernel2D(f_q.n, f_q.grid, "full", f_q.values - f_h.values)
-    return mixed_norm(diff, 1.0)

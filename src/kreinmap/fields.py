@@ -67,6 +67,16 @@ def _fold_lines(N: int, column: int | None = None) -> dict:
     return {(0, 0): c + (i - j), (0, 1): c + (i + j), (1, 0): c - (i + j), (1, 1): c - (i - j)}
 
 
+def _half_argument_reads(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(i, near, far, lower) on the (N+1, N+1) grid: the row index i, the
+    refined-grid indices i - j of (x-t)/2 and i + j of (x+t)/2 at
+    (x_i, x_j) where j <= i and 0 above the diagonal, and the mask of
+    j <= i.  A lower kernel read through the table zeroes ~lower after."""
+    i, j = np.indices((N + 1, N + 1))
+    lower = j <= i
+    return i, np.where(lower, i - j, 0), np.where(lower, i + j, 0), lower
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid x_i = i/N on [0,1] with trapezoid quadrature weights."""
@@ -92,11 +102,10 @@ class GridSpec:
     def trapezoid(self, cells: int) -> np.ndarray:
         """Composite trapezoid weights over `cells` steps of this grid:
         cells + 1 nodes, half weight at both endpoints. weights,
-        nystrom_weights, field_norm, is_accelerant, _dense_row and
-        _product_column (through weights) use it; solve_glm (_shared_matrix,
-        delta), _kernel_chains, _resolvent_values, _endpoint_inverses,
-        compose's quarter-weight patch and _triangle_compose apply the half
-        weights inline."""
+        nystrom_weights, field_norm, is_accelerant and _dense_row use it;
+        solve_glm (_shared_matrix, delta), _kernel_chains, _substitute,
+        _endpoint_inverses, compose's quarter-weight patch and
+        _triangle_compose apply the half weights inline."""
         w = np.full(cells + 1, self.step)
         w[0] = w[-1] = 0.5 * self.step
         return w

@@ -12,7 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from .factorization import _require_accelerant, solve_krein
-from .fields import Accelerant, GridSpec, Kernel2D, Potential, _fold_lines, reflect
+from .fields import (
+    Accelerant,
+    GridSpec,
+    Kernel2D,
+    Potential,
+    _fold_lines,
+    _half_argument_reads,
+    reflect,
+)
 
 __all__ = ["theta", "folded_kernel", "block_krein_kernel", "folded_lower_factor"]
 
@@ -84,10 +92,7 @@ def folded_lower_factor(h: Accelerant) -> Kernel2D:
     r_direct, r_reflected = (k.values for k in _krein_kernels(h, h.grid.refined()))
 
     m = N + 1
-    i, j = np.indices((m, m))
-    lower = j <= i
-    plus = np.where(lower, i + j, 0)
-    minus = np.where(lower, i - j, 0)
+    i, minus, plus, lower = _half_argument_reads(N)
     rows = 2 * i
     vals = np.zeros((m, m, 2 * r, 2 * r), dtype=np.complex128)
     vals[:, :, :r, :r] = r_direct[rows, plus]

@@ -7,12 +7,13 @@ literal boundary trace, and that column is (I + L)u with u(s) = L~(s, 1) =
 L*(1, s)^H.  So the chain is: transformation kernels (the coupled
 shifted-argument system, solved exactly by one forward march over the rows
 of the grid), K_Q and K_{Q*} assembled from exact half-argument reads on the
-refined grid, u by one backward substitution of the left resolvent equation
-of K_{Q*}, the column by one forward substitution of (I + K_Q)v = u
+refined grid, u as column 0 of the resolvent of the adjoint of K_{Q*}
+flipped in both arguments, the column as the solution of (I + K_Q)v = u
 (_product_column), and the scatter of that column into the accelerant
-(_trace_column).  Both substitutions are O(N^2 r^3), as the march is; no
-resolvent, cross term or full F is built.  Every solve is direct, so the
-inverse map has no tolerance or iteration budget and no convergence failure.
+(_trace_column).  Both are one-column calls of the one forward substitution
+of the module (_substitute), O(N^2 r^3), as the march is; no resolvent,
+cross term or full F is built.  Every solve is direct, so the inverse map
+has no tolerance or iteration budget and no convergence failure.
 
 For an off-diagonal potential the transformation kernels have only four
 nonzero r x r blocks, which form two independent chains (_kernel_chains).
@@ -24,13 +25,14 @@ P_plus commutes with J and P_minus anticommutes exactly, by construction.
 K_Q and K_{Q*} come from one march over the rows of the refined grid, whose
 four chains are stacked, and which stores only the even rows that K reads.
 
-The full-grid product kernel stays for the verification drivers and the
-acceptance tests (resolvent_product_kernel): the two resolvents by row-loop
-forward substitution, the cross term quadops.compose of L with
+The full-grid product kernel is built from its parts: the two resolvents,
+each _substitute in every column, the cross term quadops.compose of L with
 quadops.adjoint_op of L*, so the quadrature weights of operator products
-stay in quadops, and the assembly.  characteristic_extract averages that
-F along characteristic lines; trace_extract reads its column t = 1 with the
-rule upsilon uses.
+stay in quadops, and the assembly.  identity_suite reads the parts
+(_resolvent_factors, resolvent_product_parts); resolvent_product_kernel
+assembles F for the tests that compare it with the folded kernel.
+characteristic_extract averages F along characteristic lines;
+trace_extract reads its column t = 1 with the rule upsilon uses.
 
 Two classes of potentials are closed under both maps, and the inverse map
 runs each in cheaper arithmetic, by exact tests with no tolerance:
@@ -56,14 +58,14 @@ wrong.  First, a Volterra equation is solved by substitution with
 per-interval trapezoid weights rather than read off the inverted operator
 matrix, whose weight pattern is O(1/N) wrong along the column edge: the
 half weight at the unknown's own node stays on the left-hand side as the
-factor I + (step/2) K(x, x).  The row-loop resolvent holds L flattened,
-block (x, s) at rows (x, a) and columns (s, b) of one matrix, so that each
-row's history sum is one matrix product, and returns its blocks as a view
-of that matrix.  Second, the product kernel has a jump across the grid
-diagonal whenever the potential is not in the image of the forward map; the
-stored grid, and upsilon's column at x = 1, hold the two-sided average
-there, and the one-sided parts are available separately for consumers that
-differentiate up to the diagonal.
+factor I + (step/2) K(x, x).  The substitution holds its solution
+flattened, block (x, t) at rows (x, a) and columns (t, b) of one matrix,
+so that each row's history sum is one matrix product, and returns its
+blocks as a view of that matrix.  Second, the product kernel has a jump
+across the grid diagonal whenever the potential is not in the image of the
+forward map; the stored grid, and upsilon's column at x = 1, hold the
+two-sided average there, and the one-sided parts are available separately
+for consumers that differentiate up to the diagonal.
 """
 
 from __future__ import annotations
@@ -78,9 +80,10 @@ from .fields import (
     Kernel2D,
     Potential,
     _fold_lines,
+    _half_argument_reads,
     potential_adjoint,
 )
-from .quadops import _real_if_exact, _unflatten, adjoint_op, compose
+from .quadops import _real_if_exact, adjoint_op, compose
 
 __all__ = [
     "transformation_kernels",
@@ -295,10 +298,7 @@ def _transmutation_values(qs: list[Potential]) -> tuple[list[np.ndarray], float]
     chains = _kernel_chains(co, fines[0].grid.step, 2)
     r = qs[0].r
     m = qs[0].grid.N + 1
-    i, j = np.indices((m, m))
-    low = j <= i
-    near = np.where(low, i - j, 0)
-    far = np.where(low, i + j, 0)
+    i, near, far, low = _half_argument_reads(m - 1)
     kernels = []
     for p in range(len(qs)):
         (ua, va), (ub, vb) = chains[2 * p : 2 * p + 2]
@@ -316,22 +316,15 @@ def _transmutation_values(qs: list[Potential]) -> tuple[list[np.ndarray], float]
 def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     """Kernel of (I + K)^-1 - I for a lower K.
 
-    Solves L(x,t) = -K(x,t) - int_t^x K(x,s) L(s,t) ds by forward
-    substitution with the trapezoid rule on [t, x], all columns of a row at
-    once. Unfolding the inverted operator matrix instead would leave an
-    O(1/N) kernel error along the column edge (its weight pattern cannot
-    express the half weight at s = t), which is invisible to integral norms
-    but fatal to finite-difference identity checks.
-
-    L is held flattened, as an (N+1)n x (N+1)n matrix whose row (x, a) and
-    column (s, b) hold L(x, s)[a, b].  The full-weight history sum over
-    s < x_i for every column of row i is then one matrix product: row i of
-    K, gathered as an n x (i n) block, times the leading (i n) x (i n) block
-    of L.  The half weight at s = t comes back out as a batched n x n
-    product with the diagonal blocks L(t, t) = -K(t, t), and one solve with
-    I + (step/2) K(x_i, x_i) finishes the row.  The blocks are a view of
-    that matrix in the Kernel2D index order.  Any other support than lower
-    raises FieldFormatError.
+    Solves L(x,t) = -K(x,t) - int_t^x K(x,s) L(s,t) ds, all columns of a
+    row at once, by the one forward substitution of the inverse map
+    (_substitute) with R = -K.  Unfolding the inverted operator matrix
+    instead would leave an O(1/N) kernel error along the column edge (its
+    weight pattern cannot express the half weight at s = t), which is
+    invisible to integral norms but fatal to finite-difference identity
+    checks.  Any other support than lower raises FieldFormatError, and an
+    exactly singular endpoint factor I + (step/2) K(x_i, x_i)
+    SingularSystemError.
 
     The substitution runs in the dtype of the blocks it is given
     (_resolvent_values): the product kernel passes float64 K for a
@@ -345,29 +338,46 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     return Kernel2D(kernel.n, kernel.grid, "lower", values)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _resolvent_values(K: np.ndarray, step: float) -> np.ndarray:
-    """resolvent_volterra of the lower blocks K[x, s, a, b], in K's dtype,
-    as a [x, s, a, b] view of the flattened matrix it is solved in."""
-    m, _, n, _ = K.shape
-    N = m - 1
-    lf = np.zeros((m * n, m * n), dtype=K.dtype)  # lf[(x, a), (s, b)] = L(x, s)[a, b]
-    diag = -K[np.arange(m), np.arange(m)]  # L(t, t) = -K(t, t)
-    eye = np.eye(n, dtype=K.dtype)
-    lf[:n, :n] = diag[0]
+    """resolvent_volterra of the lower blocks K[x, s, a, b], in K's dtype."""
+    dinv = _endpoint_inverses(K, step, range(1, K.shape[0]))
+    values = _substitute(K, -K, dinv, step)
+    _require_finite("Volterra resolvent values", values)
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _substitute(k: np.ndarray, rhs: np.ndarray, dinv: np.ndarray, step: float) -> np.ndarray:
+    """Y with (I + K)Y = R by forward substitution, the trapezoid rule on
+    [t, x], for the lower blocks k[x, s] and the leading c columns
+    rhs[x, t] of R; returns the blocks y[x, t] of those columns, in the
+    dtype of k and rhs.
+
+    Y(t, t) = R(t, t), and for x_i > t the half weight at s = x_i stays on
+    the left as the endpoint factor, whose inverses dinv[i - 1] for the
+    rows i = 1..N the caller gives (_endpoint_inverses).  Y is held
+    flattened, row (x, a) and column (t, b) holding Y(x, t)[a, b], so that
+    the full-weight history sum over s < x_i for every column of row i is
+    one matrix product: row i of K, gathered as an n x (i n) block, times
+    the leading rows of Y.  The half weight at s = t comes back out of R,
+    as R(x, t) + (step/2) K(x, t) R(t, t), once before the loop, so that a
+    row costs that product and one product with its endpoint inverse.
+    Columns t > x_i stay zero, as a lower Y is.  O(N^2 c n^3).
+    """
+    m, c, n, _ = rhs.shape
+    diag = rhs[np.arange(c), np.arange(c)]
+    # [(x, a), (t, b)]: R with the half weight at s = t given back
+    held = (rhs + 0.5 * step * (k[:, :c] @ diag)).transpose(0, 2, 1, 3).reshape(m * n, c * n)
+    yf = np.zeros((m * n, c * n), dtype=held.dtype)
+    yf[:n, :n] = diag[0]
     for i in range(1, m):
         rows = slice(i * n, (i + 1) * n)
-        k_row = K[i, :i].transpose(1, 0, 2).reshape(n, i * n)  # [a, (s, b)]
-        # full-weight sum over s < x_i, then take back the half weight at s = t
-        body = step * (k_row @ lf[: i * n, : i * n])
-        body -= 0.5 * step * (K[i, :i] @ diag[:i]).transpose(1, 0, 2).reshape(n, i * n)
-        try:
-            lf[rows, : i * n] = np.linalg.solve(eye + 0.5 * step * K[i, i], -k_row - body)
-        except np.linalg.LinAlgError:
-            raise SingularSystemError(i / N, "volterra forward substitution")
-        lf[rows, rows] = diag[i]
-    _require_finite("Volterra resolvent values", lf)
-    return _unflatten(lf, n)
+        cols = min(i, c) * n
+        k_row = k[i, :i].transpose(1, 0, 2).reshape(n, i * n)  # [a, (s, b)]
+        yf[rows, :cols] = dinv[i - 1] @ (held[rows, :cols] - step * (k_row @ yf[: i * n, :cols]))
+        if i < c:
+            yf[rows, cols : cols + n] = diag[i]
+    return yf.reshape(m, n, c, n).transpose(0, 2, 1, 3)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -535,46 +545,28 @@ def _product_column(k_low: np.ndarray, k_star: np.ndarray, grid: GridSpec) -> np
     x = 1.
 
     For x < 1, F(x, 1) = u(x) + int_0^x L(x,s) u(s) ds = ((I + L)u)(x) with
-    u(s) = L~(s, 1) = L*(1, s)^H, so two substitutions give the column
-    without any resolvent:
+    u(s) = L~(s, 1), so two calls of the one substitution (_substitute)
+    give the column without any resolvent:
 
-    - l(t) = L*(1, t) solves the left resolvent equation at x = 1,
-      l(t) = -K*(1, t) - int_t^1 l(s) K*(s, t) ds, by backward substitution
-      from l(1) = -K*(1, 1) down to t = 0.  Each l(x_k) found adds its term
-      to the history of every t < x_k at once: one product with row k of
-      K*, into the flattened [a, (t, b)] matrix acc;
-    - v = (I + L)u solves (I + K_Q)v = u by forward substitution from
-      v(0) = u(0), the history sum of each row one product of row i of K_Q
-      with the weighted v(x_j), j < i.
+    - u is column t = 1 of the resolvent L~ of the upper kernel
+      K~ = quadops.adjoint_op(K_{Q*}).  Flipped in both arguments, x -> 1 - x
+      and t -> 1 - t, K~ is lower and u column 0 of its resolvent, so u is
+      one substitution with R = -K~ in one column.  Its endpoint inverses
+      come from K_{Q*} on the unflipped grid, conjugate-transposed, so that
+      a singular factor is named at its own node;
+    - v = (I + L)u solves (I + K_Q)v = u, one substitution with R = u.
 
-    Both histories take the global trapezoid weights (GridSpec.weights),
-    whose half weight sits at x = 1 for the first and at x = 0 for the
-    second; the half weight at the unknown's own node is the endpoint
-    factor (_endpoint_inverses), inverted for all rows before each loop,
-    so that a row costs two small products.  At x = 1 the lower limit of F
-    is v(1) - u(1) - K(1, 1) and the upper one v(1), and the column holds
-    their average, as assemble_product holds it on the diagonal.  Each
-    substitution is O(N^2 r^3).
+    At x = 1 the lower limit of F is v(1) - u(1) - K(1, 1) and the upper
+    one v(1), and the column holds their average, as assemble_product
+    holds it on the diagonal.  Each substitution is O(N^2 r^3).
     """
-    m, _, n, _ = k_low.shape
+    m = k_low.shape[0]
     N = m - 1
-    w = grid.weights
-    dinv = _endpoint_inverses(k_star, grid.step, range(N))
-    ell = np.empty((m, n, n), dtype=k_star.dtype)
-    ell[N] = -k_star[N, N]
-    acc = k_star[N, :N].transpose(1, 0, 2).copy().reshape(n, N * n)
-    for k in range(N, 0, -1):
-        acc[:, : k * n] += (w[k] * ell[k]) @ k_star[k, :k].transpose(1, 0, 2).reshape(n, k * n)
-        ell[k - 1] = -acc[:, (k - 1) * n : k * n] @ dinv[k - 1]
-    u = np.conj(ell.transpose(0, 2, 1))
+    flipped = adjoint_op(k_star)[::-1, ::-1]
+    dinv = np.conj(_endpoint_inverses(k_star, grid.step, range(N))[::-1].transpose(0, 2, 1))
+    u = _substitute(flipped, -flipped[:, :1], dinv, grid.step)[::-1, 0]
     dinv = _endpoint_inverses(k_low, grid.step, range(1, m))
-    wv = np.empty_like(u)  # w_j v(x_j)
-    col = np.empty_like(u)
-    col[0] = u[0]
-    for i in range(1, m):
-        wv[i - 1] = w[i - 1] * col[i - 1]
-        body = k_low[i, :i].transpose(1, 0, 2).reshape(n, i * n) @ wv[:i].reshape(i * n, n)
-        col[i] = dinv[i - 1] @ (u[i] - body)
+    col = _substitute(k_low, u[:, None], dinv, grid.step)[:, 0]
     col[N] += 0.5 * (-k_low[N, N] - u[N])
     _require_finite("product column values", col)
     return col

@@ -250,11 +250,13 @@ def test_cli_verify_solves_each_krein_equation_once(count_calls, tmp_path, capsy
 
 
 @pytest.mark.parametrize("field", [const_accelerant(0.5, 32), linear_potential(32)])
-def test_roundtrip_builds_one_product_kernel_per_rung(count_calls, field):
-    counts = count_calls("resolvent_product_kernel")
+def test_roundtrip_runs_one_upsilon_and_one_theta_per_rung(count_calls, field):
+    full_f = ("resolvent_product_kernel", "characteristic_extract", RESOLVENT)
+    counts = count_calls("upsilon", "theta", *full_f)
     report = roundtrip_report(field, ladder=(16, 32))
     assert len(report.entries) == 2
-    assert counts == {"resolvent_product_kernel": 2}
+    # the composed maps the package ships, and no full F on any rung
+    assert counts == {"upsilon": 2, "theta": 2, **dict.fromkeys(full_f, 0)}
 
 
 # c = -0.95 at N = 16 is an accelerant (1 - 0.95 alpha > 0) that neither

@@ -15,12 +15,15 @@ from conftest import (
     ratio_ok,
 )
 from kreinmap import (
+    Accelerant,
     GridSpec,
     Kernel2D,
     NotAccelerantError,
     Potential,
     check_fundamental_representation,
     check_krein_derivative_identity,
+    decimate_accelerant,
+    decimate_potential,
     field_norm,
     identity_suite,
     krein_solution,
@@ -511,6 +514,22 @@ def test_roundtrip_report_both_directions():
     assert rep_q.passed
 
 
+@pytest.mark.parametrize("field", [const_accelerant(0.5, 32), linear_potential(32)], ids=["h", "q"])
+def test_roundtrip_entries_are_the_composed_maps(field):
+    # each entry is the relative L1 error of upsilon(theta(h)) or
+    # theta(upsilon(q)) on its rung, to the bit
+    report = roundtrip_report(field, ladder=(16, 32))
+    for entry, n in zip(report.entries, (16, 32)):
+        if isinstance(field, Potential):
+            start = decimate_potential(field, n)
+            back = theta(upsilon(start)[0])
+            diff = Potential(start.r, start.grid, back.q_plus - start.q_plus, back.q_minus - start.q_minus)
+        else:
+            start = decimate_accelerant(field, n)
+            back = upsilon(theta(start))[0]
+            diff = Accelerant(start.r, start.grid, back.values - start.values)
+        assert entry.residual == field_norm(diff, 1.0) / field_norm(start, 1.0)
+
 
 @pytest.mark.parametrize(
     "final_tol, ladder, message",
@@ -538,7 +557,7 @@ def test_roundtrip_report_refuses_malformed_arguments(monkeypatch, final_tol, la
         raise AssertionError("a map ran before the arguments were checked")
 
     monkeypatch.setattr(dirac_verify, "theta", no_map)
-    monkeypatch.setattr(dirac_verify, "resolvent_product_kernel", no_map)
+    monkeypatch.setattr(dirac_verify, "upsilon", no_map)
     with pytest.raises(FieldFormatError) as info:
         roundtrip_report(const_accelerant(0.5, 16), ladder=ladder, final_tol=final_tol)
     assert str(info.value) == message

@@ -7,6 +7,7 @@ package and runs a CLI command must leave no scipy module loaded, so that no
 import deferred into a function can bring it back unnoticed.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -53,3 +54,20 @@ def test_package_names_are_the_module_names():
     assert set(kreinmap.__all__) == set(owner) | {"__version__"}
     for name, module in owner.items():
         assert getattr(kreinmap, name) is getattr(module, name), name
+
+
+def test_every_sibling_import_is_used():
+    # a name a module imports from a sibling module and never reads is a
+    # leftover of code that moved or went; __init__ re-exports by design
+    for path in sorted((ROOT / "src" / "kreinmap").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used, f"{path.name} imports unused {sorted(imported - used)}"

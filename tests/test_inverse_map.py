@@ -417,7 +417,7 @@ def test_resolvent_rejects_singular_diagonal():
     vals = np.zeros((m, m, 1, 1), dtype=np.complex128)
     # 1 + (step/2) K(x_i, x_i) = 0 wrecks the forward substitution
     vals[np.arange(m), np.arange(m)] = -2.0 * n_cells
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError, match=r"x = 0\.125 \(volterra substitution\)"):
         resolvent_volterra(Kernel2D(1, g, "lower", vals))
 
 
@@ -531,9 +531,12 @@ def test_upsilon_matches_the_trace_of_the_full_product_kernel():
 
 
 def test_column_substitutions_refuse_a_singular_endpoint_factor():
-    # I + (step/2) K(x_5, x_5) = 0 at step = 1/8: both substitutions need
-    # that factor, and the refusal names its node
-    k = np.zeros((9, 9, 2, 2))
-    k[5, 5] = -16.0 * np.eye(2)
-    with pytest.raises(SingularSystemError, match=r"x = 0\.625 \(volterra substitution\)"):
-        _product_column(k, k, GridSpec(8))
+    # I + (step/2) K(x_5, x_5) = 0 at step = 1/8, in K_Q or in K_{Q*} alone:
+    # the refusal names its node, also where the substitution for u runs on
+    # K_{Q*} flipped in both arguments (not at the flipped x = 0.375)
+    singular = np.zeros((9, 9, 2, 2))
+    singular[5, 5] = -16.0 * np.eye(2)
+    zero = np.zeros_like(singular)
+    for k_low, k_star in ((singular, zero), (zero, singular)):
+        with pytest.raises(SingularSystemError, match=r"x = 0\.625 \(volterra substitution\)"):
+            _product_column(k_low, k_star, GridSpec(8))

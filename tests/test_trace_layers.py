@@ -44,11 +44,12 @@ def test_traced_upsilon_records_no_product_layer():
         "inverse_map.resolvent_product_parts",
         "inverse_map.assemble_product",
         "inverse_map.characteristic_extract",
-        "quadops.adjoint_op",
         "quadops.compose",
     ):
         assert layer not in names
     assert names.count("inverse_map.upsilon") == 1
+    # the first substitution runs on the adjoint of K_{Q*}, flipped
+    assert names.count("quadops.adjoint_op") == 1
 
 
 def test_traced_identity_suite_records_the_wave_operator():
