@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError, SingularSystemError
-from .factorization import _require_accelerant, is_accelerant
+from .factorization import _krein_pair, _require_accelerant, is_accelerant
 from .fields import (
     Accelerant,
     GridSpec,
@@ -25,7 +25,7 @@ from .fields import (
     decimate_accelerant,
     decimate_potential,
 )
-from .forward_map import _krein_kernels, _krein_potential
+from .forward_map import _krein_potential
 from .inverse_map import upsilon
 from .dirac_verify import (
     _check_ladder,
@@ -75,8 +75,8 @@ def write_field(path: str, obj, meta: str = "") -> None:
     }
     try:
         with open(path, "w") as fh:
-            json.dump(doc, fh)  # no indent: json's C encoder, not its Python one
-            fh.write("\n")
+            # one-shot dumps: json.dump runs the pure-Python encoder
+            fh.write(json.dumps(doc) + "\n")
     except OSError as exc:
         raise FieldFormatError(f"cannot write {path}: {exc}")
 
@@ -180,7 +180,7 @@ def _emit_report(report) -> None:
 def cmd_theta(args) -> int:
     h = _load(args.in_path, (Accelerant,), args.n)
     margin, certificate = _require_accelerant(h)
-    q = _krein_potential(_krein_kernels(h))  # theta without repeating the gate
+    q = _krein_potential(_krein_pair(h))  # theta without repeating the gate
     write_field(args.out_path, q, meta=f"theta of {args.in_path}")
     if certificate is None:
         print(f"accelerant test: min margin {margin:.6f}")

@@ -26,7 +26,7 @@ import numbers
 import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError
-from .factorization import _require_accelerant, solve_glm
+from .factorization import _krein_pair, _require_accelerant, solve_glm
 from .fields import (
     Accelerant,
     DiagnosticReport,
@@ -39,7 +39,6 @@ from .fields import (
 )
 from .forward_map import (
     _block_kernel,
-    _krein_kernels,
     _krein_potential,
     block_krein_kernel,
     folded_kernel,
@@ -172,7 +171,7 @@ def krein_solution(h: Accelerant, lams) -> np.ndarray:
     for lam in lams:
         _check_lambda(lam)
     _require_accelerant(h)
-    r1, r2 = _krein_kernels(h)
+    r1, r2 = _krein_pair(h)
     grid = h.grid
     x = grid.nodes
     tw = nystrom_weights(grid, "lower")
@@ -351,7 +350,7 @@ def _verify_accelerant(h: Accelerant) -> DiagnosticReport:
     an accelerant).  h passes the gate once, and theta and the derivative
     identity read the same two Krein kernels."""
     _require_accelerant(h)
-    kernels = _krein_kernels(h)
+    kernels = _krein_pair(h)
     report = _verify_potential(_krein_potential(kernels))
     report.entries.extend(_derivative_identity(_block_kernel(kernels)).entries)
     # dual-route factor check: the folded Krein factor against the

@@ -382,6 +382,19 @@ def solve_glm(
     its work in matrix products, so the whole solve costs O(N^3 n^3)
     against O(N^4 n^3) for N separate solves.
 
+    The same factors solve z_i A_i = -c_i for the leading blocks
+    c_i = c[:, :(i+1) n] of any one n x (N+1) n row c (_nested_solve):
+    y'_i = c_i S_i^-1 is (c U^-1)[:, :(i+1) n] L_i^-1, one row times U^-1
+    and then a running sum over the block rows of L^-1, O(N^2 n^3), and
+    the Woodbury step reuses Z_ii and G_i = delta_i (U^-1)_ii. This is how
+    the Krein equation of h(-x) comes for free (_krein_pair): with Pi
+    reversing the block order of [0, x_i], the matrix of the reflected
+    problem is Pi A_i Pi, since a difference kernel is block Toeplitz, the
+    trapezoid weights are flip-symmetric and reflection swaps the two
+    one-sided edges, and its right-hand side is c_i Pi, with c the first
+    block row of F and edge_minus in block 0. The reflected row i is then
+    z_i Pi.
+
     The sweep certifies the A_i, not the S_i, and an LU without pivoting
     is only as good as the leading blocks of S. So every row's residual
     x_i A_i + b_i is computed in full (one GEMM with S plus the last-row
@@ -396,6 +409,22 @@ def solve_glm(
     the residual run in float64, and the rows are cast to complex128 once,
     before any dense fallback row is written.
     """
+    x, _ = _nested_solve(f_kernel, edge_plus, edge_minus)
+    return Kernel2D(f_kernel.n, f_kernel.grid, "lower", x)
+
+
+def _nested_solve(
+    f_kernel: Kernel2D,
+    edge_plus: np.ndarray | None,
+    edge_minus: np.ndarray | None,
+    c: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """solve_glm's blocks X and, for an n x (N+1) n row c, the blocks Z
+    whose row i solves z_i A_i = -c[:, :(i+1) n] (None without c), both
+    from one nested LU as solve_glm describes. Z[0, 0] = -c[:, :n], as
+    X[0, 0] = -edge_plus. Each row of either family passes the same
+    residual check and has the same dense fallback; the float64 path is
+    taken when c is real too."""
     grid, n = f_kernel.grid, f_kernel.n
     m, step = grid.N + 1, grid.step
     dim = m * n
@@ -404,7 +433,10 @@ def solve_glm(
     f_diag = F[nodes, nodes]
     plus = f_diag if edge_plus is None else np.broadcast_to(edge_plus, f_diag.shape)
     minus = f_diag if edge_minus is None else np.broadcast_to(edge_minus, f_diag.shape)
-    F, f_diag, plus, minus = _real_if_exact(F, f_diag, plus, minus)
+    if c is None:
+        F, f_diag, plus, minus = _real_if_exact(F, f_diag, plus, minus)
+    else:
+        F, f_diag, plus, minus, c = _real_if_exact(F, f_diag, plus, minus, c)
     delta = 0.5 * step * (minus + plus) - step * f_diag
 
     rows = np.repeat(nodes, n)
@@ -417,48 +449,75 @@ def solve_glm(
         inv_diag = _unflatten(inv, n)[nodes, nodes]
         u_inv_diag = np.triu(inv_diag)
         l_inv_diag = np.tril(inv_diag, -1) + eye
-        y = _stacked_rhs(F, plus, right_of_diagonal) @ np.triu(inv)  # B U^-1
+        u_inv = np.triu(inv)
+        y = _stacked_rhs(F, plus, right_of_diagonal) @ u_inv  # B U^-1
+        c_u = None if c is None else c @ u_inv
+        del u_inv
         y[right_of_diagonal] = 0.0
         inv[~np.tri(dim, k=-1, dtype=bool)] = 0.0  # inv is L^-1 from here on
         inv.flat[:: dim + 1] = 1.0
         y = y @ inv  # Y = tril(B U^-1) L^-1
+        y_rows, l_inv_rows = y.reshape(m, n, dim), inv.reshape(m, n, dim)
 
         # Woodbury: x_i = -(I + (step/2) C_i) y_i + C_i G_i L^-1[i, :]
         # with G_i = delta_i (U^-1)_ii and C_i = Y_ii (I + Z_ii)^-1
         y_diag = _unflatten(y, n)[nodes, nodes]
         g = delta @ u_inv_diag
         z_diag = -0.5 * step * y_diag + g @ l_inv_diag
-        try:
-            c = np.linalg.solve(np.swapaxes(eye + z_diag, 1, 2), np.swapaxes(y_diag, 1, 2))
-            c = np.swapaxes(c, 1, 2)
-        except np.linalg.LinAlgError:  # some I + Z_ii exactly singular
-            c = np.full_like(y_diag, np.nan)
-        x_rows = -(eye + 0.5 * step * c) @ y.reshape(m, n, dim)
-        del y
-        x_rows += (c @ g) @ inv.reshape(m, n, dim)
-        del inv
-        x = x_rows.reshape(dim, dim)
+        if c is not None:  # before x_i, whose products free Y and L^-1
+            # z_i = -y'_i - (step/2) C'_i y_i + C'_i G_i L^-1[i, :] with
+            # C'_i = Y'_ii (I + Z_ii)^-1; y'_i sums the block rows l <= i of
+            # L^-1, each times block l of c U^-1
+            z_rows = np.matmul(c_u.reshape(n, m, n).transpose(1, 0, 2), l_inv_rows)
+            np.cumsum(z_rows, axis=0, out=z_rows)
+            coef = _right_divide(_unflatten(z_rows.reshape(dim, dim), n)[nodes, nodes], eye + z_diag)
+            z_rows *= -1.0
+            z_rows -= (0.5 * step * coef) @ y_rows
+            z_rows += (coef @ g) @ l_inv_rows
+        coef = _right_divide(y_diag, eye + z_diag)
+        x_rows = -(eye + 0.5 * step * coef) @ y_rows
+        del y, y_rows
+        x_rows += (coef @ g) @ l_inv_rows
+        del inv, l_inv_rows
+        # (rows, right-hand side row), None for the rows of B
+        families = [(x_rows, None)] if c is None else [(x_rows, None), (z_rows, c)]
 
-        # residual x_i A_i + b_i = x_i S_i + (I - (step/2) X_ii) b_i + X_ii delta_i e_i
-        x_diag = _unflatten(x, n)[nodes, nodes]
-        residual = x @ _shared_matrix(F, plus, step)
-        rhs = _stacked_rhs(F, plus, right_of_diagonal)
-        residual += rhs
-        rhs_rows = rhs.reshape(m, n, dim)
-        residual.reshape(m, n, dim)[...] -= 0.5 * step * (x_diag @ rhs_rows)
-        del rhs, rhs_rows
-        _unflatten(residual, n)[nodes, nodes] += x_diag @ delta
-        residual[right_of_diagonal] = 0.0
-        worst = np.abs(residual.reshape(m, n * dim)).max(axis=1)
-        scale = np.maximum(1.0, np.abs(x_rows.reshape(m, n * dim)).max(axis=1))
-        flagged = ~(worst <= 1e-10 * scale)  # a NaN compares False and is flagged
+        # residual x_i A_i + b'_i = x_i S_i + b'_i - (step/2) X_ii b_i + X_ii delta_i e_i
+        # for b'_i = b_i, or c_i by broadcast, the mask clearing its excess
+        rhs_rows = _stacked_rhs(F, plus, right_of_diagonal).reshape(m, n, dim)
+        flagged = []
+        for solved, rhs_row in families:
+            x = solved.reshape(dim, dim)
+            x_diag = _unflatten(x, n)[nodes, nodes]
+            residual = x @ _shared_matrix(F, plus, step)
+            residual.reshape(m, n, dim)[...] += rhs_rows if rhs_row is None else rhs_row
+            residual.reshape(m, n, dim)[...] -= 0.5 * step * (x_diag @ rhs_rows)
+            _unflatten(residual, n)[nodes, nodes] += x_diag @ delta
+            residual[right_of_diagonal] = 0.0
+            worst = np.abs(residual.reshape(m, n * dim)).max(axis=1)
+            scale = np.maximum(1.0, np.abs(solved.reshape(m, n * dim)).max(axis=1))
+            flagged.append(~(worst <= 1e-10 * scale))  # a NaN compares False and is flagged
+            del residual
+        del rhs_rows
 
-    X = np.ascontiguousarray(_unflatten(x, n), dtype=np.complex128)
-    X[~np.tri(m, dtype=bool)] = 0.0
-    X[0, 0] = -plus[0]
-    for i in np.flatnonzero(flagged[1:]) + 1:
-        X[i, : i + 1] = _dense_row(f_kernel, i, edge_plus, edge_minus)
-    return Kernel2D(n, grid, "lower", X)
+    blocks = []
+    for (solved, rhs_row), flags in zip(families, flagged):
+        X = np.ascontiguousarray(_unflatten(solved.reshape(dim, dim), n), dtype=np.complex128)
+        X[~np.tri(m, dtype=bool)] = 0.0
+        X[0, 0] = -plus[0] if rhs_row is None else -rhs_row[:, :n]
+        for i in np.flatnonzero(flags[1:]) + 1:
+            X[i, : i + 1] = _dense_row(f_kernel, i, edge_plus, edge_minus, rhs_row)
+        blocks.append(X)
+    return blocks[0], (blocks[1] if c is not None else None)
+
+
+def _right_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i b_i^-1 for stacks of n x n blocks; all NaN when some b_i is
+    exactly singular."""
+    try:
+        return np.swapaxes(np.linalg.solve(np.swapaxes(b, 1, 2), np.swapaxes(a, 1, 2)), 1, 2)
+    except np.linalg.LinAlgError:
+        return np.full_like(a, np.nan)
 
 
 def _shared_matrix(F: np.ndarray, plus: np.ndarray, step: float) -> np.ndarray:
@@ -491,11 +550,14 @@ def _dense_row(
     i: int,
     edge_plus: np.ndarray | None,
     edge_minus: np.ndarray | None,
+    c: np.ndarray | None = None,
 ) -> np.ndarray:
     """Blocks X[i, :i+1] of solve_glm's row i >= 1 by one dense solve of
     A_i: its fallback for rows the nested LU leaves inaccurate, and the
-    reference it is tested against. Raises SingularSystemError when the
-    row residual exceeds 1e-10 times max(1, max|row|)."""
+    reference it is tested against. Given a row c, the right-hand side is
+    c[:, :(i+1) n] in place of b_i, as for _nested_solve's second family.
+    Raises SingularSystemError when the row residual exceeds 1e-10 times
+    max(1, max|row|)."""
     n = f_kernel.n
     d = (i + 1) * n
     tau = f_kernel.grid.trapezoid(i)
@@ -509,6 +571,8 @@ def _dense_row(
         A[:n, :n] = eye[:n, :n] + tau[0] * edge_plus
         rhs = rhs.copy()
         rhs[:, d - n :] = edge_plus
+    if c is not None:
+        rhs = c[:, :d]
     try:
         row = np.linalg.solve(A.T, -rhs.T).T
     except np.linalg.LinAlgError:
@@ -570,11 +634,48 @@ def solve_krein(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:
     smooth through 0 the extrapolations coincide with the stored sample to
     cubic order (exactly, for constant h) and the plain solve is recovered.
     """
+    conv, plus, minus = _krein_system(h, grid)
+    return solve_glm(conv, edge_plus=plus, edge_minus=minus)
+
+
+def _krein_system(
+    h: Accelerant, grid: GridSpec | None
+) -> tuple[Kernel2D, np.ndarray, np.ndarray]:
+    """solve_krein's convolution kernel and its one-sided edges h(0+), h(0-)."""
     conv = convolution_kernel(h, grid)
     F = conv.values
     plus = 3.0 * F[1, 0] - 3.0 * F[2, 0] + F[3, 0]
     minus = 3.0 * F[0, 1] - 3.0 * F[0, 2] + F[0, 3]
-    return solve_glm(conv, edge_plus=plus, edge_minus=minus)
+    return conv, plus, minus
+
+
+def _krein_pair(h: Accelerant, grid: GridSpec | None = None) -> tuple[Kernel2D, Kernel2D]:
+    """(solve_krein(h, grid), solve_krein(reflect(h), grid)) from one nested LU.
+
+    grid is h's own by default, which theta, block_krein_kernel and
+    krein_solution read, or its 2N refinement, which folded_lower_factor
+    reads. Row k of the reflected kernel is the block reversal of the
+    solution of z_k A_k = -c_k, with A_k the direct row matrix and c_k the
+    first block row of F on [0, x_k] with edge_minus in block 0 (solve_glm
+    gives the flip identity); _nested_solve reads it off the direct
+    solve's factors. An exactly even h, whose samples equal their reversal
+    bit for bit, is its own reflection, and its one kernel is returned
+    twice.
+    """
+    conv, plus, minus = _krein_system(h, grid)
+    m, n = conv.grid.N + 1, conv.n
+    c = None
+    if h.values.tobytes() != h.values[::-1].tobytes():
+        c = np.array(conv.values[0].transpose(1, 0, 2)).reshape(n, m * n)
+        c[:, :n] = minus
+    x, z = _nested_solve(conv, plus, minus, c)
+    direct = Kernel2D(n, conv.grid, "lower", x)
+    if z is None:
+        return direct, direct
+    k, t = np.indices((m, m))
+    reflected = z[k, k - t]  # z_k reversed; t > k wraps and is cleared
+    reflected[t > k] = 0.0
+    return direct, Kernel2D(n, conv.grid, "lower", reflected)
 
 
 def factorize(f_kernel: Kernel2D):

@@ -1,25 +1,26 @@
 """The forward map: accelerant to off-diagonal Dirac potential.
 
 The potential is read off the t = 0 trace of the Krein kernels of h and of
-its reflection. The folded kernel and the lower factor built from
-half-argument reads are the bridge to the inverse direction; both are
-assembled purely from exact sample reads (the lower factor solves the Krein
-equation on the refined 2N grid so that (x +/- t)/2 is always a node).
+its reflection. Both come from one nested LU (factorization._krein_pair):
+the reflected equation is the direct one seen through the block-order
+flip, so its rows are read off the direct solve's factors. The folded
+kernel and the lower factor built from half-argument reads are the bridge
+to the inverse direction; both are assembled purely from exact sample
+reads (the lower factor solves the Krein pair on the refined 2N grid so
+that (x +/- t)/2 is always a node).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .factorization import _require_accelerant, solve_krein
+from .factorization import _krein_pair, _require_accelerant
 from .fields import (
     Accelerant,
-    GridSpec,
     Kernel2D,
     Potential,
     _fold_lines,
     _half_argument_reads,
-    reflect,
 )
 
 __all__ = ["theta", "folded_kernel", "block_krein_kernel", "folded_lower_factor"]
@@ -32,20 +33,16 @@ def theta(h: Accelerant) -> Potential:
     neither certificate of factorization._require_accelerant can certify
     h: the Schur norm bound, O(N r^3), and the numerical range bound, one
     O(N^3 r^3) eigvalsh; a certified h is one the sweep would accept.
+    r_h and r_reflected come from one nested LU (factorization._krein_pair),
+    O(N^3 r^3), and the reflected rows add O(N^2 r^3) and one residual
+    GEMM; an exactly even h solves one family and reuses it.
     """
     _require_accelerant(h)
-    return _krein_potential(_krein_kernels(h))
-
-
-def _krein_kernels(h: Accelerant, grid: GridSpec | None = None) -> tuple[Kernel2D, Kernel2D]:
-    """(r_h, r_reflected): the Krein kernels of h and of reflect(h) on grid,
-    h's own by default, which theta, block_krein_kernel and krein_solution
-    read, or its 2N refinement, which folded_lower_factor reads."""
-    return solve_krein(h, grid), solve_krein(reflect(h), grid)
+    return _krein_potential(_krein_pair(h))
 
 
 def _krein_potential(kernels: tuple[Kernel2D, Kernel2D]) -> Potential:
-    """theta from the kernels of _krein_kernels(h), without the accelerant
+    """theta from the kernels of _krein_pair(h), without the accelerant
     gate, for callers that have already run it."""
     r_direct, r_reflected = kernels
     q_plus = 1j * r_direct.values[:, 0]
@@ -67,11 +64,11 @@ def folded_kernel(h: Accelerant) -> Kernel2D:
 
 def block_krein_kernel(h: Accelerant) -> Kernel2D:
     """diag(r_h, r_reflected) as one lower 2r x 2r kernel."""
-    return _block_kernel(_krein_kernels(h))
+    return _block_kernel(_krein_pair(h))
 
 
 def _block_kernel(kernels: tuple[Kernel2D, Kernel2D]) -> Kernel2D:
-    """block_krein_kernel from the kernels of _krein_kernels(h)."""
+    """block_krein_kernel from the kernels of _krein_pair(h)."""
     r_direct, r_reflected = kernels
     r, grid = r_direct.n, r_direct.grid
     m = grid.N + 1
@@ -89,7 +86,7 @@ def folded_lower_factor(h: Accelerant) -> Kernel2D:
     Krein equation is solved on the 2N refinement and read back exactly.
     """
     N, r = h.grid.N, h.r
-    r_direct, r_reflected = (k.values for k in _krein_kernels(h, h.grid.refined()))
+    r_direct, r_reflected = (k.values for k in _krein_pair(h, h.grid.refined()))
 
     m = N + 1
     i, minus, plus, lower = _half_argument_reads(N)

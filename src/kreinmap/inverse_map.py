@@ -125,8 +125,9 @@ def _require_resolved(q: Potential) -> float:
 
 def _self_adjoint(q: Potential, adj: Potential) -> bool:
     """Whether q equals adj = potential_adjoint(q) value for value.  There
-    is no tolerance: theta of a real accelerant is self-adjoint only up to
-    the rounding of its two Krein solves, and takes the general path."""
+    is no tolerance: theta of a real accelerant that is not exactly even is
+    self-adjoint only up to the rounding of its two Krein kernels, and
+    takes the general path."""
     return np.array_equal(adj.q_plus, q.q_plus) and np.array_equal(adj.q_minus, q.q_minus)
 
 

@@ -17,7 +17,13 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import const_accelerant, const_potential, linear_potential, r2_potential
+from conftest import (
+    const_accelerant,
+    const_potential,
+    linear_potential,
+    r2_potential,
+    random_accelerant,
+)
 
 import kreinmap
 import kreinmap.cli
@@ -42,6 +48,7 @@ PARTS = "inverse_map.resolvent_product_parts"
 ASSEMBLE = "inverse_map.assemble_product"
 WAVE = "dirac_verify.apply_wave_operator"
 PAIR = "transformation_kernels"
+KREIN_PAIR = "factorization._krein_pair"
 C128, F64 = np.dtype(np.complex128), np.dtype(np.float64)
 
 
@@ -232,12 +239,12 @@ def test_cli_verify_solves_each_krein_equation_once(count_calls, tmp_path, capsy
     h = const_accelerant(0.5, 16)
     src = tmp_path / "h.json"
     write_field(str(src), h)
-    counts = count_calls("solve_krein")
+    counts = count_calls(KREIN_PAIR)
     assert main(["verify", "--in", str(src)]) == 0
-    # r_h and r_reflected on the accelerant's grid serve theta and the
-    # derivative identity; the folded lower factor solves the pair again on
-    # the refined 2N grid
-    assert counts == {"solve_krein": 4}
+    # one pair r_h, r_reflected on the accelerant's grid serves theta and
+    # the derivative identity; the folded lower factor solves the pair
+    # again on the refined 2N grid
+    assert counts == {KREIN_PAIR: 2}
     out = capsys.readouterr().out
     # the report is the one the public calls give, to the byte
     report = _verify_potential(kreinmap.theta(h))
@@ -277,26 +284,51 @@ def test_cli_theta_runs_the_sweep_once(count_calls, tmp_path):
 
 
 def test_krein_solution_runs_one_sweep_for_every_lambda(count_calls):
-    counts = count_calls("is_accelerant", "solve_krein")
+    counts = count_calls("is_accelerant", KREIN_PAIR)
     phis = kreinmap.krein_solution(SWEPT, (0.0, 1.0, 1.0 + 0.5j))
     assert phis.shape == (3, 17, 2, 1)
-    # the direct and the reflected Krein kernel
-    assert counts == {"is_accelerant": 1, "solve_krein": 2}
+    # one pair solve gives the direct and the reflected Krein kernel
+    assert counts == {"is_accelerant": 1, KREIN_PAIR: 1}
 
 
 def test_certified_accelerant_is_not_swept(count_calls, tmp_path):
-    counts = count_calls("is_accelerant", "solve_krein")
+    counts = count_calls("is_accelerant", KREIN_PAIR)
     kreinmap.theta(CERTIFIED)
-    assert counts == {"is_accelerant": 0, "solve_krein": 2}
+    assert counts == {"is_accelerant": 0, KREIN_PAIR: 1}
 
     src = tmp_path / "h.json"
     write_field(str(src), CERTIFIED)
     assert main(["theta", "--in", str(src), "--out", str(tmp_path / "q.json")]) == 0
-    assert counts == {"is_accelerant": 0, "solve_krein": 4}
+    assert counts == {"is_accelerant": 0, KREIN_PAIR: 2}
 
     phis = kreinmap.krein_solution(CERTIFIED, (0.0, 1.0, 1.0 + 0.5j))
     assert phis.shape == (3, 17, 2, 1)
-    assert counts == {"is_accelerant": 0, "solve_krein": 6}
+    assert counts == {"is_accelerant": 0, KREIN_PAIR: 3}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        kreinmap.theta,
+        kreinmap.block_krein_kernel,
+        lambda h: kreinmap.krein_solution(h, (0.0, 1.0)),
+        kreinmap.folded_lower_factor,
+    ],
+    ids=["theta", "block_krein_kernel", "krein_solution", "folded_lower_factor"],
+)
+def test_krein_pair_of_a_complex_accelerant_runs_one_nested_lu(first_args, call):
+    # a complex r = 2 accelerant that is not even: the reflected kernel is
+    # read off the direct solve's factors, so one LU of the shared matrix
+    # runs, on the accelerant's own grid or on its 2N refinement
+    h = random_accelerant(0, r=2, n_cells=16, scale=0.1)
+    seen = first_args("factorization._lu_inverses")
+    call(h)
+    # _lu_inverses recurses on halves; only its outermost call has full size
+    sizes = [a.shape[0] for a in seen["factorization._lu_inverses"]]
+    n = max(sizes)
+    assert n in (17 * 2, 33 * 2)
+    assert sizes.count(n) == 1
+    assert {a.dtype for a in seen["factorization._lu_inverses"]} == {C128}
 
 
 @pytest.fixture

@@ -49,6 +49,8 @@ def test_field_file_is_one_line_of_compact_json(tmp_path):
     # no indent: the whole document and its trailing newline
     assert text.count("\n") == 1 and text.endswith("}\n")
     doc = json.loads(text)
+    # the bytes of json's one-shot encoder
+    assert text == json.dumps(doc) + "\n"
     assert (doc["kind"], doc["r"], doc["N"], doc["domain"]) == ("potential", 1, 16, "[0,1]")
     back = read_field(str(path))
     assert np.array_equal(back.q_plus, q.q_plus) and np.array_equal(back.q_minus, q.q_minus)

@@ -12,6 +12,7 @@ from kreinmap import (
     Accelerant,
     GridSpec,
     Kernel2D,
+    Potential,
     convolution_kernel,
     factorize,
     folded_kernel,
@@ -22,6 +23,7 @@ from kreinmap import (
     solve_glm,
     solve_krein,
     theta,
+    upsilon,
 )
 from kreinmap import factorization
 from kreinmap.factorization import _dense_row
@@ -540,3 +542,91 @@ def test_nested_solve_survives_a_zero_pivot(fallback_rows, n):
     assert fallback_rows == list(range(1, 17))
     ref = _dense_glm(f, plus, None)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_second_family_survives_a_zero_pivot(fallback_rows, n):
+    # the same zero pivot with an arbitrary first-row right-hand side c:
+    # every row of both families comes from a dense solve, with no warning
+    f = _random_full_kernel(n, 16, n)
+    plus = -2.0 * f.grid.N * np.eye(n)
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal((n, 17 * n)) + 1j * rng.standard_normal((n, 17 * n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, z = factorization._nested_solve(f, plus, None, c)
+    assert fallback_rows == list(range(1, 17)) * 2
+    ref = _dense_glm(f, plus, None)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+    ref = np.zeros_like(z)
+    ref[0, 0] = -c[:, :n]
+    for i in range(1, 17):
+        ref[i, : i + 1] = _dense_row(f, i, plus, None, c)
+    assert np.max(np.abs(z - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _smooth_r2_upsilon() -> Accelerant:
+    # a smooth complex 2 x 2 potential; its accelerant jumps at u = 0
+    rng = np.random.default_rng(7)
+    x = GridSpec(32).nodes[:, None, None]
+    a, b, c, d = 0.15 * (rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2)))
+    qp = a + b * np.cos(np.pi * x) + c * np.sin(2 * np.pi * x)
+    qm = d + c * np.cos(2 * np.pi * x) - b * x
+    return upsilon(Potential(2, GridSpec(32), qp, qm))[0]
+
+
+def _uneven_at_a_half_step(h: Accelerant) -> Accelerant:
+    # a change to one odd sample, which the solve on h's own grid never
+    # reads, makes h uneven without changing either Krein system
+    vals = h.values.copy()
+    vals[1] += 1e-3
+    return Accelerant(h.r, h.grid, vals)
+
+
+_SINGULAR_BLOCK = const_accelerant(-1.0 / (50 / 100 + 0.5 / 100), 100)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        _smooth_r2_upsilon(),
+        _real_r2_accelerant(),
+        random_accelerant(4, r=3, n_cells=24, scale=0.05),
+        _uneven_at_a_half_step(_SINGULAR_BLOCK),
+    ],
+    ids=["upsilon-r2", "real-r2", "random-r3", "singular-block"],
+)
+def test_krein_pair_matches_two_krein_solves(monkeypatch, fallback_rows, h):
+    factored = []
+    lu_inverses = factorization._lu_inverses
+
+    def recorded(a):
+        factored.append(a)
+        return lu_inverses(a)
+
+    monkeypatch.setattr(factorization, "_lu_inverses", recorded)
+    direct, reflected = factorization._krein_pair(h)
+    # one nested LU: _lu_inverses recurses on halves, and only its
+    # outermost call factors all of S
+    dim = (h.grid.N + 1) * h.r
+    (s,) = [a for a in factored if a.shape[0] == dim]
+    pair_rows = list(fallback_rows)
+    assert direct.values.tobytes() == solve_krein(h).values.tobytes()
+    ref = solve_krein(reflect(h)).values
+    assert np.max(np.abs(reflected.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert reflected.values.dtype == np.complex128 and reflected.support == "lower"
+    real = not h.values.imag.any()
+    assert s.dtype == np.dtype(np.float64 if real else np.complex128)
+    if h.grid.N == 100:
+        # every row after the singular leading block S_50, in both families
+        assert [i for i in pair_rows if i > 50] == list(range(51, 101)) * 2
+    else:
+        assert pair_rows == []
+
+
+def test_krein_pair_of_an_even_accelerant_solves_once(fallback_rows):
+    for h in (gauss_accelerant(0.3, 32), _SINGULAR_BLOCK):
+        direct, reflected = factorization._krein_pair(h)
+        assert reflected is direct
+        assert direct.values.tobytes() == solve_krein(reflect(h)).values.tobytes()
+    assert fallback_rows, "the singular leading block sends rows to the fallback"

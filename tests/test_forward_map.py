@@ -11,11 +11,11 @@ from kreinmap import (
     folded_kernel,
     folded_lower_factor,
     mixed_norm,
-    reflect,
     solve_glm,
     solve_krein,
     theta,
 )
+from kreinmap.factorization import _krein_pair
 
 
 def test_theta_constant_closed_form():
@@ -39,10 +39,14 @@ def test_theta_even_accelerant_pairs_blocks():
     "h", [gauss_accelerant(0.3, 32), random_accelerant(0)], ids=["r1", "r2"]
 )
 def test_theta_is_the_t0_trace_of_the_krein_kernels(h):
-    # q_plus = i r_h(x, 0) and q_minus = -i r_reflected(x, 0), to the byte
+    # q_plus = i r_h(x, 0) and q_minus = -i r_reflected(x, 0), to the byte;
+    # test_krein_pair_matches_two_krein_solves compares r_reflected with
+    # solve_krein(reflect(h))
     q = theta(h)
+    r_direct, r_reflected = _krein_pair(h)
     assert q.q_plus.tobytes() == (1j * solve_krein(h).values[:, 0]).tobytes()
-    assert q.q_minus.tobytes() == (-1j * solve_krein(reflect(h)).values[:, 0]).tobytes()
+    assert q.q_plus.tobytes() == (1j * r_direct.values[:, 0]).tobytes()
+    assert q.q_minus.tobytes() == (-1j * r_reflected.values[:, 0]).tobytes()
 
 
 def test_theta_rejects_critical_constant():
