@@ -89,16 +89,16 @@ def _free_evolution(lam: complex, x: np.ndarray, r: int) -> np.ndarray:
     return np.repeat(phases, r, axis=-1)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def solve_cauchy(q: Potential, lam: complex) -> np.ndarray:
     """Fundamental solution of J Y' + Q Y = lam Y, Y(0) = I, at the nodes.
 
     Classical fourth-order one-step integration of Y' = -J (lam - Q(x)) Y
     with _SUBSTEPS = 4 steps per cell and Q interpolated linearly between
-    its node samples. The generator -lam J + J Q(x) is tabulated once, at
-    the three stage points x0, x0 + hh/2 and x0 + hh of every step, and the
-    march reads the table. This is the oracle side of every representation
-    check, so it deliberately touches none of the kernel code.
+    its node samples. J Q(x) is tabulated once, at the three stage points
+    x0, x0 + hh/2 and x0 + hh of every step, and the march adds -lam J to
+    the table one cell at a time. This is the oracle side of every
+    representation check, so it deliberately touches none of the kernel
+    code.
 
     The step hh = 1/(4N) must resolve the generator, whose norm is at most
     rho = |lam| + max_x ||Q(x)||_2.  RK4 leaves a relative error of about
@@ -110,19 +110,30 @@ def solve_cauchy(q: Potential, lam: complex) -> np.ndarray:
     does a lam that is not a finite number.  A solution that still
     overflows floating point raises FieldFormatError as well.
     """
-    _check_lambda(lam)
-    sc = structural_constants(q.r)
-    J = sc.J
+    return _cauchy_march(q, (lam,))[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _cauchy_march(q: Potential, lams: tuple) -> np.ndarray:
+    """solve_cauchy at every lambda of lams, shape (len(lams), N + 1, 2r, 2r),
+    from one march: the lambdas are stacked on a leading axis of the
+    generator and of Y, so each RK4 stage is one stacked product and
+    each lambda's solution is the one solve_cauchy gives it alone, bit for
+    bit.  Each lambda is checked as solve_cauchy checks it, in the order of
+    lams, before any march; the first refused one raises its message."""
+    J = structural_constants(q.r).J
     qfull = q.full()
     N = q.grid.N
     hh = q.grid.step / _SUBSTEPS
     q_max = np.linalg.norm(qfull, 2, axis=(1, 2)).max()  # a numpy float: overflows to inf
-    estimate = N * _SUBSTEPS * (hh * (abs(lam) + q_max)) ** 5 / 120.0
-    if not estimate <= 5e-3:  # a nan estimate is refused too
-        raise FieldFormatError(
-            f"Cauchy step {hh:.3g} does not resolve lambda = {_lam_label(lam)} with "
-            f"max|Q| = {q_max:.3g}: RK4 error estimate {estimate:.3g} > 5e-3"
-        )
+    for lam in lams:
+        _check_lambda(lam)
+        estimate = N * _SUBSTEPS * (hh * (abs(lam) + q_max)) ** 5 / 120.0
+        if not estimate <= 5e-3:  # a nan estimate is refused too
+            raise FieldFormatError(
+                f"Cauchy step {hh:.3g} does not resolve lambda = {_lam_label(lam)} with "
+                f"max|Q| = {q_max:.3g}: RK4 error estimate {estimate:.3g} > 5e-3"
+            )
 
     steps = np.arange(N * _SUBSTEPS)
     x0 = (steps // _SUBSTEPS) * q.grid.step + (steps % _SUBSTEPS) * hh
@@ -130,13 +141,16 @@ def solve_cauchy(q: Potential, lam: complex) -> np.ndarray:
     cell = np.minimum(pos.astype(int), N - 1)
     frac = (pos - cell)[..., None, None]
     qx = (1.0 - frac) * qfull[cell] + frac * qfull[cell + 1]
-    generator = (-lam * J + J @ qx).reshape(N, _SUBSTEPS, 3, 2 * q.r, 2 * q.r)
+    # JQ at stage g of substep s in cell i, [i, s, g], with an axis for lams
+    jq = (J @ qx).reshape(N, _SUBSTEPS, 3, 1, 2 * q.r, 2 * q.r)
+    shifts = np.stack([-lam * J for lam in lams])
 
-    out = np.zeros((N + 1, 2 * q.r, 2 * q.r), dtype=np.complex128)
-    y = np.eye(2 * q.r, dtype=np.complex128)
+    out = np.zeros((N + 1, len(lams), 2 * q.r, 2 * q.r), dtype=np.complex128)
+    y = np.broadcast_to(np.eye(2 * q.r, dtype=np.complex128), out.shape[1:])
     out[0] = y
-    for i, cell_steps in enumerate(generator):
-        for g_start, g_mid, g_end in cell_steps:
+    for i, cell_jq in enumerate(jq):
+        # the generator of every lambda in this cell, one cell at a time
+        for g_start, g_mid, g_end in cell_jq + shifts:
             g1 = g_start @ y
             g2 = g_mid @ (y + 0.5 * hh * g1)
             g3 = g_mid @ (y + 0.5 * hh * g2)
@@ -147,7 +161,7 @@ def solve_cauchy(q: Potential, lam: complex) -> np.ndarray:
         raise FieldFormatError(
             "Cauchy solution overflows floating point; the potential or lambda is too large"
         )
-    return out
+    return out.transpose(1, 0, 2, 3)
 
 
 def krein_solution(h: Accelerant, lams) -> np.ndarray:
@@ -237,8 +251,7 @@ def _fundamental_representation(
     x = grid.nodes
     tw = nystrom_weights(grid, "lower")
     report = DiagnosticReport()
-    for lam in DEFAULT_LAMBDAS:
-        y_ode = solve_cauchy(q, lam)
+    for lam, y_ode in zip(DEFAULT_LAMBDAS, _cauchy_march(q, DEFAULT_LAMBDAS)):
         e_plus = _free_evolution(lam, x[:, None] - 2.0 * x[None, :], q.r)
         e_minus = _free_evolution(lam, 2.0 * x[None, :] - x[:, None], q.r)
         y_rep = (

@@ -68,13 +68,12 @@ def _fold_lines(N: int, column: int | None = None) -> dict:
 
 
 def _half_argument_reads(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(i, near, far, lower) on the (N+1, N+1) grid: the row index i, the
-    refined-grid indices i - j of (x-t)/2 and i + j of (x+t)/2 at
-    (x_i, x_j) where j <= i and 0 above the diagonal, and the mask of
-    j <= i.  A lower kernel read through the table zeroes ~lower after."""
-    i, j = np.indices((N + 1, N + 1))
-    lower = j <= i
-    return i, np.where(lower, i - j, 0), np.where(lower, i + j, 0), lower
+    """(i, j, near, far) over the lower triangle j <= i of the (N+1, N+1)
+    grid: the node indices of (x_i, x_j) and the refined-grid indices
+    near = i - j of (x-t)/2 and far = i + j of (x+t)/2.  A lower kernel
+    read through the table is written at [i, j] into zeros."""
+    i, j = np.tril_indices(N + 1)
+    return i, j, i - j, i + j
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,9 @@ class GridSpec:
         """Composite trapezoid weights over `cells` steps of this grid:
         cells + 1 nodes, half weight at both endpoints. weights,
         nystrom_weights, field_norm, is_accelerant and _dense_row use it;
-        solve_glm (_shared_matrix, delta), _kernel_chains, _substitute,
+        solve_glm (_shared_matrix, delta), _kernel_chains (the step/2 of
+        its endpoint matrices H_i, the doubled history step and the
+        half-weight ends of its column-0 cumulative sum), _substitute,
         _endpoint_inverses, compose's quarter-weight patch and
         _triangle_compose apply the half weights inline."""
         w = np.full(cells + 1, self.step)

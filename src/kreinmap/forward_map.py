@@ -89,12 +89,11 @@ def folded_lower_factor(h: Accelerant) -> Kernel2D:
     r_direct, r_reflected = (k.values for k in _krein_pair(h, h.grid.refined()))
 
     m = N + 1
-    i, minus, plus, lower = _half_argument_reads(N)
+    i, j, near, far = _half_argument_reads(N)
     rows = 2 * i
     vals = np.zeros((m, m, 2 * r, 2 * r), dtype=np.complex128)
-    vals[:, :, :r, :r] = r_direct[rows, plus]
-    vals[:, :, :r, r:] = r_direct[rows, minus]
-    vals[:, :, r:, :r] = r_reflected[rows, minus]
-    vals[:, :, r:, r:] = r_reflected[rows, plus]
-    vals[~lower] = 0.0
-    return Kernel2D(2 * r, h.grid, "lower", 0.5 * vals)
+    vals[i, j, :r, :r] = 0.5 * r_direct[rows, far]
+    vals[i, j, :r, r:] = 0.5 * r_direct[rows, near]
+    vals[i, j, r:, :r] = 0.5 * r_reflected[rows, near]
+    vals[i, j, r:, r:] = 0.5 * r_reflected[rows, far]
+    return Kernel2D(2 * r, h.grid, "lower", vals)

@@ -161,52 +161,66 @@ def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     (the real class) march in real arithmetic.
 
     The trapezoid system is Volterra in x: one forward march over the rows
-    x_i solves it exactly, in O(N^2 r^3), with running sums over s < x_i for
-    the history.  The half-weight endpoint s = x_i couples U(x_i, x_j) only
-    with V(x_i, x_i - x_j), so each row solves, per chain, with the one
-    matrix I - (step/2)^2 alpha(x_i) beta(x_i) for all its columns; column 0
-    is explicit since V(x_i, x_i) = beta(x_i).  These matrices are the
-    diagonal blocks of I - h^2, h = (step/2) JQ(x_i), nonsingular while
-    rho(h) < 1, which _require_resolved checks.  They depend on the row
-    alone, so all their inverses come from one batched call before the
-    march.  A row is never read back once the march has passed it, since
-    the history holds all it contributes: the march works in a one-row
-    buffer and stores only the kept rows.  Kept rows that overflow floating
-    point raise FieldFormatError; an overflow in a dropped row reaches the
-    last row through the history, and both callers keep the last row.
+    x_i solves it exactly, in O(N^2 r^3).  Per chain, with
+    H_i = (step/2) [[0, alpha(x_i)], [beta(x_i), 0]] acting on (U, V) and
+    rev reading column i - j, row i is row_i = hist + e_i with the
+    half-weight endpoint term e_i = H_i rev(row_i), where hist(j) is step
+    times the trapezoid sum over [x_j, x_{i-1}], full weight at x_{i-1},
+    plus V's source beta(x_j), folded in once at the start.  On the
+    columns 1 <= j <= i-1 the endpoint pairs (x_i, x_j) with
+    (x_i, x_i - x_j), so
+
+        row_i = P_i (hist + H_i rev(hist)),  P_i = (I - H_i^2)^-1,
+
+    and P_i = diag((I - h0 h1)^-1, (I - h1 h0)^-1), h0 = (step/2) alpha(x_i),
+    h1 = (step/2) beta(x_i), nonsingular while rho(h) < 1, which
+    _require_resolved checks.  The history advances by hist += 2 e_i, that
+    is hist <- M_i [hist; rev(hist)] with M_i = [2 P_i - I, 2 P_i H_i]; all
+    M_i come from one batched inverse before the march, and each row costs
+    one product, U paired with rev(V) and V with rev(U) so that the zero
+    blocks of M_i are never multiplied.  A kept row is the mean of the
+    history before and after it.  Columns 0 and i are closed-form:
+    U(x_i, x_i) = 0 and V(x_i, x_i) = beta(x_i); V(x_i, 0) = beta(x_0),
+    since the U it integrates is U(s, s) = 0, and U(x_i, 0) is the
+    trapezoid sum of step alpha beta over [0, x_i], one cumulative sum.
+    Column j of the history starts at row j as H_j (U(x_j, 0), beta(x_0))
+    plus the source, so the whole history is set before the march and the
+    loop touches the interior columns alone.  Kept rows that overflow
+    floating point raise FieldFormatError; an overflow in a dropped row
+    reaches the last row through the history, and both callers keep the
+    last row.
     """
     m, chains, _, r, _ = co.shape
+    h = 0.5 * step * co
     beta = co[:, :, 1]
-    # row[c, k, :, j] is the block at (x_i, x_j), laid out so that an r x r
-    # coefficient applies to a whole row as one product with reshape(r, -1);
-    # columns j > i stay zero until row j reaches them
-    row = np.zeros((chains, 2, r, m, r), dtype=co.dtype)
-    out = np.empty(((m - 1) // stride + 1,) + row.shape, dtype=co.dtype)
-    # hist[c, k, :, j]: trapezoid sum over s in [x_j, x_{i-1}], without the
-    # step, of coefficient(s) times the other kind at (s, s - x_j)
-    hist = np.zeros_like(row)
-    # the pairing matrices of rows 2.. (rows 0 and 1 have no paired column),
-    # inverted in one batched call
-    pair = np.zeros((m, chains, r, r), dtype=co.dtype)
-    pair[2:] = np.linalg.inv(np.eye(r) - (0.5 * step) ** 2 * (co[2:, :, 0] @ co[2:, :, 1]))
-    for i in range(m):
-        h = 0.5 * step * co[i]
-        row[..., :i, :] = step * hist[..., :i, :]
-        row[:, 1, :, : i + 1] += beta[: i + 1].transpose(1, 2, 0, 3)  # the source beta(x_j)
-        if i:
-            row[:, 0, :, 0] += h[:, 0] @ beta[i]
-        # pair (x_i, x_j) with (x_i, x_i - x_j) through the endpoint term
-        if i > 1:
-            shape = (chains, r, i - 1, r)
-            rhs = row[:, 0, :, 1:i] + (h[:, 0] @ row[:, 1, :, i - 1 : 0 : -1].reshape(chains, r, -1)).reshape(shape)
-            row[:, 0, :, 1:i] = (pair[i] @ rhs.reshape(chains, r, -1)).reshape(shape)
-            row[:, 1, :, 1:i] += (h[:, 1] @ row[:, 0, :, i - 1 : 0 : -1].reshape(chains, r, -1)).reshape(shape)
+    # U(x_i, 0): e_0 + 2 (e_1 + ... + e_{i-1}) + e_i with e_s = h0(x_s) beta(x_s)
+    ends = h[:, :, 0] @ beta
+    u0 = np.zeros_like(ends)
+    u0[1:] = np.cumsum(np.concatenate([ends[:1], 2.0 * ends[1:-1]]), axis=0) + ends[1:]
+    # hist[c, k, 0] is the history of kind k and hist[c, k, 1] the reversed
+    # history of the other kind, both as [a, j, b] blocks, so that a row's
+    # interior columns are one (r x 2r) product per kind with reshape
+    hist = np.zeros((chains, 2, 2, r, m, r), dtype=co.dtype)
+    # column j of the history as row j leaves it: H_j (U(x_j, 0), beta(x_0)) + (0, beta(x_j))
+    hist[:, 0, 0] = (h[:, :, 0] @ beta[0]).transpose(1, 2, 0, 3)
+    hist[:, 1, 0] = (beta + h[:, :, 1] @ u0).transpose(1, 2, 0, 3)
+    # M_i of rows 2.. (rows 0 and 1 have no interior column), per kind
+    pair = np.linalg.inv(np.eye(r) - h[2:] @ h[2:, :, ::-1])
+    advance = np.concatenate([2.0 * pair - np.eye(r), 2.0 * pair @ h[2:]], axis=-1)
+    kept = np.arange(0, m, stride)
+    out = np.zeros((len(kept), chains, 2, r, m, r), dtype=co.dtype)
+    for i in range(2, m):
+        hist[:, :, 1, :, 1:i] = hist[:, ::-1, 0, :, i - 1 : 0 : -1]
+        new = (advance[i - 2] @ hist[..., 1:i, :].reshape(chains, 2, 2 * r, -1)).reshape(
+            chains, 2, r, i - 1, r
+        )
         if i % stride == 0:
-            out[i // stride] = row
-        # the row's own term: full weight for x_j < x_i, half at x_j = x_i
-        own = (co[i] @ row[:, ::-1, :, i::-1].reshape(chains, 2, r, -1)).reshape(chains, 2, r, -1, r)
-        hist[..., :i, :] += own[..., :i, :]
-        hist[..., i, :] = 0.5 * own[..., i, :]
+            out[i // stride, ..., 1:i, :] = 0.5 * (hist[:, :, 0, :, 1:i] + new)
+        hist[:, :, 0, :, 1:i] = new
+    rows = np.arange(len(kept))
+    out[rows, :, 0, :, 0] = u0[kept]
+    out[rows, :, 1, :, 0] = beta[0]
+    out[rows, :, 1, :, kept] = beta[kept]
     _require_finite("transformation kernels", out)
     return out.transpose(1, 2, 0, 4, 3, 5)
 
@@ -299,17 +313,15 @@ def _transmutation_values(qs: list[Potential]) -> tuple[list[np.ndarray], float]
     chains = _kernel_chains(co, fines[0].grid.step, 2)
     r = qs[0].r
     m = qs[0].grid.N + 1
-    i, near, far, low = _half_argument_reads(m - 1)
+    i, j, near, far = _half_argument_reads(m - 1)
     kernels = []
     for p in range(len(qs)):
         (ua, va), (ub, vb) = chains[2 * p : 2 * p + 2]
-        vals = np.empty((m, m, 2 * r, 2 * r), dtype=chains.dtype)
-        vals[..., :r, :r] = ua[i, near] + vb[i, near]
-        vals[..., r:, r:] = ub[i, near] + va[i, near]
-        vals[..., :r, r:] = ua[i, far] + vb[i, far]
-        vals[..., r:, :r] = ub[i, far] + va[i, far]
-        vals *= 0.5
-        vals[~low] = 0.0
+        vals = np.zeros((m, m, 2 * r, 2 * r), dtype=chains.dtype)
+        vals[i, j, :r, :r] = 0.5 * (ua[i, near] + vb[i, near])
+        vals[i, j, r:, r:] = 0.5 * (ub[i, near] + va[i, near])
+        vals[i, j, :r, r:] = 0.5 * (ua[i, far] + vb[i, far])
+        vals[i, j, r:, :r] = 0.5 * (ub[i, far] + va[i, far])
         kernels.append(vals)
     return kernels, resolution
 

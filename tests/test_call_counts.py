@@ -212,6 +212,24 @@ def test_transformation_kernels_march_the_real_class_in_float64(monkeypatch, fir
         assert np.abs(got.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
 
 
+def test_march_inverts_its_row_matrices_in_one_batched_call(monkeypatch):
+    # the row matrices M_i of the march come from one np.linalg.inv over all
+    # rows, whatever N; no row solves or inverts on its own
+    calls = []
+    for name in ("inv", "solve"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    for n in (16, 64):
+        calls.clear()
+        kreinmap.transmutation_kernel(linear_potential(n))
+        assert calls == ["inv"]
+
+
 def test_transmutation_kernel_forms_no_adjoint(count_calls):
     counts = count_calls("potential_adjoint")
     kreinmap.transmutation_kernel(linear_potential(16))

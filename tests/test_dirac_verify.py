@@ -117,6 +117,27 @@ def test_cauchy_tabulated_generator_matches_closure_bitwise(r, lam):
     assert np.array_equal(solve_cauchy(q, lam), _cauchy_reference(q, lam))
 
 
+@pytest.mark.parametrize("q", [linear_potential(32), r2_potential()], ids=["r1", "r2"])
+def test_cauchy_lambda_batch_repeats_each_lambda_bitwise(q):
+    batch = dirac_verify._cauchy_march(q, dirac_verify.DEFAULT_LAMBDAS)
+    alone = np.stack([solve_cauchy(q, lam) for lam in dirac_verify.DEFAULT_LAMBDAS])
+    assert batch.shape == alone.shape
+    assert batch.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize(
+    "lams, refused",
+    [((1.0, 300.0, 200.0), 300.0), ((0.0, 200.0, 1e3), 200.0), ((1.0, np.nan, 300.0), np.nan)],
+    ids=["unresolved", "first-unresolved", "not-finite"],
+)
+def test_cauchy_lambda_batch_refuses_as_its_first_refused_lambda(lams, refused):
+    q = linear_potential(16)
+    with pytest.raises(FieldFormatError) as alone:
+        solve_cauchy(q, refused)
+    with pytest.raises(FieldFormatError, match=f"^{re.escape(str(alone.value))}$"):
+        dirac_verify._cauchy_march(q, lams)
+
+
 def test_triangle_compose_against_loops():
     rng = np.random.default_rng(7)
     n_cells, n = 12, 4  # r = 2

@@ -36,6 +36,7 @@ from kreinmap import (
 )
 from kreinmap.inverse_map import (
     _chain_coefficients,
+    _kernel_chains,
     _midpoint_fill,
     _product_column,
     _self_adjoint,
@@ -134,6 +135,62 @@ def test_transformation_kernels_against_dense_solve():
             tol = rel * max(np.max(np.abs(p_plus.values)), np.max(np.abs(p_minus.values)))
         assert np.max(np.abs(p_plus.values - plus_ref)) < tol
         assert np.max(np.abs(p_minus.values - minus_ref)) < tol
+
+
+def _dense_chains(co: np.ndarray, step: float) -> np.ndarray:
+    """The trapezoid system of _kernel_chains as one dense linear system per
+    chain, [c, k, i, j] = (U if k == 0 else V)(x_i, x_j):
+
+        U(x_i,x_j) = step sum''_{s=j..i} alpha(s) V(s, s-j)
+        V(x_i,x_j) = step sum''_{s=j..i} beta(s) U(s, s-j) + beta(x_j)
+
+    with half weight at both ends of the sum, which is empty for i = j.  The
+    unknowns are the blocks below the diagonal; the diagonal U = 0,
+    V = beta is known and enters the right-hand side.
+    """
+    m, chains, _, r, _ = co.shape
+    pairs = [(i, j) for i in range(m) for j in range(i)]
+    slot = {p: n for n, p in enumerate(pairs)}
+    at = lambda k, p: slice((2 * slot[p] + k) * r, (2 * slot[p] + k + 1) * r)
+    out = np.zeros((chains, 2, m, m, r, r), dtype=np.complex128)
+    for c in range(chains):
+        coef = co[:, c]
+        a = np.eye(2 * len(pairs) * r, dtype=np.complex128)
+        b = np.zeros((2 * len(pairs) * r, r), dtype=np.complex128)
+        for i, j in pairs:
+            b[at(1, (i, j))] = coef[j, 1]
+            for s in range(j, i + 1):
+                w = step * (0.5 if s in (i, j) else 1.0)
+                if j == 0:  # (s, s) is on the diagonal: V = beta there, U = 0
+                    b[at(0, (i, j))] += w * coef[s, 0] @ coef[s, 1]
+                    continue
+                for k in (0, 1):
+                    a[at(k, (i, j)), at(1 - k, (s, s - j))] -= w * coef[s, k]
+        x = np.linalg.solve(a, b)
+        for i, j in pairs:
+            for k in (0, 1):
+                out[c, k, i, j] = x[at(k, (i, j))]
+        out[c, 1, np.arange(m), np.arange(m)] = coef[:, 1]
+    return out
+
+
+@pytest.mark.parametrize("chains", [1, 2, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kernel_chains_solve_their_trapezoid_system(chains, r):
+    rng = np.random.default_rng(10 * chains + r)
+    for m in (2, 3, 5, 9):
+        step = 1.0 / (m - 1)
+        shape = (m, chains, 2, r, r)
+        co = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        ref = _dense_chains(co, step)
+        for stride in (1, 2):
+            got = _kernel_chains(co, step, stride)
+            assert got.dtype == np.complex128
+            np.testing.assert_allclose(got, ref[:, :, ::stride], rtol=1e-12, atol=0)
+        # real coefficients march in float64
+        got = _kernel_chains(co.real.copy(), step, 1)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, _dense_chains(co.real, step).real, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("value, rho", [(16.0, "1"), (40.0, "2.5")])
