@@ -6,6 +6,9 @@ interpolated potential samples. Everything else in the module compares the
 transformation kernels, the resolvent factors, and the product kernel
 against the identities they must satisfy, using finite differences that
 never straddle the diagonal, where the kernels are only one-sidedly smooth.
+Each check reads the kernels from the code the maps run: identity_suite
+from the product kernel's own factors, the representation check from
+transformation_kernels.
 The wave operator J d/dx + (d/dt) J (apply_wave_operator) is an array layer
 on kernel blocks in their own dtype.  J and the free evolution E(x) =
 diag(e^{i lam x} I, e^{-i lam x} I) are diagonal, so both are applied as
@@ -14,8 +17,8 @@ floating point comes out non-finite and fails its report entry, without a
 numpy warning.
 
 The report tolerances are module constants that no caller sets: 5e-2 on
-the finite-difference wave_* entries, 1e-8 on symmetry_P, 1e-2 on the
-representation at non-real lambda, and 5e-3 on every other entry.  Only
+the finite-difference wave_* entries, 1e-2 on the representation at
+non-real lambda, and 5e-3 on every other entry.  Only
 roundtrip_report takes its finest-grid tolerance as an argument.
 """
 
@@ -46,6 +49,7 @@ from .forward_map import (
     theta,
 )
 from .inverse_map import (
+    _require_resolved,
     _resolvent_factors,
     resolvent_product_parts,
     transformation_kernels,
@@ -71,7 +75,6 @@ _SUBSTEPS = 4  # RK4 steps per grid cell in solve_cauchy
 _TOL = 5e-3  # every report entry not named below
 _WAVE_TOL = 5e-2  # finite-difference wave_* entries
 _NONREAL_TOL = 1e-2  # representation at non-real lambda
-_SYMMETRY_TOL = 1e-8  # symmetry_P, exact at the matrix level
 
 
 def _lam_label(lam: complex) -> str:
@@ -228,6 +231,7 @@ def _check_lambda(lam) -> None:
         raise FieldFormatError(f"lambda must be a finite number, got {lam!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_fundamental_representation(q: Potential) -> DiagnosticReport:
     """Residual of the two-kernel representation of the fundamental solution.
 
@@ -238,15 +242,7 @@ def check_fundamental_representation(q: Potential) -> DiagnosticReport:
     potential the march does not resolve on its own grid raises
     FieldFormatError.
     """
-    return _fundamental_representation(q, transformation_kernels(q))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _fundamental_representation(
-    q: Potential, pair: tuple[Kernel2D, Kernel2D]
-) -> DiagnosticReport:
-    """check_fundamental_representation with the pair transformation_kernels(q)."""
-    plus, minus = pair
+    plus, minus = transformation_kernels(q)
     grid = q.grid
     x = grid.nodes
     tw = nystrom_weights(grid, "lower")
@@ -325,35 +321,17 @@ def _masked_sup(arr: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.abs(arr[mask])))
 
 
-def identity_suite(q: Potential) -> DiagnosticReport:
-    """Residuals of every computable identity of the kernel calculus.
-
-    The finite-difference entries (wave_*) carry tolerance 5e-2, the
-    J-block symmetry of the transformation pair (symmetry_P), which holds
-    at the matrix level, carries 1e-8, and the pointwise algebraic
-    contractions and reciprocity identities carry 5e-3.  The transformation
-    pair is built first, on the potential's own grid, so a potential the
-    march does not resolve there raises FieldFormatError before any other
-    work.  K_Q, L and L* come from the product kernel's own
-    _resolvent_factors, and the upper part and cross term of F from its
-    resolvent_product_parts, so a real-class or self-adjoint q takes the
-    same float64 or one-resolvent route as resolvent_product_kernel.  The
-    full F is not assembled: its one-sided parts f_low (cross + L) and
-    f_up (cross + L~) carry the wave_F entries, and the boundary_F entries
-    read the off-diagonal lines that F shares with them.  symmetry_P is
-    read off the pair, which CLI verify hands on to the representation
-    check.
-    """
-    return _identity_suite(q, transformation_kernels(q))
-
-
 def _verify_potential(q: Potential) -> DiagnosticReport:
     """identity_suite(q) followed by the entries of
-    check_fundamental_representation(q), from one build of the
-    transformation pair (CLI verify on a potential)."""
-    pair = transformation_kernels(q)
-    report = _identity_suite(q, pair)
-    report.entries.extend(_fundamental_representation(q, pair).entries)
+    check_fundamental_representation(q) (CLI verify on a potential).
+
+    The representation check marches on the potential's own grid, which is
+    coarser than the suite's, so the coarse guard runs first: a potential
+    that grid does not resolve is refused as too coarse before any march.
+    """
+    _require_resolved(q)
+    report = identity_suite(q)
+    report.entries.extend(check_fundamental_representation(q).entries)
     return report
 
 
@@ -376,9 +354,20 @@ def _verify_accelerant(h: Accelerant) -> DiagnosticReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _identity_suite(q: Potential, pair: tuple[Kernel2D, Kernel2D]) -> DiagnosticReport:
-    """identity_suite with the pair (P+, P-) = transformation_kernels(q),
-    whose symmetry_P is max |P+ J - J P+| and |P- J + J P-|, exactly."""
+def identity_suite(q: Potential) -> DiagnosticReport:
+    """Residuals of every computable identity of the kernel calculus.
+
+    The finite-difference entries (wave_*) carry tolerance 5e-2, and the
+    pointwise algebraic contractions and reciprocity identities 5e-3.
+    K_Q, L and L* come from the product kernel's own _resolvent_factors,
+    one march over the refined grid, and the upper part and cross term of F
+    from its resolvent_product_parts, so a real-class or self-adjoint q
+    takes the same float64 or one-resolvent route as
+    resolvent_product_kernel, and the suite refuses what upsilon refuses.
+    The full F is not assembled: its one-sided parts f_low (cross + L) and
+    f_up (cross + L~) carry the wave_F entries, and the boundary_F entries
+    read the off-diagonal lines that F shares with them.
+    """
     sc = structural_constants(q.r)
     J = sc.J
     astar = sc.a_row.conj().T
@@ -416,12 +405,6 @@ def _identity_suite(q: Potential, pair: tuple[Kernel2D, Kernel2D]) -> Diagnostic
     report.add("boundary_F_row", float(np.max(np.abs(f_low[1:N, 0] @ astar))), _TOL)
     report.add("boundary_F_col", float(np.max(np.abs(sc.a_row @ f_up[0, 1:N]))), _TOL)
 
-    plus, minus = pair
-    dj = np.diagonal(J)  # (PJ -+ JP)[a, c] = P[a, c] (dj[c] -+ dj[a])
-    plus_sym = np.abs(plus.values * (dj - dj[:, None])).max()
-    symmetry = max(plus_sym, np.abs(minus.values * (dj + dj[:, None])).max())
-    report.add("symmetry_P", symmetry, _SYMMETRY_TOL)
-
     # (I + K)(I + L) = (I + L)(I + K) = I on the lower triangle
     k_plus_l = k_values + l_values
     for name, a, b in (("KL", k_values, l_values), ("LK", l_values, k_values)):
@@ -436,14 +419,19 @@ def _triangle_compose(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
     """int_t^x A(x,s) B(s,t) ds on j <= i, trapezoid weights on [x_j, x_i].
 
     Both factors are lower supported, so the plain index sum already runs
-    over s in [j, i]: one GEMM of the flattened factors [(x, a), (s, b)].
-    The two half-weight corrections then fix the endpoints.  They cancel the
-    empty interval i == j only up to rounding, so its zero is set outright.
+    over s in [j, i], and its endpoint terms are A(x_i, x_i) B(x_i, x_j) and
+    A(x_i, x_j) B(x_j, x_j): the trapezoid rule is one GEMM of the flattened
+    factors [(x, a), (s, b)] with the diagonal blocks of both halved.  The
+    empty interval i == j keeps a quarter weight there, so its zero is set
+    outright.  The halving acts on copies, since _flatten returns a view of
+    blocks already in its layout, as the resolvents of _substitute are.
     """
-    full = _unflatten(_flatten(a) @ _flatten(b), a.shape[2])
+    n = a.shape[2]
     d = np.arange(a.shape[0])
-    full -= 0.5 * a[d, d][:, None] @ b
-    full -= 0.5 * a @ b[d, d][None, :]
+    flat_a, flat_b = _flatten(a).copy(), _flatten(b).copy()
+    for flat in (flat_a, flat_b):
+        _unflatten(flat, n)[d, d] *= 0.5
+    full = _unflatten(flat_a @ flat_b, n)
     full[d, d] = 0.0
     return step * full
 

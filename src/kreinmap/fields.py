@@ -182,11 +182,12 @@ class Kernel2D:
             raise FieldFormatError(f"unknown support {self.support!r}")
         m = self.grid.N + 1
         vals = _field_values(self.values, "kernel values", self.n, (m, m))
-        i, j = np.indices((m, m))
-        if self.support == "lower" and np.any(vals[j > i] != 0):
-            raise FieldFormatError("nonzero entries above the diagonal in a lower kernel")
-        if self.support == "upper" and np.any(vals[j < i] != 0):
-            raise FieldFormatError("nonzero entries below the diagonal in an upper kernel")
+        if self.support != "full":
+            above = ~np.tri(m, dtype=bool)  # j > i
+            if self.support == "lower" and np.any(vals[above] != 0):
+                raise FieldFormatError("nonzero entries above the diagonal in a lower kernel")
+            if self.support == "upper" and np.any(vals[above.T] != 0):
+                raise FieldFormatError("nonzero entries below the diagonal in an upper kernel")
         object.__setattr__(self, "values", vals)
 
 

@@ -108,15 +108,14 @@ def first_args(monkeypatch):
 def test_identity_suite_builds_each_resolvent_once(count_calls):
     counts = count_calls(MARCH, RESOLVENT, PAIR)
     assert identity_suite(linear_potential(16)).passed
-    # one march for K_Q and K_{Q*} on the refined grid, one for the pair that
-    # symmetry_P reads on the potential's own grid; one resolvent each for Q
-    # and for its adjoint Q*
-    assert counts == {MARCH: 2, RESOLVENT: 2, PAIR: 1}
+    # one march for K_Q and K_{Q*} on the refined grid and no transformation
+    # pair; one resolvent each for Q and for its adjoint Q*
+    assert counts == {MARCH: 1, RESOLVENT: 2, PAIR: 0}
 
     # a self-adjoint Q has K_{Q*} = K_Q, so one resolvent serves as L and L*
     counts.update(dict.fromkeys(counts, 0))
     assert identity_suite(const_potential(1.0, 16)).passed
-    assert counts == {MARCH: 2, RESOLVENT: 1, PAIR: 1}
+    assert counts == {MARCH: 1, RESOLVENT: 1, PAIR: 0}
 
 
 def test_identity_suite_takes_the_product_parts_without_assembling_f(count_calls):
@@ -243,14 +242,28 @@ def test_cli_verify_builds_the_transformation_kernels_once(count_calls, tmp_path
     write_field(str(src), q)
     counts = count_calls(PAIR)
     assert main(["verify", "--in", str(src)]) == 0
-    # one pair serves symmetry_P and the representation check
+    # the representation check builds the one pair; identity_suite reads
+    # the product kernel's factors and builds none
     assert counts == {PAIR: 1}
-    # the report is the one the two public checks give, to the byte; each
-    # of them builds its own pair
+    # the report is the one the two public checks give, to the byte
     report = identity_suite(q)
     report.entries.extend(check_fundamental_representation(q).entries)
-    assert counts == {PAIR: 3}
+    assert counts == {PAIR: 2}
     assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [16.0, 16j], ids=["real", "imaginary"])
+def test_cli_verify_refuses_a_coarse_potential_before_any_march(
+    count_calls, tmp_path, capsys, value
+):
+    # the coarse guard of the representation check runs first, so verify
+    # refuses what its own grid does not resolve before the refined march
+    src = tmp_path / "q.json"
+    write_field(str(src), const_potential(value, 8))
+    counts = count_calls(MARCH)
+    assert main(["verify", "--in", str(src)]) == 3
+    assert "grid too coarse" in capsys.readouterr().err
+    assert counts == {MARCH: 0}
 
 
 def test_cli_verify_solves_each_krein_equation_once(count_calls, tmp_path, capsys):

@@ -447,12 +447,15 @@ def test_verify_command_on_potential(tmp_path, capsys):
     assert "glm_consistency" not in names  # no accelerant to fold
 
 
-def test_verify_command_refuses_unresolved_potential(tmp_path, capsys):
-    # upsilon resolves q+- = 16 at N = 8 on its refined grid ((step/2) q = 0.5),
-    # but verify builds the transformation kernels on the coarse grid, where
-    # (step/2) q = 1 makes the pairing matrix singular
+@pytest.mark.parametrize("value", [16.0, 16j], ids=["real", "imaginary"])
+def test_verify_command_refuses_unresolved_potential(tmp_path, capsys, value):
+    # the refined grid resolves q+- = 16 and q+- = 16j at N = 8
+    # ((step/2) |q| = 0.5), but verify builds the transformation kernels on
+    # the coarse grid, where (step/2) |q| = 1 makes the pairing matrix
+    # singular; the coarse guard runs first, so 16j, whose refined
+    # substitution is singular, is refused as too coarse too
     src = tmp_path / "q.json"
-    write_field(str(src), const_potential(16.0, 8))
+    write_field(str(src), const_potential(value, 8))
     assert main(["verify", "--in", str(src)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

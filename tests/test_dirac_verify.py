@@ -41,7 +41,7 @@ from kreinmap import (
 from kreinmap import dirac_verify
 from kreinmap.cli import main, write_field
 from kreinmap.dirac_verify import _triangle_compose, apply_wave_operator
-from kreinmap.errors import FieldFormatError
+from kreinmap.errors import FieldFormatError, SingularSystemError
 
 
 def _zero_potential(n_cells: int) -> Potential:
@@ -138,6 +138,12 @@ def test_cauchy_lambda_batch_refuses_as_its_first_refused_lambda(lams, refused):
         dirac_verify._cauchy_march(q, lams)
 
 
+def _substitute_layout(blocks):
+    """The same blocks held as inverse_map._substitute returns them: a view
+    whose flattened [(x, a), (s, b)] layout is contiguous."""
+    return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+
+
 def test_triangle_compose_against_loops():
     rng = np.random.default_rng(7)
     n_cells, n = 12, 4  # r = 2
@@ -149,18 +155,28 @@ def test_triangle_compose_against_loops():
                  + 1j * rng.standard_normal((m, m, n, n)), 0.0)
         for _ in range(2)
     )
-    got = _triangle_compose(a, b, step)
-    worst = 0.0
-    for x in range(m):
-        for t in range(x):
-            acc = np.zeros((n, n), dtype=np.complex128)
-            for s in range(t, x + 1):
-                w = step * (0.5 if s in (t, x) else 1.0)
-                acc += w * (a[x, s] @ b[s, t])
-            worst = max(worst, np.abs(got[x, t] - acc).max())
-    assert worst < 1e-13
+    cases = {
+        "complex": (a, b),
+        # quadops._flatten returns a view of b in this layout, as of L
+        "substitute layout": (a, _substitute_layout(b)),
+        "float64": (a.real.copy(), _substitute_layout(b.real)),
+    }
     d = np.arange(m)
-    assert np.all(got[d, d] == 0)  # the interval [x_i, x_i] is empty
+    for case, (a, b) in cases.items():
+        a_before, b_before = a.copy(), b.copy()
+        got = _triangle_compose(a, b, step)
+        # the factors are read, never written
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before), case
+        worst = 0.0
+        for x in range(m):
+            for t in range(x):
+                acc = np.zeros((n, n), dtype=np.complex128)
+                for s in range(t, x + 1):
+                    w = step * (0.5 if s in (t, x) else 1.0)
+                    acc += w * (a[x, s] @ b[s, t])
+                worst = max(worst, np.abs(got[x, t] - acc).max())
+        assert worst < 1e-13, case
+        assert np.all(got[d, d] == 0), case  # the interval [x_i, x_i] is empty
 
 
 def test_krein_solution_lambda_zero_closed_form():
@@ -321,8 +337,26 @@ def test_identity_suite_passes_and_converges():
     for name in ("wave_K", "wave_L", "wave_F_lower", "wave_F_upper"):
         assert ratio_ok(rep50[name].residual, rep100[name].residual), name
     # discrete-exact entries stay at round-off on both grids
-    for name in ("diag_K", "boundary_K", "boundary_L", "symmetry_P", "reciprocity_KL"):
+    for name in ("diag_K", "boundary_K", "boundary_L", "reciprocity_KL"):
         assert rep100[name].residual < 1e-11, name
+
+
+def test_identity_suite_refuses_exactly_what_upsilon_refuses():
+    # both march on the refined grid, where (step/2) |q| = 0.5 at N = 8:
+    # q+- = 16j makes the restricted system of the substitution singular,
+    # and q+- = 16 is resolved, though the potential's own grid is not
+    with pytest.raises(SingularSystemError) as by_upsilon:
+        upsilon(const_potential(16j, 8))
+    with pytest.raises(SingularSystemError) as by_suite:
+        identity_suite(const_potential(16j, 8))
+    assert type(by_suite.value) is type(by_upsilon.value)
+    assert str(by_suite.value) == str(by_upsilon.value) == (
+        "singular restricted system at x = 0.125 (volterra substitution)"
+    )
+
+    h, upsilon_report = upsilon(const_potential(16.0, 8))
+    assert np.isfinite(h.values).all() and upsilon_report.passed
+    assert len(identity_suite(const_potential(16.0, 8)).entries) == len(SUITE_TOLS)
 
 
 @pytest.mark.parametrize(
@@ -589,7 +623,7 @@ SUITE_TOLS = [
     ("wave_L", 5e-2), ("diag_L", 5e-3), ("boundary_L", 5e-3),
     ("wave_F_lower", 5e-2), ("wave_F_upper", 5e-2),
     ("boundary_F_row", 5e-3), ("boundary_F_col", 5e-3),
-    ("symmetry_P", 1e-8), ("reciprocity_KL", 5e-3), ("reciprocity_LK", 5e-3),
+    ("reciprocity_KL", 5e-3), ("reciprocity_LK", 5e-3),
 ]
 # non-real lambda gets the looser tolerance
 REPRESENTATION_TOLS = [

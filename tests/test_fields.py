@@ -89,6 +89,16 @@ def test_kernel_support_enforced():
     with pytest.raises(FieldFormatError):
         Kernel2D(1, g, "lower", vals)
     Kernel2D(1, g, "upper", vals)  # fine there
+    vals = np.zeros((9, 9, 1, 1), dtype=complex)
+    vals[5, 0] = 1.0  # below the diagonal
+    with pytest.raises(FieldFormatError, match="below the diagonal in an upper kernel"):
+        Kernel2D(1, g, "upper", vals)
+    Kernel2D(1, g, "lower", vals)  # fine there
+    # the diagonal belongs to both triangles
+    vals = np.zeros((9, 9, 1, 1), dtype=complex)
+    vals[4, 4] = 1.0
+    for support in ("lower", "upper"):
+        Kernel2D(1, g, support, vals)
     with pytest.raises(FieldFormatError):
         Kernel2D(1, g, "sideways", np.zeros((9, 9, 1, 1)))
 
