@@ -96,12 +96,18 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
     (k+1) r block of the Toeplitz matrix T of _toeplitz_matrix and W_k the
     trapezoid weights of [0, x_k]. When T has small numerical rank p,
     _low_rank_sweep reads sigma_min and sigma_max of every A_k from a
-    2p x 2p core, O(N^3 r^3 + N^2 r p^2) in all; every other truncation
-    (all of them when T is not low-rank) takes one dense SVD, O(N^4 r^3)
-    for the whole sweep. A truncation whose compressed margin lies within
-    its error bound of 1e-8 or of the smallest margin is decided by the
-    dense SVD too, so accepted and worst_alpha are those of the dense
-    sweep, and every singular value agrees with it to round-off.
+    2p x 2p core, O(N^3 r^3 + N^2 r p^2) in all: one values-only SVD of T
+    sets p, and T ~ P R^H comes from a range sketch with k = p + 8
+    columns, whose residual E = T - P R^H enters the error bound
+    e = step |E|_F + 4 (N+1) r eps (1 + step sigma_1). Every other
+    truncation (all of them when T is not low-rank) takes one dense SVD,
+    O(N^4 r^3) for the whole sweep. A truncation whose compressed margin
+    lies within 3e of 1e-8, or within 6e of the smallest compressed
+    margin, is decided by the dense SVD too; the smallest is final from
+    its core only when it is isolated, more than 3e from 1e-8 and more
+    than 6e below every other margin. So accepted and worst_alpha are
+    those of the dense sweep, and every singular value agrees with it to
+    within e.
 
     Only the nodes alpha = x_k are tested, so an I + H_alpha that is
     singular strictly between two nodes goes unseen.  For the constant
@@ -120,12 +126,7 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
     t = _toeplitz_matrix(h)
     sig_min, sig_max, dense = _low_rank_sweep(t, h.grid, r)
     for k in np.flatnonzero(dense) + 1:
-        dim = (k + 1) * r
-        A = t[:dim, :dim] * np.repeat(h.grid.trapezoid(k), r)
-        A = A + np.eye(dim)
-        sigma = np.linalg.svd(A, compute_uv=False)
-        sig_max[k - 1] = sigma[0]
-        sig_min[k - 1] = sigma[-1]
+        sig_max[k - 1], sig_min[k - 1] = _truncation_extremes(t, h.grid, r, k)
     margins = sig_min / sig_max
     worst = int(np.argmin(margins))
     alphas = np.arange(1, N + 1) / N
@@ -152,29 +153,43 @@ def _low_rank_sweep(
     factorization of T, and the mask of truncations is_accelerant must
     still decompose densely.
 
-    One values-only SVD of T, n = (N+1) r, gives its numerical rank
-    p = #{sigma_i > n eps sigma_1}, numpy's matrix_rank cut. When T's
+    One values-only SVD of T, n = (N+1) r, gives sigma_1 and the numerical
+    rank p = #{sigma_i > n eps sigma_1}, numpy's matrix_rank cut. When T's
     singular values are not finite, or 2p > _CORE_FRACTION n, every
-    truncation is left to the dense SVD. Otherwise the vectors SVD gives
-    T ~ P R^H with P = U_p Sigma_p and R = V_p, so that A_k ~ I + P_k B_k^H
-    with B_k = W_k R_k. The R factor of [P_k, B_k] = Q [R_P, R_B] gives
-    A_k ~ I + Q R_P R_B^H Q^H, and for (k+1) r > 2p that is
-    C_k = I + R_P R_B^H on range Q and the identity on its complement, so
-    the singular values of A_k are those of C_k and 1. C_k and its adjoint
-    fix the null spaces of R_B^H and R_P^H, each of dimension >= p, so
-    sigma_1(C_k) >= 1 >= sigma_2p(C_k): these are sigma_max and sigma_min.
-    Rows of P and R past a truncation are zeroed, which leaves R unchanged,
-    so consecutive truncations share one batched QR and one batched SVD;
-    each batch holds about one n x n array. Truncations with
-    (k+1) r <= 2p are left to the dense SVD.
+    truncation is left to the dense SVD. Otherwise a range sketch (N.
+    Halko, P.-G. Martinsson and J. A. Tropp, SIAM Review 53, 2011) gives
+    T ~ P R^H in O(n^2 k) with k = p + 8 (at most n): Q is the QR of
+    Y = T Omega, Omega the fixed n x k sign matrix of _sign_matrix, and the
+    SVD of the k x n matrix Q^H T, truncated to rank p, U_p Sigma_p V_p^H,
+    gives P = Q U_p Sigma_p and R = V_p. The residual E = T - P R^H is
+    formed in full. So the values-only SVD is the only O(n^3)
+    factorization of T, and p, sigma_1 and the 2p cut come from it alone.
 
-    By Weyl's inequality the dropped part of T moves every singular value
-    by at most step sigma_{p+1}; with the round-off of the SVDs and the QR
-    the compressed values lie within e = step sigma_{p+1} +
-    4 n eps (1 + step sigma_1) of the dense ones, and since both
-    sigma_max are at least 1 - e, every margin within 3e. A truncation
-    whose margin lies within 3e of 1e-8, or within 6e of the smallest
-    compressed margin, is left to the dense SVD as well.
+    A_k ~ I + P_k B_k^H with B_k = W_k R_k. The R factor of
+    [P_k, B_k] = Q' [R_P, R_B] gives A_k ~ I + Q' R_P R_B^H Q'^H, and for
+    (k+1) r > 2p that is C_k = I + R_P R_B^H on range Q' and the identity
+    on its complement, so the singular values of A_k are those of C_k and
+    1. C_k and its adjoint fix the null spaces of R_B^H and R_P^H, each of
+    dimension >= p, so sigma_1(C_k) >= 1 >= sigma_2p(C_k): these are
+    sigma_max and sigma_min. Rows of P and R past a truncation are zeroed,
+    which leaves R unchanged, so consecutive truncations share one batched
+    QR and one batched SVD; each batch holds about one n x n array. The
+    truncations with (k+1) r <= 2p take one dense SVD each here, of size
+    at most 2p.
+
+    T = P R^H + E, and |E W_k|_2 <= step |E|_2 <= step |E|_F, so by Weyl's
+    inequality dropping E moves every singular value by at most
+    step |E|_F. With the round-off of the SVDs and the QR the compressed
+    values lie within e = step |E|_F + 4 n eps (1 + step sigma_1) of the
+    dense ones; the rounding in forming E is of order p eps step sigma_1,
+    which the 4 n eps term covers since p <= n/8. A poor sketch only
+    widens e. Since both sigma_max are at least 1 - e, every margin lies
+    within 3e. A truncation whose margin lies within 3e of 1e-8, or within
+    6e of the smallest compressed margin, is left to the dense SVD as
+    well. The smallest compressed margin is final when it lies more than
+    3e from 1e-8 and every other margin of the sweep, the dense ones of
+    (k+1) r <= 2p included, lies more than 6e above it: it is then the
+    smallest margin of the dense sweep too, on the same side of 1e-8.
 
     A T that is exactly zero (h = 0) makes every A_k exactly I, so every
     sigma is 1 and no SVD runs.
@@ -192,16 +207,19 @@ def _low_rank_sweep(
         p = max(1, int(np.count_nonzero(s > n * eps * s[0])))
         if 2 * p > _CORE_FRACTION * n:
             return sig_min, sig_max, dense
-        u, s, vh = np.linalg.svd(t, full_matrices=False)
-        pr = np.concatenate((u[:, :p] * s[:p], vh[:p].conj().T), axis=1)
-        del u, vh
-        err = step * s[p] + 4 * n * eps * (1.0 + step * s[0])
+        q = np.linalg.qr(t @ _sign_matrix(n, min(p + 8, n)))[0]
+        u, s_q, vh = np.linalg.svd(q.conj().T @ t, full_matrices=False)
+        pr = np.concatenate((q @ (u[:, :p] * s_q[:p]), vh[:p].conj().T), axis=1)
+        residual = np.linalg.norm(t - pr[:, :p] @ vh[:p])  # |E|_F
+        err = step * residual + 4 * n * eps * (1.0 + step * s[0])
         ks = np.arange(max(1, 2 * p // r), N + 1)  # (k+1) r > 2p
+        for k in range(1, ks[0]):
+            sig_max[k - 1], sig_min[k - 1] = _truncation_extremes(t, grid, r, k)
         for chunk in np.array_split(ks, -(-2 * p * len(ks) // n)):
             rows = (chunk[-1] + 1) * r
-            w = np.zeros((len(chunk), rows))
-            for i, k in enumerate(chunk):
-                w[i, : (k + 1) * r] = np.repeat(grid.trapezoid(k), r)
+            node, last = np.arange(rows) // r, chunk[:, None]
+            ends = (node == 0) | (node == last)
+            w = np.where(node <= last, np.where(ends, 0.5 * step, step), 0.0)
             stack = pr[None, :rows] * (w > 0)[:, :, None]
             stack[:, :, p:] *= w[:, :, None]
             rf = np.linalg.qr(stack, mode="r")
@@ -210,11 +228,46 @@ def _low_rank_sweep(
             sigma = np.linalg.svd(core, compute_uv=False)
             sig_max[chunk - 1] = sigma[:, 0]
             sig_min[chunk - 1] = sigma[:, -1]
-        margins = sig_min[ks - 1] / sig_max[ks - 1]
-        # the core decides only margins clear of both; a NaN compares False
-        clear = (np.abs(margins - 1e-8) > 3 * err) & (margins > margins.min() + 6 * err)
-        dense[ks - 1] = ~clear
+        dense[: ks[0] - 1] = False
+        dense[ks - 1] = ~_decided_by_core(sig_min / sig_max, ks - 1, err)
     return sig_min, sig_max, dense
+
+
+def _decided_by_core(margins: np.ndarray, core: np.ndarray, err: float) -> np.ndarray:
+    """Which of the compressed margins[core], each within 3 err of its
+    dense value, are final: those more than 3 err from 1e-8 and more than
+    6 err above the smallest of them, and that smallest one when every
+    other entry of margins lies more than 6 err above it. A NaN compares
+    False and is never final."""
+    compressed = margins[core]
+    low = compressed.min()
+    final = (np.abs(compressed - 1e-8) > 3 * err) & (compressed > low + 6 * err)
+    j = int(np.argmin(compressed))
+    others = np.delete(margins, core[j])
+    final[j] = abs(low - 1e-8) > 3 * err and bool(np.all(others > low + 6 * err))
+    return final
+
+
+def _sign_matrix(n: int, k: int) -> np.ndarray:
+    """The fixed n x k test matrix of _low_rank_sweep's sketch: +1 or -1 by
+    the top bit of SplitMix64's output for the states 1 .. n k, in numpy's
+    uint64 arithmetic, which wraps without a warning. It draws nothing
+    from numpy.random, whose import would cost every process about 13 ms."""
+    z = np.arange(1, n * k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.where(z < np.uint64(1 << 63), 1.0, -1.0).reshape(n, k)
+
+
+def _truncation_extremes(t: np.ndarray, grid: GridSpec, r: int, k: int) -> tuple[float, float]:
+    """(sigma_max, sigma_min) of A_k = I + T_k W_k by one dense values-only
+    SVD of size (k+1) r."""
+    dim = (k + 1) * r
+    a = t[:dim, :dim] * np.repeat(grid.trapezoid(k), r)
+    a += np.eye(dim)
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return sigma[0], sigma[-1]
 
 
 def _toeplitz_matrix(h: Accelerant) -> np.ndarray:

@@ -20,6 +20,7 @@ import pytest
 from conftest import (
     const_accelerant,
     const_potential,
+    in_band_accelerant,
     linear_potential,
     r2_potential,
     random_accelerant,
@@ -362,17 +363,28 @@ def test_krein_pair_of_a_complex_accelerant_runs_one_nested_lu(first_args, call)
     assert {a.dtype for a in seen["factorization._lu_inverses"]} == {C128}
 
 
+class _Factorization(tuple):
+    """(name, dtype, compute_uv) of one factorization call, with the shape
+    of the array it factors as .shape."""
+
+    def __new__(cls, name, a, uv):
+        call = super().__new__(cls, (name, a.dtype, uv))
+        call.shape = a.shape
+        return call
+
+
 @pytest.fixture
 def factorizations(monkeypatch):
     """(name, dtype, compute_uv) of every np.linalg.svd and np.linalg.qr
-    call, in call order; compute_uv is None for a QR."""
+    call, in call order, each with its array's .shape; compute_uv is None
+    for a QR."""
     seen = []
     for name in ("svd", "qr"):
         original = getattr(np.linalg, name)
 
         def recorded(a, *args, _name=name, _original=original, **kwargs):
             uv = kwargs.get("compute_uv", True) if _name == "svd" else None
-            seen.append((_name, np.asarray(a).dtype, uv))
+            seen.append(_Factorization(_name, np.asarray(a), uv))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
@@ -423,3 +435,27 @@ def test_full_rank_accelerant_computes_no_singular_vectors(factorizations):
     assert test.accepted
     assert [name for name, _, _ in factorizations] == ["svd"] * 17
     assert not any(uv for _, _, uv in factorizations)
+
+
+def test_low_rank_sweep_factors_t_once_and_sketches_its_factor(factorizations):
+    # T of a constant has rank p = 1. Its values-only SVD is the one O(n^3)
+    # factorization: the rank-p factor comes from a sketch, an SVD of
+    # (p + 8) x n, and the one small margin, at alpha = 0.8, is isolated,
+    # so it is read from its 2p x 2p core like every other
+    n, p = 101, 1
+    test = is_accelerant(const_accelerant(-1.25, 100))
+    assert not test.accepted and test.worst_alpha == 0.8
+    svds = [(call.shape[-2:], call[2]) for call in factorizations if call[0] == "svd"]
+    assert [uv for shape, uv in svds if shape == (n, n)] == [False]
+    assert [shape for shape, uv in svds if uv] == [(p + 8, n)]
+    assert all(max(shape) <= 2 * p for shape, uv in svds if shape != (n, n) and not uv)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_margin_inside_the_error_band_is_decided_densely(factorizations, side):
+    # the smallest margin lies 5e-14 from 1e-8, inside the sweep's error
+    # band: A_k at alpha = 0.8, of size (32 + 1) r, takes a dense SVD
+    test = is_accelerant(in_band_accelerant(side))
+    assert test.accepted == (side == "above")
+    assert test.worst_alpha == 0.8
+    assert [call[2] for call in factorizations if call.shape == (33, 33)] == [False]

@@ -15,10 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import const_accelerant, const_potential, gauss_accelerant, linear_potential
+from conftest import (
+    const_accelerant,
+    const_potential,
+    gauss_accelerant,
+    linear_potential,
+    r2_potential,
+)
 
 import kreinmap.cli
-from kreinmap import GridSpec, Potential, is_accelerant, theta
+from kreinmap import GridSpec, Potential, is_accelerant, solve_cauchy, theta
 from kreinmap.cli import main, read_field, write_field
 from kreinmap.errors import FieldFormatError
 
@@ -370,6 +376,40 @@ def test_check_accelerant_csv_output(tmp_path, capsys):
     first = lines[1].split(",")
     assert float(first[0]) == 1 / 16
     assert "accepted" in captured.err
+
+
+def _cells(rows) -> str:
+    # the CSV writer's former formatting: one f-string per cell
+    return "".join(",".join(f"{cell:.17g}" for cell in row) + "\n" for row in rows)
+
+
+def test_csv_tables_match_per_cell_formatting(tmp_path, capsys):
+    # the sweep table of a rejected constant, with margins down at round-off
+    src = tmp_path / "h.json"
+    h = const_accelerant(-1.25, 100)
+    write_field(str(src), h)
+    assert main(["check-accelerant", "--in", str(src), "--csv"]) == 2
+    test = is_accelerant(h)
+    expected = "alpha,sigma_min,sigma_max,margin\n" + _cells(
+        zip(test.alphas, test.sigma_min, test.sigma_max, test.margins)
+    )
+    assert capsys.readouterr().out.encode() == expected.encode()
+
+    # an r = 2 solve-dirac table: x, then re and im of each entry of y
+    src, dst = tmp_path / "q.json", tmp_path / "y.csv"
+    write_field(str(src), r2_potential())
+    assert main(["solve-dirac", "--in", str(src), "--out", str(dst), "--lambda", "1+0.5i"]) == 0
+    q = read_field(str(src))
+    y = solve_cauchy(q, 1 + 0.5j)
+    header = ["x"] + [
+        f"y{a}{b}_{part}" for a in range(4) for b in range(4) for part in ("re", "im")
+    ]
+    rows = (
+        [x] + [v for entry in node.ravel() for v in (entry.real, entry.imag)]
+        for x, node in zip(q.grid.nodes, y)
+    )
+    expected = "# lambda = 1+0.5i\n" + ",".join(header) + "\n" + _cells(rows)
+    assert dst.read_bytes() == expected.encode()
 
 
 def test_check_accelerant_rejection_exit_code(tmp_path, capsys):

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import const_accelerant, gauss_accelerant, random_accelerant, ratio_ok
+from conftest import (
+    const_accelerant,
+    gauss_accelerant,
+    in_band_accelerant,
+    random_accelerant,
+    ratio_ok,
+)
 from kreinmap import (
     Accelerant,
     GridSpec,
@@ -111,11 +117,13 @@ _NEAR_THRESHOLD = {"above": 1.0557421929539808e-8, "below": 9.745312550344436e-9
         (gauss_accelerant(0.3, 80), True),
         (const_accelerant(-1.25 * (1 + _NEAR_THRESHOLD["above"]), 40), True),
         (const_accelerant(-1.25 * (1 + _NEAR_THRESHOLD["below"]), 40), True),
+        (in_band_accelerant("above"), True),
+        (in_band_accelerant("below"), True),
     ],
     ids=[
         "c=0.5", "c=-1.25", "gauss", "real-r2", "one-complex-sample",
         "c=-1.25-N100", "fourier-r2", "gauss-N80", "near-threshold-above",
-        "near-threshold-below",
+        "near-threshold-below", "in-band-above", "in-band-below",
     ],
 )
 def test_accelerant_sweep_matches_complex_svd(h, low_rank):
@@ -125,6 +133,10 @@ def test_accelerant_sweep_matches_complex_svd(h, low_rank):
         factorization._toeplitz_matrix(h), h.grid, h.r
     )
     assert (not dense.all()) == low_rank
+    _assert_sweep_matches_complex_svd(h)
+
+
+def _assert_sweep_matches_complex_svd(h: Accelerant) -> None:
     # reference: every I + H_alpha built and decomposed in complex128
     N, r = h.grid.N, h.r
     conv = convolution_kernel(h).values.astype(np.complex128)
@@ -142,6 +154,46 @@ def test_accelerant_sweep_matches_complex_svd(h, low_rank):
     assert np.max(np.abs(rep.sigma_max - ref_max)) <= 1e-12 * scale
     assert rep.accepted == bool(np.all(margins > 1e-8))
     assert rep.worst_alpha == (int(np.argmin(margins)) + 1) / N
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.sampled_from([1, 2]),
+    n_cells=st.sampled_from([24, 40, 64, 100]),
+    freqs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+    scale=st.floats(0.05, 3.0),
+)
+def test_low_rank_sweep_matches_complex_svd(seed, r, n_cells, freqs, scale):
+    # a sum of complex exponentials with r x r coefficients: T has rank at
+    # most 3 r, so the sketch and the cores decide all but a few truncations
+    rng = np.random.default_rng(seed)
+    shape = (len(freqs), r, r)
+    coef = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    u = -1.0 + np.arange(4 * n_cells + 1) / (2 * n_cells)
+    waves = np.exp(1j * np.pi * np.outer(u, freqs))
+    h = Accelerant(r, GridSpec(n_cells), np.einsum("uj,jab->uab", waves, coef))
+    _, _, dense = factorization._low_rank_sweep(factorization._toeplitz_matrix(h), h.grid, r)
+    assert not dense.all()
+    _assert_sweep_matches_complex_svd(h)
+
+
+@pytest.mark.parametrize(
+    "margins, final",
+    [
+        ([0.5, 0.3, 0.2, 0.9], [True, True, True]),  # an isolated minimum
+        ([0.5, 0.2, 0.2 + 1e-13, 0.9], [False, False, True]),  # a near tie in the core
+        ([0.2 + 1e-13, 0.5, 0.2, 0.9], [True, False, True]),  # a near tie with a dense margin
+        ([0.5, 0.9, 1e-8 + 1e-13], [True, False]),  # a minimum at the threshold
+        ([0.5, 0.9, 1e-8 + 1e-12], [True, True]),
+        ([0.5, np.nan, 0.3], [False, False]),
+    ],
+)
+def test_core_decides_clear_margins_and_an_isolated_minimum(margins, final):
+    # margins[0] is a dense margin, the rest compressed ones within
+    # 3 err = 3e-13 of their dense values
+    got = factorization._decided_by_core(np.array(margins), np.arange(1, len(margins)), 1e-13)
+    assert got.tolist() == final
 
 
 def _schur_rho(h: Accelerant) -> float:

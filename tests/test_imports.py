@@ -71,3 +71,25 @@ def test_every_sibling_import_is_used():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not imported - used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+SWEEP_PROBE = """
+import sys
+import numpy as np
+import kreinmap
+from kreinmap import factorization
+h = kreinmap.Accelerant(1, kreinmap.GridSpec(100), np.full((401, 1, 1), -1.25 + 0j))
+low_rank = not factorization._low_rank_sweep(factorization._toeplitz_matrix(h), h.grid, 1)[2].all()
+print(low_rank, kreinmap.is_accelerant(h).accepted, "numpy.random" in sys.modules)
+"""
+
+
+def test_low_rank_sweep_loads_no_random_generator():
+    # the sketch's sign matrix is a hash, not a draw: importing numpy.random
+    # would add about 13 ms to every CLI call that sweeps
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_PROBE], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "False"]
