@@ -12,7 +12,9 @@ transformation_kernels.
 The wave operator J d/dx + (d/dt) J (apply_wave_operator) is an array layer
 on kernel blocks in their own dtype.  J and the free evolution E(x) =
 diag(e^{i lam x} I, e^{-i lam x} I) are diagonal, so both are applied as
-their diagonals, scaling rows and columns.  A residual that overflows
+their diagonals, scaling rows and columns, and a 2r x 2r factor shared by
+a whole row or column of a kernel is one matrix product per row or column
+(quadops._row_times, quadops._times_column).  A residual that overflows
 floating point comes out non-finite and fails its report entry, without a
 numpy warning.
 
@@ -55,7 +57,16 @@ from .inverse_map import (
     transformation_kernels,
     upsilon,
 )
-from .quadops import _flatten, _unflatten, field_norm, mixed_norm, nystrom_weights, op_from_kernel
+from .quadops import (
+    _flatten,
+    _row_times,
+    _times_column,
+    _unflatten,
+    field_norm,
+    mixed_norm,
+    nystrom_weights,
+    op_from_kernel,
+)
 
 __all__ = [
     "DEFAULT_LAMBDAS",
@@ -98,10 +109,12 @@ def solve_cauchy(q: Potential, lam: complex) -> np.ndarray:
     Classical fourth-order one-step integration of Y' = -J (lam - Q(x)) Y
     with _SUBSTEPS = 4 steps per cell and Q interpolated linearly between
     its node samples. J Q(x) is tabulated once, at the three stage points
-    x0, x0 + hh/2 and x0 + hh of every step, and the march adds -lam J to
-    the table one cell at a time. This is the oracle side of every
-    representation check, so it deliberately touches none of the kernel
-    code.
+    x0, x0 + hh/2 and x0 + hh of every step.  The system is linear, so
+    every RK4 step is a fixed 2r x 2r matrix applied to Y; all of them are
+    built from the table at once, and the march multiplies Y by one
+    product of four of them per cell (_cauchy_march). This is the oracle
+    side of every representation check, so it deliberately touches none of
+    the kernel code.
 
     The step hh = 1/(4N) must resolve the generator, whose norm is at most
     rho = |lam| + max_x ||Q(x)||_2.  RK4 leaves a relative error of about
@@ -119,8 +132,18 @@ def solve_cauchy(q: Potential, lam: complex) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _cauchy_march(q: Potential, lams: tuple) -> np.ndarray:
     """solve_cauchy at every lambda of lams, shape (len(lams), N + 1, 2r, 2r),
-    from one march: the lambdas are stacked on a leading axis of the
-    generator and of Y, so each RK4 stage is one stacked product and
+    from one march.
+
+    The system is linear, so an RK4 step maps Y to Phi Y with a step matrix
+    Phi that does not depend on Y.  With the generator G0, G1, G2 at the
+    three stage points of a step,
+        k2 = G1 (I + hh/2 G0),  k3 = G1 (I + hh/2 k2),  k4 = G2 (I + hh k3),
+        Phi = I + hh/6 (G0 + 2 k2 + 2 k3 + k4),
+    which gives, applied to Y, the classical stages G0 Y, k2 Y, k3 Y, k4 Y.
+    Every step's Phi, for every lambda, comes from three stacked products,
+    the four Phi of a cell are folded into one cell matrix by three more,
+    and the march is then one product Y <- Phi_cell Y per cell.  The
+    lambdas are stacked on a leading axis of the generator and of Y, so
     each lambda's solution is the one solve_cauchy gives it alone, bit for
     bit.  Each lambda is checked as solve_cauchy checks it, in the order of
     lams, before any march; the first refused one raises its message."""
@@ -140,26 +163,27 @@ def _cauchy_march(q: Potential, lams: tuple) -> np.ndarray:
 
     steps = np.arange(N * _SUBSTEPS)
     x0 = (steps // _SUBSTEPS) * q.grid.step + (steps % _SUBSTEPS) * hh
-    pos = np.clip(np.stack([x0, x0 + 0.5 * hh, x0 + hh], axis=1), 0.0, 1.0) * N
+    pos = np.clip(np.stack([x0, x0 + 0.5 * hh, x0 + hh]), 0.0, 1.0) * N
     cell = np.minimum(pos.astype(int), N - 1)
     frac = (pos - cell)[..., None, None]
     qx = (1.0 - frac) * qfull[cell] + frac * qfull[cell + 1]
-    # JQ at stage g of substep s in cell i, [i, s, g], with an axis for lams
-    jq = (J @ qx).reshape(N, _SUBSTEPS, 3, 1, 2 * q.r, 2 * q.r)
-    shifts = np.stack([-lam * J for lam in lams])
+    # JQ at stage g of step s in cell i, [g, i, s], with an axis for lams;
+    # J is diagonal, so it scales rows
+    jq = (np.diagonal(J)[:, None] * qx).reshape(3, N, _SUBSTEPS, 1, 2 * q.r, 2 * q.r)
+    g0, g1, g2 = jq + np.stack([-lam * J for lam in lams])
+    eye = np.eye(2 * q.r)
+    k2 = g1 @ (eye + 0.5 * hh * g0)
+    k3 = g1 @ (eye + 0.5 * hh * k2)
+    k4 = g2 @ (eye + hh * k3)
+    phi = eye + (hh / 6.0) * (g0 + 2.0 * k2 + 2.0 * k3 + k4)
+    cells = phi[:, 0]
+    for s in range(1, _SUBSTEPS):
+        cells = phi[:, s] @ cells
 
     out = np.zeros((N + 1, len(lams), 2 * q.r, 2 * q.r), dtype=np.complex128)
-    y = np.broadcast_to(np.eye(2 * q.r, dtype=np.complex128), out.shape[1:])
-    out[0] = y
-    for i, cell_jq in enumerate(jq):
-        # the generator of every lambda in this cell, one cell at a time
-        for g_start, g_mid, g_end in cell_jq + shifts:
-            g1 = g_start @ y
-            g2 = g_mid @ (y + 0.5 * hh * g1)
-            g3 = g_mid @ (y + 0.5 * hh * g2)
-            g4 = g_end @ (y + hh * g3)
-            y = y + (hh / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        out[i + 1] = y
+    out[0] = np.eye(2 * q.r)
+    for i, cell_phi in enumerate(cells):
+        out[i + 1] = cell_phi @ out[i]
     if not np.isfinite(out).all():
         raise FieldFormatError(
             "Cauchy solution overflows floating point; the potential or lambda is too large"
@@ -241,25 +265,41 @@ def check_fundamental_representation(q: Potential) -> DiagnosticReport:
     non-real one 1e-2, since conditioning grows like e^{|Im lam|}.  A
     potential the march does not resolve on its own grid raises
     FieldFormatError.
+
+    E is diagonal, so E(x - 2t) = E(x) E(-2t) and E(2t - x) = E(-x) E(2t):
+    each integral, for every lambda at once, is one product of the weighted
+    kernel with the phases of t (_phase_integral), its columns then scaled
+    by the phases of x.  No table over (x, t) pairs is built.
     """
     plus, minus = transformation_kernels(q)
     grid = q.grid
     x = grid.nodes
     tw = nystrom_weights(grid, "lower")
+
+    def phases(at: np.ndarray) -> np.ndarray:  # E(at) for every lambda: [lam, node, b]
+        return np.stack([_free_evolution(lam, at, q.r) for lam in DEFAULT_LAMBDAS])
+
+    plus_part = _phase_integral(tw, plus.values, phases(-2.0 * x))
+    minus_part = _phase_integral(tw, minus.values, phases(2.0 * x))
+    y_rep = (phases(x)[:, :, None] * (np.eye(2 * q.r) + plus_part)
+             + phases(-x)[:, :, None] * minus_part)
+    residuals = np.max(np.abs(y_rep - _cauchy_march(q, DEFAULT_LAMBDAS)), axis=(1, 2, 3))
     report = DiagnosticReport()
-    for lam, y_ode in zip(DEFAULT_LAMBDAS, _cauchy_march(q, DEFAULT_LAMBDAS)):
-        e_plus = _free_evolution(lam, x[:, None] - 2.0 * x[None, :], q.r)
-        e_minus = _free_evolution(lam, 2.0 * x[None, :] - x[:, None], q.r)
-        y_rep = (
-            _free_evolution(lam, x, q.r)[:, :, None] * np.eye(2 * q.r)
-            + np.einsum("ij,ijab,ijb->iab", tw, plus.values, e_plus)
-            + np.einsum("ij,ijab,ijb->iab", tw, minus.values, e_minus)
-        )
-        residual = float(np.max(np.abs(y_rep - y_ode)))
+    for lam, residual in zip(DEFAULT_LAMBDAS, residuals):
         entry_tol = _TOL if complex(lam).imag == 0 else _NONREAL_TOL
-        report.add(f"representation_{_lam_label(lam)}", residual, entry_tol)
+        report.add(f"representation_{_lam_label(lam)}", float(residual), entry_tol)
     report.metadata.update({"N": grid.N, "r": q.r, "substeps": _SUBSTEPS})
     return report
+
+
+def _phase_integral(tw: np.ndarray, blocks: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """sum_t tw[x, t] blocks[x, t] diag(phases[l, t]) for every l, shape
+    [l, x, a, b]: the weighted blocks laid out as [b, (x, a), t], one
+    matrix per column b, times the phase columns [b, t, l]."""
+    m, _, n, _ = blocks.shape
+    weighted = (tw[:, :, None, None] * blocks).transpose(3, 0, 2, 1).reshape(n, m * n, m)
+    out = weighted @ phases.transpose(2, 1, 0)
+    return out.reshape(n, m, n, -1).transpose(3, 1, 2, 0)
 
 
 def _line_deriv(vals, axis, diagonal_first, step):
@@ -369,7 +409,7 @@ def identity_suite(q: Potential) -> DiagnosticReport:
     read the off-diagonal lines that F shares with them.
     """
     sc = structural_constants(q.r)
-    J = sc.J
+    jd = np.diagonal(sc.J)
     astar = sc.a_row.conj().T
     qfull = q.full()
     grid = q.grid
@@ -380,15 +420,15 @@ def identity_suite(q: Potential) -> DiagnosticReport:
 
     k_values, l_values, l_star_values = _resolvent_factors(q)
     wave, mask = apply_wave_operator(k_values, grid, "lower")
-    report.add("wave_K", _masked_sup(wave + qfull[:, None] @ k_values, mask), _WAVE_TOL)
+    report.add("wave_K", _masked_sup(wave + _row_times(qfull, k_values), mask), _WAVE_TOL)
     diag_k = k_values[d, d]
-    report.add("diag_K", float(np.max(np.abs(diag_k @ J - J @ diag_k - qfull))), _TOL)
+    report.add("diag_K", float(np.max(np.abs(diag_k * jd - jd[:, None] * diag_k - qfull))), _TOL)
     report.add("boundary_K", float(np.max(np.abs(k_values[1:N, 0] @ astar))), _TOL)
 
     wave, mask = apply_wave_operator(l_values, grid, "lower")
-    report.add("wave_L", _masked_sup(wave - l_values @ qfull[None, :], mask), _WAVE_TOL)
+    report.add("wave_L", _masked_sup(wave - _times_column(l_values, qfull), mask), _WAVE_TOL)
     diag_l = l_values[d, d]
-    report.add("diag_L", float(np.max(np.abs(J @ diag_l - diag_l @ J - qfull))), _TOL)
+    report.add("diag_L", float(np.max(np.abs(jd[:, None] * diag_l - diag_l * jd - qfull))), _TOL)
     report.add("boundary_L", float(np.max(np.abs(l_values[:, 0] @ astar))), _TOL)
 
     upper, cross = resolvent_product_parts(l_values, l_star_values, grid)
@@ -455,9 +495,9 @@ def _derivative_identity(rk: Kernel2D) -> DiagnosticReport:
     w = np.zeros_like(rk.values)
     w[low] = rk.values[i[low], (i - j)[low]]
     dw, mask = _line_deriv(w, 0, True, grid.step)
-    sc = structural_constants(r)
-    head = rk.values[:, 0] @ sc.B
-    target = head[:, None] @ (rk.values @ sc.B)
+    # B = [[0, I], [I, 0]] swaps the column halves of what it multiplies
+    head = np.roll(rk.values[:, 0], r, axis=-1)
+    target = _row_times(head, np.roll(rk.values, r, axis=-1))
     report = DiagnosticReport()
     report.add("derivative_identity", _masked_sup(dw - target, mask & low), _TOL)
     report.metadata.update({"N": N, "r": r})

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FieldFormatError, NotAccelerantError, SingularSystemError
 from .fields import Accelerant, GridSpec, Kernel2D
@@ -42,7 +43,10 @@ def convolution_kernel(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:
     """The difference kernel F(x_i, x_j) = h(x_i - x_j) on a node grid.
 
     The target grid must have the same step as the accelerant's node grid or
-    be its 2N refinement; both read h at exact sample indices.
+    be its 2N refinement; both read h at exact sample indices.  The kernel
+    is a Toeplitz view, sliding windows of the reversed samples on the
+    target step, which Kernel2D copies once; any other grid raises
+    FieldFormatError.
     """
     if grid is None:
         grid = h.grid
@@ -56,9 +60,10 @@ def convolution_kernel(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:
             f"{h.grid.N} nor its refinement"
         )
     m = grid.N + 1
-    i, j = np.indices((m, m))
-    idx = 2 * h.grid.N + stride * (i - j)
-    return Kernel2D(h.r, grid, "full", h.values[idx])
+    # the reversed samples read h(1 - k step), so windows[p, :, :, j] is
+    # h(1 - (p + j) step) and row i = p reversed is h(x_i - x_j)
+    windows = sliding_window_view(h.values[::stride][::-1], m, axis=0)
+    return Kernel2D(h.r, grid, "full", windows[::-1].transpose(0, 3, 1, 2))
 
 
 @dataclass

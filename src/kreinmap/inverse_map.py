@@ -83,7 +83,7 @@ from .fields import (
     _half_argument_reads,
     potential_adjoint,
 )
-from .quadops import _real_if_exact, adjoint_op, compose
+from .quadops import _real_if_exact, _times_column, adjoint_op, compose
 
 __all__ = [
     "transformation_kernels",
@@ -373,14 +373,16 @@ def _substitute(k: np.ndarray, rhs: np.ndarray, dinv: np.ndarray, step: float) -
     the full-weight history sum over s < x_i for every column of row i is
     one matrix product: row i of K, gathered as an n x (i n) block, times
     the leading rows of Y.  The half weight at s = t comes back out of R,
-    as R(x, t) + (step/2) K(x, t) R(t, t), once before the loop, so that a
-    row costs that product and one product with its endpoint inverse.
+    as R(x, t) + (step/2) K(x, t) R(t, t), once before the loop and one
+    product per column (quadops._times_column), so that a row costs that
+    product and one product with its endpoint inverse.
     Columns t > x_i stay zero, as a lower Y is.  O(N^2 c n^3).
     """
     m, c, n, _ = rhs.shape
     diag = rhs[np.arange(c), np.arange(c)]
     # [(x, a), (t, b)]: R with the half weight at s = t given back
-    held = (rhs + 0.5 * step * (k[:, :c] @ diag)).transpose(0, 2, 1, 3).reshape(m * n, c * n)
+    held = rhs + 0.5 * step * _times_column(k[:, :c], diag)
+    held = held.transpose(0, 2, 1, 3).reshape(m * n, c * n)
     yf = np.zeros((m * n, c * n), dtype=held.dtype)
     yf[:n, :n] = diag[0]
     for i in range(1, m):

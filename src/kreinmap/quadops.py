@@ -6,7 +6,11 @@ support: global weights for full kernels, the restricted rule on [0, x_i]
 (resp. [x_i, 1]) for lower (resp. upper) kernels. Triangular supports carry
 their diagonal with half weight, and the degenerate row (empty interval)
 is zero. The matrix is held flattened, block (x, s) at rows (x, a) and
-columns (s, b), so that an operator product is one matrix product.
+columns (s, b), so that an operator product is one matrix product.  The
+same layout makes a block-wise product one matrix product per row or per
+column: _row_times multiplies every block of row i on the left by one
+n x n matrix, _times_column every block of column j on the right, so no
+caller runs one small product per block.
 
 Operators are plain ndarrays, built only where a dense operator is needed
 (the factorization and the spectral radius probe). The inverse map's
@@ -63,6 +67,25 @@ def _unflatten(flat: np.ndarray, n: int) -> np.ndarray:
     """The inverse of _flatten, as a view."""
     m = flat.shape[0] // n
     return flat.reshape(m, n, m, n).transpose(0, 2, 1, 3)
+
+
+def _row_times(left: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """left[i] @ blocks[i, j] for every block of blocks [i, j, a, b]: one
+    product per row i, of the n x n left[i] with row i laid out as the
+    n x (c n) matrix [a, (j, b)].  That layout is free for blocks held
+    as [i, a, j, b], as _substitute returns them."""
+    m, c, n, _ = blocks.shape
+    out = left @ blocks.transpose(0, 2, 1, 3).reshape(m, n, c * n)
+    return out.reshape(m, n, c, n).transpose(0, 2, 1, 3)
+
+
+def _times_column(blocks: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """blocks[i, j] @ right[j] for every block of blocks [i, j, a, b]: one
+    product per column j, of column j laid out as the (m n) x n matrix
+    [(i, a), b] with the n x n right[j]."""
+    m, c, n, _ = blocks.shape
+    out = blocks.transpose(1, 0, 2, 3).reshape(c, m * n, n) @ right
+    return out.reshape(c, m, n, n).transpose(1, 0, 2, 3)
 
 
 def _real_if_exact(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

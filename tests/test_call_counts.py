@@ -237,6 +237,24 @@ def test_transmutation_kernel_forms_no_adjoint(count_calls):
     assert counts == {"potential_adjoint": 0}
 
 
+def test_representation_check_tabulates_phases_on_the_nodes_alone(monkeypatch):
+    shapes = []
+
+    def wrap(fn):
+        def recorded(lam, x, r):
+            shapes.append(np.shape(x))
+            return fn(lam, x, r)
+
+        return recorded
+
+    _replace_everywhere(monkeypatch, "dirac_verify._free_evolution", wrap)
+    q = linear_potential(16)
+    assert check_fundamental_representation(q).passed
+    # E(x - 2t) = E(x) E(-2t) and E(2t - x) = E(-x) E(2t): phases of x and
+    # of t alone, never a table over (x, t)
+    assert shapes and all(shape == (q.grid.N + 1,) for shape in shapes)
+
+
 def test_cli_verify_builds_the_transformation_kernels_once(count_calls, tmp_path, capsys):
     q = linear_potential(16)
     src = tmp_path / "q.json"

@@ -12,6 +12,7 @@ from conftest import (
     gauss_accelerant,
     linear_potential,
     r2_potential,
+    random_accelerant,
     ratio_ok,
 )
 from kreinmap import (
@@ -20,6 +21,7 @@ from kreinmap import (
     Kernel2D,
     NotAccelerantError,
     Potential,
+    block_krein_kernel,
     check_fundamental_representation,
     check_krein_derivative_identity,
     decimate_accelerant,
@@ -28,12 +30,14 @@ from kreinmap import (
     identity_suite,
     krein_solution,
     lipschitz_probe,
+    nystrom_weights,
     resolvent_product_kernel,
     roundtrip_report,
     solve_cauchy,
     spectral_radius_probe,
     structural_constants,
     theta,
+    transformation_kernels,
     transmutation_kernel,
     transmuted_solution,
     upsilon,
@@ -42,6 +46,7 @@ from kreinmap import dirac_verify
 from kreinmap.cli import main, write_field
 from kreinmap.dirac_verify import _triangle_compose, apply_wave_operator
 from kreinmap.errors import FieldFormatError, SingularSystemError
+from kreinmap.inverse_map import _resolvent_factors
 
 
 def _zero_potential(n_cells: int) -> Potential:
@@ -75,13 +80,12 @@ def test_cauchy_refuses_unresolved_step():
     assert abs(abs(y[-1, 0, 0]) - 1.0) < 1e-3
 
 
-def _cauchy_reference(q: Potential, lam: complex) -> np.ndarray:
-    """solve_cauchy's march with the generator as a per-stage closure."""
+def _cauchy_generator(q: Potential, lam: complex):
+    """The generator -J (lam - Q(x)) of solve_cauchy as a closure, with Q
+    interpolated linearly between its node samples."""
     J = structural_constants(q.r).J
     qfull = q.full()
     N = q.grid.N
-    substeps = 4
-    hh = q.grid.step / substeps
 
     def generator(x: float) -> np.ndarray:
         pos = min(max(x, 0.0), 1.0) * N
@@ -90,6 +94,40 @@ def _cauchy_reference(q: Potential, lam: complex) -> np.ndarray:
         qx = (1.0 - frac) * qfull[cell] + frac * qfull[cell + 1]
         return -lam * J + J @ qx
 
+    return generator
+
+
+def _cauchy_reference(q: Potential, lam: complex) -> np.ndarray:
+    """solve_cauchy's march with the generator as a per-stage closure: the
+    RK4 step matrix of every step, folded per cell in the march's order."""
+    generator = _cauchy_generator(q, lam)
+    N = q.grid.N
+    substeps = 4
+    hh = q.grid.step / substeps
+    eye = np.eye(2 * q.r)
+    out = np.zeros((N + 1, 2 * q.r, 2 * q.r), dtype=np.complex128)
+    out[0] = eye
+    for i in range(N):
+        cell = None
+        for k in range(substeps):
+            x0 = i * q.grid.step + k * hh
+            g0, g1, g2 = generator(x0), generator(x0 + 0.5 * hh), generator(x0 + hh)
+            k2 = g1 @ (eye + 0.5 * hh * g0)
+            k3 = g1 @ (eye + 0.5 * hh * k2)
+            k4 = g2 @ (eye + hh * k3)
+            phi = eye + (hh / 6.0) * (g0 + 2.0 * k2 + 2.0 * k3 + k4)
+            cell = phi if cell is None else phi @ cell
+        out[i + 1] = cell @ out[i]
+    return out
+
+
+def _classical_rk4(q: Potential, lam: complex) -> np.ndarray:
+    """The classical RK4 march of Y itself, four stages per step, with the
+    generator as a per-stage closure."""
+    generator = _cauchy_generator(q, lam)
+    N = q.grid.N
+    substeps = 4
+    hh = q.grid.step / substeps
     out = np.zeros((N + 1, 2 * q.r, 2 * q.r), dtype=np.complex128)
     y = np.eye(2 * q.r, dtype=np.complex128)
     out[0] = y
@@ -115,6 +153,20 @@ def test_cauchy_tabulated_generator_matches_closure_bitwise(r, lam):
               for _ in range(2))
     q = Potential(r, g, qp, qm)
     assert np.array_equal(solve_cauchy(q, lam), _cauchy_reference(q, lam))
+
+
+@pytest.mark.parametrize("n_cells", [16, 64])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 1.0, -2.5, 1.0 + 0.5j, 3.0 - 2.0j])
+def test_cauchy_step_matrices_match_classical_rk4(n_cells, r, lam):
+    # the step matrix applies the same four stages, so only rounding differs
+    rng = np.random.default_rng(r)
+    shape = (n_cells + 1, r, r)
+    qp, qm = (0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+              for _ in range(2))
+    q = Potential(r, GridSpec(n_cells), qp, qm)
+    ref = _classical_rk4(q, lam)
+    assert np.max(np.abs(solve_cauchy(q, lam) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("q", [linear_potential(32), r2_potential()], ids=["r1", "r2"])
@@ -284,6 +336,84 @@ def test_representation_report_smooth():
     assert report.passed
     names = [e.name for e in report.entries]
     assert "representation_0" in names and "representation_1+0.5i" in names
+
+
+_CONFTEST_POTENTIALS = {
+    "general": linear_potential(16),
+    "real-class": const_potential(0.3j, 16),
+    "self-adjoint": const_potential(1.0, 16),
+    "r2": r2_potential(),
+}
+
+
+def _diag_phases(lam: complex, z: np.ndarray, r: int) -> np.ndarray:
+    """The diagonal of E(z) = diag(e^{i lam z} I, e^{-i lam z} I), z.shape + (2r,)."""
+    return np.concatenate([np.exp(1j * lam * z)[..., None].repeat(r, -1),
+                           np.exp(-1j * lam * z)[..., None].repeat(r, -1)], axis=-1)
+
+
+@pytest.mark.parametrize("q", _CONFTEST_POTENTIALS.values(), ids=_CONFTEST_POTENTIALS.keys())
+def test_representation_matches_per_lambda_phase_tables(q):
+    # reference: one (N+1)^2 phase table per lambda and kernel, contracted
+    # by einsum; the check factors E(x - 2t) = E(x) E(-2t) instead
+    plus, minus = transformation_kernels(q)
+    x = q.grid.nodes
+    tw = nystrom_weights(q.grid, "lower")
+    report = check_fundamental_representation(q)
+    for lam in dirac_verify.DEFAULT_LAMBDAS:
+        y_rep = (
+            _diag_phases(lam, x, q.r)[:, :, None] * np.eye(2 * q.r)
+            + np.einsum("ij,ijab,ijb->iab", tw, plus.values,
+                        _diag_phases(lam, x[:, None] - 2.0 * x[None, :], q.r))
+            + np.einsum("ij,ijab,ijb->iab", tw, minus.values,
+                        _diag_phases(lam, 2.0 * x[None, :] - x[:, None], q.r))
+        )
+        ref = np.max(np.abs(y_rep - solve_cauchy(q, lam)))
+        name = f"representation_{dirac_verify._lam_label(lam)}"
+        assert abs(report[name].residual - ref) <= 1e-13, name
+
+
+@pytest.mark.parametrize("q", _CONFTEST_POTENTIALS.values(), ids=_CONFTEST_POTENTIALS.keys())
+def test_suite_entries_match_stacked_block_products(q):
+    # the entries the suite forms by row and column products and by the
+    # diagonal of J, against one stacked 2r x 2r product per block
+    J = structural_constants(q.r).J
+    qfull = q.full()
+    k, l, _ = _resolvent_factors(q)
+    d = np.arange(q.grid.N + 1)
+    wave_k, mask_k = apply_wave_operator(k, q.grid, "lower")
+    wave_l, mask_l = apply_wave_operator(l, q.grid, "lower")
+    expected = {
+        "wave_K": np.max(np.abs((wave_k + qfull[:, None] @ k)[mask_k])),
+        "diag_K": np.max(np.abs(k[d, d] @ J - J @ k[d, d] - qfull)),
+        "wave_L": np.max(np.abs((wave_l - l @ qfull[None, :])[mask_l])),
+        "diag_L": np.max(np.abs(J @ l[d, d] - l[d, d] @ J - qfull)),
+    }
+    report = identity_suite(q)
+    for name, value in expected.items():
+        assert abs(report[name].residual - value) <= 1e-12 * value, name
+
+
+@pytest.mark.parametrize(
+    "h",
+    [gauss_accelerant(0.3, 32), const_accelerant(0.5, 16), random_accelerant(0, r=2, n_cells=16)],
+    ids=["gauss", "const", "r2"],
+)
+def test_derivative_identity_matches_stacked_block_products(h):
+    # the target R(x, 0) B R(x, t) B as one stacked product per block, with B
+    # a matrix, against the suite's column swaps and row products
+    rk = block_krein_kernel(h)
+    B = structural_constants(h.r).B
+    m = h.grid.N + 1
+    i, j = np.indices((m, m))
+    low = j <= i
+    w = np.zeros_like(rk.values)
+    w[low] = rk.values[i[low], (i - j)[low]]
+    dw, mask = dirac_verify._line_deriv(w, 0, True, h.grid.step)
+    target = (rk.values[:, 0] @ B)[:, None] @ (rk.values @ B)
+    expected = np.max(np.abs((dw - target)[mask & low]))
+    residual = check_krein_derivative_identity(h)["derivative_identity"].residual
+    assert abs(residual - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])

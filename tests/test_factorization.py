@@ -32,6 +32,7 @@ from kreinmap import (
     upsilon,
 )
 from kreinmap import factorization
+from kreinmap.errors import FieldFormatError
 from kreinmap.factorization import _dense_row
 
 
@@ -48,6 +49,20 @@ def test_convolution_reads_exact_samples():
 def test_convolution_constant():
     f = convolution_kernel(const_accelerant(0.7, 8))
     assert np.all(f.values == 0.7)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_convolution_window_matches_index_gather(r):
+    h = random_accelerant(r, r=r, n_cells=16)
+    for grid, stride in ((h.grid, 2), (h.grid.refined(), 1)):
+        i, j = np.indices((grid.N + 1, grid.N + 1))
+        gathered = h.values[2 * h.grid.N + stride * (i - j)]
+        f = convolution_kernel(h, grid)
+        assert f.values.flags.c_contiguous
+        assert f.values.tobytes() == gathered.tobytes()
+    for n_cells in (8, 24, 64):
+        with pytest.raises(FieldFormatError, match="neither the accelerant grid"):
+            convolution_kernel(h, GridSpec(n_cells))
 
 
 def test_accelerant_sweep_trivial_cases():

@@ -16,7 +16,7 @@ from kreinmap import (
     nystrom_weights,
     op_from_kernel,
 )
-from kreinmap.quadops import adjoint_op, compose
+from kreinmap.quadops import _row_times, _times_column, adjoint_op, compose
 from conftest import const_accelerant, linear_potential
 
 
@@ -92,6 +92,30 @@ def test_adjoint_op_is_conjugate_transpose(rng):
             assert np.array_equal(adj[x, t], k[t, x].conj().T)
         assert np.array_equal(adjoint_op(adj), k), support
     assert adjoint_op(vals.real).dtype == np.float64
+
+
+def _random_blocks(rng, shape, dtype):
+    vals = rng.standard_normal(shape)
+    return vals if dtype == np.float64 else vals + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("r", [1, 2])
+def test_block_products_match_stacked_matmul(rng, dtype, r):
+    m, n = 9, 2 * r
+    # a full square grid, c < m leading columns, and the [x, a, t, b] memory
+    # layout of _substitute's output, viewed as blocks [x, t, a, b]
+    held = _random_blocks(rng, (m, n, 5, n), dtype).transpose(0, 2, 1, 3)
+    inputs = [_random_blocks(rng, (m, m, n, n), dtype),
+              _random_blocks(rng, (m, 5, n, n), dtype), held]
+    for blocks in inputs:
+        c = blocks.shape[1]
+        left = _random_blocks(rng, (m, n, n), dtype)
+        right = _random_blocks(rng, (c, n, n), dtype)
+        for out, ref in ((_row_times(left, blocks), left[:, None] @ blocks),
+                         (_times_column(blocks, right), blocks @ right[None, :])):
+            assert out.shape == ref.shape and out.dtype == ref.dtype
+            assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_resolvent_inverts(rng):
