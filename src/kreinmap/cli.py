@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError, SingularSystemError
-from .factorization import _krein_pair, _require_accelerant, is_accelerant
+from .factorization import _require_accelerant, is_accelerant
 from .fields import (
     Accelerant,
     GridSpec,
@@ -181,7 +181,7 @@ def _emit_report(report) -> None:
 def cmd_theta(args) -> int:
     h = _load(args.in_path, (Accelerant,), args.n)
     margin, certificate = _require_accelerant(h)
-    q = _krein_potential(_krein_pair(h))  # theta without repeating the gate
+    q = _krein_potential(h)  # theta without repeating the gate
     write_field(args.out_path, q, meta=f"theta of {args.in_path}")
     if certificate is None:
         print(f"accelerant test: min margin {margin:.6f}")

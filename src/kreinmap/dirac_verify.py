@@ -44,7 +44,6 @@ from .fields import (
 )
 from .forward_map import (
     _block_kernel,
-    _krein_potential,
     block_krein_kernel,
     folded_kernel,
     folded_lower_factor,
@@ -201,31 +200,35 @@ def krein_solution(h: Accelerant, lams) -> np.ndarray:
     sweep runs only when neither the Schur norm bound nor the numerical
     range bound can certify h. Neither the gate nor the kernels depend on
     lam, so one of each serves every value in lams; the result has shape
-    (len(lams), N + 1, 2r, r).  Substituting t = x - s, each integral is one
-    contraction of the kernel with the phases e^{-2 i lam (x_i - x_t)} for
-    phi_1 and e^{2 i lam (x_i - x_t)} for phi_2 on the lower trapezoid
-    weights, which are symmetric on [0, x_i].  lams that is not a non-empty
-    sequence of finite numbers raises FieldFormatError before the gate runs,
-    and so does a solution that overflows floating point after it.
+    (len(lams), N + 1, 2r, r).  Substituting t = x - s, each integral
+    carries the phase e^{-2 i lam (x_i - x_t)} for phi_1 and its conjugate
+    form e^{2 i lam (x_i - x_t)} for phi_2, on the lower trapezoid weights,
+    which are symmetric on [0, x_i]. The phase separates as
+    e^{-2 i lam (x_i - 1/2)} e^{2 i lam (x_t - 1/2)}: the kernel times the
+    phases of t is one product for all lams (_phase_integral), then scaled
+    by the phases of x, and no (N+1)^2 phase table is built. Centred at
+    x = 1/2, neither factor exceeds e^{|Im lam|} in size, so no factor
+    over- or underflows where the product does not.  lams that is not a
+    non-empty sequence of finite numbers raises FieldFormatError before the
+    gate runs, and so does a solution that overflows floating point after
+    it.
     """
     lams = _check_sequence(lams, "lams", "numbers")
     for lam in lams:
         _check_lambda(lam)
     _require_accelerant(h)
     r1, r2 = _krein_pair(h)
-    grid = h.grid
+    grid, r = h.grid, h.r
     x = grid.nodes
     tw = nystrom_weights(grid, "lower")
-    idx = np.arange(grid.N + 1)
-    lag = np.abs(idx[:, None] - idx[None, :])  # i - t wherever tw is nonzero
-    eye = np.eye(h.r)
-    phis = np.zeros((len(lams), grid.N + 1, 2 * h.r, h.r), dtype=np.complex128)
+    lam = np.asarray(lams, dtype=np.complex128)[:, None]  # [l, node]
+    phis = np.empty((len(lams), grid.N + 1, 2 * r, r), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for phi, lam in zip(phis, lams):
-            s1 = np.einsum("it,itab->iab", tw * np.exp(-2j * lam * x)[lag], r1.values)
-            s2 = np.einsum("it,itab->iab", tw * np.exp(2j * lam * x)[lag], r2.values)
-            phi[:, : h.r] = np.exp(1j * lam * x)[:, None, None] * (eye + s1)
-            phi[:, h.r :] = np.exp(-1j * lam * x)[:, None, None] * (eye + s2)
+        down, up = np.exp(-2j * lam * (x - 0.5)), np.exp(2j * lam * (x - 0.5))
+        s1 = _phase_integral(tw, r1.values, np.repeat(up[:, :, None], r, axis=-1))
+        s2 = _phase_integral(tw, r2.values, np.repeat(down[:, :, None], r, axis=-1))
+        phis[:, :, :r] = np.exp(1j * lam * x)[:, :, None, None] * (np.eye(r) + down[:, :, None, None] * s1)
+        phis[:, :, r:] = np.exp(-1j * lam * x)[:, :, None, None] * (np.eye(r) + up[:, :, None, None] * s2)
     if not np.isfinite(phis).all():
         raise FieldFormatError("Krein solution overflows floating point; lambda is too large")
     return phis
@@ -382,7 +385,8 @@ def _verify_accelerant(h: Accelerant) -> DiagnosticReport:
     identity read the same two Krein kernels."""
     _require_accelerant(h)
     kernels = _krein_pair(h)
-    report = _verify_potential(_krein_potential(kernels))
+    r_direct, r_reflected = (k.values[:, 0] for k in kernels)
+    report = _verify_potential(Potential(h.r, h.grid, 1j * r_direct, -1j * r_reflected))
     report.entries.extend(_derivative_identity(_block_kernel(kernels)).entries)
     # dual-route factor check: the folded Krein factor against the
     # triangular factor recovered from the folded kernel itself

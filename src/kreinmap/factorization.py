@@ -101,10 +101,12 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
     (k+1) r block of the Toeplitz matrix T of _toeplitz_matrix and W_k the
     trapezoid weights of [0, x_k]. When T has small numerical rank p,
     _low_rank_sweep reads sigma_min and sigma_max of every A_k from a
-    2p x 2p core, O(N^3 r^3 + N^2 r p^2) in all: one values-only SVD of T
-    sets p, and T ~ P R^H comes from a range sketch with k = p + 8
-    columns, whose residual E = T - P R^H enters the error bound
-    e = step |E|_F + 4 (N+1) r eps (1 + step sigma_1). Every other
+    2p x 2p core, O(N^2 r^2 (k + p^2/r)) in all: a range sketch of T with
+    k = 16 columns, doubled while p comes within 8 of k, gives p and
+    T ~ P R^H, whose residual E = T - P R^H enters the error bound
+    e = step |E|_F + 4 (N+1) r eps (1 + step (s_1 + |E|_F)), s_1 the
+    largest singular value of the sketch. No O(N^3 r^3) factorization of
+    T runs. Every other
     truncation (all of them when T is not low-rank) takes one dense SVD,
     O(N^4 r^3) for the whole sweep. A truncation whose compressed margin
     lies within 3e of 1e-8, or within 6e of the smallest compressed
@@ -149,6 +151,10 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
 # BLAS thread it beat the dense sweep up to 2p / ((N+1) r) of about 0.3 at
 # N = 50, 0.5 at N = 100 and 0.6 at N = 200, so a quarter keeps it ahead.
 _CORE_FRACTION = 0.25
+# The first sketch of T has this many columns; a sketch that finds more
+# than all but 8 of its columns above the rank cut is drawn again with
+# twice as many.
+_SKETCH_COLUMNS = 16
 
 
 def _low_rank_sweep(
@@ -158,17 +164,10 @@ def _low_rank_sweep(
     factorization of T, and the mask of truncations is_accelerant must
     still decompose densely.
 
-    One values-only SVD of T, n = (N+1) r, gives sigma_1 and the numerical
-    rank p = #{sigma_i > n eps sigma_1}, numpy's matrix_rank cut. When T's
-    singular values are not finite, or 2p > _CORE_FRACTION n, every
-    truncation is left to the dense SVD. Otherwise a range sketch (N.
-    Halko, P.-G. Martinsson and J. A. Tropp, SIAM Review 53, 2011) gives
-    T ~ P R^H in O(n^2 k) with k = p + 8 (at most n): Q is the QR of
-    Y = T Omega, Omega the fixed n x k sign matrix of _sign_matrix, and the
-    SVD of the k x n matrix Q^H T, truncated to rank p, U_p Sigma_p V_p^H,
-    gives P = Q U_p Sigma_p and R = V_p. The residual E = T - P R^H is
-    formed in full. So the values-only SVD is the only O(n^3)
-    factorization of T, and p, sigma_1 and the 2p cut come from it alone.
+    _sketched_factor gives T ~ P R^H of rank p, n = (N+1) r, or None, and
+    then every truncation is left to the dense SVD: when T times the sketch
+    or its projection is not finite, or when 2p > _CORE_FRACTION n. No
+    O(n^3) factorization of T runs.
 
     A_k ~ I + P_k B_k^H with B_k = W_k R_k. The R factor of
     [P_k, B_k] = Q' [R_P, R_B] gives A_k ~ I + Q' R_P R_B^H Q'^H, and for
@@ -182,19 +181,21 @@ def _low_rank_sweep(
     truncations with (k+1) r <= 2p take one dense SVD each here, of size
     at most 2p.
 
-    T = P R^H + E, and |E W_k|_2 <= step |E|_2 <= step |E|_F, so by Weyl's
-    inequality dropping E moves every singular value by at most
-    step |E|_F. With the round-off of the SVDs and the QR the compressed
-    values lie within e = step |E|_F + 4 n eps (1 + step sigma_1) of the
-    dense ones; the rounding in forming E is of order p eps step sigma_1,
-    which the 4 n eps term covers since p <= n/8. A poor sketch only
-    widens e. Since both sigma_max are at least 1 - e, every margin lies
-    within 3e. A truncation whose margin lies within 3e of 1e-8, or within
-    6e of the smallest compressed margin, is left to the dense SVD as
-    well. The smallest compressed margin is final when it lies more than
-    3e from 1e-8 and every other margin of the sweep, the dense ones of
-    (k+1) r <= 2p included, lies more than 6e above it: it is then the
-    smallest margin of the dense sweep too, on the same side of 1e-8.
+    T = P R^H + E, with the residual E formed in full, and
+    |E W_k|_2 <= step |E|_2 <= step |E|_F, so by Weyl's inequality dropping
+    E moves every singular value by at most step |E|_F. With the round-off
+    of the SVDs and the QR the compressed values lie within
+    e = step |E|_F + 4 n eps (1 + step (s_1 + |E|_F)) of the dense ones,
+    where s_1 + |E|_F >= sigma_1(T), s_1 being the largest singular value
+    of the sketch's factor; the rounding in forming E is of order
+    p eps step sigma_1, which the 4 n eps term covers since p <= n/8. A
+    poor sketch only widens e. Since both sigma_max are at least 1 - e,
+    every margin lies within 3e. A truncation whose margin lies within 3e
+    of 1e-8, or within 6e of the smallest compressed margin, is left to the
+    dense SVD as well. The smallest compressed margin is final when it lies
+    more than 3e from 1e-8 and every other margin of the sweep, the dense
+    ones of (k+1) r <= 2p included, lies more than 6e above it: it is then
+    the smallest margin of the dense sweep too, on the same side of 1e-8.
 
     A T that is exactly zero (h = 0) makes every A_k exactly I, so every
     sigma is 1 and no SVD runs.
@@ -204,19 +205,14 @@ def _low_rank_sweep(
         return np.ones(N), np.ones(N), np.zeros(N, dtype=bool)
     sig_min, sig_max = np.empty(N), np.empty(N)
     dense = np.ones(N, dtype=bool)
-    eps = np.finfo(float).eps
     with np.errstate(all="ignore"):
-        s = np.linalg.svd(t, compute_uv=False)
-        if not np.all(np.isfinite(s)):
+        factor = _sketched_factor(t)
+        if factor is None:
             return sig_min, sig_max, dense
-        p = max(1, int(np.count_nonzero(s > n * eps * s[0])))
-        if 2 * p > _CORE_FRACTION * n:
-            return sig_min, sig_max, dense
-        q = np.linalg.qr(t @ _sign_matrix(n, min(p + 8, n)))[0]
-        u, s_q, vh = np.linalg.svd(q.conj().T @ t, full_matrices=False)
-        pr = np.concatenate((q @ (u[:, :p] * s_q[:p]), vh[:p].conj().T), axis=1)
-        residual = np.linalg.norm(t - pr[:, :p] @ vh[:p])  # |E|_F
-        err = step * residual + 4 * n * eps * (1.0 + step * s[0])
+        pr, s_1 = factor
+        p = pr.shape[1] // 2
+        residual = np.linalg.norm(t - pr[:, :p] @ pr[:, p:].conj().T)  # |E|_F
+        err = step * residual + 4 * n * np.finfo(float).eps * (1.0 + step * (s_1 + residual))
         ks = np.arange(max(1, 2 * p // r), N + 1)  # (k+1) r > 2p
         for k in range(1, ks[0]):
             sig_max[k - 1], sig_min[k - 1] = _truncation_extremes(t, grid, r, k)
@@ -236,6 +232,44 @@ def _low_rank_sweep(
         dense[: ks[0] - 1] = False
         dense[ks - 1] = ~_decided_by_core(sig_min / sig_max, ks - 1, err)
     return sig_min, sig_max, dense
+
+
+@np.errstate(all="ignore")
+def _sketched_factor(t: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """([P, R], s_1) with T ~ P R^H of rank p from a range sketch, or None
+    when the sweep must decompose every truncation densely.
+
+    The adaptive range finder of N. Halko, P.-G. Martinsson and J. A. Tropp
+    (SIAM Review 53, 2011, Alg. 4.2), with Omega the fixed n x k sign
+    matrix of _sign_matrix, k = _SKETCH_COLUMNS at first (at most n): Q is
+    the QR of Y = T Omega, and the SVD of the k x n matrix Q^H T,
+    U Sigma V^H, has the singular values s_1 >= s_2 >= ... The rank p is
+    the sketch's own cut #{s_i > n eps s_1}, numpy's matrix_rank cut, at
+    least 1. None when 2p > _CORE_FRACTION n; while p > k - 8 and k < n, k
+    doubles and the sketch is drawn again. Truncated to rank p,
+    P = Q U_p Sigma_p and R = V_p, O(n^2 k) in all. None as well when Y or
+    Q^H T is not finite, which is tested before any QR or SVD sees them,
+    with numpy's floating-point warnings off.
+    """
+    n = t.shape[0]
+    eps = np.finfo(float).eps
+    k = min(_SKETCH_COLUMNS, n)
+    while True:
+        y = t @ _sign_matrix(n, k)
+        if not np.isfinite(y).all():
+            return None
+        q = np.linalg.qr(y)[0]
+        projected = q.conj().T @ t
+        if not np.isfinite(projected).all():
+            return None
+        u, s, vh = np.linalg.svd(projected, full_matrices=False)
+        p = max(1, int(np.count_nonzero(s > n * eps * s[0])))
+        if 2 * p > _CORE_FRACTION * n:
+            return None
+        if p <= k - 8 or k == n:
+            break
+        k = min(2 * k, n)
+    return np.concatenate((q @ (u[:, :p] * s[:p]), vh[:p].conj().T), axis=1), float(s[0])
 
 
 def _decided_by_core(margins: np.ndarray, core: np.ndarray, err: float) -> np.ndarray:
@@ -430,15 +464,24 @@ def solve_glm(
     weight and edge_minus at the moving endpoint. So one LU of S without
     pivoting, S = L U, serves every row:
 
-    - Y = tril(B U^-1) L^-1, with B the stacked b_i and a block-lower mask
-      after the first product, holds every y_i = b_i S_i^-1 (two GEMMs);
+    - y_i = b_i S_i^-1 needs no product with a whole factor. The last
+      block row of S_i^-1 = U_i^-1 L_i^-1 is R_i = (U^-1)_ii L^-1[i, :],
+      and for i >= 1 block row i of S_i is e_i + step F[i, :i+1], so
+      b_i = (S_i[i, :] - e_i)/step + (plus_i - F_ii) e_i and
+      y_i = (e_i - R_i)/step + (plus_i - F_ii) R_i: an n x n matrix times
+      the block row L^-1[i, :] off the diagonal block. On it e_i - R_i
+      cancels, so Y_ii = (sum_k b_ik (U^-1)_ki) (L^-1)_ii is one batched
+      product of the block rows of B with the block columns of U^-1. Row
+      0 has its diagonal block only;
     - Z_i = W_i S_i^-1 = -(step/2) y_i + delta_i (U^-1)_ii L^-1[i, :];
     - an n x n Woodbury step finishes the row:
-      x_i = -y_i + (y_i E_i)(I + Z_i E_i)^-1 Z_i.
+      x_i = -y_i + (y_i E_i)(I + Z_i E_i)^-1 Z_i, again an n x n matrix
+      times L^-1[i, :] off the diagonal block.
 
     L^-1 and U^-1 come from one recursive pass that, like the rest, does
-    its work in matrix products, so the whole solve costs O(N^3 n^3)
-    against O(N^4 n^3) for N separate solves.
+    its work in matrix products; it is the only O(N^3 n^3) step besides
+    the residual check, against O(N^4 n^3) for N separate solves, and the
+    rows cost O(N^2 n^3).
 
     The same factors solve z_i A_i = -c_i for the leading blocks
     c_i = c[:, :(i+1) n] of any one n x (N+1) n row c (_nested_solve):
@@ -455,8 +498,9 @@ def solve_glm(
 
     The sweep certifies the A_i, not the S_i, and an LU without pivoting
     is only as good as the leading blocks of S. So every row's residual
-    x_i A_i + b_i is computed in full (one GEMM with S plus the last-row
-    term), and any row above 1e-10 times max(1, max|x_i|), or not finite,
+    x_i A_i + b_i is computed in full (X S on its block-lower triangle, in
+    row panels, plus the last-row term), and any row above 1e-10
+    times max(1, max|x_i|), or not finite,
     is solved again by one dense solve of A_i. Only a row that fails that
     dense solve too raises SingularSystemError. The LU runs with numpy's
     floating-point warnings off: a zero or tiny pivot shows up as flagged
@@ -482,7 +526,8 @@ def _nested_solve(
     from one nested LU as solve_glm describes. Z[0, 0] = -c[:, :n], as
     X[0, 0] = -edge_plus. Each row of either family passes the same
     residual check and has the same dense fallback; the float64 path is
-    taken when c is real too."""
+    taken when c is real too. S and B are built once; at most five
+    ((N+1) n)^2 arrays are live at a time."""
     grid, n = f_kernel.grid, f_kernel.n
     m, step = grid.N + 1, grid.step
     dim = m * n
@@ -502,61 +547,65 @@ def _nested_solve(
 
     eye = np.eye(n)
     with np.errstate(all="ignore"):
-        inv = _shared_matrix(F, plus, step)
-        _lu_inverses(inv)
-        inv_diag = _unflatten(inv, n)[nodes, nodes]
-        u_inv_diag = np.triu(inv_diag)
-        l_inv_diag = np.tril(inv_diag, -1) + eye
-        u_inv = np.triu(inv)
-        y = _stacked_rhs(F, plus, right_of_diagonal) @ u_inv  # B U^-1
+        s = _shared_matrix(F, plus, step)
+        u_inv = s.copy()
+        l_inv = _lu_inverses(u_inv)  # u_inv holds U^-1 from here on
+        b = _stacked_rhs(F, plus, right_of_diagonal)
+        y_coef, y_diag = _last_block_rows(b, u_inv, l_inv, plus - f_diag, step, n)
+        u_inv_diag = _unflatten(u_inv, n)[nodes, nodes]
         c_u = None if c is None else c @ u_inv
         del u_inv
-        y[right_of_diagonal] = 0.0
-        inv[~np.tri(dim, k=-1, dtype=bool)] = 0.0  # inv is L^-1 from here on
-        inv.flat[:: dim + 1] = 1.0
-        y = y @ inv  # Y = tril(B U^-1) L^-1
-        y_rows, l_inv_rows = y.reshape(m, n, dim), inv.reshape(m, n, dim)
-
+        l_inv_diag = _unflatten(l_inv, n)[nodes, nodes]
         # Woodbury: x_i = -(I + (step/2) C_i) y_i + C_i G_i L^-1[i, :]
         # with G_i = delta_i (U^-1)_ii and C_i = Y_ii (I + Z_ii)^-1
-        y_diag = _unflatten(y, n)[nodes, nodes]
         g = delta @ u_inv_diag
         z_diag = -0.5 * step * y_diag + g @ l_inv_diag
-        if c is not None:  # before x_i, whose products free Y and L^-1
+        z_rows = None
+        if c is not None:  # before x_i, so that Y' and its product never meet X
             # z_i = -y'_i - (step/2) C'_i y_i + C'_i G_i L^-1[i, :] with
             # C'_i = Y'_ii (I + Z_ii)^-1; y'_i sums the block rows l <= i of
             # L^-1, each times block l of c U^-1
-            z_rows = np.matmul(c_u.reshape(n, m, n).transpose(1, 0, 2), l_inv_rows)
-            np.cumsum(z_rows, axis=0, out=z_rows)
-            coef = _right_divide(_unflatten(z_rows.reshape(dim, dim), n)[nodes, nodes], eye + z_diag)
-            z_rows *= -1.0
-            z_rows -= (0.5 * step * coef) @ y_rows
-            z_rows += (coef @ g) @ l_inv_rows
+            y_c = np.matmul(c_u.reshape(n, m, n).transpose(1, 0, 2), l_inv.reshape(m, n, dim))
+            np.cumsum(y_c, axis=0, out=y_c)
+            coef = _right_divide(_unflatten(y_c.reshape(dim, dim), n)[nodes, nodes], eye + z_diag)
+            z_rows = _row_combination(-0.5 * step * coef, coef @ g, y_coef, y_diag, l_inv, n)
+            z_rows -= y_c
+            del y_c
         coef = _right_divide(y_diag, eye + z_diag)
-        x_rows = -(eye + 0.5 * step * coef) @ y_rows
-        del y, y_rows
-        x_rows += (coef @ g) @ l_inv_rows
-        del inv, l_inv_rows
+        x_rows = _row_combination(-(eye + 0.5 * step * coef), coef @ g, y_coef, y_diag, l_inv, n)
+        del l_inv
         # (rows, right-hand side row), None for the rows of B
         families = [(x_rows, None)] if c is None else [(x_rows, None), (z_rows, c)]
 
         # residual x_i A_i + b'_i = x_i S_i + b'_i - (step/2) X_ii b_i + X_ii delta_i e_i
-        # for b'_i = b_i, or c_i by broadcast, the mask clearing its excess
-        rhs_rows = _stacked_rhs(F, plus, right_of_diagonal).reshape(m, n, dim)
+        # for b'_i = b_i, or c_i by broadcast, the mask clearing its excess.
+        # x_i S_i is taken on the block-lower triangle, in panels of about 48
+        # rows: rows lo:hi of x vanish right of column hi, so a panel needs
+        # x[lo:hi, :hi] S[:hi, :hi] only, about dim^3 / 3 multiply-adds in
+        # all against dim^3 for X S, and writes its product in place
+        rhs_rows = b.reshape(m, n, dim)
+        panel = max(1, 48 // n) * n
         flagged = []
         for solved, rhs_row in families:
+            scale = np.maximum(1.0, np.abs(solved.reshape(m, n * dim)).max(axis=1))
             x = solved.reshape(dim, dim)
             x_diag = _unflatten(x, n)[nodes, nodes]
-            residual = x @ _shared_matrix(F, plus, step)
-            residual.reshape(m, n, dim)[...] += rhs_rows if rhs_row is None else rhs_row
-            residual.reshape(m, n, dim)[...] -= 0.5 * step * (x_diag @ rhs_rows)
+            left = (eye if rhs_row is None else 0.0) - 0.5 * step * x_diag
+            residual = np.zeros((dim, dim), dtype=np.result_type(x, s))
+            for lo in range(0, dim, panel):
+                hi = min(lo + panel, dim)
+                np.matmul(x[lo:hi, :hi], s[:hi, :hi], out=residual[lo:hi, :hi])
+                block_rows = slice(lo // n, hi // n)
+                residual[lo:hi] += (left[block_rows] @ rhs_rows[block_rows]).reshape(hi - lo, dim)
+            if rhs_row is not None:
+                residual.reshape(m, n, dim)[...] += rhs_row
             _unflatten(residual, n)[nodes, nodes] += x_diag @ delta
             residual[right_of_diagonal] = 0.0
-            worst = np.abs(residual.reshape(m, n * dim)).max(axis=1)
-            scale = np.maximum(1.0, np.abs(solved.reshape(m, n * dim)).max(axis=1))
+            np.abs(residual, out=residual)  # in place: no second array of its size
+            worst = residual.real.reshape(m, n * dim).max(axis=1)
             flagged.append(~(worst <= 1e-10 * scale))  # a NaN compares False and is flagged
             del residual
-        del rhs_rows
+        del s, b, rhs_rows
 
     blocks = []
     for (solved, rhs_row), flags in zip(families, flagged):
@@ -567,6 +616,45 @@ def _nested_solve(
             X[i, : i + 1] = _dense_row(f_kernel, i, edge_plus, edge_minus, rhs_row)
         blocks.append(X)
     return blocks[0], (blocks[1] if c is not None else None)
+
+
+def _last_block_rows(
+    b: np.ndarray, u_inv: np.ndarray, l_inv: np.ndarray, jump: np.ndarray, step: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(M, Y_diag): every y_i = b_i S_i^-1 is M_i L^-1[i, :] off its
+    diagonal block and Y_ii on it, for B = _stacked_rhs, S = L U and
+    jump_i = plus_i - F_ii (solve_glm).
+
+    R_i = (U^-1)_ii L^-1[i, :] is the last block row of S_i^-1, and block
+    row i >= 1 of S_i is e_i + step F[i, :i+1], so
+    y_i = (e_i - R_i)/step + jump_i R_i and M_i = (jump_i - I/step) (U^-1)_ii.
+    On the diagonal block e_i - R_i cancels (it lost 1.3e-12 and 3.8e-12
+    relative on a Gaussian and a random accelerant at N = 400), so Y_ii = (sum_k b_ik (U^-1)_ki) (L^-1)_ii comes from one
+    batched product of the block rows of B with the block columns of U^-1.
+    Row 0 has no block off its diagonal, where the half weight of S's first
+    row would change M_0."""
+    dim = b.shape[0]
+    m = dim // n
+    nodes = np.arange(m)
+    columns = u_inv.reshape(dim, m, n).transpose(1, 0, 2)  # block column i of U^-1
+    y_diag = (b.reshape(m, n, dim) @ columns) @ _unflatten(l_inv, n)[nodes, nodes]
+    y_coef = (jump - np.eye(n) / step) @ _unflatten(u_inv, n)[nodes, nodes]
+    return y_coef, y_diag
+
+
+def _row_combination(
+    left: np.ndarray, right: np.ndarray, y_coef: np.ndarray, y_diag: np.ndarray, l_inv: np.ndarray, n: int
+) -> np.ndarray:
+    """left_i y_i + right_i L^-1[i, :] for every row i, as (N+1, n, (N+1) n),
+    with y from _last_block_rows: one batched product of n x n matrices
+    with the block rows of L^-1, its diagonal blocks then set from Y_ii."""
+    dim = l_inv.shape[0]
+    m = dim // n
+    nodes = np.arange(m)
+    out = (left @ y_coef + right) @ l_inv.reshape(m, n, dim)
+    diagonal = left @ y_diag + right @ _unflatten(l_inv, n)[nodes, nodes]
+    _unflatten(out.reshape(dim, dim), n)[nodes, nodes] = diagonal
+    return out
 
 
 def _right_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -642,44 +730,51 @@ def _dense_row(
     return row.reshape(n, i + 1, n).transpose(1, 0, 2)
 
 
-def _lu_inverses(a: np.ndarray) -> None:
+def _lu_inverses(a: np.ndarray) -> np.ndarray:
     """The inverse factors of a = L U, the LU factorization without
-    pivoting (L unit lower, U upper), in place: L^-1 strictly below the
-    diagonal (its unit diagonal implied), U^-1 on and above it.
+    pivoting (L unit lower, U upper): U^-1 overwrites a, zero below its
+    diagonal, and L^-1 is returned, zero above it.
 
     Recursive halving puts the work into matrix products. With
     a = [[A11, A12], [A21, A22]] and the inverse factors of A11 in hand,
     U12 = L11^-1 A12 and L21 = A21 U11^-1; the Schur complement
     A22 - L21 U12 gives those of the trailing block; then
     (L^-1)_21 = -L22^-1 L21 L11^-1 and (U^-1)_12 = -U11^-1 U12 U22^-1.
-    A zero pivot spoils only its own leaf of at most 32 rows and what
-    follows: the inverse factors of the leading blocks before that leaf
-    are unaffected.
+    The two factors live in two arrays, so no block is masked but the
+    leaves of at most 32 rows, which eliminate by rank-1 updates and
+    invert their two triangles. A zero pivot spoils only its own leaf and
+    what follows: the inverse factors of the leading blocks before that
+    leaf are unaffected.
     """
+    l_inv = np.zeros_like(a)
+    _lu_halves(a, l_inv)
+    return l_inv
+
+
+def _lu_halves(a: np.ndarray, l_inv: np.ndarray) -> None:
+    """_lu_inverses' recursion: U^-1 into a, L^-1 into l_inv, which holds
+    zeros above its diagonal."""
     m = a.shape[0]
     if m <= 32:
         for k in range(m - 1):
             a[k + 1 :, k] /= a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+            a[k + 1 :, k + 1 :] -= a[k + 1 :, k, None] * a[k, k + 1 :]
+        eye = np.eye(m)
         try:
-            l_inv = np.linalg.inv(np.tril(a, -1) + np.eye(m))
-            u_inv = np.linalg.inv(np.triu(a))
+            l_inv[...] = np.tril(np.linalg.inv(np.tril(a, -1) + eye), -1) + eye
+            a[...] = np.triu(np.linalg.inv(np.triu(a)))
         except np.linalg.LinAlgError:  # an exactly zero pivot
-            l_inv = u_inv = np.full_like(a, np.nan)
-        a[...] = np.triu(u_inv) + np.tril(l_inv, -1)
+            l_inv[...] = a[...] = np.nan
         return
     h = m // 2
-    _lu_inverses(a[:h, :h])
-    l11 = np.tril(a[:h, :h], -1) + np.eye(h)
-    u11 = np.triu(a[:h, :h])
-    u12 = l11 @ a[:h, h:]
-    l21 = a[h:, :h] @ u11
+    _lu_halves(a[:h, :h], l_inv[:h, :h])
+    u12 = l_inv[:h, :h] @ a[:h, h:]
+    l21 = a[h:, :h] @ a[:h, :h]
     a[h:, h:] -= l21 @ u12
-    _lu_inverses(a[h:, h:])
-    l22 = np.tril(a[h:, h:], -1) + np.eye(m - h)
-    u22 = np.triu(a[h:, h:])
-    a[h:, :h] = -(l22 @ l21) @ l11
-    a[:h, h:] = -(u11 @ u12) @ u22
+    _lu_halves(a[h:, h:], l_inv[h:, h:])
+    l_inv[h:, :h] = -(l_inv[h:, h:] @ l21) @ l_inv[:h, :h]
+    a[:h, h:] = -(a[:h, :h] @ u12) @ a[h:, h:]
+    a[h:, :h] = 0.0
 
 
 def solve_krein(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:
@@ -710,15 +805,33 @@ def _krein_system(
 def _krein_pair(h: Accelerant, grid: GridSpec | None = None) -> tuple[Kernel2D, Kernel2D]:
     """(solve_krein(h, grid), solve_krein(reflect(h), grid)) from one nested LU.
 
-    grid is h's own by default, which theta, block_krein_kernel and
-    krein_solution read, or its 2N refinement, which folded_lower_factor
-    reads. Row k of the reflected kernel is the block reversal of the
-    solution of z_k A_k = -c_k, with A_k the direct row matrix and c_k the
-    first block row of F on [0, x_k] with edge_minus in block 0 (solve_glm
-    gives the flip identity); _nested_solve reads it off the direct
-    solve's factors. An exactly even h, whose samples equal their reversal
-    bit for bit, is its own reflection, and its one kernel is returned
-    twice.
+    grid is h's own by default, which block_krein_kernel and krein_solution
+    read, or its 2N refinement, which folded_lower_factor reads. The rows
+    come from _krein_rows; row k of the reflected kernel is the block
+    reversal of its z_k. An exactly even h has one kernel, returned twice.
+    """
+    grid = h.grid if grid is None else grid
+    x, z = _krein_rows(h, grid)
+    direct = Kernel2D(h.r, grid, "lower", x)
+    if z is None:
+        return direct, direct
+    k, t = np.indices((grid.N + 1, grid.N + 1))
+    reflected = z[k, k - t]  # z_k reversed; t > k wraps and is cleared
+    reflected[t > k] = 0.0
+    return direct, Kernel2D(h.r, grid, "lower", reflected)
+
+
+def _krein_rows(h: Accelerant, grid: GridSpec | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The blocks X of solve_krein(h, grid) and the blocks Z whose row k,
+    block-reversed, is row k of solve_krein(reflect(h), grid), from one
+    nested LU; Z is None for an h whose samples equal their reversal bit
+    for bit, which is its own reflection.
+
+    Row k of Z solves z_k A_k = -c_k, with A_k the direct row matrix and
+    c_k the first block row of F on [0, x_k] with edge_minus in block 0
+    (solve_glm gives the flip identity); _nested_solve reads it off the
+    direct solve's factors. So the t = 0 columns that theta reads are
+    X[:, 0] and the diagonal blocks Z[k, k].
     """
     conv, plus, minus = _krein_system(h, grid)
     m, n = conv.grid.N + 1, conv.n
@@ -726,14 +839,7 @@ def _krein_pair(h: Accelerant, grid: GridSpec | None = None) -> tuple[Kernel2D, 
     if h.values.tobytes() != h.values[::-1].tobytes():
         c = np.array(conv.values[0].transpose(1, 0, 2)).reshape(n, m * n)
         c[:, :n] = minus
-    x, z = _nested_solve(conv, plus, minus, c)
-    direct = Kernel2D(n, conv.grid, "lower", x)
-    if z is None:
-        return direct, direct
-    k, t = np.indices((m, m))
-    reflected = z[k, k - t]  # z_k reversed; t > k wraps and is cleared
-    reflected[t > k] = 0.0
-    return direct, Kernel2D(n, conv.grid, "lower", reflected)
+    return _nested_solve(conv, plus, minus, c)
 
 
 def factorize(f_kernel: Kernel2D):

@@ -1,7 +1,7 @@
 """The forward map: accelerant to off-diagonal Dirac potential.
 
 The potential is read off the t = 0 trace of the Krein kernels of h and of
-its reflection. Both come from one nested LU (factorization._krein_pair):
+its reflection. Both come from one nested LU (factorization._krein_rows):
 the reflected equation is the direct one seen through the block-order
 flip, so its rows are read off the direct solve's factors. The folded
 kernel and the lower factor built from half-argument reads are the bridge
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factorization import _krein_pair, _require_accelerant
+from .factorization import _krein_pair, _krein_rows, _require_accelerant
 from .fields import (
     Accelerant,
     Kernel2D,
@@ -33,21 +33,23 @@ def theta(h: Accelerant) -> Potential:
     neither certificate of factorization._require_accelerant can certify
     h: the Schur norm bound, O(N r^3), and the numerical range bound, one
     O(N^3 r^3) eigvalsh; a certified h is one the sweep would accept.
-    r_h and r_reflected come from one nested LU (factorization._krein_pair),
-    O(N^3 r^3), and the reflected rows add O(N^2 r^3) and one residual
-    GEMM; an exactly even h solves one family and reuses it.
+    Both t = 0 columns come from one nested LU (factorization._krein_rows),
+    whose inverse factors are its one O(N^3 r^3) step besides the residual
+    check: r_h(x_k, 0) is X[k, 0] and r_reflected(x_k, 0) the diagonal
+    block Z[k, k], so no kernel table is gathered. An exactly even h
+    solves one family and reuses it.
     """
     _require_accelerant(h)
-    return _krein_potential(_krein_pair(h))
+    return _krein_potential(h)
 
 
-def _krein_potential(kernels: tuple[Kernel2D, Kernel2D]) -> Potential:
-    """theta from the kernels of _krein_pair(h), without the accelerant
-    gate, for callers that have already run it."""
-    r_direct, r_reflected = kernels
-    q_plus = 1j * r_direct.values[:, 0]
-    q_minus = -1j * r_reflected.values[:, 0]
-    return Potential(r_direct.n, r_direct.grid, q_plus, q_minus)
+def _krein_potential(h: Accelerant) -> Potential:
+    """theta without the accelerant gate, for callers that have already
+    run it."""
+    x, z = _krein_rows(h)
+    nodes = np.arange(h.grid.N + 1)
+    reflected = x[:, 0] if z is None else z[nodes, nodes]
+    return Potential(h.r, h.grid, 1j * x[:, 0], -1j * reflected)
 
 
 def folded_kernel(h: Accelerant) -> Kernel2D:

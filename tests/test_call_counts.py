@@ -49,7 +49,9 @@ PARTS = "inverse_map.resolvent_product_parts"
 ASSEMBLE = "inverse_map.assemble_product"
 WAVE = "dirac_verify.apply_wave_operator"
 PAIR = "transformation_kernels"
-KREIN_PAIR = "factorization._krein_pair"
+# Every Krein pair is solved here, whether its caller reads whole kernels
+# (_krein_pair) or only theta's t = 0 columns.
+KREIN_PAIR = "factorization._krein_rows"
 C128, F64 = np.dtype(np.complex128), np.dtype(np.float64)
 
 
@@ -373,12 +375,29 @@ def test_krein_pair_of_a_complex_accelerant_runs_one_nested_lu(first_args, call)
     h = random_accelerant(0, r=2, n_cells=16, scale=0.1)
     seen = first_args("factorization._lu_inverses")
     call(h)
-    # _lu_inverses recurses on halves; only its outermost call has full size
+    # one call of _lu_inverses per LU (its halving recursion is _lu_halves)
     sizes = [a.shape[0] for a in seen["factorization._lu_inverses"]]
     n = max(sizes)
     assert n in (17 * 2, 33 * 2)
     assert sizes.count(n) == 1
     assert {a.dtype for a in seen["factorization._lu_inverses"]} == {C128}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h: kreinmap.factorization._krein_pair(h),
+        lambda h: kreinmap.solve_glm(kreinmap.convolution_kernel(h)),
+    ],
+    ids=["krein_pair", "solve_glm"],
+)
+def test_nested_solve_builds_its_matrices_once(count_calls, call):
+    # S and the stacked right-hand sides B serve the LU, Y and the residual
+    # check of every row family: one build each, with the second family too
+    h = random_accelerant(0, r=2, n_cells=16, scale=0.1)
+    counts = count_calls("factorization._shared_matrix", "factorization._stacked_rhs")
+    call(h)
+    assert counts == {"factorization._shared_matrix": 1, "factorization._stacked_rhs": 1}
 
 
 class _Factorization(tuple):
@@ -446,27 +465,38 @@ def test_zero_accelerant_runs_no_dense_svd(factorizations):
 
 def test_full_rank_accelerant_computes_no_singular_vectors(factorizations):
     # an upsilon output jumps at u = 0, so its T has full numerical rank:
-    # the sweep takes T's singular values only, then the dense SVDs
+    # one sketch of 16 columns (n = 17 r = 34) finds 2p > n/4, and the
+    # sweep goes dense without decomposing T; the 16 dense SVDs then take
+    # values only
     h = upsilon(r2_potential())[0]
     factorizations.clear()
     test = is_accelerant(h)
     assert test.accepted
-    assert [name for name, _, _ in factorizations] == ["svd"] * 17
-    assert not any(uv for _, _, uv in factorizations)
+    calls = [(call[0], call[2], call.shape) for call in factorizations]
+    assert calls[:2] == [("qr", None, (34, 16)), ("svd", True, (16, 34))]
+    assert [(name, uv) for name, uv, _ in calls[2:]] == [("svd", False)] * 16
 
 
 def test_low_rank_sweep_factors_t_once_and_sketches_its_factor(factorizations):
-    # T of a constant has rank p = 1. Its values-only SVD is the one O(n^3)
-    # factorization: the rank-p factor comes from a sketch, an SVD of
-    # (p + 8) x n, and the one small margin, at alpha = 0.8, is isolated,
-    # so it is read from its 2p x 2p core like every other
+    # T of a constant has rank p = 1. No SVD of T runs: its rank and its
+    # rank-p factor come from one sketch of 16 columns, a 16 x n SVD with
+    # vectors, and the one small margin, at alpha = 0.8, is isolated, so it
+    # is read from its 2p x 2p core like every other
     n, p = 101, 1
     test = is_accelerant(const_accelerant(-1.25, 100))
     assert not test.accepted and test.worst_alpha == 0.8
     svds = [(call.shape[-2:], call[2]) for call in factorizations if call[0] == "svd"]
-    assert [uv for shape, uv in svds if shape == (n, n)] == [False]
-    assert [shape for shape, uv in svds if uv] == [(p + 8, n)]
-    assert all(max(shape) <= 2 * p for shape, uv in svds if shape != (n, n) and not uv)
+    assert [shape for shape, uv in svds if n in shape] == [(16, n)]
+    assert [shape for shape, uv in svds if uv] == [(16, n)]
+    assert all(max(shape) <= 2 * p for shape, uv in svds if shape != (16, n))
+
+
+def test_overflowing_sketch_reaches_no_factorization(factorizations):
+    # T = 1e308 is finite, but T Omega overflows: the sketch is refused
+    # before any QR or SVD sees it
+    t = kreinmap.factorization._toeplitz_matrix(const_accelerant(1e308, 16))
+    assert kreinmap.factorization._sketched_factor(t) is None
+    assert factorizations == []
 
 
 @pytest.mark.parametrize("side", ["above", "below"])

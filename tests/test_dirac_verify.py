@@ -282,6 +282,39 @@ def test_krein_solution_refuses_malformed_lambdas(monkeypatch, lams, message):
     assert str(info.value) == message
 
 
+def _krein_solution_table(h: Accelerant, lams) -> np.ndarray:
+    """krein_solution with, per lambda and kernel, the (N+1)^2 table of
+    e^{-+2i lam (x_i - x_t)} contracted by einsum: the reference."""
+    r1, r2 = dirac_verify._krein_pair(h)
+    x = h.grid.nodes
+    tw = nystrom_weights(h.grid, "lower")
+    idx = np.arange(h.grid.N + 1)
+    lag = np.abs(idx[:, None] - idx[None, :])  # i - t wherever tw is nonzero
+    eye = np.eye(h.r)
+    phis = np.zeros((len(lams), h.grid.N + 1, 2 * h.r, h.r), dtype=np.complex128)
+    for phi, lam in zip(phis, lams):
+        s1 = np.einsum("it,itab->iab", tw * np.exp(-2j * lam * x)[lag], r1.values)
+        s2 = np.einsum("it,itab->iab", tw * np.exp(2j * lam * x)[lag], r2.values)
+        phi[:, : h.r] = np.exp(1j * lam * x)[:, None, None] * (eye + s1)
+        phi[:, h.r :] = np.exp(-1j * lam * x)[:, None, None] * (eye + s2)
+    return phis
+
+
+@pytest.mark.parametrize(
+    "h",
+    [const_accelerant(0.5, 16), random_accelerant(3, r=2, n_cells=16, scale=0.1)],
+    ids=["c=0.5", "random-r2"],
+)
+def test_krein_solution_matches_the_phase_tables(h):
+    # the separated phases, centred at x = 1/2, against the per-lambda
+    # tables, where the phases grow as e^{600 (x_i - x_t)} or oscillate
+    lams = (300j, -300j, 50 + 3j)
+    got = krein_solution(h, lams)
+    ref = _krein_solution_table(h, lams)
+    for g, f in zip(got, ref):
+        assert np.max(np.abs(g - f)) <= 1e-10 * np.max(np.abs(f))
+
+
 @pytest.mark.parametrize("lam", [800j, 1e308], ids=["growing_phase", "huge_lambda"])
 def test_krein_solution_refuses_overflow(lam):
     # both leaked a RuntimeWarning and returned non-finite columns
