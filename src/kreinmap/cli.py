@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError, SingularSystemError
-from .factorization import _require_accelerant, is_accelerant
+from .factorization import _gated_krein_rows, is_accelerant
 from .fields import (
     Accelerant,
     GridSpec,
@@ -25,7 +25,7 @@ from .fields import (
     decimate_accelerant,
     decimate_potential,
 )
-from .forward_map import _krein_potential
+from .forward_map import _potential
 from .inverse_map import upsilon
 from .dirac_verify import (
     _check_ladder,
@@ -180,8 +180,8 @@ def _emit_report(report) -> None:
 
 def cmd_theta(args) -> int:
     h = _load(args.in_path, (Accelerant,), args.n)
-    margin, certificate = _require_accelerant(h)
-    q = _krein_potential(h)  # theta without repeating the gate
+    margin, certificate, x, z = _gated_krein_rows(h)  # theta, with the gate's verdict
+    q = _potential(h, x, z)
     write_field(args.out_path, q, meta=f"theta of {args.in_path}")
     if certificate is None:
         print(f"accelerant test: min margin {margin:.6f}")

@@ -31,10 +31,11 @@ import numbers
 import numpy as np
 
 from .errors import FieldFormatError, NotAccelerantError
-from .factorization import _krein_pair, _require_accelerant, solve_glm
+from .factorization import _gated_krein_rows, _krein_kernels, solve_glm
 from .fields import (
     Accelerant,
     DiagnosticReport,
+    GridSpec,
     Kernel2D,
     Potential,
     _check_int,
@@ -44,6 +45,7 @@ from .fields import (
 )
 from .forward_map import (
     _block_kernel,
+    _potential,
     block_krein_kernel,
     folded_kernel,
     folded_lower_factor,
@@ -216,8 +218,7 @@ def krein_solution(h: Accelerant, lams) -> np.ndarray:
     lams = _check_sequence(lams, "lams", "numbers")
     for lam in lams:
         _check_lambda(lam)
-    _require_accelerant(h)
-    r1, r2 = _krein_pair(h)
+    r1, r2 = _krein_kernels(*_gated_krein_rows(h)[2:])
     grid, r = h.grid, h.r
     x = grid.nodes
     tw = nystrom_weights(grid, "lower")
@@ -225,8 +226,8 @@ def krein_solution(h: Accelerant, lams) -> np.ndarray:
     phis = np.empty((len(lams), grid.N + 1, 2 * r, r), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         down, up = np.exp(-2j * lam * (x - 0.5)), np.exp(2j * lam * (x - 0.5))
-        s1 = _phase_integral(tw, r1.values, np.repeat(up[:, :, None], r, axis=-1))
-        s2 = _phase_integral(tw, r2.values, np.repeat(down[:, :, None], r, axis=-1))
+        s1 = _phase_integral(tw, r1, np.repeat(up[:, :, None], r, axis=-1))
+        s2 = _phase_integral(tw, r2, np.repeat(down[:, :, None], r, axis=-1))
         phis[:, :, :r] = np.exp(1j * lam * x)[:, :, None, None] * (np.eye(r) + down[:, :, None, None] * s1)
         phis[:, :, r:] = np.exp(-1j * lam * x)[:, :, None, None] * (np.eye(r) + up[:, :, None, None] * s2)
     if not np.isfinite(phis).all():
@@ -382,12 +383,10 @@ def _verify_accelerant(h: Accelerant) -> DiagnosticReport:
     """_verify_potential(theta(h)) followed by the entries of
     check_krein_derivative_identity(h) and glm_consistency (CLI verify on
     an accelerant).  h passes the gate once, and theta and the derivative
-    identity read the same two Krein kernels."""
-    _require_accelerant(h)
-    kernels = _krein_pair(h)
-    r_direct, r_reflected = (k.values[:, 0] for k in kernels)
-    report = _verify_potential(Potential(h.r, h.grid, 1j * r_direct, -1j * r_reflected))
-    report.entries.extend(_derivative_identity(_block_kernel(kernels)).entries)
+    identity read the same Krein rows."""
+    _, _, x, z = _gated_krein_rows(h)
+    report = _verify_potential(_potential(h, x, z))
+    report.entries.extend(_derivative_identity(_block_kernel(*_krein_kernels(x, z)), h.grid).entries)
     # dual-route factor check: the folded Krein factor against the
     # triangular factor recovered from the folded kernel itself
     lh = folded_lower_factor(h)
@@ -484,24 +483,24 @@ def _triangle_compose(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
 def check_krein_derivative_identity(h: Accelerant) -> DiagnosticReport:
     """Residual of d/dx R_H(x, x-t) = R_H(x, 0) B R_H(x, t) B on the
     triangle, with tolerance 5e-3."""
-    return _derivative_identity(block_krein_kernel(h))
+    return _derivative_identity(block_krein_kernel(h).values, h.grid)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _derivative_identity(rk: Kernel2D) -> DiagnosticReport:
-    """check_krein_derivative_identity on rk = block_krein_kernel(h)."""
-    grid = rk.grid
-    r = rk.n // 2
+def _derivative_identity(rk: np.ndarray, grid: GridSpec) -> DiagnosticReport:
+    """check_krein_derivative_identity on the blocks rk of
+    block_krein_kernel(h) on h's grid."""
+    r = rk.shape[2] // 2
     N = grid.N
     m = N + 1
     i, j = np.indices((m, m))
     low = j <= i
-    w = np.zeros_like(rk.values)
-    w[low] = rk.values[i[low], (i - j)[low]]
+    w = np.zeros_like(rk)
+    w[low] = rk[i[low], (i - j)[low]]
     dw, mask = _line_deriv(w, 0, True, grid.step)
     # B = [[0, I], [I, 0]] swaps the column halves of what it multiplies
-    head = np.roll(rk.values[:, 0], r, axis=-1)
-    target = _row_times(head, np.roll(rk.values, r, axis=-1))
+    head = np.roll(rk[:, 0], r, axis=-1)
+    target = _row_times(head, np.roll(rk, r, axis=-1))
     report = DiagnosticReport()
     report.add("derivative_identity", _masked_sup(dw - target, mask & low), _TOL)
     report.metadata.update({"N": N, "r": r})

@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import FieldFormatError, NotAccelerantError, SingularSystemError
 from .fields import Accelerant, GridSpec, Kernel2D
 from .quadops import (
+    _block_spectral_norms,
     _flatten,
     _real_if_exact,
     _unflatten,
@@ -44,26 +45,28 @@ def convolution_kernel(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:
 
     The target grid must have the same step as the accelerant's node grid or
     be its 2N refinement; both read h at exact sample indices.  The kernel
-    is a Toeplitz view, sliding windows of the reversed samples on the
-    target step, which Kernel2D copies once; any other grid raises
-    FieldFormatError.
+    is the Toeplitz view of _convolution_view, which Kernel2D copies once;
+    any other grid raises FieldFormatError.
     """
-    if grid is None:
-        grid = h.grid
-    if grid.N == h.grid.N:
-        stride = 2
-    elif grid.N == 2 * h.grid.N:
-        stride = 1
-    else:
+    grid = h.grid if grid is None else grid
+    return Kernel2D(h.r, grid, "full", _convolution_view(h, grid))
+
+
+def _convolution_view(h: Accelerant, grid: GridSpec) -> np.ndarray:
+    """Blocks [i, j, a, b] of h(x_i - x_j) on grid, h's own or its 2N
+    refinement, as a view of the samples that grid reads: sliding windows
+    of the reversed samples on the target step. Any other grid raises
+    FieldFormatError."""
+    stride = {h.grid.N: 2, 2 * h.grid.N: 1}.get(grid.N)
+    if stride is None:
         raise FieldFormatError(
             f"convolution grid {grid.N} is neither the accelerant grid "
             f"{h.grid.N} nor its refinement"
         )
-    m = grid.N + 1
     # the reversed samples read h(1 - k step), so windows[p, :, :, j] is
     # h(1 - (p + j) step) and row i = p reversed is h(x_i - x_j)
-    windows = sliding_window_view(h.values[::stride][::-1], m, axis=0)
-    return Kernel2D(h.r, grid, "full", windows[::-1].transpose(0, 3, 1, 2))
+    windows = sliding_window_view(h.values[::stride][::-1], grid.N + 1, axis=0)
+    return windows[::-1].transpose(0, 3, 1, 2)
 
 
 @dataclass
@@ -89,10 +92,11 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
 
     and test each restricted matrix I + H_alpha for numerical invertibility.
     A breakpoint is flagged when the smallest singular value is at most
-    1e-8 times the largest. This always runs the full sweep; theta and
-    krein_solution call it only for an input that neither certificate of
-    _require_accelerant (the Schur norm bound and the numerical range
-    bound) can certify. The restriction to [0, alpha] in both variables is
+    1e-8 times the largest. This always runs the full sweep, on a T of its
+    own; the gate of theta, CLI theta, krein_solution and CLI verify
+    (_gated_krein_rows) calls it only for an input that neither of its
+    certificates (the Schur norm bound and the numerical range bound) can
+    certify. The restriction to [0, alpha] in both variables is
     unitarily equivalent, via the index flip, to the same matrix built from
     the reflected accelerant, so the verdict is reflection-invariant on the
     grid.
@@ -309,13 +313,14 @@ def _truncation_extremes(t: np.ndarray, grid: GridSpec, r: int, k: int) -> tuple
     return sigma[0], sigma[-1]
 
 
-def _toeplitz_matrix(h: Accelerant) -> np.ndarray:
-    """T = [h(x_i - x_j)] over all N + 1 nodes as one ((N+1) r)^2 matrix,
-    node-major, so that I + H_alpha is I + T_k W_k with T_k its leading
-    (k+1) r block and W_k the trapezoid weights of [0, x_k]. Real (float64)
-    when every sample it reads has imaginary part exactly zero
-    (quadops._real_if_exact)."""
-    return _real_if_exact(_flatten(convolution_kernel(h).values))[0]
+def _toeplitz_matrix(h: Accelerant, grid: GridSpec | None = None) -> np.ndarray:
+    """T = [h(x_i - x_j)] over all N + 1 nodes of grid, h's own by default
+    or its 2N refinement, as one ((N+1) r)^2 matrix, node-major: one copy
+    of _convolution_view. I + H_alpha is I + T_k W_k with T_k its leading
+    (k+1) r block and W_k the trapezoid weights of [0, x_k], and the Krein
+    rows solve on it (_nested_solve). Real (float64) when every sample it
+    reads has imaginary part exactly zero (quadops._real_if_exact)."""
+    return _flatten(_real_if_exact(_convolution_view(h, h.grid if grid is None else grid))[0])
 
 
 # The smallest margin a certificate must prove before the sweep is skipped.
@@ -332,7 +337,8 @@ def _norm_bound(h: Accelerant) -> float:
     I + H_alpha is the leading block of I + T D with T the block Toeplitz
     matrix [h(x_i - x_j)] over all N + 1 nodes and D the trapezoid weights,
     each at most step. Bounding every block by its spectral norm
-    b_d = |h(d/N)|_2 and applying the Schur test to [b_{i-j}] gives
+    b_d = |h(d/N)|_2 (quadops._block_spectral_norms) and applying the
+    Schur test to [b_{i-j}] gives
     |H_alpha|_2 <= rho := step * sqrt(max row sum * max column sum) for
     every alpha at once. The row sums and the column sums of [b_{i-j}]
     are the same N + 1 sliding windows of b_{-N..N}, so rho is step times
@@ -341,7 +347,7 @@ def _norm_bound(h: Accelerant) -> float:
     """
     N = h.grid.N
     with np.errstate(over="ignore", invalid="ignore"):
-        b = np.linalg.norm(h.values[::2], 2, axis=(1, 2))  # b_d, d = -N..N
+        b = _block_spectral_norms(h.values[::2])  # b_d, d = -N..N
         sums = np.cumsum(np.concatenate(([0.0], b)))
         return h.grid.step * float(np.max(sums[N + 1 :] - sums[: N + 1]))
 
@@ -361,9 +367,10 @@ def _certified_margin(rho: float) -> float | None:
     return (1.0 - rho) / (1.0 + rho)
 
 
-def _numerical_range_margin(h: Accelerant, rho: float) -> float | None:
+def _numerical_range_margin(t: np.ndarray, step: float, rho: float) -> float | None:
     """The numerical range bound: a lower bound on every margin of
-    is_accelerant's sweep, or None. rho is _norm_bound(h).
+    is_accelerant's sweep, or None. t is _toeplitz_matrix(h), step that of
+    h's grid and rho _norm_bound(h).
 
     Let lam be the smallest eigenvalue of the Hermitian part (T + T^H)/2,
     one values-only eigvalsh of size (N+1) r, O(N^3 r^3). With W_k the
@@ -387,16 +394,13 @@ def _numerical_range_margin(h: Accelerant, rho: float) -> float | None:
     semi-definite, and inputs not far from one. None, before any eigvalsh,
     when rho alone rules the floor out, which includes rho inf or nan.
 
-    T is built here and freed before any sweep builds its own. At most
-    three ((N+1) r)^2 arrays are live at once: T, its conjugate (complex h
-    only) and T + T^H, whose lowest eigenvalue is 2 lam; eigvalsh then
-    works on one copy of the sum.
+    t is left as it is. Besides it, at most two ((N+1) r)^2 arrays are
+    live here: its conjugate (complex h only) and T + T^H, whose lowest
+    eigenvalue is 2 lam; eigvalsh then works on one copy of the sum.
     """
     denominator = np.sqrt(2.0) * (1.0 + rho)
     if not 1.0 / denominator >= _CERTIFY_FLOOR:
         return None
-    step = h.grid.step
-    t = _toeplitz_matrix(h)
     t = t + t.conj().T
     lam = 0.5 * float(np.linalg.eigvalsh(t)[0])
     slack = 4.0 * t.shape[0] * np.finfo(float).eps * rho / step
@@ -404,32 +408,36 @@ def _numerical_range_margin(h: Accelerant, rho: float) -> float | None:
     return bound if bound >= _CERTIFY_FLOOR else None
 
 
-def _require_accelerant(h: Accelerant) -> tuple[float, str | None]:
-    """The accept-or-sweep gate shared by theta, CLI theta and krein_solution.
+def _gated_krein_rows(h: Accelerant) -> tuple[float, str | None, np.ndarray, np.ndarray | None]:
+    """(margin, certificate, X, Z): the accept-or-sweep gate shared by
+    theta, CLI theta, krein_solution and CLI verify on an accelerant, then
+    _krein_rows on h's own grid, both on the one T of _toeplitz_matrix.
 
-    Returns (margin, certificate). Two certificates are tried in turn, both
-    on rho = _norm_bound(h), computed once: the Schur norm bound of
+    Two certificates are tried in turn, both on rho = _norm_bound(h),
+    computed once from the samples: the Schur norm bound of
     _certified_margin, O(N r^3), and, when it fails, the numerical range
-    bound of _numerical_range_margin, one O(N^3 r^3) eigvalsh. An input
-    either certifies is accepted without a sweep; margin is that lower
-    bound and certificate names it ("Schur norm bound" or "numerical range
-    bound"). Any other input runs is_accelerant, O(N^3 r^3 + N^2 r p^2)
-    when T has a small numerical rank p and O(N^4 r^3) otherwise, and
-    margin is its minimum, with certificate None; a rejection raises
+    bound of _numerical_range_margin on T, one O(N^3 r^3) eigvalsh. An
+    input either certifies is accepted without a sweep; margin is that
+    lower bound and certificate names it ("Schur norm bound" or "numerical
+    range bound"). Any other input runs is_accelerant, which builds a T
+    of its own and sweeps it in O(N^2 r^2 (k + p^2/r)) from a range sketch
+    of k >= 16 columns when T has a small numerical rank p, and in
+    O(N^4 r^3) otherwise; no O(N^3 r^3) factorization of T runs. margin is
+    then the sweep's minimum, with certificate None, and a rejection raises
     NotAccelerantError from the sweep's worst truncation, so every
     rejection comes from the sweep.
     """
+    t = _toeplitz_matrix(h)
     rho = _norm_bound(h)
-    bound = _certified_margin(rho)
-    if bound is not None:
-        return bound, "Schur norm bound"
-    bound = _numerical_range_margin(h, rho)
-    if bound is not None:
-        return bound, "numerical range bound"
-    test = is_accelerant(h)
-    if not test.accepted:
-        raise NotAccelerantError(test.worst_alpha, float(test.margins.min()))
-    return float(test.margins.min()), None
+    margin, certificate = _certified_margin(rho), "Schur norm bound"
+    if margin is None:
+        margin, certificate = _numerical_range_margin(t, h.grid.step, rho), "numerical range bound"
+    if margin is None:
+        test = is_accelerant(h)
+        if not test.accepted:
+            raise NotAccelerantError(test.worst_alpha, float(test.margins.min()))
+        margin, certificate = float(test.margins.min()), None
+    return margin, certificate, *_krein_rows(h, t, h.grid)
 
 
 def solve_glm(
@@ -483,8 +491,12 @@ def solve_glm(
     the residual check, against O(N^4 n^3) for N separate solves, and the
     rows cost O(N^2 n^3).
 
-    The same factors solve z_i A_i = -c_i for the leading blocks
-    c_i = c[:, :(i+1) n] of any one n x (N+1) n row c (_nested_solve):
+    The solve itself, _nested_solve, takes F flattened to the matrix
+    [(x, a), (t, b)], as is_accelerant's T is, so S and B are a scaled
+    copy and a masked copy of it, and every dense row's A_i a slice;
+    solve_glm flattens its kernel once. The same factors solve
+    z_i A_i = -c_i for the leading blocks c_i = c[:, :(i+1) n] of any one
+    n x (N+1) n row c:
     y'_i = c_i S_i^-1 is (c U^-1)[:, :(i+1) n] L_i^-1, one row times U^-1
     and then a running sum over the block rows of L^-1, O(N^2 n^3), and
     the Woodbury step reuses Z_ii and G_i = delta_i (U^-1)_ii. This is how
@@ -493,8 +505,8 @@ def solve_glm(
     problem is Pi A_i Pi, since a difference kernel is block Toeplitz, the
     trapezoid weights are flip-symmetric and reflection swaps the two
     one-sided edges, and its right-hand side is c_i Pi, with c the first
-    block row of F and edge_minus in block 0. The reflected row i is then
-    z_i Pi.
+    block row of F (the first n rows of the flat matrix) and edge_minus in
+    block 0. The reflected row i is then z_i Pi.
 
     The sweep certifies the A_i, not the S_i, and an LU without pivoting
     is only as good as the leading blocks of S. So every row's residual
@@ -511,35 +523,37 @@ def solve_glm(
     the residual run in float64, and the rows are cast to complex128 once,
     before any dense fallback row is written.
     """
-    x, _ = _nested_solve(f_kernel, edge_plus, edge_minus)
+    x, _ = _nested_solve(_flatten(f_kernel.values), f_kernel.grid, edge_plus, edge_minus)
     return Kernel2D(f_kernel.n, f_kernel.grid, "lower", x)
 
 
 def _nested_solve(
-    f_kernel: Kernel2D,
+    f: np.ndarray,
+    grid: GridSpec,
     edge_plus: np.ndarray | None,
     edge_minus: np.ndarray | None,
     c: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """solve_glm's blocks X and, for an n x (N+1) n row c, the blocks Z
+    """solve_glm's blocks X for the kernel F on grid, flattened to the
+    ((N+1) n)^2 matrix f, and, for an n x (N+1) n row c, the blocks Z
     whose row i solves z_i A_i = -c[:, :(i+1) n] (None without c), both
     from one nested LU as solve_glm describes. Z[0, 0] = -c[:, :n], as
     X[0, 0] = -edge_plus. Each row of either family passes the same
     residual check and has the same dense fallback; the float64 path is
-    taken when c is real too. S and B are built once; at most five
-    ((N+1) n)^2 arrays are live at a time."""
-    grid, n = f_kernel.grid, f_kernel.n
+    taken when f, both edges and c are all real (a real f with a complex
+    edge or c is not supported). S and B are built once; at most five
+    ((N+1) n)^2 arrays are live at a time, f among them."""
     m, step = grid.N + 1, grid.step
-    dim = m * n
-    F = f_kernel.values
+    dim = f.shape[0]
+    n = dim // m
     nodes = np.arange(m)
-    f_diag = F[nodes, nodes]
+    f_diag = _unflatten(f, n)[nodes, nodes]
     plus = f_diag if edge_plus is None else np.broadcast_to(edge_plus, f_diag.shape)
     minus = f_diag if edge_minus is None else np.broadcast_to(edge_minus, f_diag.shape)
     if c is None:
-        F, f_diag, plus, minus = _real_if_exact(F, f_diag, plus, minus)
+        f, f_diag, plus, minus = _real_if_exact(f, f_diag, plus, minus)
     else:
-        F, f_diag, plus, minus, c = _real_if_exact(F, f_diag, plus, minus, c)
+        f, f_diag, plus, minus, c = _real_if_exact(f, f_diag, plus, minus, c)
     delta = 0.5 * step * (minus + plus) - step * f_diag
 
     rows = np.repeat(nodes, n)
@@ -547,10 +561,10 @@ def _nested_solve(
 
     eye = np.eye(n)
     with np.errstate(all="ignore"):
-        s = _shared_matrix(F, plus, step)
+        s = _shared_matrix(f, plus, step)
         u_inv = s.copy()
         l_inv = _lu_inverses(u_inv)  # u_inv holds U^-1 from here on
-        b = _stacked_rhs(F, plus, right_of_diagonal)
+        b = _stacked_rhs(f, plus, right_of_diagonal)
         y_coef, y_diag = _last_block_rows(b, u_inv, l_inv, plus - f_diag, step, n)
         u_inv_diag = _unflatten(u_inv, n)[nodes, nodes]
         c_u = None if c is None else c @ u_inv
@@ -613,7 +627,7 @@ def _nested_solve(
         X[~np.tri(m, dtype=bool)] = 0.0
         X[0, 0] = -plus[0] if rhs_row is None else -rhs_row[:, :n]
         for i in np.flatnonzero(flags[1:]) + 1:
-            X[i, : i + 1] = _dense_row(f_kernel, i, edge_plus, edge_minus, rhs_row)
+            X[i, : i + 1] = _dense_row(f, grid, i, plus, minus, rhs_row)
         blocks.append(X)
     return blocks[0], (blocks[1] if c is not None else None)
 
@@ -666,67 +680,66 @@ def _right_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.full_like(a, np.nan)
 
 
-def _shared_matrix(F: np.ndarray, plus: np.ndarray, step: float) -> np.ndarray:
-    """S = I + D F flattened, with the full weight at every node but x_0,
-    which keeps the half weight, and plus[0] in block (0, 0)."""
-    m, n = F.shape[0], F.shape[2]
-    s = np.empty((m * n, m * n), dtype=F.dtype)
-    _unflatten(s, n)[...] = F
-    s[:n, :n] = plus[0]
-    s *= step
+def _shared_matrix(f: np.ndarray, plus: np.ndarray, step: float) -> np.ndarray:
+    """S = I + D F from the flat F, a scaled copy with the full weight at
+    every node but x_0, which keeps the half weight, and plus[0] in block
+    (0, 0)."""
+    n = plus.shape[-1]
+    s = step * f
+    s[:n, :n] = step * plus[0]
     s[:n] *= 0.5
-    s.flat[:: m * n + 1] += 1.0
+    s.flat[:: s.shape[0] + 1] += 1.0
     return s
 
 
-def _stacked_rhs(F: np.ndarray, plus: np.ndarray, right_of_diagonal: np.ndarray) -> np.ndarray:
-    """B: flattened row i is b_i = F[i, :i+1] with plus[i] as its diagonal
-    block, zero to the right of it."""
-    m, n = F.shape[0], F.shape[2]
-    b = np.empty((m * n, m * n), dtype=F.dtype)
-    _unflatten(b, n)[...] = F
+def _stacked_rhs(f: np.ndarray, plus: np.ndarray, right_of_diagonal: np.ndarray) -> np.ndarray:
+    """B, a copy of the flat F whose block row i is b_i = F[i, :i+1] with
+    plus[i] as its diagonal block, zero to the right of it."""
+    n = plus.shape[-1]
+    b = f.copy()
     b[right_of_diagonal] = 0.0
-    nodes = np.arange(m)
+    nodes = np.arange(b.shape[0] // n)
     _unflatten(b, n)[nodes, nodes] = plus
     return b
 
 
 def _dense_row(
-    f_kernel: Kernel2D,
+    f: np.ndarray,
+    grid: GridSpec,
     i: int,
-    edge_plus: np.ndarray | None,
-    edge_minus: np.ndarray | None,
+    plus: np.ndarray,
+    minus: np.ndarray,
     c: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Blocks X[i, :i+1] of solve_glm's row i >= 1 by one dense solve of
-    A_i: its fallback for rows the nested LU leaves inaccurate, and the
-    reference it is tested against. Given a row c, the right-hand side is
-    c[:, :(i+1) n] in place of b_i, as for _nested_solve's second family.
-    Raises SingularSystemError when the row residual exceeds 1e-10 times
-    max(1, max|row|)."""
-    n = f_kernel.n
+    """Blocks X[i, :i+1] of solve_glm's row i >= 1 for the flat F on grid
+    by one dense solve of A_i, whose weighted block is the leading
+    (i+1) n block of f: _nested_solve's fallback for rows the nested LU
+    leaves inaccurate, and the reference it is tested against. plus and
+    minus hold the edges per node as _nested_solve forms them: edge_plus,
+    edge_minus or the diagonal block F[k, k] in place of a missing one.
+    Given a row c, the right-hand side is c[:, :(i+1) n] in place of b_i,
+    as for _nested_solve's second family. Raises SingularSystemError when
+    the row residual exceeds 1e-10 times max(1, max|row|)."""
+    n = plus.shape[-1]
     d = (i + 1) * n
-    tau = f_kernel.grid.trapezoid(i)
-    block = _flatten(f_kernel.values[: i + 1, : i + 1])
+    tau = grid.trapezoid(i)
     eye = np.eye(d, dtype=np.complex128)
-    A = np.repeat(tau, n)[:, None] * block + eye
-    rhs = block[d - n :]
-    if edge_minus is not None:
-        A[d - n :, d - n :] = eye[:n, :n] + tau[-1] * edge_minus
-    if edge_plus is not None:
-        A[:n, :n] = eye[:n, :n] + tau[0] * edge_plus
-        rhs = rhs.copy()
-        rhs[:, d - n :] = edge_plus
-    if c is not None:
+    A = np.repeat(tau, n)[:, None] * f[:d, :d] + eye
+    A[:n, :n] = eye[:n, :n] + tau[0] * plus[0]
+    A[d - n :, d - n :] = eye[:n, :n] + tau[-1] * minus[i]
+    if c is None:
+        rhs = f[d - n : d, :d].copy()
+        rhs[:, d - n :] = plus[i]
+    else:
         rhs = c[:, :d]
     try:
         row = np.linalg.solve(A.T, -rhs.T).T
     except np.linalg.LinAlgError:
-        raise SingularSystemError(i / f_kernel.grid.N)
+        raise SingularSystemError(i / grid.N)
     residual = np.max(np.abs(row @ A + rhs))
     scale = max(1.0, float(np.max(np.abs(row))))
     if not np.isfinite(residual) or residual > 1e-10 * scale:
-        raise SingularSystemError(i / f_kernel.grid.N, f"row residual {residual:.3e}")
+        raise SingularSystemError(i / grid.N, f"row residual {residual:.3e}")
     return row.reshape(n, i + 1, n).transpose(1, 0, 2)
 
 
@@ -783,63 +796,66 @@ def solve_krein(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:
     Accelerants in the image of the inverse map generically jump at 0, so
     the edge collocation is fed one-sided values of h recovered by quadratic
     extrapolation from the three nearest samples on each side, read off the
-    convolution kernel as F[k, 0] = h(x_k) and F[0, k] = h(-x_k). For h
-    smooth through 0 the extrapolations coincide with the stored sample to
-    cubic order (exactly, for constant h) and the plain solve is recovered.
-    """
-    conv, plus, minus = _krein_system(h, grid)
-    return solve_glm(conv, edge_plus=plus, edge_minus=minus)
-
-
-def _krein_system(
-    h: Accelerant, grid: GridSpec | None
-) -> tuple[Kernel2D, np.ndarray, np.ndarray]:
-    """solve_krein's convolution kernel and its one-sided edges h(0+), h(0-)."""
-    conv = convolution_kernel(h, grid)
-    F = conv.values
-    plus = 3.0 * F[1, 0] - 3.0 * F[2, 0] + F[3, 0]
-    minus = 3.0 * F[0, 1] - 3.0 * F[0, 2] + F[0, 3]
-    return conv, plus, minus
-
-
-def _krein_pair(h: Accelerant, grid: GridSpec | None = None) -> tuple[Kernel2D, Kernel2D]:
-    """(solve_krein(h, grid), solve_krein(reflect(h), grid)) from one nested LU.
-
-    grid is h's own by default, which block_krein_kernel and krein_solution
-    read, or its 2N refinement, which folded_lower_factor reads. The rows
-    come from _krein_rows; row k of the reflected kernel is the block
-    reversal of its z_k. An exactly even h has one kernel, returned twice.
+    convolution kernel as F[k, 0] = h(x_k) and F[0, k] = h(-x_k)
+    (_krein_edges). For h smooth through 0 the extrapolations coincide with
+    the stored sample to cubic order (exactly, for constant h) and the plain
+    solve is recovered. The solve runs on _toeplitz_matrix(h, grid).
     """
     grid = h.grid if grid is None else grid
-    x, z = _krein_rows(h, grid)
-    direct = Kernel2D(h.r, grid, "lower", x)
+    t = _toeplitz_matrix(h, grid)
+    x, _ = _nested_solve(t, grid, *_krein_edges(t, h.r))
+    return Kernel2D(h.r, grid, "lower", x)
+
+
+def _krein_edges(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """solve_krein's one-sided edges h(0+), h(0-) from the flat
+    convolution matrix t of block size n."""
+    F = _unflatten(t, n)
+    return 3.0 * F[1, 0] - 3.0 * F[2, 0] + F[3, 0], 3.0 * F[0, 1] - 3.0 * F[0, 2] + F[0, 3]
+
+
+def _krein_pair(h: Accelerant, grid: GridSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of (solve_krein(h, grid), solve_krein(reflect(h), grid))
+    from one nested LU on _toeplitz_matrix(h, grid).
+
+    grid is h's own by default, which block_krein_kernel reads, or its 2N
+    refinement, which folded_lower_factor reads.
+    """
+    grid = h.grid if grid is None else grid
+    return _krein_kernels(*_krein_rows(h, _toeplitz_matrix(h, grid), grid))
+
+
+def _krein_kernels(x: np.ndarray, z: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The direct and reflected Krein kernel blocks from the rows X, Z of
+    _krein_rows: row k of the reflected kernel is the block reversal of
+    z_k. An exactly even h (Z None) has one kernel, returned twice."""
     if z is None:
-        return direct, direct
-    k, t = np.indices((grid.N + 1, grid.N + 1))
+        return x, x
+    k, t = np.indices(x.shape[:2])
     reflected = z[k, k - t]  # z_k reversed; t > k wraps and is cleared
     reflected[t > k] = 0.0
-    return direct, Kernel2D(h.r, grid, "lower", reflected)
+    return x, reflected
 
 
-def _krein_rows(h: Accelerant, grid: GridSpec | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+def _krein_rows(h: Accelerant, t: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray | None]:
     """The blocks X of solve_krein(h, grid) and the blocks Z whose row k,
     block-reversed, is row k of solve_krein(reflect(h), grid), from one
-    nested LU; Z is None for an h whose samples equal their reversal bit
-    for bit, which is its own reflection.
+    nested LU on t = _toeplitz_matrix(h, grid); Z is None for an h whose
+    samples equal their reversal bit for bit, which is its own reflection.
 
     Row k of Z solves z_k A_k = -c_k, with A_k the direct row matrix and
     c_k the first block row of F on [0, x_k] with edge_minus in block 0
     (solve_glm gives the flip identity); _nested_solve reads it off the
-    direct solve's factors. So the t = 0 columns that theta reads are
-    X[:, 0] and the diagonal blocks Z[k, k].
+    direct solve's factors. So the t = 0 columns that theta reads
+    (forward_map._potential) are X[:, 0] and the diagonal blocks Z[k, k].
     """
-    conv, plus, minus = _krein_system(h, grid)
-    m, n = conv.grid.N + 1, conv.n
+    n = h.r
+    plus, minus = _krein_edges(t, n)
     c = None
     if h.values.tobytes() != h.values[::-1].tobytes():
-        c = np.array(conv.values[0].transpose(1, 0, 2)).reshape(n, m * n)
+        c = t[:n].copy()
         c[:, :n] = minus
-    return _nested_solve(conv, plus, minus, c)
+    return _nested_solve(t, grid, plus, minus, c)
 
 
 def factorize(f_kernel: Kernel2D):

@@ -1,20 +1,29 @@
 """The forward map: accelerant to off-diagonal Dirac potential.
 
 The potential is read off the t = 0 trace of the Krein kernels of h and of
-its reflection. Both come from one nested LU (factorization._krein_rows):
-the reflected equation is the direct one seen through the block-order
-flip, so its rows are read off the direct solve's factors. The folded
-kernel and the lower factor built from half-argument reads are the bridge
-to the inverse direction; both are assembled purely from exact sample
-reads (the lower factor solves the Krein pair on the refined 2N grid so
-that (x +/- t)/2 is always a node).
+its reflection. Both come from one nested LU on the flattened Toeplitz
+matrix T = [h(x_i - x_j)] (factorization._krein_rows): the reflected
+equation is the direct one seen through the block-order flip, so its rows
+are read off the direct solve's factors. theta, CLI theta, krein_solution
+and CLI verify build T once, in factorization._gated_krein_rows, whose
+accelerant gate and Krein rows share it; q_plus and q_minus are read from
+those rows by _potential alone. The folded kernel and the lower factor
+built from half-argument reads are the bridge to the inverse direction;
+both are assembled purely from exact sample reads (the lower factor solves
+the Krein pair on the refined 2N grid so that (x +/- t)/2 is always a
+node).
+
+Between the private layers the kernel blocks travel as plain arrays:
+_krein_pair and _krein_kernels give (N+1, N+1, r, r) blocks, _block_kernel
+stacks them, and dirac_verify._derivative_identity reads them. A Kernel2D
+is built only where a public function returns one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .factorization import _krein_pair, _krein_rows, _require_accelerant
+from .factorization import _gated_krein_rows, _krein_pair
 from .fields import (
     Accelerant,
     Kernel2D,
@@ -30,23 +39,22 @@ def theta(h: Accelerant) -> Potential:
     """Forward map: q_plus = i r_h(x, 0), q_minus = -i r_reflected(x, 0).
 
     Rejects inputs that fail the accelerant sweep. The sweep runs only when
-    neither certificate of factorization._require_accelerant can certify
+    neither certificate of factorization._gated_krein_rows can certify
     h: the Schur norm bound, O(N r^3), and the numerical range bound, one
-    O(N^3 r^3) eigvalsh; a certified h is one the sweep would accept.
-    Both t = 0 columns come from one nested LU (factorization._krein_rows),
-    whose inverse factors are its one O(N^3 r^3) step besides the residual
-    check: r_h(x_k, 0) is X[k, 0] and r_reflected(x_k, 0) the diagonal
-    block Z[k, k], so no kernel table is gathered. An exactly even h
-    solves one family and reuses it.
+    O(N^3 r^3) eigvalsh on T; a certified h is one the sweep would accept.
+    Both t = 0 columns come from one nested LU on the same T, whose inverse
+    factors are its one O(N^3 r^3) step besides the residual check, and
+    _potential reads them from the rows, so no kernel table is gathered.
+    An exactly even h solves one family and reuses it.
     """
-    _require_accelerant(h)
-    return _krein_potential(h)
+    _, _, x, z = _gated_krein_rows(h)
+    return _potential(h, x, z)
 
 
-def _krein_potential(h: Accelerant) -> Potential:
-    """theta without the accelerant gate, for callers that have already
-    run it."""
-    x, z = _krein_rows(h)
+def _potential(h: Accelerant, x: np.ndarray, z: np.ndarray | None) -> Potential:
+    """theta(h) from the rows X, Z of factorization._krein_rows on h's own
+    grid: r_h(x_k, 0) is X[k, 0] and r_reflected(x_k, 0) the diagonal block
+    Z[k, k], or X[k, 0] again when Z is None (an even h)."""
     nodes = np.arange(h.grid.N + 1)
     reflected = x[:, 0] if z is None else z[nodes, nodes]
     return Potential(h.r, h.grid, 1j * x[:, 0], -1j * reflected)
@@ -66,18 +74,16 @@ def folded_kernel(h: Accelerant) -> Kernel2D:
 
 def block_krein_kernel(h: Accelerant) -> Kernel2D:
     """diag(r_h, r_reflected) as one lower 2r x 2r kernel."""
-    return _block_kernel(_krein_pair(h))
+    return Kernel2D(2 * h.r, h.grid, "lower", _block_kernel(*_krein_pair(h)))
 
 
-def _block_kernel(kernels: tuple[Kernel2D, Kernel2D]) -> Kernel2D:
-    """block_krein_kernel from the kernels of _krein_pair(h)."""
-    r_direct, r_reflected = kernels
-    r, grid = r_direct.n, r_direct.grid
-    m = grid.N + 1
+def _block_kernel(direct: np.ndarray, reflected: np.ndarray) -> np.ndarray:
+    """The blocks of block_krein_kernel from those of the Krein pair."""
+    m, _, r, _ = direct.shape
     vals = np.zeros((m, m, 2 * r, 2 * r), dtype=np.complex128)
-    vals[:, :, :r, :r] = r_direct.values
-    vals[:, :, r:, r:] = r_reflected.values
-    return Kernel2D(2 * r, grid, "lower", vals)
+    vals[:, :, :r, :r] = direct
+    vals[:, :, r:, r:] = reflected
+    return vals
 
 
 def folded_lower_factor(h: Accelerant) -> Kernel2D:
@@ -88,7 +94,7 @@ def folded_lower_factor(h: Accelerant) -> Kernel2D:
     Krein equation is solved on the 2N refinement and read back exactly.
     """
     N, r = h.grid.N, h.r
-    r_direct, r_reflected = (k.values for k in _krein_pair(h, h.grid.refined()))
+    r_direct, r_reflected = _krein_pair(h, h.grid.refined())
 
     m = N + 1
     i, j, near, far = _half_argument_reads(N)

@@ -43,6 +43,15 @@ def in_band_accelerant(side: str) -> Accelerant:
     return const_accelerant(-1.25 * (1 + _IN_BAND[side]), 40)
 
 
+# c = -0.95 at N = 16 is an accelerant (1 - 0.95 alpha > 0) that neither
+# certificate covers: its Schur norm bound rho = 0.95 (1 + 1/N) = 1.009
+# exceeds 1, and the smallest eigenvalue of the Hermitian part of its
+# Toeplitz matrix gives 1 + step lam = -0.009 < 0. So it is accepted only by
+# the sweep (minimum margin 0.0487); c = 0.5 at N = 16 has rho = 0.53 and is
+# certified without one.
+SWEPT, CERTIFIED = const_accelerant(-0.95, 16), const_accelerant(0.5, 16)
+
+
 def linear_potential(n_cells: int) -> Potential:
     grid = GridSpec(n_cells)
     x = grid.nodes

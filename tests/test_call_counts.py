@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CERTIFIED,
+    SWEPT,
     const_accelerant,
     const_potential,
     in_band_accelerant,
@@ -318,15 +320,6 @@ def test_roundtrip_runs_one_upsilon_and_one_theta_per_rung(count_calls, field):
     assert counts == {"upsilon": 2, "theta": 2, **dict.fromkeys(full_f, 0)}
 
 
-# c = -0.95 at N = 16 is an accelerant (1 - 0.95 alpha > 0) that neither
-# certificate covers: its Schur norm bound rho = 0.95 (1 + 1/N) = 1.009
-# exceeds 1, and the smallest eigenvalue of the Hermitian part of its
-# Toeplitz matrix gives 1 + step lam = -0.009 < 0. So it is accepted only by
-# the sweep (minimum margin 0.0487); c = 0.5 at N = 16 has rho = 0.53 and is
-# certified without one.
-SWEPT, CERTIFIED = const_accelerant(-0.95, 16), const_accelerant(0.5, 16)
-
-
 def test_cli_theta_runs_the_sweep_once(count_calls, tmp_path):
     src = tmp_path / "h.json"
     write_field(str(src), SWEPT)
@@ -356,6 +349,46 @@ def test_certified_accelerant_is_not_swept(count_calls, tmp_path):
     phis = kreinmap.krein_solution(CERTIFIED, (0.0, 1.0, 1.0 + 0.5j))
     assert phis.shape == (3, 17, 2, 1)
     assert counts == {"is_accelerant": 0, KREIN_PAIR: 3}
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """[the number of Kernel2D objects built], counted in its __post_init__."""
+    built = [0]
+    post_init = kreinmap.Kernel2D.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(kreinmap.Kernel2D, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("h, builds", [(CERTIFIED, 1), (SWEPT, 2)], ids=["certified", "swept"])
+def test_forward_chain_builds_t_once_and_no_kernel(count_calls, kernel_builds, tmp_path, h, builds):
+    # the gate and the Krein rows share one T; a swept input builds a second
+    # inside is_accelerant. No convolution kernel or other Kernel2D passes
+    # between the layers of theta, CLI theta or krein_solution
+    toeplitz = "factorization._toeplitz_matrix"
+    counts = count_calls("convolution_kernel", toeplitz, "is_accelerant", KREIN_PAIR)
+    src = tmp_path / "h.json"
+    write_field(str(src), h)
+    runs = [
+        lambda: kreinmap.theta(h),
+        lambda: main(["theta", "--in", str(src), "--out", str(tmp_path / "q.json")]),
+        lambda: kreinmap.krein_solution(h, (0.0, 1.0)),
+    ]
+    for run in runs:
+        counts.update(dict.fromkeys(counts, 0))
+        run()
+        assert counts == {
+            "convolution_kernel": 0,
+            toeplitz: builds,
+            "is_accelerant": builds - 1,
+            KREIN_PAIR: 1,
+        }
+        assert kernel_builds == [0]
 
 
 @pytest.mark.parametrize(

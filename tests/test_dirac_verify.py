@@ -42,7 +42,7 @@ from kreinmap import (
     transmuted_solution,
     upsilon,
 )
-from kreinmap import dirac_verify
+from kreinmap import dirac_verify, factorization
 from kreinmap.cli import main, write_field
 from kreinmap.dirac_verify import _triangle_compose, apply_wave_operator
 from kreinmap.errors import FieldFormatError, SingularSystemError
@@ -276,7 +276,7 @@ def test_krein_solution_refuses_malformed_lambdas(monkeypatch, lams, message):
     def no_gate(*args):
         raise AssertionError("the gate ran before the lambdas were checked")
 
-    monkeypatch.setattr(dirac_verify, "_require_accelerant", no_gate)
+    monkeypatch.setattr(dirac_verify, "_gated_krein_rows", no_gate)
     with pytest.raises(FieldFormatError) as info:
         krein_solution(const_accelerant(0.5, 16), lams)
     assert str(info.value) == message
@@ -285,7 +285,7 @@ def test_krein_solution_refuses_malformed_lambdas(monkeypatch, lams, message):
 def _krein_solution_table(h: Accelerant, lams) -> np.ndarray:
     """krein_solution with, per lambda and kernel, the (N+1)^2 table of
     e^{-+2i lam (x_i - x_t)} contracted by einsum: the reference."""
-    r1, r2 = dirac_verify._krein_pair(h)
+    r1, r2 = factorization._krein_pair(h)  # the kernels' blocks
     x = h.grid.nodes
     tw = nystrom_weights(h.grid, "lower")
     idx = np.arange(h.grid.N + 1)
@@ -293,8 +293,8 @@ def _krein_solution_table(h: Accelerant, lams) -> np.ndarray:
     eye = np.eye(h.r)
     phis = np.zeros((len(lams), h.grid.N + 1, 2 * h.r, h.r), dtype=np.complex128)
     for phi, lam in zip(phis, lams):
-        s1 = np.einsum("it,itab->iab", tw * np.exp(-2j * lam * x)[lag], r1.values)
-        s2 = np.einsum("it,itab->iab", tw * np.exp(2j * lam * x)[lag], r2.values)
+        s1 = np.einsum("it,itab->iab", tw * np.exp(-2j * lam * x)[lag], r1)
+        s2 = np.einsum("it,itab->iab", tw * np.exp(2j * lam * x)[lag], r2)
         phi[:, : h.r] = np.exp(1j * lam * x)[:, None, None] * (eye + s1)
         phi[:, h.r :] = np.exp(-1j * lam * x)[:, None, None] * (eye + s2)
     return phis

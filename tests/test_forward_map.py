@@ -45,8 +45,8 @@ def test_theta_is_the_t0_trace_of_the_krein_kernels(h):
     q = theta(h)
     r_direct, r_reflected = _krein_pair(h)
     assert q.q_plus.tobytes() == (1j * solve_krein(h).values[:, 0]).tobytes()
-    assert q.q_plus.tobytes() == (1j * r_direct.values[:, 0]).tobytes()
-    assert q.q_minus.tobytes() == (-1j * r_reflected.values[:, 0]).tobytes()
+    assert q.q_plus.tobytes() == (1j * r_direct[:, 0]).tobytes()
+    assert q.q_minus.tobytes() == (-1j * r_reflected[:, 0]).tobytes()
 
 
 def test_theta_rejects_critical_constant():

@@ -9,11 +9,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from conftest import linear_potential
+from conftest import SWEPT, linear_potential
 
 import kreinmap
 import kreinmap.cli  # noqa: F401  (the tracer wraps the cli layers too)
 from kreinmap import identity_suite
+from kreinmap.cli import write_field
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -58,3 +59,14 @@ def test_traced_identity_suite_records_the_wave_operator():
     names = [span[0] for span in traced.spans]
     # K_Q, L and the lower and upper parts of F
     assert names.count("dirac_verify.apply_wave_operator") == 4
+
+
+def test_traced_cli_theta_records_the_sweep(tmp_path):
+    # neither certificate covers SWEPT, so CLI theta sweeps it once; the gate
+    # must reach the sweep through the traced is_accelerant
+    src = tmp_path / "h.json"
+    write_field(str(src), SWEPT)
+    with _tracer().Tracer() as traced:
+        assert kreinmap.cli.main(["theta", "--in", str(src), "--out", str(tmp_path / "q.json")]) == 0
+    names = [span[0] for span in traced.spans]
+    assert names.count("factorization.is_accelerant") == 1
