@@ -175,7 +175,10 @@ def _write_csv_rows(out, rows: np.ndarray) -> None:
 
 
 def _emit_report(report) -> None:
-    print(json.dumps(report.to_dict(), indent=2))
+    # RFC 8259 has no Infinity or NaN: a non-finite number prints as null,
+    # and a finite one round-trips through float repr unchanged
+    doc = json.loads(json.dumps(report.to_dict()), parse_constant=lambda name: None)
+    print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 def cmd_theta(args) -> int:

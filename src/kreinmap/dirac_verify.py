@@ -59,7 +59,6 @@ from .inverse_map import (
     upsilon,
 )
 from .quadops import (
-    _flatten,
     _row_times,
     _times_column,
     _unflatten,
@@ -373,7 +372,7 @@ def _verify_potential(q: Potential) -> DiagnosticReport:
     coarser than the suite's, so the coarse guard runs first: a potential
     that grid does not resolve is refused as too coarse before any march.
     """
-    _require_resolved(q)
+    _require_resolved(q.q_plus, q.q_minus, q.grid.step)
     report = identity_suite(q)
     report.entries.extend(check_fundamental_representation(q).entries)
     return report
@@ -450,7 +449,8 @@ def identity_suite(q: Potential) -> DiagnosticReport:
 
     # (I + K)(I + L) = (I + L)(I + K) = I on the lower triangle
     k_plus_l = k_values + l_values
-    for name, a, b in (("KL", k_values, l_values), ("LK", l_values, k_values)):
+    halved_k, halved_l = _halved_rows(k_values), _halved_rows(l_values)
+    for name, a, b in (("KL", halved_k, halved_l), ("LK", halved_l, halved_k)):
         residual = _masked_sup(k_plus_l + _triangle_compose(a, b, grid.step), low)
         report.add(f"reciprocity_{name}", residual, _TOL)
 
@@ -458,23 +458,30 @@ def identity_suite(q: Potential) -> DiagnosticReport:
     return report
 
 
+def _halved_rows(blocks: np.ndarray) -> np.ndarray:
+    """Lower blocks [x, s, a, b] laid out as [x, a, s, b], the layout of
+    the flat matrix [(x, a), (s, b)] of quadops._flatten, with the diagonal
+    blocks halved: one copy, whatever the layout of blocks, which are left
+    as they are."""
+    halved = blocks.transpose(0, 2, 1, 3).copy()
+    d = np.arange(halved.shape[0])
+    halved[d, :, d] *= 0.5
+    return halved
+
+
 def _triangle_compose(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
-    """int_t^x A(x,s) B(s,t) ds on j <= i, trapezoid weights on [x_j, x_i].
+    """int_t^x A(x,s) B(s,t) ds on j <= i, trapezoid weights on [x_j, x_i],
+    for lower blocks A and B given as _halved_rows.
 
     Both factors are lower supported, so the plain index sum already runs
     over s in [j, i], and its endpoint terms are A(x_i, x_i) B(x_i, x_j) and
     A(x_i, x_j) B(x_j, x_j): the trapezoid rule is one GEMM of the flattened
-    factors [(x, a), (s, b)] with the diagonal blocks of both halved.  The
-    empty interval i == j keeps a quarter weight there, so its zero is set
-    outright.  The halving acts on copies, since _flatten returns a view of
-    blocks already in its layout, as the resolvents of _substitute are.
+    factors with the diagonal blocks of both halved.  The empty interval
+    i == j keeps a quarter weight there, so its zero is set outright.
     """
-    n = a.shape[2]
-    d = np.arange(a.shape[0])
-    flat_a, flat_b = _flatten(a).copy(), _flatten(b).copy()
-    for flat in (flat_a, flat_b):
-        _unflatten(flat, n)[d, d] *= 0.5
-    full = _unflatten(flat_a @ flat_b, n)
+    m, n = a.shape[:2]
+    full = _unflatten(a.reshape(m * n, -1) @ b.reshape(m * n, -1), n)
+    d = np.arange(m)
     full[d, d] = 0.0
     return step * full
 

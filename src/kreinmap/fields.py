@@ -101,15 +101,17 @@ class GridSpec:
     def trapezoid(self, cells: int) -> np.ndarray:
         """Composite trapezoid weights over `cells` steps of this grid:
         cells + 1 nodes, half weight at both endpoints. weights,
-        nystrom_weights, field_norm, is_accelerant's dense truncations of T
-        and the dense rows of _dense_row use it. These apply the half
-        weights inline: _low_rank_sweep (its batched weights); _nested_solve
-        (the half first block row of _shared_matrix, a scaled copy of the
-        flat T, and delta, the half weight at each row's moving endpoint);
+        nystrom_weights (one loop for its lower rule, which its upper rule
+        reverses), field_norm, is_accelerant's dense truncations of T and
+        the dense rows of _dense_row use it. These apply the half weights
+        inline: _low_rank_sweep (its batched weights); _nested_solve (the
+        half first block row of _shared_matrix, a scaled copy of the flat
+        T, and delta, the half weight at each row's moving endpoint);
         _kernel_chains (the step/2 of its endpoint matrices H_i, the doubled
         history step and the half-weight ends of its column-0 cumulative
         sum); _substitute, _endpoint_inverses, compose's quarter-weight
-        patch and _triangle_compose."""
+        patch and _halved_rows, the halved diagonal blocks of the factors
+        that _triangle_compose multiplies."""
         w = np.full(cells + 1, self.step)
         w[0] = w[-1] = 0.5 * self.step
         return w

@@ -24,6 +24,10 @@ the chains into zeroed full kernels for the consumers that need them, so
 P_plus commutes with J and P_minus anticommutes exactly, by construction.
 K_Q and K_{Q*} come from one march over the rows of the refined grid, whose
 four chains are stacked, and which stores only the even rows that K reads.
+q is refined, guarded and given its chain coefficients once, on arrays
+(_refined_coefficients), and the coefficients of Q* are read off q's,
+conjugate-transposed with alpha and beta swapped (_transmutation_pair):
+no adjoint Potential, refined Potential or GridSpec is built.
 
 The full-grid product kernel is built from its parts: the two resolvents,
 each _substitute in every column, the cross term quadops.compose of L with
@@ -41,9 +45,10 @@ runs each in cheaper arithmetic, by exact tests with no tolerance:
   _chain_coefficients then gives float64 coefficients, and the chains, K,
   both substitutions (or both resolvents and the cross term) follow that
   dtype;
-- the self-adjoint potentials, equal to their adjoint value for value
-  (_self_adjoint): K_{Q*} = K_Q and L* = L, so the march runs the two
-  chains of Q alone, and one resolvent serves as both factors of F.
+- the self-adjoint potentials, equal to their adjoint value for value,
+  which _self_adjoint tests on the chain coefficients of Q and Q*:
+  K_{Q*} = K_Q and L* = L, so the march runs the two chains of Q alone,
+  and one resolvent serves as both factors of F.
 
 Between the layers of that chain the blocks travel as plain arrays in
 their own dtype and layout: _transmutation_values and _resolvent_values,
@@ -81,7 +86,6 @@ from .fields import (
     Potential,
     _fold_lines,
     _half_argument_reads,
-    potential_adjoint,
 )
 from .quadops import _real_if_exact, _times_column, adjoint_op, compose
 
@@ -102,9 +106,10 @@ def _require_finite(what: str, a: np.ndarray) -> None:
         raise FieldFormatError(f"{what} overflow floating point; the potential is too large")
 
 
-def _require_resolved(q: Potential) -> float:
-    """Refuse a potential whose trapezoid march does not resolve it on its
-    grid; otherwise return its resolution (step/2) rho(JQ), below one.
+def _require_resolved(q_plus: np.ndarray, q_minus: np.ndarray, step: float) -> float:
+    """Refuse the samples q_plus, q_minus of a potential whose trapezoid
+    march with this step does not resolve it; otherwise return its
+    resolution (step/2) rho(JQ), below one.
 
     The march approximates the transformation kernels only while
     h = (step/2) JQ(x_i) has spectral radius below one; at one the pairing
@@ -112,9 +117,11 @@ def _require_resolved(q: Potential) -> float:
     rho(h)^2 = rho(h^2), and h^2 = (step/2)^2 diag(ab, ba) with ab = q+ q-,
     the pairing product itself: rho(h) = 1 exactly (q+- = 16 at N = 8) is
     then refused, where the eigenvalues of h would round to just below one.
+    Q* needs no guard of its own: its pairing product q-^H q+^H is
+    (q+ q-)^H, whose eigenvalues are the conjugates of these.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        hh = (0.5 * q.grid.step) ** 2 * (q.q_plus @ q.q_minus)
+        hh = (0.5 * step) ** 2 * (q_plus @ q_minus)
     rho2 = np.abs(np.linalg.eigvals(hh)).max() if np.isfinite(hh).all() else np.inf
     if rho2 >= 1.0:
         raise FieldFormatError(
@@ -123,20 +130,22 @@ def _require_resolved(q: Potential) -> float:
     return float(np.sqrt(rho2))
 
 
-def _self_adjoint(q: Potential, adj: Potential) -> bool:
-    """Whether q equals adj = potential_adjoint(q) value for value.  There
+def _self_adjoint(co: np.ndarray, co_star: np.ndarray) -> bool:
+    """Whether the chain coefficients co of q equal those of its adjoint
+    Q*, co_star, value for value, that is q = potential_adjoint(q).  There
     is no tolerance: theta of a real accelerant that is not exactly even is
     self-adjoint only up to the rounding of its two Krein kernels, and
     takes the general path."""
-    return np.array_equal(adj.q_plus, q.q_plus) and np.array_equal(adj.q_minus, q.q_minus)
+    return np.array_equal(co, co_star)
 
 
-def _chain_coefficients(q: Potential) -> np.ndarray:
-    """co[i, c, k]: alpha (k = 0) and beta (k = 1) of chains A, B at x_i,
-    in float64 when a = -i q_plus and b = i q_minus are real (the real
-    class, which _midpoint_fill keeps since its coefficients are real:
+def _chain_coefficients(q_plus: np.ndarray, q_minus: np.ndarray) -> np.ndarray:
+    """co[i, c, k]: alpha (k = 0) and beta (k = 1) of chains A, B at x_i
+    of the potential with samples q_plus, q_minus, in float64 when
+    a = -i q_plus and b = i q_minus are real (the real class, which
+    _midpoint_fill keeps since its coefficients are real:
     quadops._real_if_exact)."""
-    a, b = _real_if_exact(-1j * q.q_plus, 1j * q.q_minus)
+    a, b = _real_if_exact(-1j * q_plus, 1j * q_minus)
     return np.stack([np.stack([a, b], axis=1), np.stack([b, a], axis=1)], axis=2)
 
 
@@ -243,10 +252,10 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     P_plus commutes with J and P_minus anticommutes, exactly, since the
     scatter writes the chain blocks into zeroed arrays and no others.
     """
-    _require_resolved(q)
+    _require_resolved(q.q_plus, q.q_minus, q.grid.step)
     r, n = q.r, 2 * q.r
     m = q.grid.N + 1
-    (ua, va), (ub, vb) = _kernel_chains(_chain_coefficients(q), q.grid.step, 1)
+    (ua, va), (ub, vb) = _kernel_chains(_chain_coefficients(q.q_plus, q.q_minus), q.grid.step, 1)
     plus = np.zeros((m, m, n, n), dtype=np.complex128)
     minus = np.zeros_like(plus)
     plus[..., :r, :r] = ua
@@ -289,41 +298,42 @@ def transmutation_kernel(q: Potential) -> Kernel2D:
     own grid, are stored.  A potential of the real class is marched in
     float64 (see _chain_coefficients) and its K cast to complex128 at the end.
     """
-    (k,), _ = _transmutation_values([q])
+    co, step, _ = _refined_coefficients(q)
+    (k,) = _transmutation_values(co, step)
     return Kernel2D(2 * q.r, q.grid, "lower", k)
 
 
-def _transmutation_values(qs: list[Potential]) -> tuple[list[np.ndarray], float]:
-    """The blocks of transmutation_kernel of each potential, from one march,
-    and the largest resolution (step/2) rho(JQ) on the refined grid.
+def _refined_coefficients(q: Potential) -> tuple[np.ndarray, float, float]:
+    """The chain coefficients of q on its refined grid, the step of that
+    grid and q's resolution there: the one refinement (_midpoint_fill) and
+    the one guard (_require_resolved) of an inverse-map call, on arrays."""
+    q_plus, q_minus = _midpoint_fill(q.q_plus), _midpoint_fill(q.q_minus)
+    step = 0.5 * q.grid.step
+    resolution = _require_resolved(q_plus, q_minus, step)
+    return _chain_coefficients(q_plus, q_minus), step, resolution
 
-    The potentials share r and grid, and their chains are stacked into one
-    march over the refined grid (see _kernel_chains), so that K_Q and
-    K_{Q*} cost one pass over its rows.  Each potential is guarded as
-    transmutation_kernel guards it, before any march.  The march and the
-    blocks are float64 when every potential is of the real class.
+
+def _transmutation_values(co: np.ndarray, step: float) -> list[np.ndarray]:
+    """The blocks of K of each potential whose chain pair (A, B) is stacked
+    in co, from one march over the refined grid of that step.
+
+    co holds _chain_coefficients on the refined grid, two chains per
+    potential (see _kernel_chains), so that K_Q and K_{Q*} cost one pass
+    over its rows.  The march and the blocks are float64 when co is.
     """
-    fines = [
-        Potential(q.r, q.grid.refined(), _midpoint_fill(q.q_plus), _midpoint_fill(q.q_minus))
-        for q in qs
-    ]
-    resolution = max([_require_resolved(fine) for fine in fines])
-    co = np.concatenate([_chain_coefficients(fine) for fine in fines], axis=1)
     # keep the rows x = 2 i of the refined grid, the only ones K reads
-    chains = _kernel_chains(co, fines[0].grid.step, 2)
-    r = qs[0].r
-    m = qs[0].grid.N + 1
+    chains = _kernel_chains(co, step, 2)
+    m, r = (co.shape[0] + 1) // 2, co.shape[-1]
     i, j, near, far = _half_argument_reads(m - 1)
     kernels = []
-    for p in range(len(qs)):
-        (ua, va), (ub, vb) = chains[2 * p : 2 * p + 2]
+    for (ua, va), (ub, vb) in zip(chains[::2], chains[1::2]):
         vals = np.zeros((m, m, 2 * r, 2 * r), dtype=chains.dtype)
         vals[i, j, :r, :r] = 0.5 * (ua[i, near] + vb[i, near])
         vals[i, j, r:, r:] = 0.5 * (ub[i, near] + va[i, near])
         vals[i, j, :r, r:] = 0.5 * (ua[i, far] + vb[i, far])
         vals[i, j, r:, :r] = 0.5 * (ub[i, far] + va[i, far])
         kernels.append(vals)
-    return kernels, resolution
+    return kernels
 
 
 def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
@@ -434,20 +444,24 @@ def assemble_product(cross: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
 def _transmutation_pair(q: Potential) -> tuple[np.ndarray, np.ndarray, float]:
     """The blocks of K_Q and K_{Q*} from one march, and the resolution of q.
 
-    The structure of q decides the work here, for upsilon and for every
-    consumer of the product kernel.  A real-class q gives float64 blocks,
-    since its chain coefficients are real (_chain_coefficients).  A
-    self-adjoint q (_self_adjoint) has K_{Q*} = K_Q, so the march runs its
-    two chains alone and returns the one K as both.  Otherwise K_Q and
-    K_{Q*} come from one march of four chains.  The adjoint of q is formed
-    once, for both the self-adjoint test and the march.
+    q is refined, guarded and given its chain coefficients co once
+    (_refined_coefficients).  Those of Q* are read off co: Q* has
+    q+* = q-^H and q-* = q+^H, so a* = b^H and b* = a^H, and its chains are
+    A' = (b^H, a^H) and B' = (a^H, b^H), co with alpha and beta swapped and
+    each block conjugate-transposed.  The structure of q decides the work
+    here, for upsilon and for every consumer of the product kernel.  A
+    real-class q gives float64 blocks, since its chain coefficients are
+    real.  A self-adjoint q (_self_adjoint) has K_{Q*} = K_Q, so the march
+    runs its two chains alone and returns the one K as both.  Otherwise
+    K_Q and K_{Q*} come from one march of four chains.
     """
-    adj = potential_adjoint(q)
-    if _self_adjoint(q, adj):
-        (k_low,), resolution = _transmutation_values([q])
-        return k_low, k_low, resolution
-    (k_low, k_star), resolution = _transmutation_values([q, adj])
-    return k_low, k_star, resolution
+    co, step, resolution = _refined_coefficients(q)
+    co_star = np.conj(co[:, :, ::-1].swapaxes(-1, -2))
+    if not _self_adjoint(co, co_star):
+        co = np.concatenate([co, co_star], axis=1)
+    # a self-adjoint q gives one kernel, returned as both
+    kernels = _transmutation_values(co, step)
+    return kernels[0], kernels[-1], resolution
 
 
 def _resolvent_factors(q: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -594,15 +608,18 @@ def upsilon(q: Potential) -> tuple[Accelerant, DiagnosticReport]:
     read off its one column t = 1 (_product_column) with trace_extract's
     rule (_trace_column); F itself, its resolvents and its cross term are
     never built, so the cost is one march and two O(N^2 r^3) substitutions.
-    The report's one entry, resolution, is (step/2) rho(JQ) on the refined
-    grid, the largest over the march, with tolerance 1: it says how close q
-    came to the bound at which the march is refused as too coarse.
+    The report's one entry, resolution, is (step/2) rho(JQ) of q on the
+    refined grid, the largest over its nodes, with tolerance 1: it says how
+    close q came to the bound at which the march is refused as too coarse.
+    Q* has the same resolution up to rounding, since its pairing products
+    are the conjugate transposes of q's (_require_resolved).
 
     The march and the substitutions run in float64 for a potential of the
     real class (q_plus and q_minus with no nonzero real part), and the
     march runs two chains for a self-adjoint one (equal to
-    potential_adjoint(q) value for value), whose K_{Q*} is K_Q; both tests
-    are exact.  The accelerant is complex128 in every case.
+    potential_adjoint(q) value for value, tested on the chain coefficients
+    of q and Q*), whose K_{Q*} is K_Q; both tests are exact.  The
+    accelerant is complex128 in every case.
     """
     k_low, k_star, resolution = _transmutation_pair(q)
     col = _product_column(k_low, k_star, q.grid)

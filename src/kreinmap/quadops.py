@@ -40,19 +40,19 @@ __all__ = [
 
 
 def nystrom_weights(grid: GridSpec, support: str) -> np.ndarray:
-    """(N+1, N+1) quadrature weight matrix for the given support."""
+    """(N+1, N+1) quadrature weight matrix for the given support.  The
+    upper rule on [x_i, 1] is the lower rule on [0, x_{N-i}] reversed in
+    both indices, since the trapezoid weights are symmetric."""
     N = grid.N
     if support == "full":
         return np.broadcast_to(grid.weights, (N + 1, N + 1)).copy()
-    w = np.zeros((N + 1, N + 1))
-    if support == "lower":
-        for i in range(1, N + 1):
-            w[i, : i + 1] = grid.trapezoid(i)
-    elif support == "upper":
-        for i in range(N):
-            w[i, i:] = grid.trapezoid(N - i)
-    else:
+    if support == "upper":
+        return nystrom_weights(grid, "lower")[::-1, ::-1]
+    if support != "lower":
         raise FieldFormatError(f"unknown support {support!r}")
+    w = np.zeros((N + 1, N + 1))
+    for i in range(1, N + 1):
+        w[i, : i + 1] = grid.trapezoid(i)
     return w
 
 

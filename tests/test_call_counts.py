@@ -178,9 +178,9 @@ def test_upsilon_marches_and_solves_what_the_structure_needs(
 
     _replace_everywhere(monkeypatch, COLUMN, wrap)
     h, _ = upsilon(q)
-    # one adjoint of q serves the structure test and, unless q is
-    # self-adjoint, the march of K_{Q*}
-    assert [p is q for p in seen["potential_adjoint"]] == [True]
+    # the coefficients of Q* are read off those of q, so no adjoint
+    # potential is formed, whether or not q is self-adjoint
+    assert seen["potential_adjoint"] == []
     # _kernel_chains(co, ...) with co[i, c, k]: one march of `chains` chains
     assert [(co.shape[1], co.dtype) for co in seen[MARCH]] == [(chains, dtype)]
     # the substitutions take K_Q and K_{Q*} in the march's dtype, the one K
@@ -208,7 +208,7 @@ def test_transformation_kernels_march_the_real_class_in_float64(monkeypatch, fir
     coefficients = kreinmap.inverse_map._chain_coefficients
     monkeypatch.setattr(
         "kreinmap.inverse_map._chain_coefficients",
-        lambda p: coefficients(p).astype(np.complex128),
+        lambda q_plus, q_minus: coefficients(q_plus, q_minus).astype(np.complex128),
     )
     plus_ref, minus_ref = kreinmap.transformation_kernels(q)
     assert seen[MARCH][-1].dtype == C128
@@ -239,6 +239,25 @@ def test_transmutation_kernel_forms_no_adjoint(count_calls):
     kreinmap.transmutation_kernel(linear_potential(16))
     kreinmap.transmutation_kernel(const_potential(0.3j, 16))
     assert counts == {"potential_adjoint": 0}
+
+
+@pytest.mark.parametrize(
+    "q",
+    [linear_potential(16), const_potential(10.0, 16)],
+    ids=["general", "self-adjoint"],
+)
+def test_inverse_preamble_runs_once_per_potential_on_arrays(count_calls, count_builds, q):
+    # q is refined (one _midpoint_fill per block), guarded and given its
+    # chain coefficients once; those of Q* are read off them, so no adjoint,
+    # refined potential or refined grid is built
+    names = ("inverse_map._midpoint_fill", "inverse_map._require_resolved", "potential_adjoint")
+    counts = count_calls(*names)
+    built = count_builds(kreinmap.Potential, kreinmap.GridSpec)
+    for run in (upsilon, identity_suite, resolvent_product_kernel):
+        counts.update(dict.fromkeys(counts, 0))
+        run(q)
+        assert counts == dict(zip(names, (2, 1, 0))), run.__name__
+        assert built == {"Potential": 0, "GridSpec": 0}, run.__name__
 
 
 def test_representation_check_tabulates_phases_on_the_nodes_alone(monkeypatch):
@@ -352,26 +371,32 @@ def test_certified_accelerant_is_not_swept(count_calls, tmp_path):
 
 
 @pytest.fixture
-def kernel_builds(monkeypatch):
-    """[the number of Kernel2D objects built], counted in its __post_init__."""
-    built = [0]
-    post_init = kreinmap.Kernel2D.__post_init__
+def count_builds(monkeypatch):
+    """install(*classes): per class name, the number of its objects built,
+    counted in its __post_init__."""
 
-    def counted(self):
-        built[0] += 1
-        post_init(self)
+    def install(*classes):
+        counts = dict.fromkeys((cls.__name__ for cls in classes), 0)
+        for cls in classes:
 
-    monkeypatch.setattr(kreinmap.Kernel2D, "__post_init__", counted)
-    return built
+            def counted(self, _post_init=cls.__post_init__, _name=cls.__name__):
+                counts[_name] += 1
+                _post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        return counts
+
+    return install
 
 
 @pytest.mark.parametrize("h, builds", [(CERTIFIED, 1), (SWEPT, 2)], ids=["certified", "swept"])
-def test_forward_chain_builds_t_once_and_no_kernel(count_calls, kernel_builds, tmp_path, h, builds):
+def test_forward_chain_builds_t_once_and_no_kernel(count_calls, count_builds, tmp_path, h, builds):
     # the gate and the Krein rows share one T; a swept input builds a second
     # inside is_accelerant. No convolution kernel or other Kernel2D passes
     # between the layers of theta, CLI theta or krein_solution
     toeplitz = "factorization._toeplitz_matrix"
     counts = count_calls("convolution_kernel", toeplitz, "is_accelerant", KREIN_PAIR)
+    kernel_builds = count_builds(kreinmap.Kernel2D)
     src = tmp_path / "h.json"
     write_field(str(src), h)
     runs = [
@@ -388,7 +413,7 @@ def test_forward_chain_builds_t_once_and_no_kernel(count_calls, kernel_builds, t
             "is_accelerant": builds - 1,
             KREIN_PAIR: 1,
         }
-        assert kernel_builds == [0]
+        assert kernel_builds == {"Kernel2D": 0}
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from conftest import (
 )
 
 import kreinmap.cli
-from kreinmap import GridSpec, Potential, is_accelerant, solve_cauchy, theta
+from kreinmap import DiagnosticReport, GridSpec, Potential, is_accelerant, solve_cauchy, theta
 from kreinmap.cli import main, read_field, write_field
 from kreinmap.errors import FieldFormatError
 
@@ -431,15 +431,45 @@ def test_decimation_flag_restricts_grid(tmp_path):
     assert code == 3  # 64 is not nested over 24
 
 
+def _strict_json(text: str):
+    """json.loads that refuses Infinity, -Infinity and NaN, which RFC 8259
+    does not allow."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_roundtrip_command_reports_ladder(tmp_path, capsys):
     src = tmp_path / "h.json"
     write_field(str(src), const_accelerant(0.5, 64))
     code = main(["roundtrip", "--in", str(src), "--ladder", "16,32"])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = _strict_json(capsys.readouterr().out)
     assert doc["passed"] is True
     names = [e["name"] for e in doc["entries"]]
     assert "roundtrip_N32" in names
+    # the coarser rung's tolerance is infinite in the library, null here
+    assert [e["tol"] for e in doc["entries"]] == [None, 5e-3]
+
+
+def test_roundtrip_command_prints_an_infinite_ratio_as_null(tmp_path, capsys):
+    # the zero potential roundtrips exactly; an error ratio over a finer
+    # error of 0 is inf in the library
+    src = tmp_path / "q.json"
+    write_field(str(src), const_potential(0.0, 16))
+    assert main(["roundtrip", "--in", str(src), "--ladder", "8,16"]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["metadata"] == {"ladder": [8, 16], "errors": [0.0, 0.0], "ratios": [None]}
+
+
+def test_emitted_report_prints_a_nan_residual_as_null(capsys):
+    report = DiagnosticReport()
+    report.add("overflowed", float("nan"), 5e-3)
+    kreinmap.cli._emit_report(report)
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["entries"] == [{"name": "overflowed", "residual": None, "tol": 5e-3, "passed": False}]
 
 
 def test_roundtrip_command_refuses_malformed_tolerance(tmp_path, capsys):
@@ -469,7 +499,7 @@ def test_verify_command_on_accelerant(tmp_path, capsys):
     write_field(str(src), gauss_accelerant(0.3, 32))
     code = main(["verify", "--in", str(src)])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = _strict_json(capsys.readouterr().out)
     names = [e["name"] for e in doc["entries"]]
     assert "glm_consistency" in names
     assert "wave_K" in names
@@ -481,7 +511,7 @@ def test_verify_command_on_potential(tmp_path, capsys):
     write_field(str(src), linear_potential(32))
     code = main(["verify", "--in", str(src)])
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = _strict_json(capsys.readouterr().out)
     names = [e["name"] for e in doc["entries"]]
     assert "wave_K" in names
     assert "glm_consistency" not in names  # no accelerant to fold

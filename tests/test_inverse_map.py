@@ -39,7 +39,9 @@ from kreinmap.inverse_map import (
     _kernel_chains,
     _midpoint_fill,
     _product_column,
+    _refined_coefficients,
     _self_adjoint,
+    _transmutation_pair,
     _transmutation_values,
 )
 
@@ -251,9 +253,13 @@ def test_transmutation_kernel_against_four_term_formula(q):
 )
 def test_one_march_gives_both_transmutation_kernels_exactly(q):
     # the stacked march of Q and Q* repeats each potential's own march bit for bit
-    (k_q, k_star), _ = _transmutation_values([q, potential_adjoint(q)])
+    co = np.concatenate([_refined_coefficients(p)[0] for p in (q, potential_adjoint(q))], axis=1)
+    k_q, k_star = _transmutation_values(co, 0.5 * q.grid.step)
     assert np.array_equal(k_q, transmutation_kernel(q).values)
     assert np.array_equal(k_star, transmutation_kernel(potential_adjoint(q)).values)
+    # so does the pair upsilon marches, with Q*'s coefficients read off q's
+    k_low, k_low_star, _ = _transmutation_pair(q)
+    assert np.array_equal(k_low, k_q) and np.array_equal(k_low_star, k_star)
 
 
 def _const_blocks(q_plus: complex, q_minus: complex, n_cells: int) -> Potential:
@@ -312,6 +318,19 @@ def _hermitian_t(a: np.ndarray) -> np.ndarray:
     return np.conj(a.transpose(0, 2, 1))
 
 
+STRUCTURED_IDS = [
+    "closed-form-1.5",
+    "const10",
+    "const0.3i",
+    "linear",
+    "theta-gauss",
+    "random-r2-real",
+    "random-r2-self-adjoint",
+    "random-r2-both",
+    "random-r2-neither",
+]
+
+
 def _structured_cases():
     x = GridSpec(50).nodes
     closed = (-1.5j / (1.0 + 1.5 * x))[:, None, None]  # theta of the constant 1.5
@@ -336,30 +355,22 @@ def _structured_cases():
 @pytest.mark.parametrize(
     "q, real, self_adjoint",
     _structured_cases(),
-    ids=[
-        "closed-form-1.5",
-        "const10",
-        "const0.3i",
-        "linear",
-        "theta-gauss",
-        "random-r2-real",
-        "random-r2-self-adjoint",
-        "random-r2-both",
-        "random-r2-neither",
-    ],
+    ids=STRUCTURED_IDS,
 )
 def test_structured_paths_agree_with_the_general_path(monkeypatch, q, real, self_adjoint):
-    assert _self_adjoint(q, potential_adjoint(q)) == self_adjoint
-    assert _chain_coefficients(q).dtype == (np.float64 if real else np.complex128)
+    adj = potential_adjoint(q)
+    co = _chain_coefficients(q.q_plus, q.q_minus)
+    assert _self_adjoint(co, _chain_coefficients(adj.q_plus, adj.q_minus)) == self_adjoint
+    assert co.dtype == (np.float64 if real else np.complex128)
     h, _ = upsilon(q)
     f = resolvent_product_kernel(q)
     for out in (h, f, transmutation_kernel(q)):
         assert out.values.dtype == np.complex128
     # the reference: every potential on the complex path with two resolvents
-    monkeypatch.setattr("kreinmap.inverse_map._self_adjoint", lambda q, adj: False)
+    monkeypatch.setattr("kreinmap.inverse_map._self_adjoint", lambda co, co_star: False)
     monkeypatch.setattr(
         "kreinmap.inverse_map._chain_coefficients",
-        lambda q: _chain_coefficients(q).astype(np.complex128),
+        lambda q_plus, q_minus: _chain_coefficients(q_plus, q_minus).astype(np.complex128),
     )
     h_ref, _ = upsilon(q)
     f_ref = resolvent_product_kernel(q)
@@ -369,6 +380,32 @@ def test_structured_paths_agree_with_the_general_path(monkeypatch, q, real, self
     else:
         assert np.array_equal(h.values, h_ref.values)
         assert np.array_equal(f.values, f_ref.values)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [_random_potential(5, n_cells=30, r=r) for r in (1, 2, 3)]
+    + [case[0] for case in _structured_cases()],
+    ids=[f"random-r{r}" for r in (1, 2, 3)] + STRUCTURED_IDS,
+)
+def test_adjoint_coefficients_are_read_off_q(monkeypatch, q):
+    # the chain coefficients of Q* that upsilon hands its structure test are
+    # those of the refined potential_adjoint(q), value for value and in the
+    # same dtype; their bits may differ in the signs of zeros alone (they do
+    # for const10 and linear), which array_equal does not see
+    seen = []
+
+    def recorded(co, co_star):
+        seen.append((co, co_star))
+        return _self_adjoint(co, co_star)
+
+    monkeypatch.setattr("kreinmap.inverse_map._self_adjoint", recorded)
+    upsilon(q)
+    refined = lambda p: _chain_coefficients(_midpoint_fill(p.q_plus), _midpoint_fill(p.q_minus))
+    ((co, co_star),) = seen
+    ref = refined(potential_adjoint(q))
+    assert np.array_equal(co, refined(q))
+    assert co_star.dtype == ref.dtype and np.array_equal(co_star, ref)
 
 
 def test_transmutation_matches_folded_factor():
