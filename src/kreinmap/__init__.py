@@ -34,7 +34,6 @@ from .quadops import (
 )
 from .factorization import (
     AccelerantTest,
-    convolution_kernel,
     factorize,
     is_accelerant,
     solve_glm,
@@ -87,7 +86,6 @@ __all__ = [
     "nystrom_weights",
     "op_from_kernel",
     "AccelerantTest",
-    "convolution_kernel",
     "factorize",
     "is_accelerant",
     "solve_glm",

@@ -1,13 +1,16 @@
-"""Convolution operators, the accelerant test, and triangular factorization.
+"""The accelerant test, the Krein solve and triangular factorization.
 
 The central object is the layer-stripping solve for the lower kernel X of
 
     X(x,t) + F(x,t) + int_0^x X(x,s) F(s,t) ds = 0,   0 <= t <= x <= 1,
 
-discretized row by row with the trapezoid rule on [0, x_i]. Everything else
-here (the accelerant test, the Krein solve, the two-sided factorization of
-I + F) is built on that solve; the factorization alone also works with the
-weighted operator matrices of quadops (op_from_kernel, invert_identity_plus).
+discretized row by row with the trapezoid rule on [0, x_i]. The accelerant
+test and the Krein solve read the convolution kernel F(x, t) = h(x - t) as
+one flat block Toeplitz matrix T (_toeplitz_matrix), and every Krein solve
+takes the kernels of h and of its reflection from one nested LU on it
+(_krein_rows). The two-sided factorization of I + F is built on the same
+solve, and also works with the weighted operator matrices of quadops
+(op_from_kernel, invert_identity_plus).
 """
 
 from __future__ import annotations
@@ -31,42 +34,12 @@ from .quadops import (
 )
 
 __all__ = [
-    "convolution_kernel",
     "AccelerantTest",
     "is_accelerant",
     "solve_glm",
     "solve_krein",
     "factorize",
 ]
-
-
-def convolution_kernel(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:
-    """The difference kernel F(x_i, x_j) = h(x_i - x_j) on a node grid.
-
-    The target grid must have the same step as the accelerant's node grid or
-    be its 2N refinement; both read h at exact sample indices.  The kernel
-    is the Toeplitz view of _convolution_view, which Kernel2D copies once;
-    any other grid raises FieldFormatError.
-    """
-    grid = h.grid if grid is None else grid
-    return Kernel2D(h.r, grid, "full", _convolution_view(h, grid))
-
-
-def _convolution_view(h: Accelerant, grid: GridSpec) -> np.ndarray:
-    """Blocks [i, j, a, b] of h(x_i - x_j) on grid, h's own or its 2N
-    refinement, as a view of the samples that grid reads: sliding windows
-    of the reversed samples on the target step. Any other grid raises
-    FieldFormatError."""
-    stride = {h.grid.N: 2, 2 * h.grid.N: 1}.get(grid.N)
-    if stride is None:
-        raise FieldFormatError(
-            f"convolution grid {grid.N} is neither the accelerant grid "
-            f"{h.grid.N} nor its refinement"
-        )
-    # the reversed samples read h(1 - k step), so windows[p, :, :, j] is
-    # h(1 - (p + j) step) and row i = p reversed is h(x_i - x_j)
-    windows = sliding_window_view(h.values[::stride][::-1], grid.N + 1, axis=0)
-    return windows[::-1].transpose(0, 3, 1, 2)
 
 
 @dataclass
@@ -316,11 +289,22 @@ def _truncation_extremes(t: np.ndarray, grid: GridSpec, r: int, k: int) -> tuple
 def _toeplitz_matrix(h: Accelerant, grid: GridSpec | None = None) -> np.ndarray:
     """T = [h(x_i - x_j)] over all N + 1 nodes of grid, h's own by default
     or its 2N refinement, as one ((N+1) r)^2 matrix, node-major: one copy
-    of _convolution_view. I + H_alpha is I + T_k W_k with T_k its leading
-    (k+1) r block and W_k the trapezoid weights of [0, x_k], and the Krein
-    rows solve on it (_nested_solve). Real (float64) when every sample it
-    reads has imaginary part exactly zero (quadops._real_if_exact)."""
-    return _flatten(_real_if_exact(_convolution_view(h, h.grid if grid is None else grid))[0])
+    of a sliding-window view of the samples that grid reads. Any other grid
+    raises FieldFormatError. I + H_alpha is I + T_k W_k with T_k its
+    leading (k+1) r block and W_k the trapezoid weights of [0, x_k], and
+    the Krein rows solve on it (_krein_rows). Real (float64) when every
+    sample it reads has imaginary part exactly zero (quadops._real_if_exact)."""
+    grid = h.grid if grid is None else grid
+    stride = {h.grid.N: 2, 2 * h.grid.N: 1}.get(grid.N)
+    if stride is None:
+        raise FieldFormatError(
+            f"convolution grid {grid.N} is neither the accelerant grid "
+            f"{h.grid.N} nor its refinement"
+        )
+    # the reversed samples read h(1 - k step), so windows[p, :, :, j] is
+    # h(1 - (p + j) step) and row i = p reversed is h(x_i - x_j)
+    windows = sliding_window_view(h.values[::stride][::-1], grid.N + 1, axis=0)
+    return _flatten(_real_if_exact(windows[::-1].transpose(0, 3, 1, 2))[0])
 
 
 # The smallest margin a certificate must prove before the sweep is skipped.
@@ -357,14 +341,14 @@ def _certified_margin(rho: float) -> float | None:
     is_accelerant's sweep, or None.
 
     With rho = _norm_bound(h) every sigma_min is at least 1 - rho and
-    every sigma_max at most 1 + rho. For rho <= 1 - 1e-6 every margin is
-    at least (1 - rho)/(1 + rho) > 1e-8, so the sweep would accept, and
-    that bound is returned. Otherwise, and when rho overflows to inf or
-    nan, None: the bound certifies nothing.
+    every sigma_max at most 1 + rho, so every margin is at least
+    (1 - rho)/(1 + rho). That bound is returned when it is at least
+    _CERTIFY_FLOOR (rho <= 1 - 2e-6, about), so the sweep would accept.
+    Otherwise, and when rho overflows to inf or nan, None: the bound
+    certifies nothing.
     """
-    if not rho <= 1.0 - 1e-6:
-        return None
-    return (1.0 - rho) / (1.0 + rho)
+    bound = (1.0 - rho) / (1.0 + rho)
+    return bound if bound >= _CERTIFY_FLOOR else None
 
 
 def _numerical_range_margin(t: np.ndarray, step: float, rho: float) -> float | None:
@@ -440,12 +424,7 @@ def _gated_krein_rows(h: Accelerant) -> tuple[float, str | None, np.ndarray, np.
     return margin, certificate, *_krein_rows(h, t, h.grid)
 
 
-def solve_glm(
-    f_kernel: Kernel2D,
-    *,
-    edge_plus: np.ndarray | None = None,
-    edge_minus: np.ndarray | None = None,
-) -> Kernel2D:
+def solve_glm(f_kernel: Kernel2D) -> Kernel2D:
     """Row-by-row solve of the lower-triangular layer equation.
 
     Row i solves x_i A_i = -b_i on the nodes of [0, x_i], where
@@ -459,9 +438,10 @@ def solve_glm(
     inhomogeneous term wants the limit from x - t -> 0+, and the quadrature
     endpoint F(s, t)|_{s=t=x_i} wants s - t -> 0-. The mirror case is the
     collocation at t = 0, whose endpoint F(s, t)|_{s=t=0} wants s - t -> 0+.
-    Callers with a jump pass those limits as edge_plus / edge_minus (n x n
-    blocks); every interior crossing of the jump keeps the average, which is
-    exactly the composite one-sided trapezoid rule.
+    solve_glm reads the stored diagonal for both; the Krein solve
+    (_krein_rows) hands _nested_solve those limits of h as edge_plus and
+    edge_minus (n x n blocks). Every interior crossing of the jump keeps
+    the average, which is exactly the composite one-sided trapezoid rule.
 
     The rows are nested. Let S = I + D F with the full weight at every node
     but x_0, which keeps the half weight, and edge_plus in its first
@@ -523,7 +503,7 @@ def solve_glm(
     the residual run in float64, and the rows are cast to complex128 once,
     before any dense fallback row is written.
     """
-    x, _ = _nested_solve(_flatten(f_kernel.values), f_kernel.grid, edge_plus, edge_minus)
+    x, _ = _nested_solve(_flatten(f_kernel.values), f_kernel.grid, None, None)
     return Kernel2D(f_kernel.n, f_kernel.grid, "lower", x)
 
 
@@ -538,11 +518,12 @@ def _nested_solve(
     ((N+1) n)^2 matrix f, and, for an n x (N+1) n row c, the blocks Z
     whose row i solves z_i A_i = -c[:, :(i+1) n] (None without c), both
     from one nested LU as solve_glm describes. Z[0, 0] = -c[:, :n], as
-    X[0, 0] = -edge_plus. Each row of either family passes the same
-    residual check and has the same dense fallback; the float64 path is
-    taken when f, both edges and c are all real (a real f with a complex
-    edge or c is not supported). S and B are built once; at most five
-    ((N+1) n)^2 arrays are live at a time, f among them."""
+    X[0, 0] = -edge_plus. An edge left None is the diagonal block F[k, k]
+    at every node. Each row of either family passes the same residual
+    check and has the same dense fallback; the float64 path is taken when
+    f, both edges and c are all real, and its callers read the edges and c
+    off f. S and B are built once; at most five ((N+1) n)^2 arrays are
+    live at a time, f among them."""
     m, step = grid.N + 1, grid.step
     dim = f.shape[0]
     n = dim // m
@@ -715,8 +696,8 @@ def _dense_row(
     by one dense solve of A_i, whose weighted block is the leading
     (i+1) n block of f: _nested_solve's fallback for rows the nested LU
     leaves inaccurate, and the reference it is tested against. plus and
-    minus hold the edges per node as _nested_solve forms them: edge_plus,
-    edge_minus or the diagonal block F[k, k] in place of a missing one.
+    minus hold the edges per node as _nested_solve forms them: the Krein
+    edges of _krein_rows, or the diagonal block F[k, k] for solve_glm.
     Given a row c, the right-hand side is c[:, :(i+1) n] in place of b_i,
     as for _nested_solve's second family. Raises SingularSystemError when
     the row residual exceeds 1e-10 times max(1, max|row|)."""
@@ -790,36 +771,18 @@ def _lu_halves(a: np.ndarray, l_inv: np.ndarray) -> None:
     a[h:, :h] = 0.0
 
 
-def solve_krein(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:
-    """Lower kernel r_h of the Krein equation driven by h(x - t).
-
-    Accelerants in the image of the inverse map generically jump at 0, so
-    the edge collocation is fed one-sided values of h recovered by quadratic
-    extrapolation from the three nearest samples on each side, read off the
-    convolution kernel as F[k, 0] = h(x_k) and F[0, k] = h(-x_k)
-    (_krein_edges). For h smooth through 0 the extrapolations coincide with
-    the stored sample to cubic order (exactly, for constant h) and the plain
-    solve is recovered. The solve runs on _toeplitz_matrix(h, grid).
-    """
-    grid = h.grid if grid is None else grid
-    t = _toeplitz_matrix(h, grid)
-    x, _ = _nested_solve(t, grid, *_krein_edges(t, h.r))
-    return Kernel2D(h.r, grid, "lower", x)
-
-
-def _krein_edges(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """solve_krein's one-sided edges h(0+), h(0-) from the flat
-    convolution matrix t of block size n."""
-    F = _unflatten(t, n)
-    return 3.0 * F[1, 0] - 3.0 * F[2, 0] + F[3, 0], 3.0 * F[0, 1] - 3.0 * F[0, 2] + F[0, 3]
+def solve_krein(h: Accelerant) -> Kernel2D:
+    """Lower kernel r_h of the Krein equation driven by h(x - t), the
+    direct kernel of _krein_pair on h's own grid."""
+    return Kernel2D(h.r, h.grid, "lower", _krein_pair(h)[0])
 
 
 def _krein_pair(h: Accelerant, grid: GridSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of (solve_krein(h, grid), solve_krein(reflect(h), grid))
-    from one nested LU on _toeplitz_matrix(h, grid).
+    """The blocks of the Krein kernels of h and of reflect(h) on grid, from
+    one nested LU on _toeplitz_matrix(h, grid) (_krein_rows).
 
-    grid is h's own by default, which block_krein_kernel reads, or its 2N
-    refinement, which folded_lower_factor reads.
+    grid is h's own by default, which solve_krein and block_krein_kernel
+    read, or its 2N refinement, which folded_lower_factor reads.
     """
     grid = h.grid if grid is None else grid
     return _krein_kernels(*_krein_rows(h, _toeplitz_matrix(h, grid), grid))
@@ -838,19 +801,30 @@ def _krein_kernels(x: np.ndarray, z: np.ndarray | None) -> tuple[np.ndarray, np.
 
 
 def _krein_rows(h: Accelerant, t: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray | None]:
-    """The blocks X of solve_krein(h, grid) and the blocks Z whose row k,
-    block-reversed, is row k of solve_krein(reflect(h), grid), from one
-    nested LU on t = _toeplitz_matrix(h, grid); Z is None for an h whose
-    samples equal their reversal bit for bit, which is its own reflection.
+    """The blocks X of the Krein kernel of h on grid and the blocks Z whose
+    row k, block-reversed, is row k of that of reflect(h), from one nested
+    LU on t = _toeplitz_matrix(h, grid); Z is None for an h whose samples
+    equal their reversal bit for bit, which is its own reflection. Every
+    Krein solve of the package runs here.
+
+    Accelerants in the image of the inverse map generically jump at 0, so
+    the edge collocation (solve_glm) is fed one-sided values h(0+), h(0-)
+    recovered by quadratic extrapolation from the three nearest samples on
+    each side, read off t as F[k, 0] = h(x_k) and F[0, k] = h(-x_k). For h
+    smooth through 0 the extrapolations coincide with the stored sample to
+    cubic order (exactly, for constant h) and the plain solve is recovered.
 
     Row k of Z solves z_k A_k = -c_k, with A_k the direct row matrix and
-    c_k the first block row of F on [0, x_k] with edge_minus in block 0
+    c_k the first block row of F on [0, x_k] with h(0-) in block 0
     (solve_glm gives the flip identity); _nested_solve reads it off the
-    direct solve's factors. So the t = 0 columns that theta reads
-    (forward_map._potential) are X[:, 0] and the diagonal blocks Z[k, k].
+    direct solve's factors, and X is the same to the byte with or without
+    it. So the t = 0 columns that theta reads (forward_map._potential) are
+    X[:, 0] and the diagonal blocks Z[k, k].
     """
     n = h.r
-    plus, minus = _krein_edges(t, n)
+    F = _unflatten(t, n)
+    plus = 3.0 * F[1, 0] - 3.0 * F[2, 0] + F[3, 0]
+    minus = 3.0 * F[0, 1] - 3.0 * F[0, 2] + F[0, 3]
     c = None
     if h.values.tobytes() != h.values[::-1].tobytes():
         c = t[:n].copy()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from kreinmap import Accelerant, GridSpec, Potential
+from kreinmap import Accelerant, GridSpec, Kernel2D, Potential
+from kreinmap.factorization import _toeplitz_matrix
+from kreinmap.quadops import _unflatten
 
 
 def ratio_ok(err_coarse: float, err_fine: float, factor: float = 3.0, floor: float = 1e-11) -> bool:
@@ -23,6 +25,13 @@ def const_accelerant(c: complex, n_cells: int, r: int = 1) -> Accelerant:
     vals = np.zeros((4 * n_cells + 1, r, r), dtype=np.complex128)
     vals[:] = c * np.eye(r)
     return Accelerant(r, grid, vals)
+
+
+def toeplitz_kernel(h: Accelerant, grid: GridSpec | None = None) -> Kernel2D:
+    """The difference kernel h(x_i - x_j) on h's grid or its 2N refinement,
+    as a full Kernel2D of the flat T that the forward layer solves on."""
+    grid = h.grid if grid is None else grid
+    return Kernel2D(h.r, grid, "full", _unflatten(_toeplitz_matrix(h, grid), h.r))
 
 
 def gauss_accelerant(amp: float, n_cells: int) -> Accelerant:

@@ -11,6 +11,7 @@ potential they use.
 """
 
 import importlib
+import inspect
 import json
 import sys
 
@@ -26,6 +27,7 @@ from conftest import (
     linear_potential,
     r2_potential,
     random_accelerant,
+    toeplitz_kernel,
 )
 
 import kreinmap
@@ -392,10 +394,10 @@ def count_builds(monkeypatch):
 @pytest.mark.parametrize("h, builds", [(CERTIFIED, 1), (SWEPT, 2)], ids=["certified", "swept"])
 def test_forward_chain_builds_t_once_and_no_kernel(count_calls, count_builds, tmp_path, h, builds):
     # the gate and the Krein rows share one T; a swept input builds a second
-    # inside is_accelerant. No convolution kernel or other Kernel2D passes
-    # between the layers of theta, CLI theta or krein_solution
+    # inside is_accelerant. No Kernel2D passes between the layers of theta,
+    # CLI theta or krein_solution
     toeplitz = "factorization._toeplitz_matrix"
-    counts = count_calls("convolution_kernel", toeplitz, "is_accelerant", KREIN_PAIR)
+    counts = count_calls(toeplitz, "is_accelerant", KREIN_PAIR)
     kernel_builds = count_builds(kreinmap.Kernel2D)
     src = tmp_path / "h.json"
     write_field(str(src), h)
@@ -408,7 +410,6 @@ def test_forward_chain_builds_t_once_and_no_kernel(count_calls, count_builds, tm
         counts.update(dict.fromkeys(counts, 0))
         run()
         assert counts == {
-            "convolution_kernel": 0,
             toeplitz: builds,
             "is_accelerant": builds - 1,
             KREIN_PAIR: 1,
@@ -442,10 +443,32 @@ def test_krein_pair_of_a_complex_accelerant_runs_one_nested_lu(first_args, call)
 
 
 @pytest.mark.parametrize(
+    "h",
+    [random_accelerant(0, r=2, n_cells=16, scale=0.1), const_accelerant(0.5, 16, r=2)],
+    ids=["uneven", "even"],
+)
+def test_solve_krein_is_one_krein_pair(count_calls, h):
+    # the public Krein kernel is the direct kernel of the one Krein entry,
+    # uneven or even, with no second Toeplitz build
+    counts = count_calls(KREIN_PAIR, "factorization._toeplitz_matrix")
+    kreinmap.solve_krein(h)
+    assert counts == {KREIN_PAIR: 1, "factorization._toeplitz_matrix": 1}
+
+
+def test_forward_layer_has_no_test_only_options():
+    # the layer solves take their field alone, and the convolution kernel,
+    # which nothing in the package reads, is not exported
+    for solve in (kreinmap.solve_glm, kreinmap.solve_krein):
+        assert len(inspect.signature(solve).parameters) == 1
+    assert "convolution_kernel" not in kreinmap.__all__
+    assert not hasattr(kreinmap, "convolution_kernel")
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda h: kreinmap.factorization._krein_pair(h),
-        lambda h: kreinmap.solve_glm(kreinmap.convolution_kernel(h)),
+        lambda h: kreinmap.solve_glm(toeplitz_kernel(h)),
     ],
     ids=["krein_pair", "solve_glm"],
 )

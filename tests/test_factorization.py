@@ -13,13 +13,13 @@ from conftest import (
     in_band_accelerant,
     random_accelerant,
     ratio_ok,
+    toeplitz_kernel,
 )
 from kreinmap import (
     Accelerant,
     GridSpec,
     Kernel2D,
     Potential,
-    convolution_kernel,
     factorize,
     folded_kernel,
     is_accelerant,
@@ -34,7 +34,7 @@ from kreinmap import (
 from kreinmap import factorization
 from kreinmap.errors import FieldFormatError
 from kreinmap.factorization import _dense_row
-from kreinmap.quadops import _flatten, _real_if_exact
+from kreinmap.quadops import _flatten, _real_if_exact, _unflatten
 
 
 def test_convolution_reads_exact_samples():
@@ -42,13 +42,13 @@ def test_convolution_reads_exact_samples():
     g = GridSpec(n_cells)
     pts = -1.0 + np.arange(4 * n_cells + 1) / (2 * n_cells)
     h = Accelerant(1, g, pts[:, None, None].astype(complex))  # h(u) = u
-    f = convolution_kernel(h)
+    f = toeplitz_kernel(h)
     x = g.nodes
     assert np.array_equal(f.values[:, :, 0, 0], x[:, None] - x[None, :])
 
 
 def test_convolution_constant():
-    f = convolution_kernel(const_accelerant(0.7, 8))
+    f = toeplitz_kernel(const_accelerant(0.7, 8))
     assert np.all(f.values == 0.7)
 
 
@@ -58,20 +58,17 @@ def test_convolution_window_matches_index_gather(r):
     real = Accelerant(r, h.grid, h.values.real)
     for grid, stride in ((h.grid, 2), (h.grid.refined(), 1)):
         i, j = np.indices((grid.N + 1, grid.N + 1))
-        gathered = h.values[2 * h.grid.N + stride * (i - j)]
-        f = convolution_kernel(h, grid)
-        assert f.values.flags.c_contiguous
-        assert f.values.tobytes() == gathered.tobytes()
-        # T, one copy of the same window view, is the flattened kernel to
-        # the byte, in float64 when every sample it reads is real
+        # T, one copy of the window view, is the flattened gather to the
+        # byte, in float64 when every sample it reads is real
         for g, dtype in ((h, np.complex128), (real, np.float64)):
             t = factorization._toeplitz_matrix(g, grid)
-            ref = _real_if_exact(_flatten(convolution_kernel(g, grid).values))[0]
+            ref = _real_if_exact(_flatten(g.values[2 * h.grid.N + stride * (i - j)]))[0]
+            assert t.flags.c_contiguous
             assert t.dtype == ref.dtype == dtype
             assert t.tobytes() == ref.tobytes()
     for n_cells in (8, 24, 64):
         with pytest.raises(FieldFormatError, match="neither the accelerant grid"):
-            convolution_kernel(h, GridSpec(n_cells))
+            factorization._toeplitz_matrix(h, GridSpec(n_cells))
 
 
 def test_accelerant_sweep_trivial_cases():
@@ -158,7 +155,7 @@ def test_accelerant_sweep_matches_complex_svd(h, low_rank):
 def _assert_sweep_matches_complex_svd(h: Accelerant) -> None:
     # reference: every I + H_alpha built and decomposed in complex128
     N, r = h.grid.N, h.r
-    conv = convolution_kernel(h).values.astype(np.complex128)
+    conv = toeplitz_kernel(h).values
     ref_min, ref_max = np.empty(N), np.empty(N)
     for k in range(1, N + 1):
         w = h.grid.trapezoid(k)
@@ -329,6 +326,22 @@ def test_certified_margin_leaves_the_between_node_constant_to_the_sweep():
     assert _schur_rho(h) > 1
     assert factorization._certified_margin(factorization._norm_bound(h)) is None
     assert factorization._certified_margin(factorization._norm_bound(reflect(h))) is None
+
+
+@pytest.mark.parametrize("sign, certificate", [(1, "numerical range bound"), (-1, None)])
+def test_schur_bound_below_the_floor_certifies_nothing(sign, certificate):
+    # rho = |c| (1 + 1/N) = 1 - 1.5e-6 bounds every margin below by
+    # (1 - rho)/(1 + rho) = 7.5e-7, under _CERTIFY_FLOOR: the Schur bound
+    # certifies nothing, c > 0 goes to the numerical range bound and c < 0
+    # to the sweep, and every margin reported clears the floor
+    n_cells = 16
+    h = const_accelerant(sign * (1 - 1.5e-6) / (1 + 1 / n_cells), n_cells)
+    rho = factorization._norm_bound(h)
+    assert rho == pytest.approx(1 - 1.5e-6, rel=1e-12)
+    assert factorization._certified_margin(rho) is None
+    margin, got, _, _ = factorization._gated_krein_rows(h)
+    assert got == certificate
+    assert margin >= factorization._CERTIFY_FLOOR
 
 
 @pytest.mark.parametrize(
@@ -526,7 +539,7 @@ def test_krein_row_residuals():
     # the defining discrete equation should be satisfied to solver accuracy
     h = const_accelerant(0.5, 32)
     r = solve_krein(h)
-    f = convolution_kernel(h)
+    f = toeplitz_kernel(h)
     for i in (2, 16, 32):
         row = r.values[i, : i + 1, 0, 0]
         wloc = np.full(i + 1, 1.0 / 32)
@@ -653,9 +666,9 @@ def fallback_rows(monkeypatch):
 
 
 _GLM_KERNELS = {
-    "direct": convolution_kernel,
-    "reflected": lambda h: convolution_kernel(reflect(h)),
-    "refined": lambda h: convolution_kernel(h, h.grid.refined()),
+    "direct": toeplitz_kernel,
+    "reflected": lambda h: toeplitz_kernel(reflect(h)),
+    "refined": lambda h: toeplitz_kernel(h, h.grid.refined()),
     "folded": folded_kernel,
 }
 
@@ -679,7 +692,7 @@ def test_nested_solve_matches_dense_rows(fallback_rows, kind):
         plus = edges[0] if seed % 2 else None
         minus = edges[1] if seed % 4 >= 2 else None
         ref = _dense_glm(f, plus, minus)
-        got = solve_glm(f, edge_plus=plus, edge_minus=minus).values
+        got = factorization._nested_solve(_flatten(f.values), f.grid, plus, minus)[0]
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), f"seed {seed}"
         assert fallback_rows == [], f"seed {seed}: the nested LU alone should do"
 
@@ -737,7 +750,7 @@ def test_nested_solve_falls_back_on_singular_leading_blocks(fallback_rows, k):
         theta(h)
         got = solve_krein(h).values
     edge = np.array([[c]], dtype=complex)  # the one-sided limits of a constant
-    ref = _dense_glm(convolution_kernel(h), edge, edge)
+    ref = _dense_glm(toeplitz_kernel(h), edge, edge)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
     if k < n_cells:
         assert fallback_rows, "no row went to the dense fallback"
@@ -752,7 +765,7 @@ def test_nested_solve_survives_a_zero_pivot(fallback_rows, n):
     plus = -2.0 * f.grid.N * np.eye(n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = solve_glm(f, edge_plus=plus).values
+        got = factorization._nested_solve(_flatten(f.values), f.grid, plus, None)[0]
     assert fallback_rows == list(range(1, 17))
     ref = _dense_glm(f, plus, None)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -797,6 +810,17 @@ def _uneven_at_a_half_step(h: Accelerant) -> Accelerant:
     return Accelerant(h.r, h.grid, vals)
 
 
+def _direct_krein_rows(h: Accelerant) -> np.ndarray:
+    """The Krein rows of h alone, the reference for _krein_pair: one
+    _nested_solve on T with the extrapolated edges h(0+), h(0-) and no
+    second family."""
+    t = factorization._toeplitz_matrix(h)
+    F = _unflatten(t, h.r)
+    plus = 3.0 * F[1, 0] - 3.0 * F[2, 0] + F[3, 0]
+    minus = 3.0 * F[0, 1] - 3.0 * F[0, 2] + F[0, 3]
+    return factorization._nested_solve(t, h.grid, plus, minus)[0]
+
+
 _SINGULAR_BLOCK = const_accelerant(-1.0 / (50 / 100 + 0.5 / 100), 100)
 
 
@@ -824,8 +848,9 @@ def test_krein_pair_matches_two_krein_solves(monkeypatch, fallback_rows, h):
     dim = (h.grid.N + 1) * h.r
     (s,) = [a for a in factored if a.shape[0] == dim]
     pair_rows = list(fallback_rows)
-    assert direct.tobytes() == solve_krein(h).values.tobytes()
-    ref = solve_krein(reflect(h)).values
+    # the second family leaves the direct rows as they are, to the byte
+    assert direct.tobytes() == _direct_krein_rows(h).tobytes()
+    ref = _direct_krein_rows(reflect(h))
     assert np.max(np.abs(reflected - ref)) <= 1e-10 * np.max(np.abs(ref))
     assert reflected.dtype == np.complex128
     assert not reflected[~np.tri(h.grid.N + 1, dtype=bool)].any()  # a lower kernel
@@ -844,5 +869,5 @@ def test_krein_pair_of_an_even_accelerant_solves_once(fallback_rows):
     for h in (gauss_accelerant(0.3, 32), _SINGULAR_BLOCK):
         direct, reflected = factorization._krein_pair(h)
         assert reflected is direct
-        assert direct.tobytes() == solve_krein(reflect(h)).values.tobytes()
+        assert direct.tobytes() == _direct_krein_rows(reflect(h)).tobytes()
     assert fallback_rows, "the singular leading block sends rows to the fallback"

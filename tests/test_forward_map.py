@@ -41,7 +41,7 @@ def test_theta_even_accelerant_pairs_blocks():
 def test_theta_is_the_t0_trace_of_the_krein_kernels(h):
     # q_plus = i r_h(x, 0) and q_minus = -i r_reflected(x, 0), to the byte;
     # test_krein_pair_matches_two_krein_solves compares r_reflected with
-    # solve_krein(reflect(h))
+    # the Krein rows of reflect(h) solved alone
     q = theta(h)
     r_direct, r_reflected = _krein_pair(h)
     assert q.q_plus.tobytes() == (1j * solve_krein(h).values[:, 0]).tobytes()
