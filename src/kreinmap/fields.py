@@ -109,9 +109,11 @@ class GridSpec:
         T, and delta, the half weight at each row's moving endpoint);
         _kernel_chains (the step/2 of its endpoint matrices H_i, the doubled
         history step and the half-weight ends of its column-0 cumulative
-        sum); _substitute, _endpoint_inverses, compose's quarter-weight
-        patch and _halved_rows, the halved diagonal blocks of the factors
-        that _triangle_compose multiplies."""
+        sum); _substitute (the endpoint factors on the diagonal blocks of
+        its block solves, and the half weight at s = t given back out of
+        R), _require_invertible_endpoints (the same endpoint factors),
+        compose's quarter-weight patch and _halved_rows, the halved
+        diagonal blocks of the factors that _triangle_compose multiplies."""
         w = np.full(cells + 1, self.step)
         w[0] = w[-1] = 0.5 * self.step
         return w

@@ -11,9 +11,10 @@ refined grid, u as column 0 of the resolvent of the adjoint of K_{Q*}
 flipped in both arguments, the column as the solution of (I + K_Q)v = u
 (_product_column), and the scatter of that column into the accelerant
 (_trace_column).  Both are one-column calls of the one forward substitution
-of the module (_substitute), O(N^2 r^3), as the march is; no resolvent,
-cross term or full F is built.  Every solve is direct, so the inverse map
-has no tolerance or iteration budget and no convergence failure.
+of the module (_substitute), O(N^2 r^3), as the march is, and each is one
+dense block solve per _BLOCK rows; no resolvent, cross term or full F is
+built.  Every solve is direct, so the inverse map has no tolerance or
+iteration budget and no convergence failure.
 
 For an off-diagonal potential the transformation kernels have only four
 nonzero r x r blocks, which form two independent chains (_kernel_chains).
@@ -65,11 +66,11 @@ matrix, whose weight pattern is O(1/N) wrong along the column edge: the
 half weight at the unknown's own node stays on the left-hand side as the
 factor I + (step/2) K(x, x).  The substitution holds its solution
 flattened, block (x, t) at rows (x, a) and columns (t, b) of one matrix,
-so that each row's history sum is one matrix product, and returns its
-blocks as a view of that matrix.  Second, the product kernel has a jump
-across the grid diagonal whenever the potential is not in the image of the
-forward map; the stored grid, and upsilon's column at x = 1, hold the
-two-sided average there, and the one-sided parts are available separately
+so that the history sum of a block of rows is one matrix product and the
+block itself one dense solve, and returns its blocks as a view of that
+matrix.  Second, the product kernel has a jump across the grid diagonal
+whenever the potential is not in the image of the forward map; the stored
+grid, and upsilon's column at x = 1, hold the two-sided average there, and the one-sided parts are available separately
 for consumers that differentiate up to the diagonal.
 """
 
@@ -149,6 +150,15 @@ def _chain_coefficients(q_plus: np.ndarray, q_minus: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([a, b], axis=1), np.stack([b, a], axis=1)], axis=2)
 
 
+def _row_items(a: np.ndarray) -> np.ndarray:
+    """A view of a with each row along its last, contiguous axis as one
+    np.void item, so that a copy of rows moves whole rows: the march's
+    reversed copy of r-wide rows (four chains, m = 201) runs about 1.5
+    times as fast at r = 2 and 3 as element by element, and as fast at
+    r = 1."""
+    return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     """Nonzero r x r blocks of the transformation kernels, by row marching.
@@ -186,9 +196,10 @@ def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     _require_resolved checks.  The history advances by hist += 2 e_i, that
     is hist <- M_i [hist; rev(hist)] with M_i = [2 P_i - I, 2 P_i H_i]; all
     M_i come from one batched inverse before the march, and each row costs
-    one product, U paired with rev(V) and V with rev(U) so that the zero
-    blocks of M_i are never multiplied.  A kept row is the mean of the
-    history before and after it.  Columns 0 and i are closed-form:
+    one reversed copy, of whole r-wide rows (_row_items), and one product,
+    U paired with rev(V) and V with rev(U) so that the zero blocks of M_i
+    are never multiplied.  A kept row is the mean of the history before
+    and after it.  Columns 0 and i are closed-form:
     U(x_i, x_i) = 0 and V(x_i, x_i) = beta(x_i); V(x_i, 0) = beta(x_0),
     since the U it integrates is U(s, s) = 0, and U(x_i, 0) is the
     trapezoid sum of step alpha beta over [0, x_i], one cumulative sum.
@@ -218,8 +229,9 @@ def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     advance = np.concatenate([2.0 * pair - np.eye(r), 2.0 * pair @ h[2:]], axis=-1)
     kept = np.arange(0, m, stride)
     out = np.zeros((len(kept), chains, 2, r, m, r), dtype=co.dtype)
+    rows = _row_items(hist)
     for i in range(2, m):
-        hist[:, :, 1, :, 1:i] = hist[:, ::-1, 0, :, i - 1 : 0 : -1]
+        rows[:, :, 1, :, 1:i] = rows[:, ::-1, 0, :, i - 1 : 0 : -1]
         new = (advance[i - 2] @ hist[..., 1:i, :].reshape(chains, 2, 2 * r, -1)).reshape(
             chains, 2, r, i - 1, r
         )
@@ -340,14 +352,14 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     """Kernel of (I + K)^-1 - I for a lower K.
 
     Solves L(x,t) = -K(x,t) - int_t^x K(x,s) L(s,t) ds, all columns of a
-    row at once, by the one forward substitution of the inverse map
-    (_substitute) with R = -K.  Unfolding the inverted operator matrix
-    instead would leave an O(1/N) kernel error along the column edge (its
-    weight pattern cannot express the half weight at s = t), which is
+    block of rows at once, by the one blocked forward substitution of the
+    inverse map (_substitute) with R = -K.  Unfolding the inverted operator
+    matrix instead would leave an O(1/N) kernel error along the column edge
+    (its weight pattern cannot express the half weight at s = t), which is
     invisible to integral norms but fatal to finite-difference identity
     checks.  Any other support than lower raises FieldFormatError, and an
     exactly singular endpoint factor I + (step/2) K(x_i, x_i)
-    SingularSystemError.
+    SingularSystemError at its node (_require_invertible_endpoints).
 
     The substitution runs in the dtype of the blocks it is given
     (_resolvent_values): the product kernel passes float64 K for a
@@ -363,30 +375,42 @@ def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
 
 def _resolvent_values(K: np.ndarray, step: float) -> np.ndarray:
     """resolvent_volterra of the lower blocks K[x, s, a, b], in K's dtype."""
-    dinv = _endpoint_inverses(K, step, range(1, K.shape[0]))
-    values = _substitute(K, -K, dinv, step)
+    _require_invertible_endpoints(K, step, range(1, K.shape[0]))
+    values = _substitute(K, -K, step)
     _require_finite("Volterra resolvent values", values)
     return values
 
 
+# Rows per block of _substitute, one dense solve each.  For one column at
+# N = 50 to 400 (one BLAS thread) 16 is the best single size: 32 ties it at
+# r = 1 and is slower at r = 2, 8 is faster at r = 2 and slower at r = 1,
+# and 64 is slower at both.
+_BLOCK = 16
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _substitute(k: np.ndarray, rhs: np.ndarray, dinv: np.ndarray, step: float) -> np.ndarray:
-    """Y with (I + K)Y = R by forward substitution, the trapezoid rule on
-    [t, x], for the lower blocks k[x, s] and the leading c columns
+def _substitute(k: np.ndarray, rhs: np.ndarray, step: float) -> np.ndarray:
+    """Y with (I + K)Y = R by blocked forward substitution, the trapezoid
+    rule on [t, x], for the lower blocks k[x, s] and the leading c columns
     rhs[x, t] of R; returns the blocks y[x, t] of those columns, in the
     dtype of k and rhs.
 
     Y(t, t) = R(t, t), and for x_i > t the half weight at s = x_i stays on
-    the left as the endpoint factor, whose inverses dinv[i - 1] for the
-    rows i = 1..N the caller gives (_endpoint_inverses).  Y is held
-    flattened, row (x, a) and column (t, b) holding Y(x, t)[a, b], so that
-    the full-weight history sum over s < x_i for every column of row i is
-    one matrix product: row i of K, gathered as an n x (i n) block, times
-    the leading rows of Y.  The half weight at s = t comes back out of R,
-    as R(x, t) + (step/2) K(x, t) R(t, t), once before the loop and one
-    product per column (quadops._times_column), so that a row costs that
-    product and one product with its endpoint inverse.
-    Columns t > x_i stay zero, as a lower Y is.  O(N^2 c n^3).
+    the left as the endpoint factor I + (step/2) K(x_i, x_i), which the
+    caller has checked (_require_invertible_endpoints).  The half weight at
+    s = t comes back out of R, as R(x, t) + (step/2) K(x, t) R(t, t), once
+    before the loop and one product per column (quadops._times_column).
+    Y is held flattened, row (x, a) and column (t, b) holding Y(x, t)[a, b],
+    and rows 1..N are solved in blocks of _BLOCK (Golub and Van Loan,
+    Matrix Computations, 4th ed., sec. 3.1).  Per block of rows lo..hi-1
+    the slab step K(x_i, s), s < x_hi, is gathered once as a
+    [(i, a), (s, b)] matrix with the endpoint factors on its diagonal
+    blocks; its columns s < x_lo times the solved rows of Y are the history
+    of the whole block, one GEMM, and its square part, block-lower since K
+    is, is one dense solve for every column at once.  A column t that
+    starts inside the block is solved with it and then written exactly:
+    Y(t, t) = R(t, t) and zeros above.  Columns t > x_i stay zero, as a
+    lower Y is.  O(N^2 c n^3).
     """
     m, c, n, _ = rhs.shape
     diag = rhs[np.arange(c), np.arange(c)]
@@ -395,14 +419,24 @@ def _substitute(k: np.ndarray, rhs: np.ndarray, dinv: np.ndarray, step: float) -
     held = held.transpose(0, 2, 1, 3).reshape(m * n, c * n)
     yf = np.zeros((m * n, c * n), dtype=held.dtype)
     yf[:n, :n] = diag[0]
-    for i in range(1, m):
-        rows = slice(i * n, (i + 1) * n)
-        cols = min(i, c) * n
-        k_row = k[i, :i].transpose(1, 0, 2).reshape(n, i * n)  # [a, (s, b)]
-        yf[rows, :cols] = dinv[i - 1] @ (held[rows, :cols] - step * (k_row @ yf[: i * n, :cols]))
-        if i < c:
-            yf[rows, cols : cols + n] = diag[i]
-    return yf.reshape(m, n, c, n).transpose(0, 2, 1, 3)
+    y = yf.reshape(m, n, c, n)
+    for lo in range(1, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        cols = min(hi, c) * n
+        d = np.arange(hi - lo)
+        slab = np.empty((hi - lo, n, hi, n), dtype=k.dtype)  # [i, a, s, b]
+        np.multiply(k[lo:hi, :hi].transpose(0, 2, 1, 3), step, out=slab)
+        slab[d, :, lo + d] = np.eye(n) + 0.5 * slab[d, :, lo + d]
+        slab = slab.reshape((hi - lo) * n, hi * n)
+        rows = slice(lo * n, hi * n)
+        hist = slab[:, : lo * n] @ yf[: lo * n, :cols]
+        yf[rows, :cols] = np.linalg.solve(slab[:, lo * n :], held[rows, :cols] - hist)
+        if lo < c:
+            t = np.arange(lo, min(hi, c))
+            above, start = np.triu_indices(hi - lo, 1, len(t))
+            y[lo + above, :, lo + start] = 0.0
+            y[t, :, t] = diag[t]
+    return y.transpose(0, 2, 1, 3)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -553,15 +587,16 @@ def characteristic_extract(f: Kernel2D) -> Accelerant:
     return Accelerant(r, f.grid, 2.0 * acc / cnt[:, None, None])
 
 
-def _endpoint_inverses(k: np.ndarray, step: float, nodes: range) -> np.ndarray:
-    """(I + (step/2) K(x_i, x_i))^-1 for each node i of nodes, in one
-    batched call: the factor a substitution row leaves on its unknown, from
-    the trapezoid half weight at the row's own node.  An exactly singular
-    factor raises SingularSystemError at the first node that has one."""
+def _require_invertible_endpoints(k: np.ndarray, step: float, nodes: range) -> None:
+    """Refuse a substitution whose endpoint factor I + (step/2) K(x_i, x_i),
+    the factor a row leaves on its unknown from the trapezoid half weight
+    at the row's own node, is exactly singular at a node i of nodes: one
+    batched np.linalg.inv tells, and SingularSystemError names the first
+    node whose factor has determinant zero."""
     d = np.asarray(nodes)
     factors = np.eye(k.shape[2]) + 0.5 * step * k[d, d]
     try:
-        return np.linalg.inv(factors)
+        np.linalg.inv(factors)
     except np.linalg.LinAlgError:
         i = d[np.flatnonzero(np.linalg.det(factors) == 0)[0]]
         raise SingularSystemError(i / (k.shape[0] - 1), "volterra substitution")
@@ -580,9 +615,10 @@ def _product_column(k_low: np.ndarray, k_star: np.ndarray, grid: GridSpec) -> np
     - u is column t = 1 of the resolvent L~ of the upper kernel
       K~ = quadops.adjoint_op(K_{Q*}).  Flipped in both arguments, x -> 1 - x
       and t -> 1 - t, K~ is lower and u column 0 of its resolvent, so u is
-      one substitution with R = -K~ in one column.  Its endpoint inverses
-      come from K_{Q*} on the unflipped grid, conjugate-transposed, so that
-      a singular factor is named at its own node;
+      one substitution with R = -K~ in one column.  Its endpoint factors
+      are those of K_{Q*}, conjugate-transposed, and are checked on K_{Q*}
+      on the unflipped grid, so that a singular factor is named at its own
+      node;
     - v = (I + L)u solves (I + K_Q)v = u, one substitution with R = u.
 
     At x = 1 the lower limit of F is v(1) - u(1) - K(1, 1) and the upper
@@ -592,10 +628,10 @@ def _product_column(k_low: np.ndarray, k_star: np.ndarray, grid: GridSpec) -> np
     m = k_low.shape[0]
     N = m - 1
     flipped = adjoint_op(k_star)[::-1, ::-1]
-    dinv = np.conj(_endpoint_inverses(k_star, grid.step, range(N))[::-1].transpose(0, 2, 1))
-    u = _substitute(flipped, -flipped[:, :1], dinv, grid.step)[::-1, 0]
-    dinv = _endpoint_inverses(k_low, grid.step, range(1, m))
-    col = _substitute(k_low, u[:, None], dinv, grid.step)[:, 0]
+    _require_invertible_endpoints(k_star, grid.step, range(N))
+    u = _substitute(flipped, -flipped[:, :1], grid.step)[::-1, 0]
+    _require_invertible_endpoints(k_low, grid.step, range(1, m))
+    col = _substitute(k_low, u[:, None], grid.step)[:, 0]
     col[N] += 0.5 * (-k_low[N, N] - u[N])
     _require_finite("product column values", col)
     return col

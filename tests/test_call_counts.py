@@ -236,6 +236,27 @@ def test_march_inverts_its_row_matrices_in_one_batched_call(monkeypatch):
         assert calls == ["inv"]
 
 
+def test_substitutions_solve_blocks_of_rows(monkeypatch):
+    # each of upsilon's two one-column substitutions solves the rows 1..50
+    # in ceil(50 / _BLOCK) dense block solves and no row on its own; the
+    # march's row matrices and the two endpoint checks are one batched
+    # np.linalg.inv each
+    calls = []
+    for name in ("inv", "solve"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _original=original, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "kreinmap.inverse_map":
+                calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    upsilon(linear_potential(50))
+    blocks = -(-50 // kreinmap.inverse_map._BLOCK)
+    assert blocks < 50
+    assert sorted(calls) == ["inv"] * 3 + ["solve"] * 2 * blocks
+
+
 def test_transmutation_kernel_forms_no_adjoint(count_calls):
     counts = count_calls("potential_adjoint")
     kreinmap.transmutation_kernel(linear_potential(16))

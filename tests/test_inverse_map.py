@@ -40,7 +40,9 @@ from kreinmap.inverse_map import (
     _midpoint_fill,
     _product_column,
     _refined_coefficients,
+    _resolvent_values,
     _self_adjoint,
+    _substitute,
     _transmutation_pair,
     _transmutation_values,
 )
@@ -193,6 +195,17 @@ def test_kernel_chains_solve_their_trapezoid_system(chains, r):
         got = _kernel_chains(co.real.copy(), step, 1)
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, _dense_chains(co.real, step).real, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_march_copies_whole_rows_byte_for_byte(monkeypatch, r):
+    # the reversed copy moves each r-wide row of the history as one np.void
+    # item; copied entry by entry instead, the march gives the same bytes
+    pair = (_random_potential(r, 16, r), _random_potential(r + 10, 16, r))
+    co = np.concatenate([_chain_coefficients(q.q_plus, q.q_minus) for q in pair], axis=1)
+    got = _kernel_chains(co, 1 / 16, 2)
+    monkeypatch.setattr("kreinmap.inverse_map._row_items", lambda a: a)
+    assert got.tobytes() == _kernel_chains(co, 1 / 16, 2).tobytes()
 
 
 @pytest.mark.parametrize("value, rho", [(16.0, "1"), (40.0, "2.5")])
@@ -467,6 +480,33 @@ def test_resolvent_volterra_row_equations_wider(build):
     assert _row_equation_residual(k, l) < 1e-13 * np.abs(k.values).max()
 
 
+@pytest.mark.parametrize("n, real", [(2, True), (4, False)], ids=["r1_real", "r2_complex"])
+def test_substitution_blocks_meet_at_their_edges(n, real):
+    # at N = 40 the substitution solves rows 1-16, 17-32 and 33-40 as three
+    # dense blocks, each on the history of the blocks before it
+    values = _lower_random(6, 40, n=n).values
+    if real:
+        values = values.real.copy()
+    k = Kernel2D(n, GridSpec(40), "lower", values + 0j)
+    bound = 1e-13 * np.abs(k.values).max()
+    l = resolvent_volterra(k)
+    assert _row_equation_residual(k, l) < bound
+    # a column that starts inside a block starts exactly: L(t, t) = -K(t, t)
+    # and zeros above
+    d = np.arange(41)
+    assert np.array_equal(l.values[d, d], -k.values[d, d])
+    assert not l.values[np.triu_indices(41, 1)].any()
+    if real:
+        # in float64, as the product kernel of a real-class potential runs it
+        real_l = _resolvent_values(values, k.grid.step)
+        assert real_l.dtype == np.float64
+        assert _row_equation_residual(k, Kernel2D(n, k.grid, "lower", real_l + 0j)) < bound
+    # a one-column solve is column 0 of the full one
+    full = _substitute(values, -values, k.grid.step)
+    one = _substitute(values, -values[:, :1], k.grid.step)
+    assert np.abs(one[:, 0] - full[:, 0]).max() <= 1e-13 * np.abs(full[:, 0]).max()
+
+
 @pytest.mark.parametrize("support", ["upper", "full"])
 def test_resolvent_volterra_refuses_non_lower_kernels(support):
     low = _lower_random(5, 8, n=2)
@@ -634,3 +674,17 @@ def test_column_substitutions_refuse_a_singular_endpoint_factor():
     for k_low, k_star in ((singular, zero), (zero, singular)):
         with pytest.raises(SingularSystemError, match=r"x = 0\.625 \(volterra substitution\)"):
             _product_column(k_low, k_star, GridSpec(8))
+
+
+def test_refusals_name_a_node_inside_a_later_block():
+    # I + (step/2) K(x_20, x_20) = 0 at N = 40, in the second block of rows
+    # (17-32), with a random lower K around it
+    k = _lower_random(8, 40, n=2).values.copy()
+    k[20, 20] = -80.0 * np.eye(2)
+    message = r"x = 0\.5 \(volterra substitution\)"
+    with pytest.raises(SingularSystemError, match=message):
+        resolvent_volterra(Kernel2D(2, GridSpec(40), "lower", k))
+    other = _lower_random(9, 40, n=2).values
+    for k_low, k_star in ((k, other), (other, k)):
+        with pytest.raises(SingularSystemError, match=message):
+            _product_column(k_low, k_star, GridSpec(40))
