@@ -6,37 +6,32 @@ L*(t,x)^H that of K_{Q*}.  upsilon needs only the column t = 1 of F, the
 literal boundary trace, and that column is (I + L)u with u(s) = L~(s, 1) =
 L*(1, s)^H.  So the chain is: transformation kernels (the coupled
 shifted-argument system, solved exactly by one forward march over the rows
-of the grid), K_Q and K_{Q*} assembled from exact half-argument reads on the
-refined grid, u as column 0 of the resolvent of the adjoint of K_{Q*}
-flipped in both arguments, the column as the solution of (I + K_Q)v = u
-(_product_column), and the scatter of that column into the accelerant
-(_trace_column).  Both are one-column calls of the one forward substitution
-of the module (_substitute), O(N^2 r^3), as the march is, and each is one
-dense block solve per _BLOCK rows; no resolvent, cross term or full F is
-built.  Every solve is direct, so the inverse map has no tolerance or
-iteration budget and no convergence failure.
+of the grid), K_Q and K_{Q*} read as strided views of the march's kept rows
+at exact half arguments of the refined grid, u as column 0 of the resolvent
+of the adjoint of K_{Q*} flipped in both arguments, the column as the
+solution of (I + K_Q)v = u (_product_column), and the scatter of that column
+into the accelerant (_trace_column).  Both are one-column calls of the one
+forward substitution of the module (_substitute), O(N^2 r^3) as the march
+is, one dense block solve per _BLOCK unknowns; no resolvent, cross term or
+full F is built.  Every solve is direct: no tolerance, iteration budget or
+convergence failure.
 
 For an off-diagonal potential the transformation kernels have only four
 nonzero r x r blocks, which form two independent chains (_kernel_chains).
-The march stores and multiplies only those blocks, and the transmutation
-kernel reads each of its blocks as a sum of two chain blocks, so the inverse
-map never forms the full 2r x 2r kernels; transformation_kernels scatters
-the chains into zeroed full kernels for the consumers that need them, so
-P_plus commutes with J and P_minus anticommutes exactly, by construction.
-K_Q and K_{Q*} come from one march over the rows of the refined grid, whose
-four chains are stacked, and which stores only the even rows that K reads.
-q is refined, guarded and given its chain coefficients once, on arrays
-(_refined_coefficients), and the coefficients of Q* are read off q's,
-conjugate-transposed with alpha and beta swapped (_transmutation_pair):
-no adjoint Potential, refined Potential or GridSpec is built.
+The march stores and multiplies only those, one product per row, and K
+reads each of its blocks as a sum of two chain blocks; transformation_kernels
+scatters the chains into zeroed full kernels, so P_plus commutes with J and
+P_minus anticommutes exactly.  K_Q and K_{Q*} come from one march over the
+refined grid, whose four chains are stacked, and which keeps only the even
+rows that K reads.  q is refined, guarded and given its chain coefficients
+once, on arrays (_refined_coefficients), and those of Q* are read off q's
+(_transmutation_pair): no adjoint or refined Potential or GridSpec is built.
 
 The full-grid product kernel is built from its parts: the two resolvents,
 each _substitute in every column, the cross term quadops.compose of L with
-quadops.adjoint_op of L*, so the quadrature weights of operator products
-stay in quadops, and the assembly.  identity_suite reads the parts
+quadops.adjoint_op of L*, and the assembly.  identity_suite reads the parts
 (_resolvent_factors, resolvent_product_parts); resolvent_product_kernel
-assembles F for the tests that compare it with the folded kernel.
-characteristic_extract averages F along characteristic lines;
+assembles F.  characteristic_extract averages F along characteristic lines;
 trace_extract reads its column t = 1 with the rule upsilon uses.
 
 Two classes of potentials are closed under both maps, and the inverse map
@@ -44,34 +39,24 @@ runs each in cheaper arithmetic, by exact tests with no tolerance:
 
 - the real class, where a = -i q_plus and b = i q_minus are real:
   _chain_coefficients then gives float64 coefficients, and the chains, K,
-  both substitutions (or both resolvents and the cross term) follow that
-  dtype;
-- the self-adjoint potentials, equal to their adjoint value for value,
-  which _self_adjoint tests on the chain coefficients of Q and Q*:
-  K_{Q*} = K_Q and L* = L, so the march runs the two chains of Q alone,
-  and one resolvent serves as both factors of F.
+  both substitutions (or both resolvents and the cross term) follow;
+- the self-adjoint potentials, equal to their adjoint value for value
+  (_self_adjoint): K_{Q*} = K_Q and L* = L, so the march runs the two
+  chains of Q alone, and one resolvent serves as both factors of F.
 
-Between the layers of that chain the blocks travel as plain arrays in
-their own dtype and layout: _transmutation_values and _resolvent_values,
-which transmutation_kernel and resolvent_volterra wrap, and the product
-layers resolvent_product_parts (quadops.adjoint_op, then quadops.compose)
-and assemble_product, which take and return arrays and are not exported.
-The blocks are cast to complex128 once, where a public field is built;
-every exported function takes and returns complex128 fields as before.
+Between the layers the blocks travel as plain arrays in their own dtype
+(_transmutation_values, _resolvent_values, resolvent_product_parts,
+assemble_product) and are cast to complex128 once, where a public field is
+built; every exported function takes and returns complex128 fields.
 
-Two discretization conventions deserve a note because they are easy to get
-wrong.  First, a Volterra equation is solved by substitution with
-per-interval trapezoid weights rather than read off the inverted operator
-matrix, whose weight pattern is O(1/N) wrong along the column edge: the
-half weight at the unknown's own node stays on the left-hand side as the
-factor I + (step/2) K(x, x).  The substitution holds its solution
-flattened, block (x, t) at rows (x, a) and columns (t, b) of one matrix,
-so that the history sum of a block of rows is one matrix product and the
-block itself one dense solve, and returns its blocks as a view of that
-matrix.  Second, the product kernel has a jump across the grid diagonal
-whenever the potential is not in the image of the forward map; the stored
-grid, and upsilon's column at x = 1, hold the two-sided average there, and the one-sided parts are available separately
-for consumers that differentiate up to the diagonal.
+Two discretization conventions are easy to get wrong.  A Volterra equation
+is solved by substitution with per-interval trapezoid weights, not read off
+the inverted operator matrix, whose weight pattern is O(1/N) wrong along the
+column edge: the half weight at the unknown's own node stays on the left as
+the factor I + (step/2) K(x, x).  And the product kernel jumps across the
+grid diagonal unless the potential is in the image of the forward map; the
+stored grid, and upsilon's column at x = 1, hold the two-sided average
+there, and the one-sided parts are available separately.
 """
 
 from __future__ import annotations
@@ -86,7 +71,6 @@ from .fields import (
     Kernel2D,
     Potential,
     _fold_lines,
-    _half_argument_reads,
 )
 from .quadops import _real_if_exact, _times_column, adjoint_op, compose
 
@@ -150,15 +134,6 @@ def _chain_coefficients(q_plus: np.ndarray, q_minus: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([a, b], axis=1), np.stack([b, a], axis=1)], axis=2)
 
 
-def _row_items(a: np.ndarray) -> np.ndarray:
-    """A view of a with each row along its last, contiguous axis as one
-    np.void item, so that a copy of rows moves whole rows: the march's
-    reversed copy of r-wide rows (four chains, m = 201) runs about 1.5
-    times as fast at r = 2 and 3 as element by element, and as fast at
-    r = 1."""
-    return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     """Nonzero r x r blocks of the transformation kernels, by row marching.
@@ -175,9 +150,11 @@ def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     co[i, c, k] holds alpha (k = 0) and beta (k = 1) of chain c at x_i, for
     any number of chains on one grid (_chain_coefficients gives A and B of
     one potential), and they all march together, stacked on a leading axis.
-    Returns out[c, k, l, j] = (U if k == 0 else V)(x_i, x_j) of chain c at
-    the kept rows i = l * stride, in the dtype of co: float64 coefficients
-    (the real class) march in real arithmetic.
+    Returns the kept rows i = l * stride in the dtype of co (float64
+    coefficients, the real class, march in real arithmetic):
+    out[1 + l, c, 0, :, e] = U(x_i, x_e) and out[1 + l, c, 1, :, e] =
+    V(x_i, x_{i-e}) of chain c, zero outside 0 <= e <= i, and out[0] zero,
+    read through _chain_reads.
 
     The trapezoid system is Volterra in x: one forward march over the rows
     x_i solves it exactly, in O(N^2 r^3).  Per chain, with
@@ -185,30 +162,30 @@ def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     rev reading column i - j, row i is row_i = hist + e_i with the
     half-weight endpoint term e_i = H_i rev(row_i), where hist(j) is step
     times the trapezoid sum over [x_j, x_{i-1}], full weight at x_{i-1},
-    plus V's source beta(x_j), folded in once at the start.  On the
-    columns 1 <= j <= i-1 the endpoint pairs (x_i, x_j) with
-    (x_i, x_i - x_j), so
+    plus V's source beta(x_j).  On the columns 1 <= j <= i-1 that gives
 
         row_i = P_i (hist + H_i rev(hist)),  P_i = (I - H_i^2)^-1,
 
-    and P_i = diag((I - h0 h1)^-1, (I - h1 h0)^-1), h0 = (step/2) alpha(x_i),
+    P_i = diag((I - h0 h1)^-1, (I - h1 h0)^-1), h0 = (step/2) alpha(x_i),
     h1 = (step/2) beta(x_i), nonsingular while rho(h) < 1, which
-    _require_resolved checks.  The history advances by hist += 2 e_i, that
-    is hist <- M_i [hist; rev(hist)] with M_i = [2 P_i - I, 2 P_i H_i]; all
-    M_i come from one batched inverse before the march, and each row costs
-    one reversed copy, of whole r-wide rows (_row_items), and one product,
-    U paired with rev(V) and V with rev(U) so that the zero blocks of M_i
-    are never multiplied.  A kept row is the mean of the history before
-    and after it.  Columns 0 and i are closed-form:
-    U(x_i, x_i) = 0 and V(x_i, x_i) = beta(x_i); V(x_i, 0) = beta(x_0),
-    since the U it integrates is U(s, s) = 0, and U(x_i, 0) is the
-    trapezoid sum of step alpha beta over [0, x_i], one cumulative sum.
+    _require_resolved checks, and the history advances by hist += 2 e_i.
+    The march holds the history in the frame (U, Y), Y(e) = V(x_{i-e}):
+    column j is then the very pair (U(x_j), V(x_{i-j})) that row i couples,
+    so a row is one product of M_i = [[2P - I, 2P h0], [2P h1, 2P - I]]
+    (V's r-column blocks swapped) into the state with Y one column to the
+    right, the frame of row i + 1, and a kept row, the mean of the history
+    before and after, a second product with (I + M_i)/2 = [[P, P h0],
+    [P h1, P]].  Two states take turns, so no product overwrites its input.
+    2P - I is formed as I + 2P h0 h1 (P - I = P h0 h1), keeping the low bits
+    of its O(step^2) part: on random chains at r = 2 and 3 that halves the
+    march's error.  All M_i come from one batched inverse.  Columns 0 and i
+    are closed-form: U(x_i, x_i) = 0, V(x_i, x_i) = beta(x_i), V(x_i, 0) =
+    beta(x_0), and U(x_i, 0) is one cumulative sum of step alpha beta.
     Column j of the history starts at row j as H_j (U(x_j, 0), beta(x_0))
-    plus the source, so the whole history is set before the march and the
-    loop touches the interior columns alone.  Kept rows that overflow
-    floating point raise FieldFormatError; an overflow in a dropped row
-    reaches the last row through the history, and both callers keep the
-    last row.
+    plus the source: U's part is in the state before the march, V's enters
+    Y's column 1 before row j + 1.  The callers check their kernels, which
+    read every kept entry, for overflow; one in a dropped row reaches the
+    last row, which both keep.
     """
     m, chains, _, r, _ = co.shape
     h = 0.5 * step * co
@@ -217,33 +194,58 @@ def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     ends = h[:, :, 0] @ beta
     u0 = np.zeros_like(ends)
     u0[1:] = np.cumsum(np.concatenate([ends[:1], 2.0 * ends[1:-1]]), axis=0) + ends[1:]
-    # hist[c, k, 0] is the history of kind k and hist[c, k, 1] the reversed
-    # history of the other kind, both as [a, j, b] blocks, so that a row's
-    # interior columns are one (r x 2r) product per kind with reshape
-    hist = np.zeros((chains, 2, 2, r, m, r), dtype=co.dtype)
-    # column j of the history as row j leaves it: H_j (U(x_j, 0), beta(x_0)) + (0, beta(x_j))
-    hist[:, 0, 0] = (h[:, :, 0] @ beta[0]).transpose(1, 2, 0, 3)
-    hist[:, 1, 0] = (beta + h[:, :, 1] @ u0).transpose(1, 2, 0, 3)
-    # M_i of rows 2.. (rows 0 and 1 have no interior column), per kind
-    pair = np.linalg.inv(np.eye(r) - h[2:] @ h[2:, :, ::-1])
-    advance = np.concatenate([2.0 * pair - np.eye(r), 2.0 * pair @ h[2:]], axis=-1)
+    # V's column x_j as row j leaves it: H_j (U(x_j, 0), beta(x_0)) + (0, beta(x_j))
+    enter = beta + h[:, :, 1] @ u0
+    # the two states as [(k, a), (e, b)] matrices, read whole and written with
+    # Y one column to the right; r slack entries per chain make that a reshape
+    width = m * r
+    state = np.zeros((2, chains, 2 * r * width + 2 * r), dtype=co.dtype)
+    read = state[..., : 2 * r * width].reshape(2, chains, 2 * r, width)
+    write = state.reshape(2, chains, 2, r * width + r)[..., : r * width]
+    write = write.reshape(2, chains, 2, r, width)
+    read[:, :, :r] = (h[:, :, 0] @ beta[0]).transpose(1, 2, 0, 3).reshape(chains, r, width)
+    # (I + M_i)/2 and M_i - I of rows 2.. (rows 0 and 1 have no interior column)
+    hh = h[2:] @ h[2:, :, ::-1]
+    pair = np.linalg.inv(np.eye(r) - hh)
+    keep = np.concatenate([pair, pair @ h[2:]], axis=-1)
+    rise = 2.0 * np.concatenate([pair @ hh, pair @ h[2:]], axis=-1)
+    for a in (keep, rise):
+        a[:, :, 1] = np.roll(a[:, :, 1], r, axis=-1)
+    advance = rise + np.eye(2 * r).reshape(2, r, 2 * r)
+    keep = keep.reshape(m - 2, chains, 2 * r, 2 * r)
     kept = np.arange(0, m, stride)
-    out = np.zeros((len(kept), chains, 2, r, m, r), dtype=co.dtype)
-    rows = _row_items(hist)
+    out = np.zeros((len(kept) + 1, chains, 2, r, m, r), dtype=co.dtype)
+    rows = out.reshape(len(kept) + 1, chains, 2 * r, width)
     for i in range(2, m):
-        rows[:, :, 1, :, 1:i] = rows[:, ::-1, 0, :, i - 1 : 0 : -1]
-        new = (advance[i - 2] @ hist[..., 1:i, :].reshape(chains, 2, 2 * r, -1)).reshape(
-            chains, 2, r, i - 1, r
-        )
+        x = read[i % 2]
+        x[:, r:, r : 2 * r] = enter[i - 1]
+        cols = slice(r, i * r)
         if i % stride == 0:
-            out[i // stride, ..., 1:i, :] = 0.5 * (hist[:, :, 0, :, 1:i] + new)
-        hist[:, :, 0, :, 1:i] = new
-    rows = np.arange(len(kept))
-    out[rows, :, 0, :, 0] = u0[kept]
-    out[rows, :, 1, :, 0] = beta[0]
-    out[rows, :, 1, :, kept] = beta[kept]
-    _require_finite("transformation kernels", out)
-    return out.transpose(1, 2, 0, 4, 3, 5)
+            np.matmul(keep[i - 2], x[:, :, cols], out=rows[1 + i // stride, :, :, cols])
+        np.matmul(advance[i - 2], x[:, None, :, cols], out=write[1 - i % 2, ..., cols])
+    out[1:, :, 0, :, 0] = u0[kept]
+    out[1:, :, 1, :, 0] = beta[kept]
+    out[1 + np.arange(len(kept)), :, 1, :, kept] = beta[0]
+    return out
+
+
+def _chain_reads(chains: np.ndarray, stride: int, skew: int, sign: int, cols: int) -> tuple:
+    """Views (U, V)[c, l, j] of every chain of chains =
+    _kernel_chains(., ., stride) at (x_i, x_t), i = stride * l,
+    t = skew * l + sign * j, j < cols: U at column t of row i and V at
+    column i - t, strided views whose step from row to row is skew or
+    stride - skew columns past the next row, which numpy checks against
+    chains' bounds.  A read of t outside [0, i] at a column c with
+    i - m < c < m, m columns a row, is a zero: past the row's data, or the
+    zero tail of the row before it, out[0] before the first, so kernels
+    read through these views are exactly zero there."""
+    rows, n, _, r, _, _ = chains.shape
+    row, chain, kind, a, col, b = chains.strides
+    shape, dtype = (n, rows - 1, cols, r, r), chains.dtype
+    u = np.ndarray(shape, dtype, chains, row, (chain, row + skew * col, sign * col, a, b))
+    v_row = row + (stride - skew) * col
+    v = np.ndarray(shape, dtype, chains, row + kind, (chain, v_row, -sign * col, a, b))
+    return u, v
 
 
 def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
@@ -253,27 +255,27 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     P_minus(x,t) = int_t^x JQ(s) P_plus(s, s-t) ds + JQ(t)
 
     The trapezoid-discretized system is solved exactly as two decoupled
-    chains of r x r kernels (see _kernel_chains), whose blocks are scattered
+    chains of r x r kernels (see _kernel_chains), read through _chain_reads
     into the full 2r x 2r kernels: P_plus = diag(U_A, U_B) and P_minus has
-    V_B above and V_A below the diagonal.  The chains of a real-class
-    potential are marched in float64 (_chain_coefficients) and scattered
-    into the complex128 kernels.  A potential too large for its
+    V_B above and V_A below the diagonal, in complex128 also where a
+    real-class potential marches in float64.  A potential too large for its
     grid (_require_resolved) and kernels that overflow floating point raise
-    FieldFormatError.
-
-    P_plus commutes with J and P_minus anticommutes, exactly, since the
-    scatter writes the chain blocks into zeroed arrays and no others.
+    FieldFormatError.  P_plus commutes with J and P_minus anticommutes,
+    exactly, since the chain blocks are written into zeroed arrays.
     """
     _require_resolved(q.q_plus, q.q_minus, q.grid.step)
     r, n = q.r, 2 * q.r
     m = q.grid.N + 1
-    (ua, va), (ub, vb) = _kernel_chains(_chain_coefficients(q.q_plus, q.q_minus), q.grid.step, 1)
+    chains = _kernel_chains(_chain_coefficients(q.q_plus, q.q_minus), q.grid.step, 1)
+    (ua, ub), (va, vb) = _chain_reads(chains, 1, 0, 1, m)
     plus = np.zeros((m, m, n, n), dtype=np.complex128)
     minus = np.zeros_like(plus)
     plus[..., :r, :r] = ua
     plus[..., r:, r:] = ub
     minus[..., r:, :r] = va
     minus[..., :r, r:] = vb
+    for kernel in (plus, minus):
+        _require_finite("transformation kernels", kernel)
     return Kernel2D(n, q.grid, "lower", plus), Kernel2D(n, q.grid, "lower", minus)
 
 
@@ -305,10 +307,8 @@ def transmutation_kernel(q: Potential) -> Kernel2D:
     With B = [[0, I], [I, 0]] each of the four blocks of K is a sum of two
     chain blocks (see _kernel_chains), read at near = (x-t)/2 on the diagonal
     and at far = (x+t)/2 off it: K00 = (U_A + V_B)/2, K11 = (U_B + V_A)/2,
-    and likewise K01, K10 at far.  The full kernels are never formed, and
-    only the even rows of the refined grid, the nodes x of the potential's
-    own grid, are stored.  A potential of the real class is marched in
-    float64 (see _chain_coefficients) and its K cast to complex128 at the end.
+    and likewise K01, K10 at far (_transmutation_values).  A potential of the
+    real class is marched in float64 and its K cast to complex128 at the end.
     """
     co, step, _ = _refined_coefficients(q)
     (k,) = _transmutation_values(co, step)
@@ -325,47 +325,49 @@ def _refined_coefficients(q: Potential) -> tuple[np.ndarray, float, float]:
     return _chain_coefficients(q_plus, q_minus), step, resolution
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _transmutation_values(co: np.ndarray, step: float) -> list[np.ndarray]:
     """The blocks of K of each potential whose chain pair (A, B) is stacked
-    in co, from one march over the refined grid of that step.
-
-    co holds _chain_coefficients on the refined grid, two chains per
-    potential (see _kernel_chains), so that K_Q and K_{Q*} cost one pass
-    over its rows.  The march and the blocks are float64 when co is.
+    in co (_chain_coefficients on the refined grid of that step), from one
+    march that keeps the even rows, the only ones K reads, so that K_Q and
+    K_{Q*} cost one pass.  Each r x r quadrant of K(x_l, x_j) is one np.add
+    of two strided views of the kept rows (_chain_reads) at near = l - j or
+    far = l + j, halved once; every read above the diagonal lands on zeros,
+    so K is exactly lower with no mask.  K reads every kept entry, so kept
+    rows that overflow raise FieldFormatError.  Float64 when co is.
     """
-    # keep the rows x = 2 i of the refined grid, the only ones K reads
     chains = _kernel_chains(co, step, 2)
-    m, r = (co.shape[0] + 1) // 2, co.shape[-1]
-    i, j, near, far = _half_argument_reads(m - 1)
-    kernels = []
-    for (ua, va), (ub, vb) in zip(chains[::2], chains[1::2]):
-        vals = np.zeros((m, m, 2 * r, 2 * r), dtype=chains.dtype)
-        vals[i, j, :r, :r] = 0.5 * (ua[i, near] + vb[i, near])
-        vals[i, j, r:, r:] = 0.5 * (ub[i, near] + va[i, near])
-        vals[i, j, :r, r:] = 0.5 * (ua[i, far] + vb[i, far])
-        vals[i, j, r:, :r] = 0.5 * (ub[i, far] + va[i, far])
-        kernels.append(vals)
+    m, r = chains.shape[0] - 1, co.shape[-1]
+    (u, v), (u_far, v_far) = (_chain_reads(chains, 2, 1, sign, m) for sign in (-1, 1))
+    # np.add buffers each strided operand: 8192 items, 0.4 MB complex, by default
+    size, kernels = np.setbufsize(1024), []
+    for a in range(0, co.shape[1], 2):
+        k = np.empty((m, m, 2 * r, 2 * r), dtype=chains.dtype)
+        np.add(u[a], v[a + 1], out=k[..., :r, :r])
+        np.add(u[a + 1], v[a], out=k[..., r:, r:])
+        np.add(u_far[a], v_far[a + 1], out=k[..., :r, r:])
+        np.add(u_far[a + 1], v_far[a], out=k[..., r:, :r])
+        kernels.append(k)
+    np.setbufsize(size)
+    for k in kernels:
+        k *= 0.5
+        _require_finite("transformation kernels", k)
     return kernels
 
 
 def resolvent_volterra(kernel: Kernel2D) -> Kernel2D:
     """Kernel of (I + K)^-1 - I for a lower K.
 
-    Solves L(x,t) = -K(x,t) - int_t^x K(x,s) L(s,t) ds, all columns of a
-    block of rows at once, by the one blocked forward substitution of the
-    inverse map (_substitute) with R = -K.  Unfolding the inverted operator
-    matrix instead would leave an O(1/N) kernel error along the column edge
-    (its weight pattern cannot express the half weight at s = t), which is
-    invisible to integral norms but fatal to finite-difference identity
-    checks.  Any other support than lower raises FieldFormatError, and an
-    exactly singular endpoint factor I + (step/2) K(x_i, x_i)
-    SingularSystemError at its node (_require_invertible_endpoints).
-
-    The substitution runs in the dtype of the blocks it is given
-    (_resolvent_values): the product kernel passes float64 K for a
-    potential of the real class (_chain_coefficients), and for a
-    self-adjoint one builds a single resolvent, which serves as both L and
-    L*.  This function takes and returns complex128 kernels.
+    Solves L(x,t) = -K(x,t) - int_t^x K(x,s) L(s,t) ds by the one blocked
+    forward substitution of the inverse map (_substitute) with R = -K; the
+    inverted operator matrix would leave an O(1/N) error along the column
+    edge, invisible to integral norms but fatal to finite-difference
+    identity checks.  Any other support than lower raises FieldFormatError,
+    and an exactly singular endpoint factor I + (step/2) K(x_i, x_i)
+    SingularSystemError at its node (_require_invertible_endpoints).  The
+    substitution runs in the dtype of the blocks it is given
+    (_resolvent_values), float64 for a potential of the real class; this
+    function takes and returns complex128 kernels.
     """
     if kernel.support != "lower":
         raise FieldFormatError("the Volterra resolvent requires a lower kernel")
@@ -381,11 +383,11 @@ def _resolvent_values(K: np.ndarray, step: float) -> np.ndarray:
     return values
 
 
-# Rows per block of _substitute, one dense solve each.  For one column at
-# N = 50 to 400 (one BLAS thread) 16 is the best single size: 32 ties it at
-# r = 1 and is slower at r = 2, 8 is faster at r = 2 and slower at r = 1,
-# and 64 is slower at both.
-_BLOCK = 16
+# Unknowns per block of _substitute, one dense solve each: _BLOCK // n rows
+# of n = 2r unknowns, so 16 rows at r = 1 and 8 at r = 2.  For one column at
+# N = 50 to 200 (one BLAS thread) 8 rows run 4 to 11 % faster than 16 at
+# r = 2; at r = 1 the two are the same blocks.
+_BLOCK = 32
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -401,8 +403,8 @@ def _substitute(k: np.ndarray, rhs: np.ndarray, step: float) -> np.ndarray:
     s = t comes back out of R, as R(x, t) + (step/2) K(x, t) R(t, t), once
     before the loop and one product per column (quadops._times_column).
     Y is held flattened, row (x, a) and column (t, b) holding Y(x, t)[a, b],
-    and rows 1..N are solved in blocks of _BLOCK (Golub and Van Loan,
-    Matrix Computations, 4th ed., sec. 3.1).  Per block of rows lo..hi-1
+    and rows 1..N are solved in blocks of _BLOCK unknowns (Golub and Van
+    Loan, Matrix Computations, 4th ed., sec. 3.1).  Per block of rows lo..hi-1
     the slab step K(x_i, s), s < x_hi, is gathered once as a
     [(i, a), (s, b)] matrix with the endpoint factors on its diagonal
     blocks; its columns s < x_lo times the solved rows of Y are the history
@@ -420,8 +422,9 @@ def _substitute(k: np.ndarray, rhs: np.ndarray, step: float) -> np.ndarray:
     yf = np.zeros((m * n, c * n), dtype=held.dtype)
     yf[:n, :n] = diag[0]
     y = yf.reshape(m, n, c, n)
-    for lo in range(1, m, _BLOCK):
-        hi = min(lo + _BLOCK, m)
+    block = max(1, _BLOCK // n)
+    for lo in range(1, m, block):
+        hi = min(lo + block, m)
         cols = min(hi, c) * n
         d = np.arange(hi - lo)
         slab = np.empty((hi - lo, n, hi, n), dtype=k.dtype)  # [i, a, s, b]
@@ -590,16 +593,16 @@ def characteristic_extract(f: Kernel2D) -> Accelerant:
 def _require_invertible_endpoints(k: np.ndarray, step: float, nodes: range) -> None:
     """Refuse a substitution whose endpoint factor I + (step/2) K(x_i, x_i),
     the factor a row leaves on its unknown from the trapezoid half weight
-    at the row's own node, is exactly singular at a node i of nodes: one
-    batched np.linalg.inv tells, and SingularSystemError names the first
-    node whose factor has determinant zero."""
+    at the row's own node, is exactly singular at a node i of nodes.  One
+    batched np.linalg.slogdet tells, without an inverse: its sign is 0
+    exactly where the LU factorization meets an exactly zero pivot, which is
+    where np.linalg.inv would raise, and SingularSystemError names the first
+    such node."""
     d = np.asarray(nodes)
     factors = np.eye(k.shape[2]) + 0.5 * step * k[d, d]
-    try:
-        np.linalg.inv(factors)
-    except np.linalg.LinAlgError:
-        i = d[np.flatnonzero(np.linalg.det(factors) == 0)[0]]
-        raise SingularSystemError(i / (k.shape[0] - 1), "volterra substitution")
+    singular = np.flatnonzero(np.linalg.slogdet(factors)[0] == 0)
+    if singular.size:
+        raise SingularSystemError(d[singular[0]] / (k.shape[0] - 1), "volterra substitution")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -651,11 +654,8 @@ def upsilon(q: Potential) -> tuple[Accelerant, DiagnosticReport]:
     are the conjugate transposes of q's (_require_resolved).
 
     The march and the substitutions run in float64 for a potential of the
-    real class (q_plus and q_minus with no nonzero real part), and the
-    march runs two chains for a self-adjoint one (equal to
-    potential_adjoint(q) value for value, tested on the chain coefficients
-    of q and Q*), whose K_{Q*} is K_Q; both tests are exact.  The
-    accelerant is complex128 in every case.
+    real class, and the march runs two chains for a self-adjoint one, whose
+    K_{Q*} is K_Q (both tests exact); the accelerant is complex128.
     """
     k_low, k_star, resolution = _transmutation_pair(q)
     col = _product_column(k_low, k_star, q.grid)

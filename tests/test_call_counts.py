@@ -238,11 +238,11 @@ def test_march_inverts_its_row_matrices_in_one_batched_call(monkeypatch):
 
 def test_substitutions_solve_blocks_of_rows(monkeypatch):
     # each of upsilon's two one-column substitutions solves the rows 1..50
-    # in ceil(50 / _BLOCK) dense block solves and no row on its own; the
-    # march's row matrices and the two endpoint checks are one batched
-    # np.linalg.inv each
+    # in ceil(50 / (_BLOCK // 2)) dense block solves and no row on its own; the
+    # march's row matrices are one batched np.linalg.inv, and the two
+    # endpoint checks one batched np.linalg.slogdet each, with no inverse
     calls = []
-    for name in ("inv", "solve"):
+    for name in ("inv", "slogdet", "solve"):
         original = getattr(np.linalg, name)
 
         def recorded(a, *args, _name=name, _original=original, **kwargs):
@@ -252,9 +252,9 @@ def test_substitutions_solve_blocks_of_rows(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recorded)
     upsilon(linear_potential(50))
-    blocks = -(-50 // kreinmap.inverse_map._BLOCK)
+    blocks = -(-50 // (kreinmap.inverse_map._BLOCK // 2))
     assert blocks < 50
-    assert sorted(calls) == ["inv"] * 3 + ["solve"] * 2 * blocks
+    assert sorted(calls) == ["inv"] + ["slogdet"] * 2 + ["solve"] * 2 * blocks
 
 
 def test_transmutation_kernel_forms_no_adjoint(count_calls):

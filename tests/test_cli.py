@@ -206,6 +206,16 @@ def test_theta_command_rejects_singular_accelerant(tmp_path, capsys):
     assert "0.8" in capsys.readouterr().err
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_theta_command_rejects_an_off_node_constant(tmp_path, capsys):
+    # c = -1.3 is no accelerant (I + H_alpha is singular at alpha = 1/1.3,
+    # between two nodes of N = 100), so theta must exit 2 and write nothing
+    src = tmp_path / "h.json"
+    write_field(str(src), const_accelerant(-1.3, 100))
+    code = main(["theta", "--in", str(src), "--out", str(tmp_path / "q.json")])
+    assert (code, (tmp_path / "q.json").exists()) == (2, False)
+
+
 def test_corrupt_input_exits_three(tmp_path, capsys):
     src = tmp_path / "h.json"
     src.write_text("not json at all")

@@ -88,6 +88,15 @@ def test_accelerant_sweep_rejects_critical_constant():
     assert rep.margins.min() < 1e-12
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("c, n_cells", [(-1.3, 100), (-1.1, 200)])
+def test_accelerant_sweep_rejects_an_off_node_constant(c, n_cells):
+    # for h = c, I + H_alpha is singular at alpha = 1/|c|, so no c <= -1 is
+    # an accelerant; here 1/|c| falls between two nodes, whose margins stay
+    # near 1e-3, and the sweep, which tests the nodes alone, accepts
+    assert not is_accelerant(const_accelerant(c, n_cells)).accepted
+
+
 def test_accelerant_sweep_reflection_invariant():
     for seed in range(20):
         h = random_accelerant(seed, r=2, n_cells=32)

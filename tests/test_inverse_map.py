@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     const_accelerant,
@@ -34,8 +36,10 @@ from kreinmap import (
     transmutation_kernel,
     upsilon,
 )
+from kreinmap.fields import _half_argument_reads
 from kreinmap.inverse_map import (
     _chain_coefficients,
+    _chain_reads,
     _kernel_chains,
     _midpoint_fill,
     _product_column,
@@ -178,6 +182,12 @@ def _dense_chains(co: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
+def _natural_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
+    """_kernel_chains read in the layout of _dense_chains, [c, k, l, j]."""
+    m = co.shape[0]
+    return np.stack(_chain_reads(_kernel_chains(co, step, stride), stride, 0, 1, m), axis=1)
+
+
 @pytest.mark.parametrize("chains", [1, 2, 4])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_kernel_chains_solve_their_trapezoid_system(chains, r):
@@ -188,24 +198,63 @@ def test_kernel_chains_solve_their_trapezoid_system(chains, r):
         co = 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         ref = _dense_chains(co, step)
         for stride in (1, 2):
-            got = _kernel_chains(co, step, stride)
+            got = _natural_chains(co, step, stride)
             assert got.dtype == np.complex128
             np.testing.assert_allclose(got, ref[:, :, ::stride], rtol=1e-12, atol=0)
         # real coefficients march in float64
-        got = _kernel_chains(co.real.copy(), step, 1)
+        got = _natural_chains(co.real.copy(), step, 1)
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, _dense_chains(co.real, step).real, rtol=1e-12, atol=0)
 
 
+def _plain_march(co: np.ndarray, step: float) -> np.ndarray:
+    """The march of _kernel_chains, every row kept, in the natural layout
+    [c, k, i, j], one chain and one column at a time: with rev reading
+    column i - j, row_i = P_i (hist + H_i rev(hist)) and then
+    hist += 2 H_i rev(row_i)."""
+    m, chains, _, r, _ = co.shape
+    h = 0.5 * step * co
+    out = np.zeros((chains, 2, m, m, r, r), dtype=co.dtype)
+    for c in range(chains):
+        b, h0, h1 = co[:, c, 1], h[:, c, 0], h[:, c, 1]
+        hist = np.zeros((2, m, r, r), dtype=co.dtype)
+        hist[1] = b  # V's source beta(x_j)
+        u0 = np.zeros((r, r), dtype=co.dtype)
+        for i in range(m):
+            row = np.zeros((2, i + 1, r, r), dtype=co.dtype)
+            for j in range(1, i):
+                row[0, j] = np.linalg.solve(
+                    np.eye(r) - h0[i] @ h1[i], hist[0, j] + h0[i] @ hist[1, i - j]
+                )
+                row[1, j] = np.linalg.solve(
+                    np.eye(r) - h1[i] @ h0[i], hist[1, j] + h1[i] @ hist[0, i - j]
+                )
+            # U(x_i, 0) by the trapezoid rule; the rest of the border is closed-form
+            if i:
+                u0 = u0 + h0[i - 1] @ b[i - 1] + h0[i] @ b[i]
+            row[0, 0], row[1, 0], row[1, i] = u0, b[0], b[i]
+            out[c, :, i, : i + 1] = row
+            # the endpoint term of row i, twice into the history of the
+            # interior columns and once into column i, which starts here
+            hist[0, 1:i] += 2 * h0[i] @ row[1, i - 1 : 0 : -1]
+            hist[1, 1:i] += 2 * h1[i] @ row[0, i - 1 : 0 : -1]
+            if i:
+                hist[0, i] += h0[i] @ b[0]
+                hist[1, i] += h1[i] @ u0
+    return out
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_march_copies_whole_rows_byte_for_byte(monkeypatch, r):
-    # the reversed copy moves each r-wide row of the history as one np.void
-    # item; copied entry by entry instead, the march gives the same bytes
+def test_march_writes_its_skewed_state_as_the_plain_march(r):
+    # the march holds V reversed against U and writes it one column to the
+    # right each row, taking V's new column in at column 1; read back, it
+    # gives the plain march, one chain, row and column at a time
     pair = (_random_potential(r, 16, r), _random_potential(r + 10, 16, r))
     co = np.concatenate([_chain_coefficients(q.q_plus, q.q_minus) for q in pair], axis=1)
-    got = _kernel_chains(co, 1 / 16, 2)
-    monkeypatch.setattr("kreinmap.inverse_map._row_items", lambda a: a)
-    assert got.tobytes() == _kernel_chains(co, 1 / 16, 2).tobytes()
+    ref = _plain_march(co, 1 / 16)
+    for stride in (1, 2):
+        got = _natural_chains(co, 1 / 16, stride)
+        assert np.abs(got - ref[:, :, ::stride]).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("value, rho", [(16.0, "1"), (40.0, "2.5")])
@@ -273,6 +322,61 @@ def test_one_march_gives_both_transmutation_kernels_exactly(q):
     # so does the pair upsilon marches, with Q*'s coefficients read off q's
     k_low, k_low_star, _ = _transmutation_pair(q)
     assert np.array_equal(k_low, k_q) and np.array_equal(k_low_star, k_star)
+
+
+def _index_table_transmutation(chains: np.ndarray, n_cells: int) -> list[np.ndarray]:
+    """K from the kept rows of a march of chain pairs on the refined grid,
+    read through the index tables of fields._half_argument_reads and
+    written into zeros: chains[1 + l, c, k, a, e, b] holds U(x_2l, x_e) at
+    k = 0 and V(x_2l, x_{2l-e}) at k = 1 (see _kernel_chains)."""
+    rows = chains[1:]
+    u = rows[:, :, 0].transpose(1, 0, 3, 2, 4)  # [c, l, t, a, b]
+    v = np.zeros_like(u)
+    for l in range(n_cells + 1):
+        v[:, l, : 2 * l + 1] = rows[l, :, 1, :, 2 * l :: -1].transpose(0, 2, 1, 3)
+    r = chains.shape[3]
+    i, j, near, far = _half_argument_reads(n_cells)
+    kernels = []
+    for a in range(0, chains.shape[1], 2):
+        (ua, ub), (va, vb) = u[a : a + 2], v[a : a + 2]
+        vals = np.zeros((n_cells + 1, n_cells + 1, 2 * r, 2 * r), dtype=chains.dtype)
+        vals[i, j, :r, :r] = 0.5 * (ua[i, near] + vb[i, near])
+        vals[i, j, r:, r:] = 0.5 * (ub[i, near] + va[i, near])
+        vals[i, j, :r, r:] = 0.5 * (ua[i, far] + vb[i, far])
+        vals[i, j, r:, :r] = 0.5 * (ub[i, far] + va[i, far])
+        kernels.append(vals)
+    return kernels
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([8, 16, 50]),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([np.float64, np.complex128]),
+)
+def test_strided_transmutation_reads_match_the_index_tables(seed, n_cells, r, dtype):
+    # random kept rows of four chains, zero where the march leaves zeros:
+    # the strided reads give K exactly as the index tables do, and every
+    # read of the strict upper triangle lands on zeros
+    rng = np.random.default_rng(seed)
+    m = 2 * n_cells + 1
+    chains = np.zeros((n_cells + 2, 4, 2, r, m, r), dtype=dtype)
+    for l in range(n_cells + 1):
+        shape = (4, 2, r, 2 * l + 1, r)
+        rows = rng.standard_normal(shape)
+        if dtype is np.complex128:
+            rows = rows + 1j * rng.standard_normal(shape)
+        chains[1 + l, ..., : 2 * l + 1, :] = rows
+    co = np.zeros((m, 4, 2, r, r), dtype=dtype)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("kreinmap.inverse_map._kernel_chains", lambda co, step, stride: chains)
+        kernels = _transmutation_values(co, 0.5 / n_cells)
+    upper = np.triu_indices(n_cells + 1, 1)
+    for got, ref in zip(kernels, _index_table_transmutation(chains, n_cells), strict=True):
+        assert got.dtype == dtype
+        assert np.array_equal(got, ref)
+        assert np.all(got[upper] == 0.0)
 
 
 def _const_blocks(q_plus: complex, q_minus: complex, n_cells: int) -> Potential:
