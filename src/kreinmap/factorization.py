@@ -65,14 +65,14 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
 
     and test each restricted matrix I + H_alpha for numerical invertibility.
     A breakpoint is flagged when the smallest singular value is at most
-    1e-8 times the largest. This always runs the full sweep, on a T of its
-    own; the gate of theta, CLI theta, krein_solution and CLI verify
-    (_gated_krein_rows) calls it only for an input that neither of its
-    certificates (the Schur norm bound and the numerical range bound) can
-    certify. The restriction to [0, alpha] in both variables is
-    unitarily equivalent, via the index flip, to the same matrix built from
-    the reflected accelerant, so the verdict is reflection-invariant on the
-    grid.
+    1e-8 times the largest. This always runs the full sweep (_sweep), on a
+    T of its own; the gate of theta, CLI theta, krein_solution and CLI
+    verify (_gated_krein_rows) runs the same sweep on its own T, and only
+    for an input that neither of its certificates (the Schur norm bound
+    and the numerical range bound) can certify. The restriction to
+    [0, alpha] in both variables is unitarily equivalent, via the index
+    flip, to the same matrix built from the reflected accelerant, so the
+    verdict is reflection-invariant on the grid.
 
     I + H_alpha at alpha = x_k is A_k = I + T_k W_k, with T_k the leading
     (k+1) r block of the Toeplitz matrix T of _toeplitz_matrix and W_k the
@@ -83,15 +83,14 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
     T ~ P R^H, whose residual E = T - P R^H enters the error bound
     e = step |E|_F + 4 (N+1) r eps (1 + step (s_1 + |E|_F)), s_1 the
     largest singular value of the sketch. No O(N^3 r^3) factorization of
-    T runs. Every other
-    truncation (all of them when T is not low-rank) takes one dense SVD,
-    O(N^4 r^3) for the whole sweep. A truncation whose compressed margin
-    lies within 3e of 1e-8, or within 6e of the smallest compressed
-    margin, is decided by the dense SVD too; the smallest is final from
-    its core only when it is isolated, more than 3e from 1e-8 and more
-    than 6e below every other margin. So accepted and worst_alpha are
-    those of the dense sweep, and every singular value agrees with it to
-    within e.
+    T runs. Every other truncation (all of them when T is not low-rank)
+    takes one dense SVD, O(N^4 r^3) for the whole sweep. A truncation whose
+    compressed margin lies within 3e of 1e-8, or within 6e of the smallest
+    compressed margin, is decided by the dense SVD too; the smallest is
+    final from its core only when it is isolated, more than 3e from 1e-8
+    and more than 6e below every other margin. So accepted and worst_alpha
+    are those of the dense sweep, and every singular value agrees with it
+    to within e.
 
     Only the nodes alpha = x_k are tested, so an I + H_alpha that is
     singular strictly between two nodes goes unseen.  For the constant
@@ -106,8 +105,12 @@ def is_accelerant(h: Accelerant) -> AccelerantTest:
     fraction of the complex ones' floating-point work.  Any nonzero
     imaginary part, however small, keeps the complex path (quadops._real_if_exact).
     """
+    return _sweep(h, _toeplitz_matrix(h))
+
+
+def _sweep(h: Accelerant, t: np.ndarray) -> AccelerantTest:
+    """is_accelerant's sweep on t = _toeplitz_matrix(h), which it leaves as it is."""
     N, r = h.grid.N, h.r
-    t = _toeplitz_matrix(h)
     sig_min, sig_max, dense = _low_rank_sweep(t, h.grid, r)
     for k in np.flatnonzero(dense) + 1:
         sig_max[k - 1], sig_min[k - 1] = _truncation_extremes(t, h.grid, r, k)
@@ -134,9 +137,7 @@ _CORE_FRACTION = 0.25
 _SKETCH_COLUMNS = 16
 
 
-def _low_rank_sweep(
-    t: np.ndarray, grid: GridSpec, r: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _low_rank_sweep(t: np.ndarray, grid: GridSpec, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sigma_min and sigma_max of every A_k = I + T_k W_k from a low-rank
     factorization of T, and the mask of truncations is_accelerant must
     still decompose densely.
@@ -158,7 +159,7 @@ def _low_rank_sweep(
     truncations with (k+1) r <= 2p take one dense SVD each here, of size
     at most 2p.
 
-    T = P R^H + E, with the residual E formed in full, and
+    T = P R^H + E, with |E|_F summed over panels of 32 rows of E, and
     |E W_k|_2 <= step |E|_2 <= step |E|_F, so by Weyl's inequality dropping
     E moves every singular value by at most step |E|_F. With the round-off
     of the SVDs and the QR the compressed values lie within
@@ -188,7 +189,9 @@ def _low_rank_sweep(
             return sig_min, sig_max, dense
         pr, s_1 = factor
         p = pr.shape[1] // 2
-        residual = np.linalg.norm(t - pr[:, :p] @ pr[:, p:].conj().T)  # |E|_F
+        rh = pr[:, p:].conj().T
+        panels = (t[lo : lo + 32] - pr[lo : lo + 32, :p] @ rh for lo in range(0, n, 32))
+        residual = np.sqrt(sum(np.vdot(e, e).real for e in panels))  # |E|_F
         err = step * residual + 4 * n * np.finfo(float).eps * (1.0 + step * (s_1 + residual))
         ks = np.arange(max(1, 2 * p // r), N + 1)  # (k+1) r > 2p
         for k in range(1, ks[0]):
@@ -403,13 +406,13 @@ def _gated_krein_rows(h: Accelerant) -> tuple[float, str | None, np.ndarray, np.
     bound of _numerical_range_margin on T, one O(N^3 r^3) eigvalsh. An
     input either certifies is accepted without a sweep; margin is that
     lower bound and certificate names it ("Schur norm bound" or "numerical
-    range bound"). Any other input runs is_accelerant, which builds a T
-    of its own and sweeps it in O(N^2 r^2 (k + p^2/r)) from a range sketch
-    of k >= 16 columns when T has a small numerical rank p, and in
-    O(N^4 r^3) otherwise; no O(N^3 r^3) factorization of T runs. margin is
-    then the sweep's minimum, with certificate None, and a rejection raises
-    NotAccelerantError from the sweep's worst truncation, so every
-    rejection comes from the sweep.
+    range bound"). Any other input runs is_accelerant's sweep on the same
+    T (_sweep), in O(N^2 r^2 (k + p^2/r)) from a range sketch of k >= 16
+    columns when T has a small numerical rank p, and in O(N^4 r^3)
+    otherwise, below the Krein solve's peak memory, so one T serves the
+    gate, the sweep and the rows. margin is then the sweep's minimum, with
+    certificate None, and a rejection raises NotAccelerantError from the
+    sweep's worst truncation, so every rejection comes from the sweep.
     """
     t = _toeplitz_matrix(h)
     rho = _norm_bound(h)
@@ -417,7 +420,7 @@ def _gated_krein_rows(h: Accelerant) -> tuple[float, str | None, np.ndarray, np.
     if margin is None:
         margin, certificate = _numerical_range_margin(t, h.grid.step, rho), "numerical range bound"
     if margin is None:
-        test = is_accelerant(h)
+        test = _sweep(h, t)
         if not test.accepted:
             raise NotAccelerantError(test.worst_alpha, float(test.margins.min()))
         margin, certificate = float(test.margins.min()), None
@@ -452,15 +455,11 @@ def solve_glm(f_kernel: Kernel2D) -> Kernel2D:
     weight and edge_minus at the moving endpoint. So one LU of S without
     pivoting, S = L U, serves every row:
 
-    - y_i = b_i S_i^-1 needs no product with a whole factor. The last
-      block row of S_i^-1 = U_i^-1 L_i^-1 is R_i = (U^-1)_ii L^-1[i, :],
-      and for i >= 1 block row i of S_i is e_i + step F[i, :i+1], so
-      b_i = (S_i[i, :] - e_i)/step + (plus_i - F_ii) e_i and
-      y_i = (e_i - R_i)/step + (plus_i - F_ii) R_i: an n x n matrix times
-      the block row L^-1[i, :] off the diagonal block. On it e_i - R_i
-      cancels, so Y_ii = (sum_k b_ik (U^-1)_ki) (L^-1)_ii is one batched
-      product of the block rows of B with the block columns of U^-1. Row
-      0 has its diagonal block only;
+    - y_i = b_i S_i^-1 needs no product with a whole factor: off its
+      diagonal block it is an n x n matrix times the block row L^-1[i, :],
+      read off the last block row of S_i^-1 = U_i^-1 L_i^-1, and Y_ii is
+      a batched product of the block rows of B with the block columns of
+      U^-1 (_last_block_rows). Row 0 has its diagonal block only;
     - Z_i = W_i S_i^-1 = -(step/2) y_i + delta_i (U^-1)_ii L^-1[i, :];
     - an n x n Woodbury step finishes the row:
       x_i = -y_i + (y_i E_i)(I + Z_i E_i)^-1 Z_i, again an n x n matrix
@@ -472,9 +471,9 @@ def solve_glm(f_kernel: Kernel2D) -> Kernel2D:
     rows cost O(N^2 n^3).
 
     The solve itself, _nested_solve, takes F flattened to the matrix
-    [(x, a), (t, b)], as is_accelerant's T is, so S and B are a scaled
-    copy and a masked copy of it, and every dense row's A_i a slice;
-    solve_glm flattens its kernel once. The same factors solve
+    [(x, a), (t, b)], as is_accelerant's T is: S is a scaled copy of it,
+    B is read off it in panels of block rows and every dense row's A_i is
+    a slice; solve_glm flattens its kernel once. The same factors solve
     z_i A_i = -c_i for the leading blocks c_i = c[:, :(i+1) n] of any one
     n x (N+1) n row c:
     y'_i = c_i S_i^-1 is (c U^-1)[:, :(i+1) n] L_i^-1, one row times U^-1
@@ -490,42 +489,39 @@ def solve_glm(f_kernel: Kernel2D) -> Kernel2D:
 
     The sweep certifies the A_i, not the S_i, and an LU without pivoting
     is only as good as the leading blocks of S. So every row's residual
-    x_i A_i + b_i is computed in full (X S on its block-lower triangle, in
-    row panels, plus the last-row term), and any row above 1e-10
-    times max(1, max|x_i|), or not finite,
-    is solved again by one dense solve of A_i. Only a row that fails that
+    x_i A_i + b_i is computed in full, from F in panels of rows, and any
+    row above 1e-10 times max(1, max|x_i|), or not finite, is solved
+    again by one dense solve of A_i. Only a row that fails that
     dense solve too raises SingularSystemError. The LU runs with numpy's
     floating-point warnings off: a zero or tiny pivot shows up as flagged
     rows, not as a warning.
 
     When F and both edges are real (quadops._real_if_exact), as the Krein
     kernels of a real accelerant are, the nested LU, the Woodbury step and
-    the residual run in float64, and the rows are cast to complex128 once,
-    before any dense fallback row is written.
+    the residual run in float64, and the rows stay float64 unless a dense
+    fallback row is written into them.
     """
     x, _ = _nested_solve(_flatten(f_kernel.values), f_kernel.grid, None, None)
     return Kernel2D(f_kernel.n, f_kernel.grid, "lower", x)
 
 
 def _nested_solve(
-    f: np.ndarray,
-    grid: GridSpec,
-    edge_plus: np.ndarray | None,
-    edge_minus: np.ndarray | None,
+    f: np.ndarray, grid: GridSpec, edge_plus: np.ndarray | None, edge_minus: np.ndarray | None,
     c: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """solve_glm's blocks X for the kernel F on grid, flattened to the
     ((N+1) n)^2 matrix f, and, for an n x (N+1) n row c, the blocks Z
     whose row i solves z_i A_i = -c[:, :(i+1) n] (None without c), both
-    from one nested LU as solve_glm describes. Z[0, 0] = -c[:, :n], as
-    X[0, 0] = -edge_plus. An edge left None is the diagonal block F[k, k]
-    at every node. Each row of either family passes the same residual
-    check and has the same dense fallback; the float64 path is taken when
-    f, both edges and c are all real, and its callers read the edges and c
-    off f. S and B are built once; at most five ((N+1) n)^2 arrays are
-    live at a time, f among them."""
-    m, step = grid.N + 1, grid.step
-    dim = f.shape[0]
+    from one nested LU as solve_glm describes, as (N+1, N+1, n, n) views.
+    Z[0, 0] = -c[:, :n], as X[0, 0] = -edge_plus. An edge left None is
+    F[k, k] at every node. Each row of either family passes the same
+    residual check and has the same dense fallback; the float64 path is
+    taken when f, both edges and c are all real. f is left as it is, and
+    three more ((N+1) n)^2 arrays are live at a time: S, which the LU
+    turns into U^-1, and L^-1; once U^-1 is freed, Z, whose buffer first
+    holds the y'_i, and X, written over L^-1. The rest works on panels of
+    max(48, 8192 / ((N+1) n)) rows."""
+    m, step, dim = grid.N + 1, grid.step, f.shape[0]
     n = dim // m
     nodes = np.arange(m)
     f_diag = _unflatten(f, n)[nodes, nodes]
@@ -535,77 +531,73 @@ def _nested_solve(
         f, f_diag, plus, minus = _real_if_exact(f, f_diag, plus, minus)
     else:
         f, f_diag, plus, minus, c = _real_if_exact(f, f_diag, plus, minus, c)
-    delta = 0.5 * step * (minus + plus) - step * f_diag
-
-    rows = np.repeat(nodes, n)
-    right_of_diagonal = rows[None, :] > rows[:, None]
+    delta, jump = 0.5 * step * (minus + plus) - step * f_diag, plus - f_diag
+    panel = max(48, 8192 // dim) // n or 1  # block rows: 48 rows, or 8192 entries
 
     eye = np.eye(n)
     with np.errstate(all="ignore"):
-        s = _shared_matrix(f, plus, step)
-        u_inv = s.copy()
+        u_inv = _shared_matrix(f, plus, step)
         l_inv = _lu_inverses(u_inv)  # u_inv holds U^-1 from here on
-        b = _stacked_rhs(f, plus, right_of_diagonal)
-        y_coef, y_diag = _last_block_rows(b, u_inv, l_inv, plus - f_diag, step, n)
+        l_inv_diag = _unflatten(l_inv, n)[nodes, nodes]
+        y_coef, y_diag = _last_block_rows(f, plus, jump, u_inv, l_inv_diag, step, panel)
         u_inv_diag = _unflatten(u_inv, n)[nodes, nodes]
         c_u = None if c is None else c @ u_inv
         del u_inv
-        l_inv_diag = _unflatten(l_inv, n)[nodes, nodes]
         # Woodbury: x_i = -(I + (step/2) C_i) y_i + C_i G_i L^-1[i, :]
         # with G_i = delta_i (U^-1)_ii and C_i = Y_ii (I + Z_ii)^-1
         g = delta @ u_inv_diag
         z_diag = -0.5 * step * y_diag + g @ l_inv_diag
-        z_rows = None
-        if c is not None:  # before x_i, so that Y' and its product never meet X
+        rows = l_inv.reshape(m, n, dim)
+        families = []  # (rows, right-hand side row), None for the rows of B
+        if c is not None:  # before X, which overwrites L^-1
             # z_i = -y'_i - (step/2) C'_i y_i + C'_i G_i L^-1[i, :] with
             # C'_i = Y'_ii (I + Z_ii)^-1; y'_i sums the block rows l <= i of
-            # L^-1, each times block l of c U^-1
-            y_c = np.matmul(c_u.reshape(n, m, n).transpose(1, 0, 2), l_inv.reshape(m, n, dim))
-            np.cumsum(y_c, axis=0, out=y_c)
-            coef = _right_divide(_unflatten(y_c.reshape(dim, dim), n)[nodes, nodes], eye + z_diag)
-            z_rows = _row_combination(-0.5 * step * coef, coef @ g, y_coef, y_diag, l_inv, n)
-            z_rows -= y_c
-            del y_c
+            # L^-1, each times block l of c U^-1, in the buffer of Z
+            z = np.matmul(c_u.reshape(n, m, n).transpose(1, 0, 2), rows)
+            np.cumsum(z, axis=0, out=z)
+            coef = _right_divide(_unflatten(z.reshape(dim, dim), n)[nodes, nodes], eye + z_diag)
+            _row_combination(-0.5 * step * coef, coef @ g, y_coef, y_diag, l_inv_diag, rows, panel, z)
+            families.append((z.reshape(dim, dim), c))
         coef = _right_divide(y_diag, eye + z_diag)
-        x_rows = _row_combination(-(eye + 0.5 * step * coef), coef @ g, y_coef, y_diag, l_inv, n)
-        del l_inv
-        # (rows, right-hand side row), None for the rows of B
-        families = [(x_rows, None)] if c is None else [(x_rows, None), (z_rows, c)]
+        _row_combination(-(eye + 0.5 * step * coef), coef @ g, y_coef, y_diag, l_inv_diag, rows, panel)
+        families.insert(0, (l_inv, None))
 
-        # residual x_i A_i + b'_i = x_i S_i + b'_i - (step/2) X_ii b_i + X_ii delta_i e_i
-        # for b'_i = b_i, or c_i by broadcast, the mask clearing its excess.
-        # x_i S_i is taken on the block-lower triangle, in panels of about 48
-        # rows: rows lo:hi of x vanish right of column hi, so a panel needs
-        # x[lo:hi, :hi] S[:hi, :hi] only, about dim^3 / 3 multiply-adds in
-        # all against dim^3 for X S, and writes its product in place
-        rhs_rows = b.reshape(m, n, dim)
-        panel = max(1, 48 // n) * n
-        flagged = []
-        for solved, rhs_row in families:
-            scale = np.maximum(1.0, np.abs(solved.reshape(m, n * dim)).max(axis=1))
-            x = solved.reshape(dim, dim)
-            x_diag = _unflatten(x, n)[nodes, nodes]
-            left = (eye if rhs_row is None else 0.0) - 0.5 * step * x_diag
-            residual = np.zeros((dim, dim), dtype=np.result_type(x, s))
-            for lo in range(0, dim, panel):
-                hi = min(lo + panel, dim)
-                np.matmul(x[lo:hi, :hi], s[:hi, :hi], out=residual[lo:hi, :hi])
-                block_rows = slice(lo // n, hi // n)
-                residual[lo:hi] += (left[block_rows] @ rhs_rows[block_rows]).reshape(hi - lo, dim)
-            if rhs_row is not None:
-                residual.reshape(m, n, dim)[...] += rhs_row
-            _unflatten(residual, n)[nodes, nodes] += x_diag @ delta
-            residual[right_of_diagonal] = 0.0
-            np.abs(residual, out=residual)  # in place: no second array of its size
-            worst = residual.real.reshape(m, n * dim).max(axis=1)
-            flagged.append(~(worst <= 1e-10 * scale))  # a NaN compares False and is flagged
-            del residual
-        del s, b, rhs_rows
+        # residual x_i A_i + b'_i (b'_i = b_i or c_i) on panels of rows, zero right of column hi:
+        # x_i A_i = x_i + (x_i w_i) T[:hi, :hi] + ends_i in block i + first_i in block 0, w_i
+        # the trapezoid weights of [0, x_i], and b_i = T[i, :hi] + (plus_i - F_ii) in block i
+        block_of = np.arange(dim) // n
+        weights = np.where(block_of == 0, 0.5 * step, step)
+        half_minus, corner = 0.5 * step * (minus - f_diag), 0.5 * step * (plus[0] - f_diag[0])
+        for j, (solved, rhs_row) in enumerate(families):
+            ends = _unflatten(solved, n)[nodes, nodes] @ half_minus + (jump if rhs_row is None else 0.0)
+            families[j] = (solved, rhs_row, ends, solved[:, :n] @ corner, np.empty((2, m)))
+        for i0 in range(0, m, panel):
+            i1 = min(i0 + panel, m)
+            lo, hi, k = i0 * n, i1 * n, np.arange(i0, i1)
+            w = np.where(block_of[lo:hi, None] == block_of[:hi], 0.5 * step, weights[:hi])  # half at x_i
+            right = block_of[lo:hi, None] < block_of[:hi]
+            for solved, rhs_row, ends, first, worst in families:
+                x = solved[lo:hi, :hi]
+                residual = (x * w) @ f[:hi, :hi]
+                residual[:, :n] += first[lo:hi]
+                residual += x
+                if rhs_row is None:
+                    residual += f[lo:hi, :hi]
+                else:
+                    residual.reshape(i1 - i0, n, hi)[...] += rhs_row[:, :hi]
+                residual.reshape(i1 - i0, n, i1, n)[k - i0, :, k] += ends[i0:i1]
+                residual[right] = 0.0
+                worst[0, i0:i1] = np.abs(residual, out=residual).real.reshape(i1 - i0, -1).max(axis=1)
+                del residual  # in place above: no second array of its size
+                worst[1, i0:i1] = np.abs(x).reshape(i1 - i0, -1).max(axis=1)
 
-    blocks = []
-    for (solved, rhs_row), flags in zip(families, flagged):
-        X = np.ascontiguousarray(_unflatten(solved.reshape(dim, dim), n), dtype=np.complex128)
-        X[~np.tri(m, dtype=bool)] = 0.0
+    blocks, upper = [], block_of[:, None] < block_of
+    for solved, rhs_row, *_, (worst, scale) in families:
+        flags = ~(worst <= 1e-10 * np.maximum(1.0, scale))  # a NaN compares False and is flagged
+        solved[upper] = 0.0
+        X = _unflatten(solved, n)
+        if flags[1:].any():  # the dense rows are complex
+            X = X.astype(np.complex128)
         X[0, 0] = -plus[0] if rhs_row is None else -rhs_row[:, :n]
         for i in np.flatnonzero(flags[1:]) + 1:
             X[i, : i + 1] = _dense_row(f, grid, i, plus, minus, rhs_row)
@@ -614,42 +606,58 @@ def _nested_solve(
 
 
 def _last_block_rows(
-    b: np.ndarray, u_inv: np.ndarray, l_inv: np.ndarray, jump: np.ndarray, step: float, n: int
+    f: np.ndarray, plus: np.ndarray, jump: np.ndarray, u_inv: np.ndarray, l_inv_diag: np.ndarray,
+    step: float, panel: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(M, Y_diag): every y_i = b_i S_i^-1 is M_i L^-1[i, :] off its
-    diagonal block and Y_ii on it, for B = _stacked_rhs, S = L U and
-    jump_i = plus_i - F_ii (solve_glm).
+    diagonal block and Y_ii on it, for S = L U and jump_i = plus_i - F_ii.
 
     R_i = (U^-1)_ii L^-1[i, :] is the last block row of S_i^-1, and block
     row i >= 1 of S_i is e_i + step F[i, :i+1], so
     y_i = (e_i - R_i)/step + jump_i R_i and M_i = (jump_i - I/step) (U^-1)_ii.
     On the diagonal block e_i - R_i cancels (it lost 1.3e-12 and 3.8e-12
-    relative on a Gaussian and a random accelerant at N = 400), so Y_ii = (sum_k b_ik (U^-1)_ki) (L^-1)_ii comes from one
-    batched product of the block rows of B with the block columns of U^-1.
-    Row 0 has no block off its diagonal, where the half weight of S's first
-    row would change M_0."""
-    dim = b.shape[0]
-    m = dim // n
-    nodes = np.arange(m)
-    columns = u_inv.reshape(dim, m, n).transpose(1, 0, 2)  # block column i of U^-1
-    y_diag = (b.reshape(m, n, dim) @ columns) @ _unflatten(l_inv, n)[nodes, nodes]
-    y_coef = (jump - np.eye(n) / step) @ _unflatten(u_inv, n)[nodes, nodes]
-    return y_coef, y_diag
+    relative on a Gaussian and a random accelerant at N = 400), so
+    Y_ii = (sum_k b_ik (U^-1)_ki) (L^-1)_ii comes from batched products of
+    panels of block rows of B (_rhs_panel) with block columns of U^-1. Row
+    0 has no block off its diagonal, where S's half weight would change M_0."""
+    n = plus.shape[-1]
+    m = f.shape[0] // n
+    columns = u_inv.reshape(-1, m, n).transpose(1, 0, 2)  # block column i of U^-1
+    y_diag = [
+        (_rhs_panel(f, plus, i, min(i + panel, m)) @ columns[i : i + panel]) @ l_inv_diag[i : i + panel]
+        for i in range(0, m, panel)
+    ]
+    y_coef = (jump - np.eye(n) / step) @ _unflatten(u_inv, n)[np.arange(m), np.arange(m)]
+    return y_coef, np.concatenate(y_diag)
+
+
+def _rhs_panel(f: np.ndarray, plus: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Block rows i0 .. i1 - 1 of B, b_i = F[i, :i+1] with plus[i] as its
+    diagonal block, as (i1 - i0, n, (N+1) n): a copy of those rows of F.
+    Right of b_i it keeps F, which meets only zeros of U^-1."""
+    n = plus.shape[-1]
+    b = f[i0 * n : i1 * n].reshape(i1 - i0, n, -1, n).copy()
+    b[np.arange(i1 - i0), :, np.arange(i0, i1)] = plus[i0:i1]
+    return b.reshape(i1 - i0, n, -1)
 
 
 def _row_combination(
-    left: np.ndarray, right: np.ndarray, y_coef: np.ndarray, y_diag: np.ndarray, l_inv: np.ndarray, n: int
-) -> np.ndarray:
-    """left_i y_i + right_i L^-1[i, :] for every row i, as (N+1, n, (N+1) n),
-    with y from _last_block_rows: one batched product of n x n matrices
-    with the block rows of L^-1, its diagonal blocks then set from Y_ii."""
-    dim = l_inv.shape[0]
-    m = dim // n
-    nodes = np.arange(m)
-    out = (left @ y_coef + right) @ l_inv.reshape(m, n, dim)
-    diagonal = left @ y_diag + right @ _unflatten(l_inv, n)[nodes, nodes]
-    _unflatten(out.reshape(dim, dim), n)[nodes, nodes] = diagonal
-    return out
+    left: np.ndarray, right: np.ndarray, y_coef: np.ndarray, y_diag: np.ndarray, l_inv_diag: np.ndarray,
+    rows: np.ndarray, panel: int, less: np.ndarray | None = None,
+) -> None:
+    """left_i y_i + right_i L^-1[i, :] for every row i, y from
+    _last_block_rows and rows the block rows of L^-1, (N+1, n, (N+1) n),
+    written over rows (row i read for row i alone), or, given less, minus
+    less over less: per panel, one batched product of n x n matrices with
+    block rows of L^-1, the diagonal blocks then set from Y_ii."""
+    m, n, _ = rows.shape
+    coef, diagonal = left @ y_coef + right, left @ y_diag + right @ l_inv_diag
+    out = rows if less is None else less
+    for i0 in range(0, m, panel):
+        i1, k = min(i0 + panel, m), np.arange(min(panel, m - i0))
+        part = coef[i0:i1] @ rows[i0:i1]
+        part.reshape(i1 - i0, n, m, n)[k, :, i0 + k] = diagonal[i0:i1]
+        out[i0:i1] = part if less is None else np.subtract(part, less[i0:i1], out=part)
 
 
 def _right_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -673,24 +681,8 @@ def _shared_matrix(f: np.ndarray, plus: np.ndarray, step: float) -> np.ndarray:
     return s
 
 
-def _stacked_rhs(f: np.ndarray, plus: np.ndarray, right_of_diagonal: np.ndarray) -> np.ndarray:
-    """B, a copy of the flat F whose block row i is b_i = F[i, :i+1] with
-    plus[i] as its diagonal block, zero to the right of it."""
-    n = plus.shape[-1]
-    b = f.copy()
-    b[right_of_diagonal] = 0.0
-    nodes = np.arange(b.shape[0] // n)
-    _unflatten(b, n)[nodes, nodes] = plus
-    return b
-
-
 def _dense_row(
-    f: np.ndarray,
-    grid: GridSpec,
-    i: int,
-    plus: np.ndarray,
-    minus: np.ndarray,
-    c: np.ndarray | None = None,
+    f: np.ndarray, grid: GridSpec, i: int, plus: np.ndarray, minus: np.ndarray, c: np.ndarray | None = None
 ) -> np.ndarray:
     """Blocks X[i, :i+1] of solve_glm's row i >= 1 for the flat F on grid
     by one dense solve of A_i, whose weighted block is the leading
@@ -738,37 +730,45 @@ def _lu_inverses(a: np.ndarray) -> np.ndarray:
     leaves of at most 32 rows, which eliminate by rank-1 updates and
     invert their two triangles. A zero pivot spoils only its own leaf and
     what follows: the inverse factors of the leading blocks before that
-    leaf are unaffected.
+    leaf are unaffected. No array of a's size but L^-1 is allocated.
     """
-    l_inv = np.zeros_like(a)
-    _lu_halves(a, l_inv)
+    l_inv = np.empty_like(a)
+    with np.errstate():  # restores numpy's buffer size on the way out
+        np.setbufsize(1024)  # for the strided block updates, 8192 items by default
+        _lu_halves(a, l_inv)
     return l_inv
 
 
 def _lu_halves(a: np.ndarray, l_inv: np.ndarray) -> None:
-    """_lu_inverses' recursion: U^-1 into a, L^-1 into l_inv, which holds
-    zeros above its diagonal."""
+    """_lu_inverses' recursion: U^-1 into a, L^-1 into l_inv. U12, L21 and
+    the Schur product sit in blocks written later or cleared, products are
+    written with out=, and (-P) C is -(P C) to the bit."""
     m = a.shape[0]
     if m <= 32:
         for k in range(m - 1):
             a[k + 1 :, k] /= a[k, k]
             a[k + 1 :, k + 1 :] -= a[k + 1 :, k, None] * a[k, k + 1 :]
-        eye = np.eye(m)
-        try:
-            l_inv[...] = np.tril(np.linalg.inv(np.tril(a, -1) + eye), -1) + eye
-            a[...] = np.triu(np.linalg.inv(np.triu(a)))
+        lower, eye = np.tri(m, k=-1, dtype=bool), np.eye(m)  # np.tril and np.triu, one mask
+        try:  # both triangles in one batched inverse
+            l_i, u_i = np.linalg.inv(np.stack((np.where(lower, a, 0.0) + eye, np.where(lower, 0.0, a))))
+            l_inv[...] = np.where(lower, l_i, 0.0) + eye
+            a[...] = np.where(lower, 0.0, u_i)
         except np.linalg.LinAlgError:  # an exactly zero pivot
             l_inv[...] = a[...] = np.nan
         return
     h = m // 2
     _lu_halves(a[:h, :h], l_inv[:h, :h])
-    u12 = l_inv[:h, :h] @ a[:h, h:]
-    l21 = a[h:, :h] @ a[:h, :h]
-    a[h:, h:] -= l21 @ u12
+    u12, l21, spare = l_inv[:h, h:], l_inv[h:, :h], a[h:, :h]
+    np.matmul(l_inv[:h, :h], a[:h, h:], out=u12)
+    np.matmul(spare, a[:h, :h], out=l21)  # A21 is free from here on
+    a[h:, h:] -= np.matmul(l21, u12, out=l_inv[h:, h:])
     _lu_halves(a[h:, h:], l_inv[h:, h:])
-    l_inv[h:, :h] = -(l_inv[h:, h:] @ l21) @ l_inv[:h, :h]
-    a[:h, h:] = -(a[:h, :h] @ u12) @ a[h:, h:]
-    a[h:, :h] = 0.0
+    np.negative(np.matmul(l_inv[h:, h:], l21, out=spare), out=spare)
+    np.matmul(spare, l_inv[:h, :h], out=l21)  # (L^-1)_21 over L21
+    np.negative(np.matmul(a[:h, :h], u12, out=a[:h, h:]), out=a[:h, h:])
+    np.matmul(a[:h, h:], a[h:, h:], out=u12)
+    a[:h, h:] = u12  # (U^-1)_12
+    u12[...] = spare[...] = 0.0
 
 
 def solve_krein(h: Accelerant) -> Kernel2D:
@@ -795,7 +795,7 @@ def _krein_kernels(x: np.ndarray, z: np.ndarray | None) -> tuple[np.ndarray, np.
     if z is None:
         return x, x
     k, t = np.indices(x.shape[:2])
-    reflected = z[k, k - t]  # z_k reversed; t > k wraps and is cleared
+    reflected = z[k, k - t].astype(np.complex128, copy=False)  # z_k reversed; t > k wraps
     reflected[t > k] = 0.0
     return x, reflected
 

@@ -106,7 +106,8 @@ class GridSpec:
         the dense rows of _dense_row use it. These apply the half weights
         inline: _low_rank_sweep (its batched weights); _nested_solve (the
         half first block row of _shared_matrix, a scaled copy of the flat
-        T, and delta, the half weight at each row's moving endpoint);
+        T, delta, the half weight at each row's moving endpoint, and the
+        row weights of its residual check);
         _kernel_chains (the step/2 of its endpoint matrices H_i, the doubled
         history step and the half-weight ends of its column-0 cumulative
         sum); _substitute (the endpoint factors on the diagonal blocks of

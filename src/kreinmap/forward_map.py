@@ -41,11 +41,14 @@ def theta(h: Accelerant) -> Potential:
     Rejects inputs that fail the accelerant sweep. The sweep runs only when
     neither certificate of factorization._gated_krein_rows can certify
     h: the Schur norm bound, O(N r^3), and the numerical range bound, one
-    O(N^3 r^3) eigvalsh on T; a certified h is one the sweep would accept.
+    O(N^3 r^3) eigvalsh on T; a certified h is one the sweep would accept,
+    and the sweep reads the same T.
     Both t = 0 columns come from one nested LU on the same T, whose inverse
     factors are its one O(N^3 r^3) step besides the residual check, and
     _potential reads them from the rows, so no kernel table is gathered.
-    An exactly even h solves one family and reuses it.
+    An exactly even h solves one family and reuses it. Besides T the solve
+    holds three ((N+1) r)^2 arrays at a time and panels of rows
+    (factorization._nested_solve).
     """
     _, _, x, z = _gated_krein_rows(h)
     return _potential(h, x, z)

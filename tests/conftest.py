@@ -1,4 +1,7 @@
-"""Shared builders and the convergence-ratio rule used across the suite."""
+"""Shared builders, the convergence-ratio rule and the traced-memory helper
+used across the suite."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,21 @@ def ratio_ok(err_coarse: float, err_fine: float, factor: float = 3.0, floor: flo
     if err_coarse < floor and err_fine < floor:
         return True
     return err_coarse / max(err_fine, 1e-300) >= factor
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), peak): the peak of the memory tracemalloc saw allocated
+    while fn ran, in bytes, above what it held when fn started. numpy
+    reports its array buffers to tracemalloc, so the peak counts every
+    array fn allocates, and no array allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def const_accelerant(c: complex, n_cells: int, r: int = 1) -> Accelerant:

@@ -363,19 +363,20 @@ def test_roundtrip_runs_one_upsilon_and_one_theta_per_rung(count_calls, field):
 
 
 def test_cli_theta_runs_the_sweep_once(count_calls, tmp_path):
+    # the gate sweeps its own T through is_accelerant's sweep
     src = tmp_path / "h.json"
     write_field(str(src), SWEPT)
-    counts = count_calls("is_accelerant")
+    counts = count_calls("factorization._sweep")
     assert main(["theta", "--in", str(src), "--out", str(tmp_path / "q.json")]) == 0
-    assert counts == {"is_accelerant": 1}
+    assert counts == {"factorization._sweep": 1}
 
 
 def test_krein_solution_runs_one_sweep_for_every_lambda(count_calls):
-    counts = count_calls("is_accelerant", KREIN_PAIR)
+    counts = count_calls("factorization._sweep", KREIN_PAIR)
     phis = kreinmap.krein_solution(SWEPT, (0.0, 1.0, 1.0 + 0.5j))
     assert phis.shape == (3, 17, 2, 1)
     # one pair solve gives the direct and the reflected Krein kernel
-    assert counts == {"is_accelerant": 1, KREIN_PAIR: 1}
+    assert counts == {"factorization._sweep": 1, KREIN_PAIR: 1}
 
 
 def test_certified_accelerant_is_not_swept(count_calls, tmp_path):
@@ -412,13 +413,13 @@ def count_builds(monkeypatch):
     return install
 
 
-@pytest.mark.parametrize("h, builds", [(CERTIFIED, 1), (SWEPT, 2)], ids=["certified", "swept"])
-def test_forward_chain_builds_t_once_and_no_kernel(count_calls, count_builds, tmp_path, h, builds):
-    # the gate and the Krein rows share one T; a swept input builds a second
-    # inside is_accelerant. No Kernel2D passes between the layers of theta,
-    # CLI theta or krein_solution
+@pytest.mark.parametrize("h, sweeps", [(CERTIFIED, 0), (SWEPT, 1)], ids=["certified", "swept"])
+def test_forward_chain_builds_t_once_and_no_kernel(count_calls, count_builds, tmp_path, h, sweeps):
+    # the gate, its sweep and the Krein rows share one T, and the public
+    # is_accelerant, which builds a T of its own, is not called. No Kernel2D
+    # passes between the layers of theta, CLI theta or krein_solution
     toeplitz = "factorization._toeplitz_matrix"
-    counts = count_calls(toeplitz, "is_accelerant", KREIN_PAIR)
+    counts = count_calls(toeplitz, "factorization._sweep", "is_accelerant", KREIN_PAIR)
     kernel_builds = count_builds(kreinmap.Kernel2D)
     src = tmp_path / "h.json"
     write_field(str(src), h)
@@ -431,8 +432,9 @@ def test_forward_chain_builds_t_once_and_no_kernel(count_calls, count_builds, tm
         counts.update(dict.fromkeys(counts, 0))
         run()
         assert counts == {
-            toeplitz: builds,
-            "is_accelerant": builds - 1,
+            toeplitz: 1,
+            "factorization._sweep": sweeps,
+            "is_accelerant": 0,
             KREIN_PAIR: 1,
         }
         assert kernel_builds == {"Kernel2D": 0}
@@ -494,12 +496,14 @@ def test_forward_layer_has_no_test_only_options():
     ids=["krein_pair", "solve_glm"],
 )
 def test_nested_solve_builds_its_matrices_once(count_calls, call):
-    # S and the stacked right-hand sides B serve the LU, Y and the residual
-    # check of every row family: one build each, with the second family too
+    # S serves the LU, and the right-hand sides B are read off T one panel
+    # of block rows at a time, once, for Y; the residual check of every row
+    # family reads T itself. Here 17 block rows of r = 2 make one panel of
+    # at most 24: one build of S and one panel read, with the second family too
     h = random_accelerant(0, r=2, n_cells=16, scale=0.1)
-    counts = count_calls("factorization._shared_matrix", "factorization._stacked_rhs")
+    counts = count_calls("factorization._shared_matrix", "factorization._rhs_panel")
     call(h)
-    assert counts == {"factorization._shared_matrix": 1, "factorization._stacked_rhs": 1}
+    assert counts == {"factorization._shared_matrix": 1, "factorization._rhs_panel": 1}
 
 
 class _Factorization(tuple):

@@ -706,10 +706,15 @@ def test_nested_solve_matches_dense_rows(fallback_rows, kind):
         assert fallback_rows == [], f"seed {seed}: the nested LU alone should do"
 
 
-def _two_gemm_y(b: np.ndarray, u_inv: np.ndarray, l_inv: np.ndarray, n: int) -> np.ndarray:
+def _two_gemm_y(f: np.ndarray, plus: np.ndarray, u_inv: np.ndarray, l_inv: np.ndarray, n: int) -> np.ndarray:
     """Y = tril(B U^-1) L^-1, the block-lower mask after the first GEMM:
-    every y_i = b_i S_i^-1 the long way, the reference."""
-    rows = np.arange(b.shape[0]) // n
+    every y_i = b_i S_i^-1 the long way, the reference, with the stacked
+    right-hand sides B built whole from the flat F: block row i is
+    F[i, :i+1] with plus[i] as its diagonal block, zero right of it."""
+    rows = np.arange(f.shape[0]) // n
+    b = np.where(rows[None, :] > rows[:, None], 0.0, f)
+    nodes = np.arange(f.shape[0] // n)
+    _unflatten(b, n)[nodes, nodes] = plus
     y = b @ u_inv
     y[rows[None, :] > rows[:, None]] = 0.0
     return y @ l_inv
@@ -732,14 +737,18 @@ def test_last_block_rows_give_y_without_the_two_gemms(kind):
         rng = np.random.default_rng(seed)
         edge = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         plus = np.broadcast_to(edge, f_diag.shape) if seed % 2 else f_diag
-        rows = np.repeat(np.arange(m), n)
         s = factorization._shared_matrix(_flatten(F), plus, step)
         u_inv = s.copy()
         l_inv = factorization._lu_inverses(u_inv)
-        b = factorization._stacked_rhs(_flatten(F), plus, rows[None, :] > rows[:, None])
-        y_coef, y_diag = factorization._last_block_rows(b, u_inv, l_inv, plus - f_diag, step, n)
-        got = factorization._row_combination(np.eye(n), np.zeros((n, n)), y_coef, y_diag, l_inv, n)
-        ref = _two_gemm_y(b, u_inv, l_inv, n)
+        l_inv_diag = _unflatten(l_inv, n)[np.arange(m), np.arange(m)]
+        # B is read off F in panels of block rows, as _nested_solve reads it
+        panel = max(1, 48 // n)
+        y_coef, y_diag = factorization._last_block_rows(
+            _flatten(F), plus, plus - f_diag, u_inv, l_inv_diag, step, panel
+        )
+        got = l_inv.reshape(m, n, m * n).copy()  # overwritten by Y
+        factorization._row_combination(np.eye(n), np.zeros((n, n)), y_coef, y_diag, l_inv_diag, got, panel)
+        ref = _two_gemm_y(_flatten(F), plus, u_inv, l_inv, n)
         err = np.max(np.abs(got.reshape(ref.shape) - ref))
         assert err <= 1e-13 * np.max(np.abs(ref)), f"seed {seed}"
 

@@ -8,12 +8,13 @@ A layer the call chains reach only through a private twin reads 0 calls.
 import importlib
 import importlib.util
 from pathlib import Path
+from time import perf_counter
 
 from conftest import SWEPT, linear_potential
 
 import kreinmap
 import kreinmap.cli  # noqa: F401  (the tracer wraps the cli layers too)
-from kreinmap import identity_suite
+from kreinmap import factorization, identity_suite
 from kreinmap.cli import write_field
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -61,12 +62,24 @@ def test_traced_identity_suite_records_the_wave_operator():
     assert names.count("dirac_verify.apply_wave_operator") == 4
 
 
-def test_traced_cli_theta_records_the_sweep(tmp_path):
-    # neither certificate covers SWEPT, so CLI theta sweeps it once; the gate
-    # must reach the sweep through the traced is_accelerant
+def test_traced_cli_theta_records_the_sweep(tmp_path, monkeypatch):
+    # neither certificate covers SWEPT, so CLI theta sweeps it once, on the
+    # gate's own T: the sweep runs inside the traced cli.main and no
+    # is_accelerant span, which would build a second T, is recorded
     src = tmp_path / "h.json"
     write_field(str(src), SWEPT)
+    sweeps = []
+
+    def timed(*args, _sweep=factorization._sweep):
+        start = perf_counter()
+        result = _sweep(*args)
+        sweeps.append((start, perf_counter()))
+        return result
+
+    monkeypatch.setattr(factorization, "_sweep", timed)
     with _tracer().Tracer() as traced:
         assert kreinmap.cli.main(["theta", "--in", str(src), "--out", str(tmp_path / "q.json")]) == 0
     names = [span[0] for span in traced.spans]
-    assert names.count("factorization.is_accelerant") == 1
+    assert names.count("factorization.is_accelerant") == 0
+    (main,) = [span for span in traced.spans if span[0] == "cli.main"]
+    assert len(sweeps) == 1 and main[2] <= sweeps[0][0] <= sweeps[0][1] <= main[3]
