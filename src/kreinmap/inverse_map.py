@@ -4,28 +4,23 @@ The accelerant is read off the product kernel F, with I + F = (I + L)(I + L~),
 L the Volterra resolvent of the transmutation kernel K_Q and L~(x,t) =
 L*(t,x)^H that of K_{Q*}.  upsilon needs only the column t = 1 of F, the
 literal boundary trace, and that column is (I + L)u with u(s) = L~(s, 1) =
-L*(1, s)^H.  So the chain is: transformation kernels (the coupled
-shifted-argument system, solved exactly by one forward march over the rows
-of the grid), K_Q and K_{Q*} read as strided views of the march's kept rows
-at exact half arguments of the refined grid, u as column 0 of the resolvent
-of the adjoint of K_{Q*} flipped in both arguments, the column as the
-solution of (I + K_Q)v = u (_product_column), and the scatter of that column
-into the accelerant (_trace_column).  Both are one-column calls of the one
-forward substitution of the module (_substitute), O(N^2 r^3) as the march
-is, one dense block solve per _BLOCK unknowns; no resolvent, cross term or
-full F is built.  Every solve is direct: no tolerance, iteration budget or
-convergence failure.
+L*(1, s)^H.  So the chain is: the transformation kernels (one forward
+march over the rows of the grid, handed out in blocks); K_Q and K_{Q*},
+read from each block at exact half arguments of the refined grid; u, the
+conjugate of column 0 of the resolvent of K_{Q*} transposed and flipped;
+the column, the solution of (I + K_Q)v = u (_product_column); and its
+scatter into the accelerant (_trace_column).  Both solves are one-column
+calls of the one forward substitution (_substitute), O(N^2 r^3) as the
+march is; no resolvent, cross term or full F is built.  Every solve is direct.
 
 For an off-diagonal potential the transformation kernels have only four
-nonzero r x r blocks, which form two independent chains (_kernel_chains).
-The march stores and multiplies only those, one product per row, and K
-reads each of its blocks as a sum of two chain blocks; transformation_kernels
-scatters the chains into zeroed full kernels, so P_plus commutes with J and
-P_minus anticommutes exactly.  K_Q and K_{Q*} come from one march over the
-refined grid, whose four chains are stacked, and which keeps only the even
-rows that K reads.  q is refined, guarded and given its chain coefficients
-once, on arrays (_refined_coefficients), and those of Q* are read off q's
-(_transmutation_pair): no adjoint or refined Potential or GridSpec is built.
+nonzero r x r blocks, two independent chains (_kernel_chains).  The march
+multiplies only those, one product per row, into one reused buffer of kept
+rows, so no array of all its rows exists.  K reads each of its blocks as a
+sum of two chain blocks; transformation_kernels scatters the chains into
+zeroed full kernels, so P_plus commutes with J and P_minus anticommutes
+exactly.  K_Q and K_{Q*} come from one march of four stacked chains over
+the refined grid (_transmutation_pair) that keeps the even rows K reads.
 
 The full-grid product kernel is built from its parts: the two resolvents,
 each _substitute in every column, the cross term quadops.compose of L with
@@ -45,9 +40,8 @@ runs each in cheaper arithmetic, by exact tests with no tolerance:
   chains of Q alone, and one resolvent serves as both factors of F.
 
 Between the layers the blocks travel as plain arrays in their own dtype
-(_transmutation_values, _resolvent_values, resolvent_product_parts,
-assemble_product) and are cast to complex128 once, where a public field is
-built; every exported function takes and returns complex128 fields.
+and are cast to complex128 once, where a public field is built; every
+exported function takes and returns complex128 fields.
 
 Two discretization conventions are easy to get wrong.  A Volterra equation
 is solved by substitution with per-interval trapezoid weights, not read off
@@ -60,6 +54,8 @@ there, and the one-sided parts are available separately.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -134,8 +130,12 @@ def _chain_coefficients(q_plus: np.ndarray, q_minus: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([a, b], axis=1), np.stack([b, a], axis=1)], axis=2)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
+# Bytes of _kernel_chains' buffer of kept rows (one row at least).  256-512 KiB
+# ran upsilon fastest on perfbench's inverse inputs, and cut its RSS by 2 MB.
+_ROWS_BYTES = 1 << 19
+
+
+def _kernel_chains(co: np.ndarray, step: float, stride: int) -> Iterator[tuple[int, np.ndarray]]:
     """Nonzero r x r blocks of the transformation kernels, by row marching.
 
     With JQ = [[0, a], [b, 0]], a = -i q_plus and b = i q_minus, P_plus is
@@ -148,13 +148,13 @@ def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     chain A is (U, V) = (P_plus[0,0], P_minus[1,0]) with (alpha, beta) = (a, b),
     chain B is (U, V) = (P_plus[1,1], P_minus[0,1]) with (alpha, beta) = (b, a).
     co[i, c, k] holds alpha (k = 0) and beta (k = 1) of chain c at x_i, for
-    any number of chains on one grid (_chain_coefficients gives A and B of
-    one potential), and they all march together, stacked on a leading axis.
-    Returns the kept rows i = l * stride in the dtype of co (float64
-    coefficients, the real class, march in real arithmetic):
-    out[1 + l, c, 0, :, e] = U(x_i, x_e) and out[1 + l, c, 1, :, e] =
-    V(x_i, x_{i-e}) of chain c, zero outside 0 <= e <= i, and out[0] zero,
-    read through _chain_reads.
+    any number of chains on one grid, which march together, stacked.  Yields
+    the kept rows i = l * stride in blocks (first, rows), views of one
+    buffer of _ROWS_BYTES that the next block writes over, in co's dtype
+    (float64 for the real class): rows[1 + k, c, 0, :, e] = U(x_i, x_e) and
+    rows[1 + k, c, 1, :, e] = V(x_i, x_{i-e}) of chain c at l = first + k,
+    zero outside 0 <= e <= i, and rows[0] zero (_chain_reads).  The body runs
+    in the scope of its consumer, which ignores overflow (np.errstate) there.
 
     The trapezoid system is Volterra in x: one forward march over the rows
     x_i solves it exactly, in O(N^2 r^3).  Per chain, with
@@ -183,9 +183,8 @@ def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     beta(x_0), and U(x_i, 0) is one cumulative sum of step alpha beta.
     Column j of the history starts at row j as H_j (U(x_j, 0), beta(x_0))
     plus the source: U's part is in the state before the march, V's enters
-    Y's column 1 before row j + 1.  The callers check their kernels, which
-    read every kept entry, for overflow; one in a dropped row reaches the
-    last row, which both keep.
+    Y's column 1 before row j + 1.  Its consumers check every kept entry
+    for overflow; one in a dropped row reaches the last row, which both keep.
     """
     m, chains, _, r, _ = co.shape
     h = 0.5 * step * co
@@ -213,41 +212,46 @@ def _kernel_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
         a[:, :, 1] = np.roll(a[:, :, 1], r, axis=-1)
     advance = rise + np.eye(2 * r).reshape(2, r, 2 * r)
     keep = keep.reshape(m - 2, chains, 2 * r, 2 * r)
-    kept = np.arange(0, m, stride)
-    out = np.zeros((len(kept) + 1, chains, 2, r, m, r), dtype=co.dtype)
-    rows = out.reshape(len(kept) + 1, chains, 2 * r, width)
-    for i in range(2, m):
-        x = read[i % 2]
-        x[:, r:, r : 2 * r] = enter[i - 1]
-        cols = slice(r, i * r)
-        if i % stride == 0:
-            np.matmul(keep[i - 2], x[:, :, cols], out=rows[1 + i // stride, :, :, cols])
-        np.matmul(advance[i - 2], x[:, None, :, cols], out=write[1 - i % 2, ..., cols])
-    out[1:, :, 0, :, 0] = u0[kept]
-    out[1:, :, 1, :, 0] = beta[kept]
-    out[1 + np.arange(len(kept)), :, 1, :, kept] = beta[0]
-    return out
+    kept = range(0, m, stride)  # row l in slot 1 + l % per, behind a zero row
+    per = max(1, min(len(kept), _ROWS_BYTES // (chains * 2 * r * width * co.itemsize)))
+    ends = {*kept[per - 1 :: per], kept[-1]}
+    buffer = np.zeros((per + 1, chains, 2, r, m, r), dtype=co.dtype)
+    rows = buffer.reshape(per + 1, chains, 2 * r, width)
+    for i in range(m):
+        if i > 1:
+            x = read[i % 2]
+            x[:, r:, r : 2 * r] = enter[i - 1]
+            cols = slice(r, i * r)
+            if i % stride == 0:
+                np.matmul(keep[i - 2], x[:, :, cols], out=rows[1 + i // stride % per, :, :, cols])
+            np.matmul(advance[i - 2], x[:, None, :, cols], out=write[1 - i % 2, ..., cols])
+        if i in ends:
+            first = i // stride // per * per
+            at = np.arange(first * stride, i + 1, stride)
+            block = buffer[: 1 + len(at)]
+            block[1:, :, 0, :, 0], block[1:, :, 1, :, 0] = u0[at], beta[at]
+            block[1 + np.arange(len(at)), :, 1, :, at] = beta[0]
+            yield first, block
 
 
-def _chain_reads(chains: np.ndarray, stride: int, skew: int, sign: int, cols: int) -> tuple:
-    """Views (U, V)[c, l, j] of every chain of chains =
-    _kernel_chains(., ., stride) at (x_i, x_t), i = stride * l,
+def _chain_reads(rows: np.ndarray, first: int, stride: int, skew: int, sign: int, cols: int) -> tuple:
+    """Views (U, V)[c, k, j] of every chain of a block (first, rows) of
+    _kernel_chains(., ., stride) at (x_i, x_t), i = stride * l, l = first + k,
     t = skew * l + sign * j, j < cols: U at column t of row i and V at
-    column i - t, strided views whose step from row to row is skew or
-    stride - skew columns past the next row, which numpy checks against
-    chains' bounds.  A read of t outside [0, i] at a column c with
-    i - m < c < m, m columns a row, is a zero: past the row's data, or the
-    zero tail of the row before it, out[0] before the first, so kernels
-    read through these views are exactly zero there."""
-    rows, n, _, r, _, _ = chains.shape
-    row, chain, kind, a, col, b = chains.strides
-    shape, dtype = (n, rows - 1, cols, r, r), chains.dtype
-    u = np.ndarray(shape, dtype, chains, row, (chain, row + skew * col, sign * col, a, b))
-    v_row = row + (stride - skew) * col
-    v = np.ndarray(shape, dtype, chains, row + kind, (chain, v_row, -sign * col, a, b))
+    column i - t, skew or stride - skew columns past the next row from row
+    to row (numpy checks the block's bounds).  A read of t outside [0, i] at
+    a column c, i - m < c < m for m columns a row, is a zero: past the row's
+    data, or the zero tail of the row before it, rows[0] before the first."""
+    n_rows, n, _, r, _, _ = rows.shape
+    row, chain, kind, a, col, b = rows.strides
+    shape, dtype, skip = (n, n_rows - 1, cols, r, r), rows.dtype, stride - skew
+    u_at, v_at = row + skew * first * col, row + kind + skip * first * col
+    u = np.ndarray(shape, dtype, rows, u_at, (chain, row + skew * col, sign * col, a, b))
+    v = np.ndarray(shape, dtype, rows, v_at, (chain, row + skip * col, -sign * col, a, b))
     return u, v
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     """Solve the coupled system for the kernels of the solution representation.
 
@@ -255,25 +259,24 @@ def transformation_kernels(q: Potential) -> tuple[Kernel2D, Kernel2D]:
     P_minus(x,t) = int_t^x JQ(s) P_plus(s, s-t) ds + JQ(t)
 
     The trapezoid-discretized system is solved exactly as two decoupled
-    chains of r x r kernels (see _kernel_chains), read through _chain_reads
-    into the full 2r x 2r kernels: P_plus = diag(U_A, U_B) and P_minus has
-    V_B above and V_A below the diagonal, in complex128 also where a
-    real-class potential marches in float64.  A potential too large for its
-    grid (_require_resolved) and kernels that overflow floating point raise
-    FieldFormatError.  P_plus commutes with J and P_minus anticommutes,
-    exactly, since the chain blocks are written into zeroed arrays.
+    chains of r x r kernels (see _kernel_chains), read block by block
+    (_chain_reads) into the full 2r x 2r kernels: P_plus = diag(U_A, U_B)
+    and P_minus has V_B above and V_A below the diagonal, in complex128 also
+    where a real-class potential marches in float64.  A potential too large
+    for its grid (_require_resolved) and kernels that overflow floating
+    point raise FieldFormatError.  P_plus commutes with J and P_minus
+    anticommutes, exactly, since the chain blocks go into zeroed arrays.
     """
     _require_resolved(q.q_plus, q.q_minus, q.grid.step)
-    r, n = q.r, 2 * q.r
-    m = q.grid.N + 1
-    chains = _kernel_chains(_chain_coefficients(q.q_plus, q.q_minus), q.grid.step, 1)
-    (ua, ub), (va, vb) = _chain_reads(chains, 1, 0, 1, m)
+    r, n, m = q.r, 2 * q.r, q.grid.N + 1
     plus = np.zeros((m, m, n, n), dtype=np.complex128)
     minus = np.zeros_like(plus)
-    plus[..., :r, :r] = ua
-    plus[..., r:, r:] = ub
-    minus[..., r:, :r] = va
-    minus[..., :r, r:] = vb
+    co = _chain_coefficients(q.q_plus, q.q_minus)
+    for first, rows in _kernel_chains(co, q.grid.step, 1):
+        (ua, ub), (va, vb) = _chain_reads(rows, first, 1, 0, 1, m)
+        at = slice(first, first + len(rows) - 1)
+        plus[at, :, :r, :r], plus[at, :, r:, r:] = ua, ub
+        minus[at, :, r:, :r], minus[at, :, :r, r:] = va, vb
     for kernel in (plus, minus):
         _require_finite("transformation kernels", kernel)
     return Kernel2D(n, q.grid, "lower", plus), Kernel2D(n, q.grid, "lower", minus)
@@ -330,24 +333,24 @@ def _transmutation_values(co: np.ndarray, step: float) -> list[np.ndarray]:
     """The blocks of K of each potential whose chain pair (A, B) is stacked
     in co (_chain_coefficients on the refined grid of that step), from one
     march that keeps the even rows, the only ones K reads, so that K_Q and
-    K_{Q*} cost one pass.  Each r x r quadrant of K(x_l, x_j) is one np.add
-    of two strided views of the kept rows (_chain_reads) at near = l - j or
-    far = l + j, halved once; every read above the diagonal lands on zeros,
-    so K is exactly lower with no mask.  K reads every kept entry, so kept
+    K_{Q*} cost one pass.  Each r x r quadrant of K(x_l, x_j) on the rows of
+    a block is one np.add of two strided views of it (_chain_reads) at
+    near = l - j or far = l + j, halved once at the end; every read above
+    the diagonal lands on zeros, so K is exactly lower with no mask.  Kept
     rows that overflow raise FieldFormatError.  Float64 when co is.
     """
-    chains = _kernel_chains(co, step, 2)
-    m, r = chains.shape[0] - 1, co.shape[-1]
-    (u, v), (u_far, v_far) = (_chain_reads(chains, 2, 1, sign, m) for sign in (-1, 1))
+    m, r = (co.shape[0] + 1) // 2, co.shape[-1]
+    kernels = [np.empty((m, m, 2 * r, 2 * r), co.dtype) for _ in range(co.shape[1] // 2)]
     # np.add buffers each strided operand: 8192 items, 0.4 MB complex, by default
-    size, kernels = np.setbufsize(1024), []
-    for a in range(0, co.shape[1], 2):
-        k = np.empty((m, m, 2 * r, 2 * r), dtype=chains.dtype)
-        np.add(u[a], v[a + 1], out=k[..., :r, :r])
-        np.add(u[a + 1], v[a], out=k[..., r:, r:])
-        np.add(u_far[a], v_far[a + 1], out=k[..., :r, r:])
-        np.add(u_far[a + 1], v_far[a], out=k[..., r:, :r])
-        kernels.append(k)
+    size = np.setbufsize(1024)
+    for first, rows in _kernel_chains(co, step, 2):
+        (u, v), (u_far, v_far) = (_chain_reads(rows, first, 2, 1, sign, m) for sign in (-1, 1))
+        for a, k in zip(range(0, co.shape[1], 2), kernels):
+            k = k[first : first + len(rows) - 1]
+            np.add(u[a], v[a + 1], out=k[..., :r, :r])
+            np.add(u[a + 1], v[a], out=k[..., r:, r:])
+            np.add(u_far[a], v_far[a + 1], out=k[..., :r, r:])
+            np.add(u_far[a + 1], v_far[a], out=k[..., r:, :r])
     np.setbufsize(size)
     for k in kernels:
         k *= 0.5
@@ -482,21 +485,18 @@ def _transmutation_pair(q: Potential) -> tuple[np.ndarray, np.ndarray, float]:
     """The blocks of K_Q and K_{Q*} from one march, and the resolution of q.
 
     q is refined, guarded and given its chain coefficients co once
-    (_refined_coefficients).  Those of Q* are read off co: Q* has
-    q+* = q-^H and q-* = q+^H, so a* = b^H and b* = a^H, and its chains are
-    A' = (b^H, a^H) and B' = (a^H, b^H), co with alpha and beta swapped and
-    each block conjugate-transposed.  The structure of q decides the work
-    here, for upsilon and for every consumer of the product kernel.  A
-    real-class q gives float64 blocks, since its chain coefficients are
-    real.  A self-adjoint q (_self_adjoint) has K_{Q*} = K_Q, so the march
-    runs its two chains alone and returns the one K as both.  Otherwise
-    K_Q and K_{Q*} come from one march of four chains.
+    (_refined_coefficients).  Q* has q+* = q-^H and q-* = q+^H, so its
+    chains A' = (b^H, a^H) and B' = (a^H, b^H) are co with alpha and beta
+    swapped and each block conjugate-transposed.  The structure of q decides
+    the work, for upsilon and every consumer of the product kernel: a
+    real-class q gives float64 blocks, a self-adjoint q (_self_adjoint) has
+    K_{Q*} = K_Q, so the march runs two chains and the one K is returned as
+    both, and any other q four chains, with K_{Q*} in an array of its own.
     """
     co, step, resolution = _refined_coefficients(q)
     co_star = np.conj(co[:, :, ::-1].swapaxes(-1, -2))
     if not _self_adjoint(co, co_star):
         co = np.concatenate([co, co_star], axis=1)
-    # a self-adjoint q gives one kernel, returned as both
     kernels = _transmutation_values(co, step)
     return kernels[0], kernels[-1], resolution
 
@@ -616,24 +616,23 @@ def _product_column(k_low: np.ndarray, k_star: np.ndarray, grid: GridSpec) -> np
     give the column without any resolvent:
 
     - u is column t = 1 of the resolvent L~ of the upper kernel
-      K~ = quadops.adjoint_op(K_{Q*}).  Flipped in both arguments, x -> 1 - x
-      and t -> 1 - t, K~ is lower and u column 0 of its resolvent, so u is
-      one substitution with R = -K~ in one column.  Its endpoint factors
-      are those of K_{Q*}, conjugate-transposed, and are checked on K_{Q*}
-      on the unflipped grid, so that a singular factor is named at its own
-      node;
+      K~(x,t) = K_{Q*}(t,x)^H.  Flipped in both arguments, K~ is lower and
+      u column 0 of its resolvent, one substitution with R = -K~ in one
+      column, run on a view of K_{Q*}, transposed and flipped, which is
+      conj(K~) flipped: u is the conjugate of its result, exactly, since
+      conj commutes with a substitution whose step is real.  Its endpoint
+      factors are checked on K_{Q*}, so a singular one is named at its node;
     - v = (I + L)u solves (I + K_Q)v = u, one substitution with R = u.
 
     At x = 1 the lower limit of F is v(1) - u(1) - K(1, 1) and the upper
     one v(1), and the column holds their average, as assemble_product
     holds it on the diagonal.  Each substitution is O(N^2 r^3).
     """
-    m = k_low.shape[0]
-    N = m - 1
-    flipped = adjoint_op(k_star)[::-1, ::-1]
+    N = len(k_low) - 1
+    flipped = k_star.transpose(1, 0, 3, 2)[::-1, ::-1]
     _require_invertible_endpoints(k_star, grid.step, range(N))
-    u = _substitute(flipped, -flipped[:, :1], grid.step)[::-1, 0]
-    _require_invertible_endpoints(k_low, grid.step, range(1, m))
+    u = np.conj(_substitute(flipped, -flipped[:, :1], grid.step)[::-1, 0])
+    _require_invertible_endpoints(k_low, grid.step, range(1, N + 1))
     col = _substitute(k_low, u[:, None], grid.step)[:, 0]
     col[N] += 0.5 * (-k_low[N, N] - u[N])
     _require_finite("product column values", col)
@@ -646,7 +645,8 @@ def upsilon(q: Potential) -> tuple[Accelerant, DiagnosticReport]:
     The accelerant is the literal boundary trace of the product kernel F,
     read off its one column t = 1 (_product_column) with trace_extract's
     rule (_trace_column); F itself, its resolvents and its cross term are
-    never built, so the cost is one march and two O(N^2 r^3) substitutions.
+    never built, so the cost is one march and two O(N^2 r^3) substitutions,
+    and the memory K_Q, K_{Q*} and one block of the march's rows.
     The report's one entry, resolution, is (step/2) rho(JQ) of q on the
     refined grid, the largest over its nodes, with tolerance 1: it says how
     close q came to the bound at which the march is refused as too coarse.

@@ -36,6 +36,7 @@ from kreinmap import (
     transmutation_kernel,
     upsilon,
 )
+from kreinmap import inverse_map
 from kreinmap.fields import _half_argument_reads
 from kreinmap.inverse_map import (
     _chain_coefficients,
@@ -182,10 +183,22 @@ def _dense_chains(co: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
+def _full_march(co: np.ndarray, step: float, stride: int) -> np.ndarray:
+    """Every kept row of _kernel_chains behind one zero row, in the layout
+    of one block that holds them all: the blocks are collected as they come,
+    since each is written over by the next."""
+    blocks, rows_so_far = [], 0
+    for first, rows in _kernel_chains(co, step, stride):
+        assert first == rows_so_far and not rows[0].any()
+        blocks.append(rows[1:].copy())
+        rows_so_far += len(rows) - 1
+    return np.concatenate([np.zeros_like(blocks[0][:1])] + blocks)
+
+
 def _natural_chains(co: np.ndarray, step: float, stride: int) -> np.ndarray:
     """_kernel_chains read in the layout of _dense_chains, [c, k, l, j]."""
     m = co.shape[0]
-    return np.stack(_chain_reads(_kernel_chains(co, step, stride), stride, 0, 1, m), axis=1)
+    return np.stack(_chain_reads(_full_march(co, step, stride), 0, stride, 0, 1, m), axis=1)
 
 
 @pytest.mark.parametrize("chains", [1, 2, 4])
@@ -328,7 +341,8 @@ def _index_table_transmutation(chains: np.ndarray, n_cells: int) -> list[np.ndar
     """K from the kept rows of a march of chain pairs on the refined grid,
     read through the index tables of fields._half_argument_reads and
     written into zeros: chains[1 + l, c, k, a, e, b] holds U(x_2l, x_e) at
-    k = 0 and V(x_2l, x_{2l-e}) at k = 1 (see _kernel_chains)."""
+    k = 0 and V(x_2l, x_{2l-e}) at k = 1 (see _kernel_chains and
+    _full_march)."""
     rows = chains[1:]
     u = rows[:, :, 0].transpose(1, 0, 3, 2, 4)  # [c, l, t, a, b]
     v = np.zeros_like(u)
@@ -354,11 +368,13 @@ def _index_table_transmutation(chains: np.ndarray, n_cells: int) -> list[np.ndar
     st.sampled_from([8, 16, 50]),
     st.sampled_from([1, 2, 3]),
     st.sampled_from([np.float64, np.complex128]),
+    st.integers(1, 8),
 )
-def test_strided_transmutation_reads_match_the_index_tables(seed, n_cells, r, dtype):
-    # random kept rows of four chains, zero where the march leaves zeros:
-    # the strided reads give K exactly as the index tables do, and every
-    # read of the strict upper triangle lands on zeros
+def test_strided_transmutation_reads_match_the_index_tables(seed, n_cells, r, dtype, per):
+    # random kept rows of four chains, zero where the march leaves zeros,
+    # handed out per rows a block behind a zero row: the strided reads give
+    # K exactly as the index tables do, and every read of the strict upper
+    # triangle lands on zeros
     rng = np.random.default_rng(seed)
     m = 2 * n_cells + 1
     chains = np.zeros((n_cells + 2, 4, 2, r, m, r), dtype=dtype)
@@ -369,14 +385,100 @@ def test_strided_transmutation_reads_match_the_index_tables(seed, n_cells, r, dt
             rows = rows + 1j * rng.standard_normal(shape)
         chains[1 + l, ..., : 2 * l + 1, :] = rows
     co = np.zeros((m, 4, 2, r, r), dtype=dtype)
+    blocks = [
+        (first, np.concatenate([chains[:1], chains[1 + first : 1 + first + per]]))
+        for first in range(0, n_cells + 1, per)
+    ]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("kreinmap.inverse_map._kernel_chains", lambda co, step, stride: chains)
+        patch.setattr("kreinmap.inverse_map._kernel_chains", lambda co, step, stride: blocks)
         kernels = _transmutation_values(co, 0.5 / n_cells)
     upper = np.triu_indices(n_cells + 1, 1)
     for got, ref in zip(kernels, _index_table_transmutation(chains, n_cells), strict=True):
         assert got.dtype == dtype
         assert np.array_equal(got, ref)
         assert np.all(got[upper] == 0.0)
+
+
+def _blocks_of(monkeypatch, per: int | None) -> list:
+    """Make _kernel_chains hand out per kept rows a block, every row in one
+    block for per None, and record each block's first row, its number of
+    rows and whether they are finite."""
+    march, seen = _kernel_chains, []
+
+    def blocked(co, step, stride):
+        m, chains, _, r, _ = co.shape
+        row = chains * 2 * r * m * r * co.itemsize
+        monkeypatch.setattr(inverse_map, "_ROWS_BYTES", row * (per or m))
+        for first, rows in march(co, step, stride):
+            seen.append((first, len(rows) - 1, bool(np.isfinite(rows).all())))
+            yield first, rows
+
+    monkeypatch.setattr(inverse_map, "_kernel_chains", blocked)
+    return seen
+
+
+def _structured_potential(n_cells: int, r: int, real: bool, self_adjoint: bool) -> Potential:
+    """q with a = -i q+ = c and b = i q- = d for random c and d, d = c^H
+    when q is self-adjoint: of the real class when c and d are real."""
+    rng = np.random.default_rng(10 * r + 2 * real + self_adjoint)
+    shape = (n_cells + 1, r, r)
+    imag = 0.0 if real else 0.4j
+    draw = lambda: 0.4 * rng.standard_normal(shape) + imag * rng.standard_normal(shape)
+    c = draw()
+    d = np.conj(c.swapaxes(-1, -2)) if self_adjoint else draw()
+    return Potential(r, GridSpec(n_cells), 1j * c, -1j * d)
+
+
+@pytest.mark.parametrize("per", [1, 3, None], ids=["one-row", "uneven", "one-block"])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("real", [True, False], ids=["float64", "complex128"])
+@pytest.mark.parametrize("self_adjoint", [True, False], ids=["self-adjoint", "general"])
+def test_streamed_kernels_equal_one_full_width_march(monkeypatch, per, r, real, self_adjoint):
+    # K_Q and K_{Q*} (stride 2, refined grid) and P+- (stride 1), read from
+    # blocks of one row, of 3 rows of 11 and of all 11, are byte for byte
+    # the kernels read from one array of every kept row
+    q = _structured_potential(10, r, real, self_adjoint)
+    co, step, _ = _refined_coefficients(q)
+    co_star = np.conj(co[:, :, ::-1].swapaxes(-1, -2))
+    assert _self_adjoint(co, co_star) == self_adjoint and (co.dtype == np.float64) == real
+    seen = _blocks_of(monkeypatch, per)
+    k_low, k_star, _ = _transmutation_pair(q)
+    plus, minus = transformation_kernels(q)
+    size = per or 11
+    firsts = [(first, min(size, 11 - first), True) for first in range(0, 11, size)]
+    assert seen == firsts * 2
+
+    # the reference: one block holds all 11 rows under the default budget
+    monkeypatch.undo()
+    pair = co if self_adjoint else np.concatenate([co, co_star], axis=1)
+    ref = _index_table_transmutation(_full_march(pair, step, 2), 10)
+    assert k_low.dtype == co.dtype and k_low.tobytes() == ref[0].tobytes()
+    assert k_star.tobytes() == ref[-1].tobytes()
+    (ua, va), (ub, vb) = _natural_chains(_chain_coefficients(q.q_plus, q.q_minus), q.grid.step, 1)
+    plus_ref = np.zeros((11, 11, 2 * r, 2 * r), dtype=np.complex128)
+    minus_ref = np.zeros_like(plus_ref)
+    plus_ref[..., :r, :r], plus_ref[..., r:, r:] = ua, ub
+    minus_ref[..., r:, :r], minus_ref[..., :r, r:] = va, vb
+    assert plus.values.tobytes() == plus_ref.tobytes()
+    assert minus.values.tobytes() == minus_ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, n_cells",
+    [(transmutation_kernel, 200), (upsilon, 200), (transformation_kernels, 400)],
+    ids=["transmutation", "upsilon", "transformation"],
+)
+def test_an_overflow_in_a_late_block_is_refused_without_a_warning(monkeypatch, build, n_cells):
+    # q = 750 overflows only in the last rows of the march (exp(750 x)), so
+    # with one row a block the first blocks are finite and a late one is
+    # not; the blocks are read while the consumer ignores the overflow
+    seen = _blocks_of(monkeypatch, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldFormatError, match=f"^{re.escape(OVERFLOW)}$"):
+            build(const_potential(750.0, n_cells))
+    finite = [block[2] for block in seen]
+    assert len(finite) == n_cells + 1 and finite[0] and not finite[-1]
 
 
 def _const_blocks(q_plus: complex, q_minus: complex, n_cells: int) -> Potential:
